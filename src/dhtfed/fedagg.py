@@ -17,8 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (LocalDataset, ModelParams, PersonalState, forward_batch,
-                    local_finetune, param_nbytes, pfl_loss)
+from .model import (LocalDataset, ModelParams, PersonalState, deserialize_params,
+                    forward_batch, local_finetune, param_nbytes, pfl_loss,
+                    serialize_params)
 from .overlay import hex_id
 from .simnet import AGG_UP, PREDICT
 from .tree import TreeManager
@@ -44,30 +45,22 @@ class AggregateMessage:
     def __post_init__(self) -> None:
         if self.weight < 1:
             raise ValueError("weight must be >= 1")
-        if not (np.isfinite(self.payload.w).all() and np.isfinite(self.payload.b).all()):
-            raise ValueError("payload must be finite")
 
     def nbytes(self) -> int:
         l, h = self.payload.w.shape
-        return 40 + 8 * (l * h + l)
+        return 32 + param_nbytes(h, l)
 
     def serialize(self) -> bytes:
-        l, h = self.payload.w.shape
-        head = self.group.to_bytes(16, "big") + struct.pack(
-            "<QQII", self.round, self.weight, l, h
-        )
-        flat = np.concatenate([self.payload.w.reshape(-1), self.payload.b]).astype("<f8")
-        return head + flat.tobytes()
+        """16-byte big-endian group id, <QQ round and weight, then the params."""
+        return (self.group.to_bytes(16, "big")
+                + struct.pack("<QQ", self.round, self.weight)
+                + serialize_params(self.payload))
 
     @classmethod
     def deserialize(cls, blob: bytes) -> "AggregateMessage":
-        group = int.from_bytes(blob[:16], "big")
-        rnd, weight, l, h = struct.unpack_from("<QQII", blob, 16)
-        flat = np.frombuffer(blob, dtype="<f8", offset=40)
-        if flat.size != l * h + l:
-            raise ValueError("aggregate blob has wrong length")
-        payload = ModelParams(flat[: l * h].reshape(l, h).copy(), flat[l * h:].copy())
-        return cls(group, rnd, payload, weight)
+        rnd, weight = struct.unpack_from("<QQ", blob, 16)
+        return cls(int.from_bytes(blob[:16], "big"), rnd,
+                   deserialize_params(blob[32:]), weight)
 
 
 def branch_aggregate(children_msgs: list[AggregateMessage],
@@ -505,7 +498,7 @@ class FederatedSession:
         gossipers = [n for n in leaves if social.friends.get(n)]
 
         def buffer_nbytes(buf: dict[int, ModelParams]) -> int:
-            return 40 + 8 * (2 * self.hidden_dim + 2) + 16 * len(buf)
+            return 32 + param_nbytes(self.hidden_dim) + 16 * len(buf)
 
         def run_gossip_hop() -> None:
             """Synchronous exchange: everyone shares its current buffer with

@@ -109,15 +109,19 @@ class LocalDataset:
                    np.array([e.y for e in examples]), topic_id)
 
 
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of an (n, L) logit array, overwriting it."""
+    logits -= logits.max(axis=1, keepdims=True)
+    e = np.exp(logits)
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def forward(x: np.ndarray, params: ModelParams) -> np.ndarray:
     """Class probabilities for one feature vector (softmax of w @ x + b)."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (params.dim,):
         raise ValueError(f"feature dim {x.shape} does not match H={params.dim}")
-    logits = params.w @ x + params.b
-    logits -= logits.max()
-    e = np.exp(logits)
-    return e / e.sum()
+    return _softmax((params.w @ x + params.b)[None])[0]
 
 
 def forward_batch(x: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -125,10 +129,7 @@ def forward_batch(x: np.ndarray, params: ModelParams) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.dim:
         raise ValueError("batch must be (n, H)")
-    logits = x @ params.w.T + params.b
-    logits -= logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    return e / e.sum(axis=1, keepdims=True)
+    return _softmax(x @ params.w.T + params.b)
 
 
 def _proximal(w_cla: ModelParams, personal: PersonalState, penalty: str) -> float:
@@ -154,30 +155,34 @@ def pfl_loss(data: LocalDataset, w_cla: ModelParams, personal: PersonalState,
     return nll + _proximal(w_cla, personal, penalty)
 
 
+def _grad(x: np.ndarray, y: np.ndarray, w: np.ndarray, b: np.ndarray,
+          w_per: np.ndarray, b_per: np.ndarray, lam: float, penalty: str):
+    """Array form of pfl_grad: (grad_w, grad_b, grad_w_per, grad_b_per)."""
+    n = x.shape[0]
+    dlogits = _softmax(x @ w.T + b)
+    dlogits[np.arange(n), y] -= 1.0
+    dlogits /= n
+    dw, db = w_per - w, b_per - b
+    if penalty == "squared":
+        pull = lam
+    elif penalty == "norm":
+        norm = np.sqrt(float(np.sum(dw * dw) + np.sum(db * db)))
+        pull = 0.5 * lam / norm if norm > 0 else 0.0
+    else:
+        raise ValueError(f"unknown penalty {penalty!r}")
+    pull_w, pull_b = pull * dw, pull * db
+    return dlogits.T @ x - pull_w, dlogits.sum(axis=0) - pull_b, pull_w, pull_b
+
+
 def pfl_grad(data: LocalDataset, w_cla: ModelParams, personal: PersonalState,
              penalty: str = "squared") -> tuple[ModelParams, ModelParams]:
     """Exact analytic gradients of pfl_loss w.r.t. (w_cla, w_per)."""
     if len(data) == 0:
         raise ValueError("dataset is empty")
-    n = len(data)
-    probs = forward_batch(data.x, w_cla)
-    dlogits = probs.copy()
-    dlogits[np.arange(n), data.y] -= 1.0
-    dlogits /= n
-    grad_w = dlogits.T @ data.x
-    grad_b = dlogits.sum(axis=0)
-
-    diff = personal.w_per - w_cla
-    if penalty == "squared":
-        pull = personal.lam
-    elif penalty == "norm":
-        norm = np.sqrt(diff.sq_norm())
-        pull = 0.5 * personal.lam / norm if norm > 0 else 0.0
-    else:
-        raise ValueError(f"unknown penalty {penalty!r}")
-    grad_cla = ModelParams(grad_w - pull * diff.w, grad_b - pull * diff.b)
-    grad_per = ModelParams(pull * diff.w, pull * diff.b)
-    return grad_cla, grad_per
+    gw, gb, gw_per, gb_per = _grad(data.x, data.y, w_cla.w, w_cla.b,
+                                   personal.w_per.w, personal.w_per.b,
+                                   personal.lam, penalty)
+    return ModelParams(gw, gb), ModelParams(gw_per, gb_per)
 
 
 def local_finetune(data: LocalDataset, w_start: ModelParams, personal: PersonalState,
@@ -187,26 +192,28 @@ def local_finetune(data: LocalDataset, w_start: ModelParams, personal: PersonalS
 
     delta = w_start - w_final is the update a leaf uploads for aggregation;
     the personalized copy advances by the same step rule. Deterministic for
-    a given generator state.
+    a given generator state. The steps run on raw arrays; the results are
+    checked for finiteness once, on return.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if batch < 1 or batch > len(data):
+    n = len(data)
+    if batch < 1 or batch > n:
         raise ValueError("batch must be in [1, len(data)]")
-    per = personal.copy()
-    eta = personal.eta_local
-    delta = ModelParams.zeros(w_start.dim, w_start.w.shape[0])
+    eta, lam = personal.eta_local, personal.lam
+    d_w, d_b = np.zeros_like(w_start.w), np.zeros_like(w_start.b)
+    p_w, p_b = personal.w_per.w, personal.w_per.b
+    x, y = data.x, data.y
     for _ in range(steps):
-        w = w_start - delta
-        if batch == len(data):
-            sub = data
-        else:
-            idx = np.sort(rng.choice(len(data), size=batch, replace=False))
-            sub = LocalDataset(data.x[idx], data.y[idx], data.topic_id)
-        g_cla, g_per = pfl_grad(sub, w, per, penalty)
-        delta = delta + eta * g_cla
-        per.w_per = per.w_per - eta * g_per
-    return delta, per
+        if batch < n:
+            idx = np.sort(rng.choice(n, size=batch, replace=False))
+            x, y = data.x[idx], data.y[idx]
+        gw, gb, gw_per, gb_per = _grad(x, y, w_start.w - d_w, w_start.b - d_b,
+                                       p_w, p_b, lam, penalty)
+        d_w, d_b = d_w + eta * gw, d_b + eta * gb
+        p_w, p_b = p_w - eta * gw_per, p_b - eta * gb_per
+    return (ModelParams(d_w, d_b),
+            PersonalState(ModelParams(p_w, p_b), lam, eta))
 
 
 # -- wire form ----------------------------------------------------------------

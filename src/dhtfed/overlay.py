@@ -79,28 +79,21 @@ def random_ids(n: int, seed: int) -> list[int]:
     return sorted(ids)
 
 
-@dataclass
-class PeerRecord:
-    id: int
-    addr: str
-    last_seen: float = 0.0
-
-
 class RoutingTable:
-    """32 rows x 16 columns of optional peer records.
+    """32 rows x 16 columns of optional peer ids.
 
-    A record in row r, column c shares exactly r leading digits with the
+    A peer in row r, column c shares exactly r leading digits with the
     owner and has digit c at position r; the owner's own digit column in
     each row stays empty.
     """
 
     def __init__(self, owner: int):
         self.owner = owner
-        self.rows: list[list[Optional[PeerRecord]]] = [
+        self.rows: list[list[Optional[int]]] = [
             [None] * RADIX for _ in range(N_DIGITS)
         ]
 
-    def get(self, row: int, col: int) -> Optional[PeerRecord]:
+    def get(self, row: int, col: int) -> Optional[int]:
         return self.rows[row][col]
 
     def remove(self, peer: int) -> None:
@@ -108,22 +101,21 @@ class RoutingTable:
         if row >= N_DIGITS:
             return
         col = digit_at(peer, row)
-        cell = self.rows[row][col]
-        if cell is not None and cell.id == peer:
+        if self.rows[row][col] == peer:
             self.rows[row][col] = None
 
-    def consider(self, peer: int, addr: str = "", now: float = 0.0) -> bool:
+    def consider(self, peer: int) -> bool:
         """Place a peer in its (row, col) cell if that cell is empty."""
         if peer == self.owner:
             return False
         row = shared_prefix_len(self.owner, peer)
         col = digit_at(peer, row)
         if self.rows[row][col] is None:
-            self.rows[row][col] = PeerRecord(peer, addr or f"node:{hex_id(peer)}", now)
+            self.rows[row][col] = peer
             return True
         return False
 
-    def entries(self) -> Iterator[PeerRecord]:
+    def entries(self) -> Iterator[int]:
         for row in self.rows:
             for cell in row:
                 if cell is not None:
@@ -205,10 +197,6 @@ class Node:
     leaf_set: LeafSet
     alive: bool = True
     memberships: dict = field(default_factory=dict)  # group id -> TreeMembership
-
-    @property
-    def addr(self) -> str:
-        return f"node:{hex_id(self.id)}"
 
 
 @dataclass
@@ -322,15 +310,8 @@ class Overlay:
                     bucket = buckets.get(h[:row] + cd)
                     if not bucket:
                         continue
-                    best = _closest_in_sorted(bucket, nid)
-                    node.routing_table.rows[row][col] = PeerRecord(
-                        best, f"node:{hex_id(best)}"
-                    )
+                    node.routing_table.rows[row][col] = _closest_in_sorted(bucket, nid)
         return ov
-
-    @classmethod
-    def build_random(cls, n: int, seed: int, leaf_side: int = LEAF_SIDE) -> "Overlay":
-        return cls.build(random_ids(n, seed), leaf_side)
 
     # -- membership changes ------------------------------------------------
 
@@ -365,9 +346,9 @@ class Overlay:
             row = min(i, N_DIGITS - 1)
             for cell in peer.routing_table.rows[row]:
                 if cell is not None:
-                    node.routing_table.consider(cell.id)
+                    node.routing_table.consider(cell)
         for cell in target.routing_table.entries():
-            node.routing_table.consider(cell.id)
+            node.routing_table.consider(cell)
         for m in target.leaf_set.members():
             node.routing_table.consider(m)
 
@@ -424,8 +405,7 @@ class Overlay:
                             pool.add(mm)
                 if not pool:  # no live leaf neighbor at all: fall back to table
                     pool = {
-                        e.id for e in node.routing_table.entries()
-                        if self.is_alive(e.id)
+                        e for e in node.routing_table.entries() if self.is_alive(e)
                     }
                 before = set(members)
                 node.leaf_set._members = []
@@ -460,9 +440,9 @@ class Overlay:
         col = digit_at(key, row)
         cell = node.routing_table.get(row, col)
         if cell is not None:
-            if self.is_alive(cell.id):
-                return cell.id
-            node.routing_table.remove(cell.id)
+            if self.is_alive(cell):
+                return cell
+            node.routing_table.remove(cell)
             repl = self._find_replacement(node, row, col)
             if repl is not None:
                 node.routing_table.consider(repl)
@@ -487,10 +467,8 @@ class Overlay:
         return best
 
     def _known_peers(self, node: Node) -> Iterator[int]:
-        for m in node.leaf_set.members():
-            yield m
-        for e in node.routing_table.entries():
-            yield e.id
+        yield from node.leaf_set.members()
+        yield from node.routing_table.entries()
 
     def _find_replacement(self, node: Node, row: int, col: int) -> Optional[int]:
         """A live known peer satisfying a vacated cell's prefix constraint."""

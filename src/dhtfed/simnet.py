@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -113,10 +114,8 @@ class Simulator:
 
         self.schedule(delay, deliver)
 
-    def run_until(self, t_end: float) -> int:
-        """Execute all events with fire_time <= t_end; returns the count."""
-        if t_end < self.now:
-            raise ValueError("cannot run backwards")
+    def _drain(self, t_end: float) -> int:
+        """Execute events in order while the next one fires at or before t_end."""
         count = 0
         while self._queue and self._queue[0][0] <= t_end:
             t, _seq, action = heapq.heappop(self._queue)
@@ -124,19 +123,19 @@ class Simulator:
             self.executed += 1
             count += 1
             action()
+        return count
+
+    def run_until(self, t_end: float) -> int:
+        """Execute all events with fire_time <= t_end; returns the count."""
+        if t_end < self.now:
+            raise ValueError("cannot run backwards")
+        count = self._drain(t_end)
         self.now = t_end
         return count
 
     def run(self) -> int:
         """Drain the whole queue."""
-        count = 0
-        while self._queue:
-            t, _seq, action = heapq.heappop(self._queue)
-            self.now = t
-            self.executed += 1
-            count += 1
-            action()
-        return count
+        return self._drain(math.inf)
 
     def pending(self) -> int:
         return len(self._queue)

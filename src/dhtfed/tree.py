@@ -39,7 +39,6 @@ class TreeMembership:
     parent: Optional[int] = None
     children: list[int] = field(default_factory=list)
     last_parent_heartbeat: float = 0.0
-    fanout_cap: int = 16
 
 
 @dataclass
@@ -97,7 +96,7 @@ class TreeManager:
             creator = self.overlay.live_ids()[0]
         root = self.overlay.route(creator, gid).destination
         group = GroupState(gid, name, root)
-        mem = TreeMembership(gid, fanout_cap=self.config.fanout_cap)
+        mem = TreeMembership(gid)
         group.members[root] = mem
         self.overlay.node(root).memberships[gid] = mem
         self.groups[gid] = group
@@ -114,7 +113,7 @@ class TreeManager:
             raise ValueError("node is already a member of this group")
         if not self.overlay.is_alive(member):
             raise ValueError("joining node must be alive")
-        mem = TreeMembership(gid, fanout_cap=self.config.fanout_cap)
+        mem = TreeMembership(gid)
         group.members[member] = mem
         self.overlay.node(member).memberships[gid] = mem
         self._attach(group, member)
@@ -148,7 +147,7 @@ class TreeManager:
                     self._reroot(group, z)
                     return
                 if z not in group.members:
-                    zmem = TreeMembership(group.gid, fanout_cap=self.config.fanout_cap)
+                    zmem = TreeMembership(group.gid)
                     group.members[z] = zmem
                     self.overlay.node(z).memberships[group.gid] = zmem
                     group.root = z
@@ -163,7 +162,7 @@ class TreeManager:
         cur = adopter
         while True:
             children = self._live_children(group, cur)
-            if len(children) < group.members[cur].fanout_cap:
+            if len(children) < self.config.fanout_cap:
                 break
             sizes = {c: self._subtree_size(group, c) for c in children}
             cur = min(children, key=lambda c: (sizes[c], c))
@@ -377,7 +376,7 @@ class TreeManager:
         for m in live:
             mem = group.members[m]
             kids = self._live_children(group, m)
-            if len(kids) > mem.fanout_cap:
+            if len(kids) > self.config.fanout_cap:
                 problems.append(f"fanout cap exceeded at {hex_id(m)}")
             if len(set(kids)) != len(kids):
                 problems.append(f"duplicate child at {hex_id(m)}")

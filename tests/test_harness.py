@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,10 +12,12 @@ from dhtfed.harness import (MIXED, SINGLE_TOPIC_PER_TREE, DisseminationRow,
                             measure_dissemination, mixed_node_data,
                             read_records, run_scenario, summary_rows,
                             write_records)
-from dhtfed.overlay import random_ids
+from dhtfed.overlay import Overlay, random_ids
 from dhtfed.simnet import LinkModel
 
 from conftest import build_world
+
+DEMO_INI = Path(__file__).resolve().parent.parent / "configs" / "demo.ini"
 
 
 # -- synthetic topics ---------------------------------------------------------------
@@ -337,3 +342,64 @@ def test_records_json_is_stable():
     assert rec.to_json() == MetricsRecord(**dict(
         scenario="s", round=1, topic=0, accuracy=0.5, f1=0.25,
         dissemination=12.5, max_ingress_bytes=1024, mode="centralized")).to_json()
+
+
+# -- pinned digests ----------------------------------------------------------------------
+
+def scenario_digest(result) -> str:
+    """sha256 over records_blob(), then the final weights in sorted name order."""
+    h = hashlib.sha256(result.records_blob())
+    for name in sorted(result.final_weights):
+        h.update(result.final_weights[name])
+    return h.hexdigest()
+
+
+# Measured on Python 3.11.7 with numpy 2.4.6. A change that moves one of these
+# digests changes the program's outputs and must say why.
+PINNED = {
+    "demo": (None,
+             "06b6d790de157143238982110dc319e9f94af6a18a8e1c6ae422148ed2c74651"),
+    "decentralized": (
+        dict(seed=3, nodes=60, rounds=4, mode="decentralized", topics=1,
+             tree_count=1, hidden_dim=8, steps=2, batch=8, points_per_node=32),
+        "9394a0f1469a839aa33b79463458d16877e269bfdc369273589796db74356e55"),
+    "auto-weights-norm": (
+        dict(seed=5, nodes=80, rounds=3, mode="auto", upload="weights",
+             agg_mode="unweighted", penalty="norm"),
+        "e577cb3f18613890505ed3870e5dcea4291cd22b40a082b1d4aee06ba9b89199"),
+    "mixed-churn": (
+        dict(seed=9, nodes=60, rounds=3, assignment="mixed", tree_count=1,
+             failures=[(0.0, 4, "fail"), (0.0, 7, "fail"), (8000.0, 4, "rejoin")]),
+        "fc500695f91f458346e90413ad2251eee37125fcf53342fc054c798f726cbfd1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_scenario_digest(name, monkeypatch):
+    kwargs, want = PINNED[name]
+    cfg = (ScenarioConfig.from_ini(str(DEMO_INI)) if kwargs is None
+           else ScenarioConfig(**kwargs))
+    calls = {"fail": 0, "rejoin": 0}
+    for action in calls:
+        original = getattr(Overlay, action)
+
+        def counted(self, nid, _action=action, _original=original):
+            calls[_action] += 1
+            return _original(self, nid)
+
+        monkeypatch.setattr(Overlay, action, counted)
+    result = run_scenario(cfg)
+    fired = {a: sum(1 for e in cfg.failures if e[2] == a) for a in calls}
+    assert calls == fired  # every scheduled fail and rejoin took effect
+    assert scenario_digest(result) == want
+
+
+@pytest.mark.parametrize("failures, match", [
+    ([(0.0, 1, "explode")], "unknown failure action"),
+    ([(3000.0, 5, "fail"), (0.0, 8, "fail")], "non-decreasing"),
+])
+def test_run_scenario_rejects_bad_failure_schedule(failures, match):
+    cfg = ScenarioConfig(seed=1, nodes=12, rounds=1, topics=1, tree_count=1,
+                         points_per_node=40, failures=failures)
+    with pytest.raises(ValueError, match=match):
+        run_scenario(cfg)

@@ -257,6 +257,43 @@ def test_finetune_validates_arguments():
         local_finetune(data, w, personal, steps=0, batch=2, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
         local_finetune(data, w, personal, steps=1, batch=9, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="penalty"):
+        local_finetune(data, w, personal, steps=1, batch=2,
+                       rng=np.random.default_rng(0), penalty="cubic")
+
+
+@pytest.mark.parametrize("penalty", ["squared", "norm"])
+def test_finetune_matches_the_params_level_step_rule_bit_for_bit(penalty):
+    # Reference: the step rule written with ModelParams arithmetic and the
+    # public pfl_grad on a fresh LocalDataset per minibatch.
+    rng = np.random.default_rng(19)
+    data = rand_data(rng, n=40)
+    w_start = rand_params(rng)
+    personal = PersonalState(rand_params(rng), lam=0.4, eta_local=0.1)
+    ref_rng, rng_a = np.random.default_rng(5), np.random.default_rng(5)
+    delta, per = ModelParams.zeros(H), personal.copy()
+    for _ in range(12):
+        idx = np.sort(ref_rng.choice(len(data), size=8, replace=False))
+        g_cla, g_per = pfl_grad(LocalDataset(data.x[idx], data.y[idx]),
+                                w_start - delta, per, penalty)
+        delta = delta + 0.1 * g_cla
+        per.w_per = per.w_per - 0.1 * g_per
+    start = personal.w_per.copy()
+    got_delta, got_state = local_finetune(data, w_start, personal, steps=12,
+                                          batch=8, rng=rng_a, penalty=penalty)
+    assert np.array_equal(got_delta.w, delta.w) and np.array_equal(got_delta.b, delta.b)
+    assert np.array_equal(got_state.w_per.w, per.w_per.w)
+    assert np.array_equal(got_state.w_per.b, per.w_per.b)
+    assert personal.w_per.allclose(start)  # the caller's state is left untouched
+
+
+def test_diverging_finetune_raises():
+    rng = np.random.default_rng(3)
+    data = rand_data(rng)
+    personal = PersonalState(rand_params(rng), eta_local=1e306)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
+        local_finetune(data, ModelParams.zeros(H), personal, steps=4,
+                       batch=len(data), rng=np.random.default_rng(0))
 
 
 # -- serialization -----------------------------------------------------------------------

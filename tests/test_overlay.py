@@ -218,8 +218,8 @@ def test_joins_respect_routing_table_placement():
             for col_idx, cell in enumerate(row):
                 if cell is None:
                     continue
-                assert shared_prefix_len(nid, cell.id) == row_idx
-                assert digit_at(cell.id, row_idx) == col_idx
+                assert shared_prefix_len(nid, cell) == row_idx
+                assert digit_at(cell, row_idx) == col_idx
                 assert digit_at(nid, row_idx) != col_idx
 
 
@@ -230,8 +230,8 @@ def test_built_overlay_placement_invariants():
         for row_idx, row in enumerate(node.routing_table.rows):
             for col_idx, cell in enumerate(row):
                 if cell is not None:
-                    assert shared_prefix_len(nid, cell.id) == row_idx
-                    assert digit_at(cell.id, row_idx) == col_idx
+                    assert shared_prefix_len(nid, cell) == row_idx
+                    assert digit_at(cell, row_idx) == col_idx
 
 
 # -- churn -----------------------------------------------------------------------
