@@ -213,6 +213,20 @@ class ScenarioConfig:
         if self.steps < 1 or self.batch < 1:
             raise ValueError("steps and batch must be positive")
         FailureSchedule(self.failures)
+        failed: set[int] = set()
+        for event in self.failures:
+            _t, idx, action = event
+            if not 0 <= idx < self.nodes:
+                raise ValueError(f"failure event {event}: node index is "
+                                 f"outside [0, {self.nodes})")
+            if action == "fail":
+                if idx in failed:
+                    raise ValueError(f"failure event {event}: node is already failed")
+                failed.add(idx)
+            else:
+                if idx not in failed:
+                    raise ValueError(f"failure event {event}: node is not failed")
+                failed.remove(idx)
 
     @classmethod
     def from_ini(cls, path: str) -> "ScenarioConfig":
@@ -370,6 +384,9 @@ def run_scenario(cfg: ScenarioConfig, quiet: bool = True) -> ScenarioResult:
                 acc = sum(r.accuracy for r in last) / len(last)
                 print(f"round {rnd:3d} tree {k} mode={metrics.mode} "
                       f"acc={acc:.4f} lat={metrics.root_latency:.0f}ms")
+    if failures:
+        raise ValueError(f"failure events never fired: {failures}; the run "
+                         f"ended at simulated time {sim.now:.1f} ms")
 
     final_weights = {name: serialize_params(s.global_params)
                      for name, s in zip(tree_names, sessions)}
@@ -385,10 +402,10 @@ def _apply_due_failures(failures, sim, overlay, trees, sorted_ids, cfg) -> None:
         return
     del failures[: len(due)]
     for _t, idx, action in due:
-        nid = sorted_ids[idx % len(sorted_ids)]
-        if action == "fail" and overlay.is_alive(nid):
+        nid = sorted_ids[idx]
+        if action == "fail":
             overlay.fail(nid)
-        elif action == "rejoin" and not overlay.is_alive(nid):
+        else:
             stale = [gid for gid, g in trees.groups.items() if nid in g.members]
             for gid in stale:
                 trees.remove_member(gid, nid)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -167,26 +167,31 @@ class LeafSet:
     def _offset_down(self, nid: int) -> int:
         return (self.owner - nid) % ID_SPACE
 
+    # The members are sorted by id, so with i = bisect_right(members, owner)
+    # the k-th nearest member upward is members[(i + k - 1) % n] and the
+    # k-th nearest downward is members[(i - k) % n]: no sort by offset.
+
     def _trim(self) -> None:
-        if len(self._members) <= 2 * self.per_side:
+        m = self._members
+        n = len(m)
+        if n <= 2 * self.per_side:
             return
-        up = sorted(self._members, key=self._offset_up)[: self.per_side]
-        down = sorted(self._members, key=self._offset_down)[: self.per_side]
-        keep = set(up) | set(down)
-        self._members = sorted(keep)
-
-    def larger_side(self) -> list[int]:
-        return sorted(self._members, key=self._offset_up)[: self.per_side]
-
-    def smaller_side(self) -> list[int]:
-        return sorted(self._members, key=self._offset_down)[: self.per_side]
+        i = bisect_right(m, self.owner)
+        lo = (i - self.per_side) % n
+        hi = (i + self.per_side) % n
+        # A contiguous ring window; when it wraps, its low ids come first.
+        self._members = m[lo:hi] if lo < hi else m[:hi] + m[lo:]
 
     def covers(self, key: int) -> bool:
         """True iff key falls inside the circular window spanned by the set."""
-        if not self._members:
+        m = self._members
+        n = len(m)
+        if not n:
             return True  # alone: everything is local
-        up_span = max(self._offset_up(m) for m in self.larger_side())
-        down_span = max(self._offset_down(m) for m in self.smaller_side())
+        k = min(self.per_side, n)
+        i = bisect_right(m, self.owner)
+        up_span = self._offset_up(m[(i + k - 1) % n])
+        down_span = self._offset_down(m[(i - k) % n])
         return self._offset_up(key) <= up_span or self._offset_down(key) <= down_span
 
 
@@ -234,6 +239,9 @@ class Overlay:
     def __init__(self, leaf_side: int = LEAF_SIDE):
         self.nodes: dict[int, Node] = {}
         self.leaf_side = leaf_side
+        # Bumped on every liveness change (join, fail, rejoin), so state
+        # derived from liveness, such as tree subtree sizes, knows it is stale.
+        self.version = 0
 
     # -- basic accessors ---------------------------------------------------
 
@@ -324,6 +332,7 @@ class Overlay:
         """
         if new_id in self.nodes:
             raise ValueError("node id already present")
+        self.version += 1
         node = self._new_node(new_id)
         if not self.nodes:
             self.nodes[new_id] = node
@@ -370,9 +379,10 @@ class Overlay:
         if node is None or not node.alive:
             raise ValueError("cannot fail a node that is not alive")
         node.alive = False
+        self.version += 1
 
     def rejoin(self, nid: int) -> None:
-        """Bring a failed node back with fresh state."""
+        """Bring a failed node back with fresh state (join bumps the version)."""
         node = self.nodes.get(nid)
         if node is None or node.alive:
             raise ValueError("cannot rejoin a node that is not dead")

@@ -48,8 +48,10 @@ class FailureSchedule:
     events: list[tuple[float, int, str]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        last = -1.0
+        last = 0.0
         for t, _node, action in self.events:
+            if t < 0:
+                raise ValueError(f"failure event time {t} is negative")
             if t < last:
                 raise ValueError("failure schedule times must be non-decreasing")
             if action not in ("fail", "rejoin"):

@@ -2,10 +2,18 @@
 
 A group's root is the live node closest to the group id. Joins route toward
 the group id and are adopted by the first on-path member (interception) or
-by the root; full adopters delegate to the child with the fewest
-descendants, so trees stay balanced under the fanout cap. Parents emit
-existence messages; a member that stops hearing from its parent re-issues
-the JOIN, carrying its whole subtree with it.
+by the root; full adopters delegate to the child with the fewest live
+descendants (ties to the smaller id), so trees stay balanced under the
+fanout cap. Parents emit existence messages; a member that stops hearing
+from its parent re-issues the JOIN, carrying its whole subtree with it.
+
+Each group keeps a count of live descendants per live member. Attaching a
+subtree adds its count along the chain of live ancestors, and a parent-failure
+rejoin subtracts it first, so a join or rejoin costs O(fanout * depth) rather
+than a walk of every subtree it passes. Liveness changes in the overlay bump
+`Overlay.version`; a group whose counts are older than that (or that lost a
+member, or was rerooted) recounts them in one O(members) pass before its next
+adoption.
 """
 
 from __future__ import annotations
@@ -56,6 +64,10 @@ class GroupState:
         self.root = root
         self.members: dict[int, TreeMembership] = {}
         self.rejoins = 0
+        # Live member -> members reachable through live children, itself
+        # included; valid while sizes_version == Overlay.version (-1: stale).
+        self.sizes: dict[int, int] = {}
+        self.sizes_version = -1
 
 
 class MulticastResult:
@@ -96,9 +108,7 @@ class TreeManager:
             creator = self.overlay.live_ids()[0]
         root = self.overlay.route(creator, gid).destination
         group = GroupState(gid, name, root)
-        mem = TreeMembership(gid)
-        group.members[root] = mem
-        self.overlay.node(root).memberships[gid] = mem
+        self._add_member(group, root)
         self.groups[gid] = group
         return gid, root
 
@@ -113,13 +123,19 @@ class TreeManager:
             raise ValueError("node is already a member of this group")
         if not self.overlay.is_alive(member):
             raise ValueError("joining node must be alive")
-        mem = TreeMembership(gid)
-        group.members[member] = mem
-        self.overlay.node(member).memberships[gid] = mem
+        mem = self._add_member(group, member)
         self._attach(group, member)
         return mem
 
     # -- attachment machinery ------------------------------------------------
+
+    def _add_member(self, group: GroupState, nid: int) -> TreeMembership:
+        """Register a live node as a detached member of the group."""
+        mem = TreeMembership(group.gid)
+        group.members[nid] = mem
+        group.sizes[nid] = 1
+        self.overlay.node(nid).memberships[group.gid] = mem
+        return mem
 
     def _attach(self, group: GroupState, joiner: int) -> None:
         """Route a JOIN toward the group id and attach the joiner's subtree."""
@@ -147,9 +163,7 @@ class TreeManager:
                     self._reroot(group, z)
                     return
                 if z not in group.members:
-                    zmem = TreeMembership(group.gid)
-                    group.members[z] = zmem
-                    self.overlay.node(z).memberships[group.gid] = zmem
+                    self._add_member(group, z)
                     group.root = z
                 elif group.members[z].parent is None:
                     group.root = z
@@ -159,17 +173,56 @@ class TreeManager:
 
     def _adopt(self, group: GroupState, adopter: int, joiner: int) -> None:
         """Attach under `adopter`, delegating while children are at the cap."""
+        sizes = self._live_sizes(group)
         cur = adopter
         while True:
             children = self._live_children(group, cur)
             if len(children) < self.config.fanout_cap:
                 break
-            sizes = {c: self._subtree_size(group, c) for c in children}
             cur = min(children, key=lambda c: (sizes[c], c))
         group.members[cur].children.append(joiner)
         mem = group.members[joiner]
         mem.parent = cur
         mem.last_parent_heartbeat = self.sim.now
+        self._resize_chain(group, cur, sizes[joiner])
+
+    def _live_sizes(self, group: GroupState) -> dict[int, int]:
+        """The group's live subtree sizes, recounted in one pass if stale."""
+        if group.sizes_version == self.overlay.version:
+            return group.sizes
+        alive = self.overlay.is_alive
+        members = group.members
+        sizes: dict[int, int] = {}
+        for top in members:
+            if top in sizes or not alive(top):
+                continue
+            order = []
+            stack = [top]
+            while stack:
+                cur = stack.pop()
+                order.append(cur)
+                stack.extend(c for c in members[cur].children
+                             if alive(c) and c not in sizes)
+            for cur in reversed(order):
+                sizes[cur] = 1 + sum(sizes[c] for c in members[cur].children
+                                     if alive(c))
+        group.sizes = sizes
+        group.sizes_version = self.overlay.version
+        return sizes
+
+    def _resize_chain(self, group: GroupState, nid: int, delta: int) -> None:
+        """Add delta to the sizes of nid and its live ancestors, O(depth).
+
+        With fresh counts, `sizes` holds exactly the live members, so the
+        walk stops at the root or at the first dead ancestor. Stale counts
+        are left alone: the next adoption recounts them.
+        """
+        if group.sizes_version != self.overlay.version:
+            return
+        sizes = group.sizes
+        while nid in sizes:
+            sizes[nid] += delta
+            nid = group.members[nid].parent
 
     def _reroot(self, group: GroupState, new_root: int) -> None:
         """Reverse parent links from new_root up to its component top."""
@@ -182,6 +235,7 @@ class TreeManager:
             group.members[parent].children.remove(child)
         group.members[new_root].parent = None
         group.root = new_root
+        group.sizes_version = -1
         # Former parents re-attach as children, through normal delegation so
         # the fanout cap holds even at the pivot.
         for child, parent in zip(chain, chain[1:]):
@@ -207,15 +261,6 @@ class TreeManager:
         if len(live) != len(mem.children):
             mem.children = live
         return live
-
-    def _subtree_size(self, group: GroupState, nid: int) -> int:
-        total = 0
-        stack = [nid]
-        while stack:
-            cur = stack.pop()
-            total += 1
-            stack.extend(self._live_children(group, cur))
-        return total
 
     # -- multicast -----------------------------------------------------------
 
@@ -302,6 +347,7 @@ class TreeManager:
             pc = group.members[old_parent].children
             if member in pc:
                 pc.remove(member)
+                self._resize_chain(group, old_parent, -group.sizes.get(member, 0))
         mem.parent = None
         group.rejoins += 1
         self._attach(group, member)
@@ -312,6 +358,7 @@ class TreeManager:
         mem = group.members.pop(member, None)
         if mem is None:
             return
+        group.sizes_version = -1
         if mem.parent is not None and mem.parent in group.members:
             siblings = group.members[mem.parent].children
             if member in siblings:

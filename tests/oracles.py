@@ -50,6 +50,30 @@ def ring_neighbors(sorted_ids, nid, per_side):
     return want
 
 
+def leaf_sides(owner, members, per_side):
+    """The per_side members nearest to owner going up, and going down the
+    ring, each found by sorting every member by its offset from owner."""
+    up = sorted(members, key=lambda m: (m - owner) % ID_SPACE)[:per_side]
+    down = sorted(members, key=lambda m: (owner - m) % ID_SPACE)[:per_side]
+    return up, down
+
+
+def leaf_covers(owner, members, per_side, key):
+    """Whether key lies within the farthest kept member on either side."""
+    if not members:
+        return True
+    up, down = leaf_sides(owner, members, per_side)
+    up_span = max((m - owner) % ID_SPACE for m in up)
+    down_span = max((owner - m) % ID_SPACE for m in down)
+    return (key - owner) % ID_SPACE <= up_span or (owner - key) % ID_SPACE <= down_span
+
+
+def subtree_size(children, alive, nid):
+    """Members reachable from nid through live children, nid included."""
+    return 1 + sum(subtree_size(children, alive, c)
+                   for c in children.get(nid, ()) if alive(c))
+
+
 def walk_tree(children, root):
     """Recursive walk: (member count, depth, max fanout, per-depth histogram)."""
     hist = {}

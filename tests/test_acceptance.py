@@ -291,8 +291,9 @@ def test_criterion_9_dissemination_scaling():
     ss_tot = float(np.sum((times - np.mean(times)) ** 2))
     r_squared = 1.0 - ss_res / ss_tot
 
-    # (b) node-count growth bounded by depth growth x 1.5
-    rows_b = measure_dissemination([4 * MIB], [125, 250, 500, 1000], [1], seed=42)
+    # (b) node-count growth bounded by depth growth x 1.5, up to N=10k
+    rows_b = measure_dissemination([4 * MIB], [125, 250, 500, 1000, 10000], [1],
+                                   seed=42)
     base = rows_b[0]
     growth_ok = True
     for row in rows_b[1:]:

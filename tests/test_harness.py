@@ -397,9 +397,16 @@ def test_pinned_scenario_digest(name, monkeypatch):
 @pytest.mark.parametrize("failures, match", [
     ([(0.0, 1, "explode")], "unknown failure action"),
     ([(3000.0, 5, "fail"), (0.0, 8, "fail")], "non-decreasing"),
+    ([(-5.0, 1, "fail")], "negative"),
+    ([(0.0, 15, "fail")], r"outside \[0, 12\)"),
+    ([(0.0, -1, "fail")], r"outside \[0, 12\)"),
+    ([(0.0, 3, "fail"), (10.0, 3, "fail")], "already failed"),
+    ([(0.0, 3, "rejoin")], "not failed"),
+    ([(0.0, 3, "fail"), (10.0, 3, "rejoin"), (20.0, 3, "rejoin")], "not failed"),
+    ([(50000.0, 3, "fail")], r"never fired.*50000.*simulated time"),
 ])
 def test_run_scenario_rejects_bad_failure_schedule(failures, match):
-    cfg = ScenarioConfig(seed=1, nodes=12, rounds=1, topics=1, tree_count=1,
+    cfg = ScenarioConfig(seed=1, nodes=12, rounds=2, topics=1, tree_count=1,
                          points_per_node=40, failures=failures)
     with pytest.raises(ValueError, match=match):
         run_scenario(cfg)

@@ -2,13 +2,15 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dhtfed.overlay import (LEAF_SIDE, Overlay, RoutingLoopError,
-                            circular_distance, digit_at, hex_id, id_from_name,
-                            parse_id, random_ids, shared_prefix_len,
-                            write_hop_traces)
+from dhtfed.overlay import (ID_SPACE, LEAF_SIDE, LeafSet, Overlay,
+                            RoutingLoopError, circular_distance, digit_at,
+                            hex_id, id_from_name, parse_id, random_ids,
+                            shared_prefix_len, write_hop_traces)
 
-from oracles import closest_id, prefix_digits, ring_neighbors
+from oracles import (closest_id, leaf_covers, leaf_sides, prefix_digits,
+                     ring_neighbors)
 
 
 # -- identifiers ---------------------------------------------------------------
@@ -309,3 +311,50 @@ def test_route_from_dead_node_rejected():
 
 def test_routing_loop_guard_exists():
     assert issubclass(RoutingLoopError, RuntimeError)
+
+
+def test_liveness_changes_bump_the_version():
+    ids = random_ids(20, 5)
+    ov = Overlay.build(ids)
+    v0 = ov.version
+    ov.fail(ids[3])
+    assert ov.version > v0
+    v1 = ov.version
+    ov.rejoin(ids[3])
+    assert ov.version > v1
+    v2 = ov.version
+    ov.route(ids[0], ids[7])
+    ov.repair()
+    assert ov.version == v2
+
+
+# -- leaf sets -------------------------------------------------------------------
+
+# Ids near the owner, on either side of it and of the ring's wrap at 0, mixed
+# with ids from anywhere on the ring.
+_NEAR = st.integers(-64, 64)
+_OWNERS = st.one_of(st.integers(0, 40), st.integers(ID_SPACE - 40, ID_SPACE - 1),
+                    st.integers(0, ID_SPACE - 1))
+_ANYWHERE = st.integers(0, ID_SPACE - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(owner=_OWNERS, near=st.lists(_NEAR, max_size=40),
+       far=st.lists(_ANYWHERE, max_size=6), per_side=st.integers(1, 6),
+       key_near=st.lists(_NEAR, max_size=8), key_far=st.lists(_ANYWHERE, max_size=4),
+       one_by_one=st.booleans())
+def test_leaf_set_window_matches_sorted_definition(owner, near, far, per_side,
+                                                   key_near, key_far, one_by_one):
+    offered = [(owner + d) % ID_SPACE for d in near] + far
+    leaf = LeafSet(owner, per_side)
+    if one_by_one:
+        for nid in offered:
+            leaf.add(nid)
+    else:
+        leaf.add_many(offered)
+    candidates = sorted(set(offered) - {owner})
+    up, down = leaf_sides(owner, candidates, per_side)
+    assert leaf.members() == sorted(set(up) | set(down))
+    keys = [(owner + d) % ID_SPACE for d in key_near] + key_far + candidates
+    for key in keys:
+        assert leaf.covers(key) == leaf_covers(owner, leaf.members(), per_side, key)

@@ -1,14 +1,16 @@
+import hashlib
 import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dhtfed.overlay import Overlay, id_from_name, random_ids
 from dhtfed.simnet import Simulator
 from dhtfed.tree import TreeConfig, TreeManager
 
 from conftest import build_world
-from oracles import closest_id, walk_tree
+from oracles import closest_id, subtree_size, walk_tree
 
 
 def children_map(trees, gid):
@@ -176,6 +178,112 @@ def test_export_edges(tmp_path):
     for line in lines:
         parent, child = line.split("\t")
         assert group.members[int(child, 16)].parent == int(parent, 16)
+
+
+def test_export_edges_of_a_thousand_member_tree_is_pinned(tmp_path):
+    # One group, fanout 16, joins in sorted id order: the edge file must stay
+    # byte-identical as the join machinery changes underneath.
+    _ids, _ov, _sim, trees, gid, _root = build_world(1000, fanout=16, seed=42)
+    path = tmp_path / "edges.tsv"
+    trees.export_edges(gid, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == "226836747878267e"
+
+
+# -- kept subtree sizes -------------------------------------------------------------------
+
+def assert_sizes_match_oracle(trees, gid):
+    """The sizes the next adoption reads equal a brute-force walk.
+
+    When the counts are fresh they are returned as kept, so this checks the
+    O(depth) updates; stale counts are recounted first.
+    """
+    group = trees.groups[gid]
+    alive = trees.overlay.is_alive
+    children = {nid: m.children for nid, m in group.members.items()}
+    want = {nid: subtree_size(children, alive, nid)
+            for nid in group.members if alive(nid)}
+    assert trees._live_sizes(group) == want
+
+
+def heal(trees, gid):
+    """What one heartbeat round does: every orphan re-issues its JOIN."""
+    group = trees.groups[gid]
+    alive = trees.overlay.is_alive
+    for nid in sorted(group.members):
+        parent = group.members[nid].parent
+        if alive(nid) and parent is not None and not alive(parent):
+            trees.handle_parent_failure(gid, nid)
+
+
+def test_spurious_rejoins_keep_sizes_without_a_recount():
+    ids, overlay, sim, trees, gid, root = build_world(300, fanout=4, seed=17)
+    group = trees.groups[gid]
+    assert group.sizes_version == overlay.version
+    assert_sizes_match_oracle(trees, gid)
+    rng = random.Random(3)
+    for nid in rng.sample([m for m in ids if m != root], 40):
+        trees.handle_parent_failure(gid, nid)
+        assert group.sizes_version == overlay.version  # updated, not recounted
+    assert_sizes_match_oracle(trees, gid)
+    assert trees.validate(gid) == []
+
+
+CHURN_OPS = st.lists(
+    st.tuples(st.sampled_from(["join", "fail", "rejoin", "reattach", "remove"]),
+              st.integers(0, 1 << 16)),
+    min_size=1, max_size=30)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 1 << 16), fanout=st.integers(1, 4),
+       intercept=st.booleans(), ops=CHURN_OPS)
+# The root fails; healing reroots a subtree after another orphan's join has
+# already recounted the sizes.
+@example(seed=11965, fanout=2, intercept=True, ops=[("fail", 14)])
+def test_kept_sizes_match_oracle_under_random_churn(seed, fanout, intercept, ops):
+    ids = random_ids(40, seed)
+    overlay = Overlay.build(ids)
+    sim = Simulator(seed=seed, alive=overlay.is_alive)
+    trees = TreeManager(overlay, sim, TreeConfig(fanout_cap=fanout,
+                                                 intercept_joins=intercept))
+    gid, _root = trees.create_group("churn")
+    group = trees.groups[gid]
+    for nid in ids[:20]:
+        if nid not in group.members:
+            trees.join_group(nid, gid)
+    assert_sizes_match_oracle(trees, gid)
+    for op, pick in ops:
+        members = trees.live_members(gid)
+        if op == "join":
+            pool = [n for n in overlay.live_ids() if n not in group.members]
+            if pool:
+                trees.join_group(pool[pick % len(pool)], gid)
+        elif op == "fail":
+            pool = overlay.live_ids()
+            victim = pool[pick % len(pool)]
+            if victim in members and len(members) < 3:
+                continue
+            overlay.fail(victim)
+            overlay.repair()
+            heal(trees, gid)
+        elif op == "rejoin":
+            dead = [n for n in ids if not overlay.is_alive(n)]
+            if not dead:
+                continue
+            nid = dead[pick % len(dead)]
+            was_member = nid in group.members
+            trees.remove_member(gid, nid)
+            overlay.rejoin(nid)
+            if was_member:
+                trees.join_group(nid, gid)
+        elif op == "reattach":
+            pool = [m for m in members if group.members[m].parent is not None]
+            if pool:
+                trees.handle_parent_failure(gid, pool[pick % len(pool)])
+        elif len(members) >= 3:  # remove
+            trees.remove_member(gid, members[pick % len(members)])
+        assert_sizes_match_oracle(trees, gid)
+        assert trees.validate(gid) == []
 
 
 # -- heartbeats and healing ---------------------------------------------------------------
