@@ -17,9 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (LocalDataset, ModelParams, PersonalState, deserialize_params,
-                    forward_batch, local_finetune, param_nbytes, pfl_loss,
-                    serialize_params)
+from .model import (PENALTIES, LocalDataset, ModelParams, PersonalState,
+                    deserialize_params, forward_heads, local_finetune,
+                    param_nbytes, pfl_loss, serialize_params)
 from .overlay import hex_id
 from .simnet import AGG_UP, PREDICT
 from .tree import TreeManager
@@ -29,6 +29,8 @@ DECENTRALIZED = "decentralized"
 
 UNWEIGHTED = "unweighted"
 WEIGHTED = "weighted"
+
+INFER_CHUNK = 16  # leaves whose votes one stacked matmul computes
 
 
 class ProtocolError(RuntimeError):
@@ -186,6 +188,10 @@ class RoundConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.steps < 1 or self.batch < 1:
+            raise ValueError("steps and batch must be positive")
+        if self.penalty not in PENALTIES:
+            raise ValueError(f"penalty must be one of {PENALTIES}")
         if self.upload not in ("delta", "weights"):
             raise ValueError("upload must be 'delta' or 'weights'")
         if self.agg_mode not in (UNWEIGHTED, WEIGHTED):
@@ -355,17 +361,24 @@ class FederatedSession:
     def contributing_leaves(self) -> list[int]:
         return [m for m in self.trees.leaves(self.gid) if m in self.data]
 
-    def _leaf_payload(self, nid: int) -> ModelParams:
-        rng = np.random.default_rng([self.cfg.seed, self.round, nid])
-        batch = min(self.cfg.batch, len(self.data[nid]))
-        delta, new_state = local_finetune(
-            self.data[nid], self.global_params, self.personal[nid],
-            self.cfg.steps, batch, rng, self.cfg.penalty,
+    def _leaf_payloads(self, leaves: list[int]) -> list[ModelParams]:
+        """Fine-tune all leaves in one call; each draws from its own
+        generator, seeded by (seed, round, leaf id) and made when its turn
+        comes."""
+        datas = [self.data[nid] for nid in leaves]
+        results = local_finetune(
+            datas, self.global_params, [self.personal[nid] for nid in leaves],
+            self.cfg.steps, [min(self.cfg.batch, len(d)) for d in datas],
+            (np.random.default_rng([self.cfg.seed, self.round, nid]) for nid in leaves),
+            self.cfg.penalty,
         )
-        self.personal[nid] = new_state
-        if self.cfg.upload == "delta":
-            return delta
-        return self.global_params - delta  # the fine-tuned weights themselves
+        payloads = []
+        for nid, (delta, new_state) in zip(leaves, results):
+            self.personal[nid] = new_state
+            # "weights" uploads the fine-tuned weights themselves
+            payloads.append(delta if self.cfg.upload == "delta"
+                            else self.global_params - delta)
+        return payloads
 
     def _finalize(self, aggregate: AggregateMessage) -> None:
         if self.cfg.upload == "weights":
@@ -450,8 +463,7 @@ class FederatedSession:
             self.sim.send(nid, parent, msg.nbytes(),
                           lambda: receive(parent, msg), kind=AGG_UP)
 
-        for nid in leaves:
-            payload = self._leaf_payload(nid)
+        for nid, payload in zip(leaves, self._leaf_payloads(leaves)):
             msg = AggregateMessage(self.gid, self.round, payload, 1)
             if nid == group.root:
                 self.sim.schedule(0.0, lambda n=nid, m=msg: receive(n, m))
@@ -493,7 +505,8 @@ class FederatedSession:
         root = group.root
 
         buffers: dict[int, dict[int, ModelParams]] = {
-            nid: {nid: self._leaf_payload(nid)} for nid in leaves
+            nid: {nid: payload}
+            for nid, payload in zip(leaves, self._leaf_payloads(leaves))
         }
         gossipers = [n for n in leaves if social.friends.get(n)]
 
@@ -571,16 +584,34 @@ class FederatedSession:
         x = np.asarray(x, dtype=np.float64)
         n = x.shape[0]
         leaf_set = set(leaves)
+        kids: dict[int, list[int]] = {}
+        voters: list[int] = []  # the leaves in the order tally visits them
+        stack = [group.root]
+        while stack:
+            nid = stack.pop()
+            if nid in leaf_set:
+                voters.append(nid)
+            kids[nid] = self.trees._live_children(group, nid)
+            stack.extend(reversed(kids[nid]))
+
+        def leaf_votes():
+            """(one-hot vote, probabilities) per voter, chunk by chunk."""
+            for i in range(0, len(voters), INFER_CHUNK):
+                heads = [self.personal[v].w_per for v in voters[i:i + INFER_CHUNK]]
+                probs = forward_heads(x, np.stack([h.w for h in heads]),
+                                      np.stack([h.b for h in heads]))
+                onehot = (probs.argmax(axis=-1)[..., None]
+                          == np.arange(probs.shape[-1])).astype(np.float64)
+                yield from zip(onehot, probs)
+
+        votes_in_order = leaf_votes()
 
         def tally(nid: int) -> tuple[np.ndarray, np.ndarray]:
+            if nid in leaf_set:  # a leaf has no live children
+                return next(votes_in_order)
             counts = np.zeros((n, 2))
             mass = np.zeros((n, 2))
-            if nid in leaf_set:
-                probs = forward_batch(x, self.personal[nid].w_per)
-                votes = np.argmax(probs, axis=1)
-                counts[np.arange(n), votes] += 1.0
-                mass += probs
-            for child in self.trees._live_children(group, nid):
+            for child in kids[nid]:
                 c_counts, c_mass = tally(child)
                 counts += c_counts
                 mass += c_mass

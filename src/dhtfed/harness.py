@@ -20,7 +20,7 @@ import numpy as np
 
 from .fedagg import (CENTRALIZED, DECENTRALIZED, FederatedSession, ModeSelector,
                      RoundConfig, RoundMetrics, SocialGraph)
-from .model import LocalDataset, serialize_params
+from .model import LocalDataset, ModelParams, PersonalState, serialize_params
 from .overlay import Overlay, random_ids
 from .simnet import FailureSchedule, LinkModel, Simulator
 from .tree import TreeConfig, TreeManager
@@ -193,9 +193,27 @@ class ScenarioConfig:
     latency_threshold: float = 2000.0
     failures: list[tuple[float, int, str]] = field(default_factory=list)
 
+    def round_config(self) -> RoundConfig:
+        return RoundConfig(eta=self.eta, steps=self.steps, batch=self.batch,
+                           upload=self.upload, agg_mode=self.agg_mode,
+                           penalty=self.penalty, gossip_k=self.gossip_k,
+                           seed=self.seed)
+
+    def link_model(self) -> LinkModel:
+        return LinkModel(self.lat_lo, self.lat_hi, self.bandwidth)
+
+    def tree_config(self) -> TreeConfig:
+        return TreeConfig(fanout_cap=self.fanout,
+                          heartbeat_period=self.heartbeat_period,
+                          failure_timeout=self.failure_timeout,
+                          intercept_joins=self.intercept)
+
     def validate(self) -> None:
-        if self.nodes < 1 or self.rounds < 1 or self.fanout < 1:
-            raise ValueError("nodes, rounds and fanout must be positive")
+        """Reject a bad config before anything is built; the model, link and
+        tree settings are checked by building their configs and a personal
+        state."""
+        if self.nodes < 1 or self.rounds < 1:
+            raise ValueError("nodes and rounds must be positive")
         if self.topics < 1 or self.points_per_node < 1 or self.test_points < 1:
             raise ValueError("topics, points_per_node and test_points must be positive")
         if self.assignment not in (SINGLE_TOPIC_PER_TREE, MIXED):
@@ -210,8 +228,10 @@ class ScenarioConfig:
             raise ValueError("mode must be centralized, decentralized or auto")
         if self.hidden_dim < 2:
             raise ValueError("hidden_dim must be >= 2")
-        if self.steps < 1 or self.batch < 1:
-            raise ValueError("steps and batch must be positive")
+        self.round_config()
+        self.link_model()
+        self.tree_config()
+        PersonalState(ModelParams.zeros(self.hidden_dim), self.lam, self.eta_local)
         FailureSchedule(self.failures)
         failed: set[int] = set()
         for event in self.failures:
@@ -307,12 +327,8 @@ def run_scenario(cfg: ScenarioConfig, quiet: bool = True) -> ScenarioResult:
     cfg.validate()
     ids = random_ids(cfg.nodes, cfg.seed)
     overlay = Overlay.build(ids)
-    sim = Simulator(seed=cfg.seed,
-                    link=LinkModel(cfg.lat_lo, cfg.lat_hi, cfg.bandwidth),
-                    alive=overlay.is_alive)
-    trees = TreeManager(overlay, sim, TreeConfig(
-        fanout_cap=cfg.fanout, heartbeat_period=cfg.heartbeat_period,
-        failure_timeout=cfg.failure_timeout, intercept_joins=cfg.intercept))
+    sim = Simulator(seed=cfg.seed, link=cfg.link_model(), alive=overlay.is_alive)
+    trees = TreeManager(overlay, sim, cfg.tree_config())
 
     topics = make_topics(cfg.topics, cfg.hidden_dim, cfg.seed,
                          cfg.separation, cfg.cov_scale, cfg.points_per_node)
@@ -333,13 +349,9 @@ def run_scenario(cfg: ScenarioConfig, quiet: bool = True) -> ScenarioResult:
         else:
             data = mixed_node_data(topics, partitions[k], cfg.seed,
                                    cfg.points_per_node)
-        sessions.append(FederatedSession(
-            trees, gid, data, cfg.hidden_dim,
-            RoundConfig(eta=cfg.eta, steps=cfg.steps, batch=cfg.batch,
-                        upload=cfg.upload, agg_mode=cfg.agg_mode,
-                        penalty=cfg.penalty, gossip_k=cfg.gossip_k,
-                        seed=cfg.seed),
-            lam=cfg.lam, eta_local=cfg.eta_local))
+        sessions.append(FederatedSession(trees, gid, data, cfg.hidden_dim,
+                                         cfg.round_config(), lam=cfg.lam,
+                                         eta_local=cfg.eta_local))
         tree_names.append(name)
 
     socials: dict[int, SocialGraph] = {}

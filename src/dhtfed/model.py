@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import reduce
+from typing import Iterable
 
 import numpy as np
 
@@ -110,10 +112,15 @@ class LocalDataset:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of an (n, L) logit array, overwriting it."""
-    logits -= logits.max(axis=1, keepdims=True)
+    """Softmax over the last axis of a logit array, overwriting it.
+
+    The row maximum is taken label column by label column: the same values
+    as logits.max(axis=-1), without numpy's per-row reduction overhead.
+    """
+    columns = [logits[..., j] for j in range(logits.shape[-1])]
+    logits -= reduce(np.maximum, columns)[..., None]
     e = np.exp(logits)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def forward(x: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -124,21 +131,37 @@ def forward(x: np.ndarray, params: ModelParams) -> np.ndarray:
     return _softmax((params.w @ x + params.b)[None])[0]
 
 
+def forward_heads(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(B, n, L) class probabilities of B heads, stacked as w (B, L, H) and
+    b (B, L), on the same (n, H) feature rows.
+
+    One stacked matmul; each head's slice equals its own 2-D product.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != w.shape[2]:
+        raise ValueError("batch must be (n, H)")
+    return _softmax(x @ w.transpose(0, 2, 1) + b[:, None, :])
+
+
 def forward_batch(x: np.ndarray, params: ModelParams) -> np.ndarray:
     """(n, L) class probabilities for a batch of feature rows."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.dim:
-        raise ValueError("batch must be (n, H)")
-    return _softmax(x @ params.w.T + params.b)
+    return forward_heads(x, params.w[None], params.b[None])[0]
+
+
+PENALTIES = ("squared", "norm")
+
+
+def _check_penalty(penalty: str) -> None:
+    if penalty not in PENALTIES:
+        raise ValueError(f"unknown penalty {penalty!r}")
 
 
 def _proximal(w_cla: ModelParams, personal: PersonalState, penalty: str) -> float:
+    _check_penalty(penalty)
     diff = personal.w_per - w_cla
     if penalty == "squared":
         return 0.5 * personal.lam * diff.sq_norm()
-    if penalty == "norm":
-        return 0.5 * personal.lam * np.sqrt(diff.sq_norm())
-    raise ValueError(f"unknown penalty {penalty!r}")
+    return 0.5 * personal.lam * np.sqrt(diff.sq_norm())
 
 
 def pfl_loss(data: LocalDataset, w_cla: ModelParams, personal: PersonalState,
@@ -156,22 +179,28 @@ def pfl_loss(data: LocalDataset, w_cla: ModelParams, personal: PersonalState,
 
 
 def _grad(x: np.ndarray, y: np.ndarray, w: np.ndarray, b: np.ndarray,
-          w_per: np.ndarray, b_per: np.ndarray, lam: float, penalty: str):
-    """Array form of pfl_grad: (grad_w, grad_b, grad_w_per, grad_b_per)."""
-    n = x.shape[0]
-    dlogits = _softmax(x @ w.T + b)
-    dlogits[np.arange(n), y] -= 1.0
+          w_per: np.ndarray, b_per: np.ndarray, lam: np.ndarray, penalty: str):
+    """Gradients of pfl_loss for B leaves at once, on raw stacked arrays.
+
+    x is (B, n, H) with labels y (B, n); w and w_per are (B, L, H), b and
+    b_per (B, L); lam is (B,). Returns (grad_w, grad_b, grad_w_per,
+    grad_b_per). Leaf i's slices equal the B=1 call on leaf i alone, bit for
+    bit: every product is a per-leaf matmul and every sum runs in the same
+    order as on a single leaf.
+    """
+    nb, n = y.shape
+    dlogits = _softmax(x @ w.transpose(0, 2, 1) + b[:, None, :])
+    dlogits[np.arange(nb)[:, None], np.arange(n), y] -= 1.0
     dlogits /= n
     dw, db = w_per - w, b_per - b
     if penalty == "squared":
         pull = lam
-    elif penalty == "norm":
-        norm = np.sqrt(float(np.sum(dw * dw) + np.sum(db * db)))
-        pull = 0.5 * lam / norm if norm > 0 else 0.0
     else:
-        raise ValueError(f"unknown penalty {penalty!r}")
-    pull_w, pull_b = pull * dw, pull * db
-    return dlogits.T @ x - pull_w, dlogits.sum(axis=0) - pull_b, pull_w, pull_b
+        norm = np.sqrt((dw * dw).sum(axis=(1, 2)) + (db * db).sum(axis=1))
+        pull = np.where(norm > 0, 0.5 * lam / np.where(norm > 0, norm, 1.0), 0.0)
+    pull_w, pull_b = pull[:, None, None] * dw, pull[:, None] * db
+    return (dlogits.transpose(0, 2, 1) @ x - pull_w, dlogits.sum(axis=1) - pull_b,
+            pull_w, pull_b)
 
 
 def pfl_grad(data: LocalDataset, w_cla: ModelParams, personal: PersonalState,
@@ -179,41 +208,95 @@ def pfl_grad(data: LocalDataset, w_cla: ModelParams, personal: PersonalState,
     """Exact analytic gradients of pfl_loss w.r.t. (w_cla, w_per)."""
     if len(data) == 0:
         raise ValueError("dataset is empty")
-    gw, gb, gw_per, gb_per = _grad(data.x, data.y, w_cla.w, w_cla.b,
-                                   personal.w_per.w, personal.w_per.b,
-                                   personal.lam, penalty)
-    return ModelParams(gw, gb), ModelParams(gw_per, gb_per)
+    _check_penalty(penalty)
+    gw, gb, gw_per, gb_per = _grad(data.x[None], data.y[None], w_cla.w[None],
+                                   w_cla.b[None], personal.w_per.w[None],
+                                   personal.w_per.b[None],
+                                   np.array([personal.lam]), penalty)
+    return ModelParams(gw[0], gb[0]), ModelParams(gw_per[0], gb_per[0])
 
 
-def local_finetune(data: LocalDataset, w_start: ModelParams, personal: PersonalState,
-                   steps: int, batch: int, rng: np.random.Generator,
-                   penalty: str = "squared") -> tuple[ModelParams, PersonalState]:
-    """Run `steps` joint mini-batch gradient steps; returns (delta, new state).
+def local_finetune(datas: list[LocalDataset], w_start: ModelParams,
+                   personals: list[PersonalState], steps: int, batch,
+                   rngs: Iterable[np.random.Generator], penalty: str = "squared",
+                   ) -> list[tuple[ModelParams, PersonalState]]:
+    """Fine-tune every leaf of a round from the shared head w_start.
 
-    delta = w_start - w_final is the update a leaf uploads for aggregation;
-    the personalized copy advances by the same step rule. Deterministic for
-    a given generator state. The steps run on raw arrays; the results are
-    checked for finiteness once, on return.
+    Leaf i runs `steps` joint mini-batch gradient steps on datas[i], from
+    personals[i]. `batch` is one size for every leaf or one per leaf, each in
+    [1, len(data)]. `rngs` yields one generator per leaf, in leaf order; leaf
+    i draws each step's sorted minibatch with one `choice` on its generator
+    (no draw when the batch is the whole dataset), and the generator is not
+    used after that, so a lazy iterable keeps only one alive. Returns one
+    (delta, new state) per leaf: delta = w_start - w_final is the update the
+    leaf uploads, and the personalized copy advances by the same step rule.
+
+    Leaves that share a batch size step together on stacked (B, batch, H)
+    arrays; each leaf's result equals a run on that leaf alone, bit for bit.
+    The arguments are checked once per call and the results for finiteness
+    on return, so a diverging leaf raises ValueError.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    n = len(data)
-    if batch < 1 or batch > n:
-        raise ValueError("batch must be in [1, len(data)]")
-    eta, lam = personal.eta_local, personal.lam
-    d_w, d_b = np.zeros_like(w_start.w), np.zeros_like(w_start.b)
-    p_w, p_b = personal.w_per.w, personal.w_per.b
-    x, y = data.x, data.y
-    for _ in range(steps):
-        if batch < n:
-            idx = np.sort(rng.choice(n, size=batch, replace=False))
-            x, y = data.x[idx], data.y[idx]
-        gw, gb, gw_per, gb_per = _grad(x, y, w_start.w - d_w, w_start.b - d_b,
-                                       p_w, p_b, lam, penalty)
-        d_w, d_b = d_w + eta * gw, d_b + eta * gb
-        p_w, p_b = p_w - eta * gw_per, p_b - eta * gb_per
-    return (ModelParams(d_w, d_b),
-            PersonalState(ModelParams(p_w, p_b), lam, eta))
+    _check_penalty(penalty)
+    if len(personals) != len(datas):
+        raise ValueError("need one personal state per dataset")
+    batches = np.broadcast_to(batch, (len(datas),))
+    for data, size in zip(datas, batches):
+        if not 1 <= size <= len(data):
+            raise ValueError("batch must be in [1, len(data)]")
+    draws = []  # per leaf: (steps, batch) sorted row indices, or None
+    for data, size, rng in zip(datas, batches, rngs, strict=True):
+        idx = None
+        if size < len(data):
+            idx = np.empty((steps, size), dtype=np.int64)
+            for step in range(steps):
+                idx[step] = rng.choice(len(data), size=size, replace=False)
+            idx.sort(axis=-1)
+        draws.append(idx)
+    by_batch: dict[int, list[int]] = {}
+    for i, size in enumerate(batches):
+        by_batch.setdefault(int(size), []).append(i)
+    out: list = [None] * len(datas)
+    for size, leaves in by_batch.items():
+        results = _finetune_stack([datas[i] for i in leaves], w_start,
+                                  [personals[i] for i in leaves], steps, size,
+                                  [draws[i] for i in leaves], penalty)
+        for i, res in zip(leaves, results):
+            out[i] = res
+    return out
+
+
+def _finetune_stack(datas, w_start, personals, steps, batch, draws, penalty):
+    """local_finetune for leaves that share one batch size."""
+    nb = len(datas)
+    # The minibatch rows of every leaf, gathered anew at each step; a leaf
+    # whose batch is its whole dataset is written once.
+    x = np.empty((nb, batch, w_start.dim))
+    y = np.empty((nb, steps, batch), dtype=np.int64)
+    for i, (data, idx) in enumerate(zip(datas, draws)):
+        if idx is None:
+            x[i], y[i] = data.x, data.y
+        else:
+            y[i] = data.y[idx]
+    drawn = [i for i, idx in enumerate(draws) if idx is not None]
+    lam = np.array([p.lam for p in personals])
+    eta = np.array([p.eta_local for p in personals])
+    eta_w, eta_b = eta[:, None, None], eta[:, None]
+    d_w = np.zeros((nb,) + w_start.w.shape)
+    d_b = np.zeros((nb,) + w_start.b.shape)
+    p_w = np.stack([p.w_per.w for p in personals])
+    p_b = np.stack([p.w_per.b for p in personals])
+    for step in range(steps):
+        for i in drawn:
+            x[i] = datas[i].x[draws[i][step]]
+        gw, gb, gw_per, gb_per = _grad(x, y[:, step], w_start.w - d_w,
+                                       w_start.b - d_b, p_w, p_b, lam, penalty)
+        d_w, d_b = d_w + eta_w * gw, d_b + eta_b * gb
+        p_w, p_b = p_w - eta_w * gw_per, p_b - eta_b * gb_per
+    return [(ModelParams(d_w[i], d_b[i]),
+             PersonalState(ModelParams(p_w[i], p_b[i]), p.lam, p.eta_local))
+            for i, p in enumerate(personals)]
 
 
 # -- wire form ----------------------------------------------------------------

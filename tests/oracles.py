@@ -2,10 +2,15 @@
 
 Everything here recomputes expected values from first principles (string
 digit comparison, exhaustive scans, explicit recursions, boolean matrix
-powers) rather than reusing the code paths under test.
+powers) rather than reusing the code paths under test. The per-leaf
+references for fine-tuning and voting build on the public single-leaf
+calls (`pfl_grad`, `forward_batch`), so they check the stacked multi-leaf
+paths against one leaf at a time.
 """
 
 import numpy as np
+
+from dhtfed.model import LocalDataset, ModelParams, pfl_grad
 
 ID_SPACE = 1 << 128
 
@@ -160,3 +165,46 @@ def reachable_within(friends, start, hops):
             nxt |= set(friends.get(nid, ()))
         ball = nxt
     return ball
+
+
+def finetune_reference(data, w_start, personal, steps, batch, rng,
+                       penalty="squared"):
+    """One leaf's fine-tuning, one step at a time: ModelParams arithmetic
+    and pfl_grad on a fresh LocalDataset per minibatch, drawing one sorted
+    `choice` per step unless the batch is the whole dataset. Returns
+    (delta, new personal state); the caller's state is left untouched."""
+    delta, per = ModelParams.zeros(w_start.dim, w_start.w.shape[0]), personal.copy()
+    for _ in range(steps):
+        minibatch = data
+        if batch < len(data):
+            idx = np.sort(rng.choice(len(data), size=batch, replace=False))
+            minibatch = LocalDataset(data.x[idx], data.y[idx])
+        g_cla, g_per = pfl_grad(minibatch, w_start - delta, per, penalty)
+        delta = delta + per.eta_local * g_cla
+        per.w_per = per.w_per - per.eta_local * g_per
+    return delta, per
+
+
+def tree_tally(children, root, leaf_probs, n):
+    """The vote tally as plain recursion: a node adds its own one-hot vote
+    (if it votes) and then each child's tally, in child order. Returns
+    (counts, mass, edges, voters); edges lists (child, parent) in the order
+    the children's tallies are passed up, voters the voting nodes in the
+    order they are visited."""
+    edges, voters = [], []
+
+    def visit(nid):
+        counts, mass = np.zeros((n, 2)), np.zeros((n, 2))
+        if nid in leaf_probs:
+            voters.append(nid)
+            counts[np.arange(n), np.argmax(leaf_probs[nid], axis=1)] += 1.0
+            mass += leaf_probs[nid]
+        for child in children.get(nid, []):
+            c_counts, c_mass = visit(child)
+            counts += c_counts
+            mass += c_mass
+            edges.append((child, nid))
+        return counts, mass
+
+    counts, mass = visit(root)
+    return counts, mass, edges, voters

@@ -147,8 +147,8 @@ def test_criterion_4_root_update_identity():
                                lam=0.4, eta_local=0.1)
     w0 = session.global_params.copy()
     rng = np.random.default_rng([3, 0, leaf])
-    delta, _ = local_finetune(data[leaf], w0, PersonalState(w0.copy(), 0.4, 0.1),
-                              6, 8, rng)
+    [(delta, _)] = local_finetune([data[leaf]], w0,
+                                  [PersonalState(w0.copy(), 0.4, 0.1)], 6, 8, [rng])
     session.centralized_round()
     finetuned = w0 - delta
     ok = (np.array_equal(session.global_params.w, finetuned.w)

@@ -7,10 +7,14 @@ from dhtfed.fedagg import (CENTRALIZED, DECENTRALIZED, UNWEIGHTED, WEIGHTED,
                            aggregate_up, audit_decentralized_privacy,
                            branch_aggregate, buffer_mean, gossip_merge,
                            root_update, select_mode)
-from dhtfed.model import ModelParams, PersonalState, local_finetune
+from dhtfed import fedagg
+from dhtfed.model import (ModelParams, PersonalState, forward_batch, forward_heads,
+                          local_finetune)
+from dhtfed.simnet import PREDICT
 
 from conftest import build_world, gaussian_data
-from oracles import flat_majority, flat_mean, reachable_within, recursive_average
+from oracles import (flat_majority, flat_mean, reachable_within, recursive_average,
+                     tree_tally)
 
 H = 4
 
@@ -132,8 +136,9 @@ def test_single_leaf_eta_one_recovers_finetuned_weights_exactly():
     assert np.array_equal(w0.w, np.zeros((2, H)))
 
     rng = np.random.default_rng([3, 0, leaf])
-    delta, _state = local_finetune(data[leaf], w0,
-                                   PersonalState(w0.copy(), 0.4, 0.1), 4, 8, rng)
+    [(delta, _state)] = local_finetune([data[leaf]], w0,
+                                       [PersonalState(w0.copy(), 0.4, 0.1)], 4, 8,
+                                       [rng])
     session.centralized_round()
     expected = w0 - delta  # the leaf's own fine-tuned weights
     assert np.array_equal(session.global_params.w, expected.w)
@@ -154,8 +159,9 @@ def test_star_round_equals_flat_average_oracle():
     finetuned = []
     for nid in sorted(data):
         rng = np.random.default_rng([7, 0, nid])
-        delta, _ = local_finetune(data[nid], w0,
-                                  PersonalState(w0.copy(), 0.5, 0.1), 3, 10, rng)
+        [(delta, _)] = local_finetune([data[nid]], w0,
+                                      [PersonalState(w0.copy(), 0.5, 0.1)], 3, 10,
+                                      [rng])
         finetuned.append((w0 - delta).w)
     oracle = flat_mean(finetuned)
 
@@ -396,13 +402,71 @@ def test_root_tally_matches_flat_recount():
     x = rng.normal(size=(200, H))
     labels, tally = session.ensemble_infer(x)
 
-    from dhtfed.model import forward_batch
     leaves = session.contributing_leaves()
     votes = np.stack([np.argmax(forward_batch(x, session.personal[n].w_per), axis=1)
                       for n in leaves])
     masses = np.stack([forward_batch(x, session.personal[n].w_per) for n in leaves])
     assert np.array_equal(labels, flat_majority(votes, masses))
     assert np.array_equal(tally.sum(axis=1), np.full(200, float(len(leaves))))
+
+
+def test_vote_across_chunk_boundaries_matches_a_per_leaf_recount(monkeypatch):
+    ids, overlay, sim, trees, gid, root = build_world(70, fanout=8, seed=31)
+    data = gaussian_data(ids, H, seed=14, n_per_node=6)
+    session = FederatedSession(trees, gid, data, H, RoundConfig(seed=1))
+    leaves = session.contributing_leaves()
+    assert len(leaves) > 2 * fedagg.INFER_CHUNK
+    rng = np.random.default_rng(6)
+    for nid in leaves:
+        session.personal[nid].w_per = ModelParams(rng.normal(size=(2, H)),
+                                                  rng.normal(size=2))
+    x = rng.normal(size=(300, H))
+    chunks = []
+
+    def spy(x, w, b):
+        chunks.append(w)
+        return forward_heads(x, w, b)
+
+    monkeypatch.setattr(fedagg, "forward_heads", spy)
+    labels, tally = session.ensemble_infer(x)
+
+    probs = {nid: forward_batch(x, session.personal[nid].w_per) for nid in leaves}
+    group = trees.group(gid)
+    children = {m: list(group.members[m].children) for m in group.members}
+    counts, mass, edges, voters = tree_tally(children, group.root, probs, len(x))
+    # the heads go in fixed-size chunks, in the order the tally visits them
+    assert [len(c) for c in chunks[:-1]] == [fedagg.INFER_CHUNK] * (len(chunks) - 1)
+    assert np.array_equal(np.concatenate(chunks),
+                          np.stack([session.personal[v].w_per.w for v in voters]))
+    assert np.array_equal(tally, counts)
+    votes = np.stack([np.argmax(probs[n], axis=1) for n in leaves])
+    assert np.array_equal(labels, flat_majority(votes, np.stack(list(probs.values()))))
+    assert np.array_equal(labels, np.where(
+        counts[:, 1] > counts[:, 0], 1,
+        np.where(counts[:, 0] > counts[:, 1], 0, np.where(mass[:, 1] > mass[:, 0], 1, 0))))
+    # the PREDICT records are the tally's edges, in the order results pass up
+    assert [(r.src, r.dst) for r in session.msg_log if r.kind == PREDICT] == edges
+
+
+@pytest.mark.parametrize("mode", [CENTRALIZED, DECENTRALIZED])
+def test_one_finetune_call_per_round(mode, monkeypatch):
+    ids, overlay, sim, trees, gid, root = build_world(30, fanout=4, seed=12)
+    data = gaussian_data(ids, H, seed=15, n_per_node=10)
+    session = FederatedSession(trees, gid, data, H, RoundConfig(steps=2, batch=4, seed=4))
+    calls = []
+
+    def counted(datas, *args, **kwargs):
+        calls.append(len(datas))
+        return local_finetune(datas, *args, **kwargs)
+
+    monkeypatch.setattr(fedagg, "local_finetune", counted)
+    social = SocialGraph.complete(session.contributing_leaves())
+    for _ in range(3):
+        if mode == CENTRALIZED:
+            session.centralized_round()
+        else:
+            session.decentralized_round(social)
+    assert calls == [len(session.contributing_leaves())] * 3
 
 
 def test_no_live_leaves_rejected():

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dhtfed.fedagg import FederatedSession, RoundConfig
+from dhtfed.fedagg import FederatedSession, RoundConfig, write_round_log
 from dhtfed.harness import (MIXED, SINGLE_TOPIC_PER_TREE, DisseminationRow,
                             MetricsRecord, ScenarioConfig, compute_accuracy,
                             compute_f1, format_table, generate_testset,
@@ -195,6 +195,31 @@ def test_config_validation_rules():
         ScenarioConfig(seed=1, mode="telepathy").validate()
     with pytest.raises(ValueError):
         ScenarioConfig(seed=1, nodes=2, tree_count=3).validate()
+    # model, link and tree settings fail here, not after the overlay build
+    for bad, match in [(dict(penalty="l1"), "penalty"),
+                       (dict(upload="x"), "upload"),
+                       (dict(agg_mode="median"), "agg_mode"),
+                       (dict(steps=0), "steps"),
+                       (dict(batch=0), "batch"),
+                       (dict(gossip_k=-1), "gossip_k"),
+                       (dict(lam=-0.5), "lambda"),
+                       (dict(eta_local=-0.1), "eta_local"),
+                       (dict(lat_lo=60.0, lat_hi=50.0), "lat_lo"),
+                       (dict(bandwidth=0.0), "bandwidth"),
+                       (dict(fanout=0), "fanout"),
+                       (dict(heartbeat_period=2000.0), "failure_timeout")]:
+        with pytest.raises(ValueError, match=match):
+            ScenarioConfig(seed=1, **bad).validate()
+
+
+def test_bad_model_config_fails_before_the_overlay_is_built(monkeypatch):
+    def no_build(*_args, **_kwargs):
+        raise AssertionError("the overlay was built for a bad config")
+
+    monkeypatch.setattr(Overlay, "build", no_build)
+    with pytest.raises(ValueError, match="penalty"):
+        run_scenario(ScenarioConfig(seed=1, nodes=12, rounds=1, topics=1,
+                                    tree_count=1, penalty="l1"))
 
 
 def test_bad_failure_lines_rejected(tmp_path):
@@ -355,28 +380,34 @@ def scenario_digest(result) -> str:
 
 
 # Measured on Python 3.11.7 with numpy 2.4.6. A change that moves one of these
-# digests changes the program's outputs and must say why.
+# digests changes the program's outputs and must say why. The second value
+# is the sha256 of the scenario's `write_round_log` file, which also covers
+# the training loss and the per-node byte counts.
 PINNED = {
     "demo": (None,
-             "06b6d790de157143238982110dc319e9f94af6a18a8e1c6ae422148ed2c74651"),
+             "06b6d790de157143238982110dc319e9f94af6a18a8e1c6ae422148ed2c74651",
+             "c6a25bf0867154e210649eb71116a33dcf6af9c86e0e03830bc859e04b20bc44"),
     "decentralized": (
         dict(seed=3, nodes=60, rounds=4, mode="decentralized", topics=1,
              tree_count=1, hidden_dim=8, steps=2, batch=8, points_per_node=32),
-        "9394a0f1469a839aa33b79463458d16877e269bfdc369273589796db74356e55"),
+        "9394a0f1469a839aa33b79463458d16877e269bfdc369273589796db74356e55",
+        "80ca25eccf50a361edecb5d7aba5356a1a4083fb736f2ac8c72563d440e4bdbf"),
     "auto-weights-norm": (
         dict(seed=5, nodes=80, rounds=3, mode="auto", upload="weights",
              agg_mode="unweighted", penalty="norm"),
-        "e577cb3f18613890505ed3870e5dcea4291cd22b40a082b1d4aee06ba9b89199"),
+        "e577cb3f18613890505ed3870e5dcea4291cd22b40a082b1d4aee06ba9b89199",
+        "6f9f0a8b40ab3864e5ccd8cca01bc08f1742abbc3066ed7ef1857e630b13999f"),
     "mixed-churn": (
         dict(seed=9, nodes=60, rounds=3, assignment="mixed", tree_count=1,
              failures=[(0.0, 4, "fail"), (0.0, 7, "fail"), (8000.0, 4, "rejoin")]),
-        "fc500695f91f458346e90413ad2251eee37125fcf53342fc054c798f726cbfd1"),
+        "fc500695f91f458346e90413ad2251eee37125fcf53342fc054c798f726cbfd1",
+        "ccab1d67581227dcd37c646f96fdcaa5e61077bd724561b74aa2c51fe2819180"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_pinned_scenario_digest(name, monkeypatch):
-    kwargs, want = PINNED[name]
+def test_pinned_scenario_digest(name, monkeypatch, tmp_path):
+    kwargs, want, want_log = PINNED[name]
     cfg = (ScenarioConfig.from_ini(str(DEMO_INI)) if kwargs is None
            else ScenarioConfig(**kwargs))
     calls = {"fail": 0, "rejoin": 0}
@@ -392,6 +423,9 @@ def test_pinned_scenario_digest(name, monkeypatch):
     fired = {a: sum(1 for e in cfg.failures if e[2] == a) for a in calls}
     assert calls == fired  # every scheduled fail and rejoin took effect
     assert scenario_digest(result) == want
+    log = tmp_path / "rounds.jsonl"
+    write_round_log(result.round_metrics, str(log))
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == want_log
 
 
 @pytest.mark.parametrize("failures, match", [

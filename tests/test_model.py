@@ -3,10 +3,10 @@ import pytest
 
 from dhtfed.model import (Example, LocalDataset, ModelParams, PersonalState,
                           deserialize_params, forward, forward_batch,
-                          local_finetune, param_nbytes, pfl_grad, pfl_loss,
-                          serialize_params)
+                          forward_heads, local_finetune, param_nbytes, pfl_grad,
+                          pfl_loss, serialize_params)
 
-from oracles import central_difference
+from oracles import central_difference, finetune_reference
 
 H = 5
 
@@ -177,8 +177,8 @@ def test_zero_step_size_is_a_null_update():
     data = rand_data(rng)
     w = rand_params(rng)
     personal = PersonalState(rand_params(rng), lam=0.5, eta_local=0.0)
-    delta, state = local_finetune(data, w, personal, steps=5, batch=6,
-                                  rng=np.random.default_rng(0))
+    [(delta, state)] = local_finetune([data], w, [personal], steps=5, batch=6,
+                                      rngs=[np.random.default_rng(0)])
     assert np.array_equal(delta.w, np.zeros((2, H)))
     assert np.array_equal(delta.b, np.zeros(2))
     assert np.array_equal(state.w_per.w, personal.w_per.w)
@@ -190,8 +190,8 @@ def test_single_full_batch_step_equals_analytic_gradient_exactly():
     w = rand_params(rng)
     personal = PersonalState(rand_params(rng), lam=0.3, eta_local=0.05)
     g_cla, _ = pfl_grad(data, w, personal)
-    delta, _ = local_finetune(data, w, personal, steps=1, batch=len(data),
-                              rng=np.random.default_rng(0))
+    [(delta, _)] = local_finetune([data], w, [personal], steps=1, batch=len(data),
+                                  rngs=[np.random.default_rng(0)])
     assert np.array_equal(delta.w, 0.05 * g_cla.w)
     assert np.array_equal(delta.b, 0.05 * g_cla.b)
 
@@ -205,8 +205,8 @@ def test_training_reduces_loss_on_separable_data():
     w0 = ModelParams.zeros(H)
     personal = PersonalState(ModelParams.zeros(H), lam=0.1, eta_local=0.2)
     before = pfl_loss(data, w0, personal)
-    delta, state = local_finetune(data, w0, personal, steps=200, batch=32,
-                                  rng=np.random.default_rng(1))
+    [(delta, state)] = local_finetune([data], w0, [personal], steps=200, batch=32,
+                                      rngs=[np.random.default_rng(1)])
     after = pfl_loss(data, w0 - delta, state)
     assert after < before
 
@@ -237,8 +237,9 @@ def test_finetune_is_deterministic_per_seed():
     personal = PersonalState(rand_params(rng), lam=0.4, eta_local=0.1)
 
     def run(seed):
-        return local_finetune(data, w, personal, steps=20, batch=16,
-                              rng=np.random.default_rng(seed))
+        [result] = local_finetune([data], w, [personal], steps=20, batch=16,
+                                  rngs=[np.random.default_rng(seed)])
+        return result
 
     d1, s1 = run(77)
     d2, s2 = run(77)
@@ -253,47 +254,102 @@ def test_finetune_validates_arguments():
     data = rand_data(rng, n=4)
     w = rand_params(rng)
     personal = PersonalState(rand_params(rng))
+
+    def call(datas=(data,), personals=(personal,), steps=1, batch=2, n_rngs=1,
+             **kw):
+        return local_finetune(list(datas), w, list(personals), steps, batch,
+                              [np.random.default_rng(0)] * n_rngs, **kw)
+
     with pytest.raises(ValueError):
-        local_finetune(data, w, personal, steps=0, batch=2, rng=np.random.default_rng(0))
+        call(steps=0)
     with pytest.raises(ValueError):
-        local_finetune(data, w, personal, steps=1, batch=9, rng=np.random.default_rng(0))
+        call(batch=9)
     with pytest.raises(ValueError, match="penalty"):
-        local_finetune(data, w, personal, steps=1, batch=2,
-                       rng=np.random.default_rng(0), penalty="cubic")
+        call(penalty="cubic")
+    with pytest.raises(ValueError, match="one personal state"):
+        call(datas=(data, data))
+    with pytest.raises(ValueError, match="shorter"):  # one generator per leaf
+        call(datas=(data, data), personals=(personal, personal))
+    with pytest.raises(ValueError, match="batch"):  # one leaf's batch too large
+        call(datas=(data, rand_data(rng, n=2)), personals=(personal, personal),
+             n_rngs=2, batch=3)
+    with pytest.raises(ValueError, match="batch"):
+        call(datas=(data, data), personals=(personal, personal), n_rngs=2,
+             batch=[2, 0])
+    assert call(datas=(), personals=(), n_rngs=0) == []
+
+
+def _leaf_round(rng, sizes):
+    """Datasets of the given sizes with a personal state each, every leaf
+    with its own lambda and local step size."""
+    datas = [rand_data(rng, n=n) for n in sizes]
+    personals = [PersonalState(rand_params(rng), lam=float(rng.uniform(0.1, 2.0)),
+                               eta_local=float(rng.uniform(0.01, 0.3)))
+                 for _ in sizes]
+    return datas, personals
 
 
 @pytest.mark.parametrize("penalty", ["squared", "norm"])
 def test_finetune_matches_the_params_level_step_rule_bit_for_bit(penalty):
-    # Reference: the step rule written with ModelParams arithmetic and the
-    # public pfl_grad on a fresh LocalDataset per minibatch.
+    # Leaves above, at and below the batch size of 8 share one call, as in
+    # a round: the session caps each leaf's batch at its dataset size.
     rng = np.random.default_rng(19)
-    data = rand_data(rng, n=40)
+    sizes = [40, 8, 5, 23, 8, 40, 1, 9]
+    datas, personals = _leaf_round(rng, sizes)
+    personals[4] = PersonalState(rand_params(rng), lam=0.0)
     w_start = rand_params(rng)
-    personal = PersonalState(rand_params(rng), lam=0.4, eta_local=0.1)
-    ref_rng, rng_a = np.random.default_rng(5), np.random.default_rng(5)
-    delta, per = ModelParams.zeros(H), personal.copy()
-    for _ in range(12):
-        idx = np.sort(ref_rng.choice(len(data), size=8, replace=False))
-        g_cla, g_per = pfl_grad(LocalDataset(data.x[idx], data.y[idx]),
-                                w_start - delta, per, penalty)
-        delta = delta + 0.1 * g_cla
-        per.w_per = per.w_per - 0.1 * g_per
-    start = personal.w_per.copy()
-    got_delta, got_state = local_finetune(data, w_start, personal, steps=12,
-                                          batch=8, rng=rng_a, penalty=penalty)
-    assert np.array_equal(got_delta.w, delta.w) and np.array_equal(got_delta.b, delta.b)
-    assert np.array_equal(got_state.w_per.w, per.w_per.w)
-    assert np.array_equal(got_state.w_per.b, per.w_per.b)
-    assert personal.w_per.allclose(start)  # the caller's state is left untouched
+    batches = [min(8, n) for n in sizes]
+    starts = [p.w_per.copy() for p in personals]
+    got = local_finetune(datas, w_start, personals, 12, batches,
+                         [np.random.default_rng([5, i]) for i in range(len(sizes))],
+                         penalty)
+    for i, (data, personal) in enumerate(zip(datas, personals)):
+        want_delta, want_state = finetune_reference(
+            data, w_start, personal, 12, batches[i], np.random.default_rng([5, i]),
+            penalty)
+        delta, state = got[i]
+        assert np.array_equal(delta.w, want_delta.w), i
+        assert np.array_equal(delta.b, want_delta.b), i
+        assert np.array_equal(state.w_per.w, want_state.w_per.w), i
+        assert np.array_equal(state.w_per.b, want_state.w_per.b), i
+        assert (state.lam, state.eta_local) == (personal.lam, personal.eta_local)
+        assert personal.w_per.allclose(starts[i])  # the caller's state is untouched
+
+
+def test_norm_penalty_at_the_kink_stacked_with_other_leaves():
+    # A leaf whose personal head equals the shared head has a zero pull
+    # (the subgradient at the kink) while its neighbours in the stack pull.
+    rng = np.random.default_rng(20)
+    datas, personals = _leaf_round(rng, [12, 12, 12])
+    w_start = rand_params(rng)
+    personals[1] = PersonalState(w_start.copy(), lam=3.0, eta_local=0.1)
+    got = local_finetune(datas, w_start, personals, 1, 12,
+                         [np.random.default_rng(i) for i in range(3)], "norm")
+    for i in range(3):
+        want_delta, want_state = finetune_reference(
+            datas[i], w_start, personals[i], 1, 12, np.random.default_rng(i), "norm")
+        assert np.array_equal(got[i][0].w, want_delta.w)
+        assert np.array_equal(got[i][1].w_per.w, want_state.w_per.w)
 
 
 def test_diverging_finetune_raises():
     rng = np.random.default_rng(3)
-    data = rand_data(rng)
-    personal = PersonalState(rand_params(rng), eta_local=1e306)
+    datas, personals = _leaf_round(rng, [12, 12, 12])
+    personals[1] = PersonalState(rand_params(rng), eta_local=1e306)
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
-        local_finetune(data, ModelParams.zeros(H), personal, steps=4,
-                       batch=len(data), rng=np.random.default_rng(0))
+        local_finetune(datas, ModelParams.zeros(H), personals, steps=4, batch=12,
+                       rngs=[np.random.default_rng(i) for i in range(3)])
+
+
+def test_forward_heads_slices_equal_forward_batch_bit_for_bit():
+    rng = np.random.default_rng(21)
+    heads = [rand_params(rng) for _ in range(7)]
+    x = rng.normal(size=(50, H))
+    stacked = forward_heads(x, np.stack([h.w for h in heads]),
+                            np.stack([h.b for h in heads]))
+    assert stacked.shape == (7, 50, 2)
+    for head, probs in zip(heads, stacked):
+        assert np.array_equal(probs, forward_batch(x, head))
 
 
 # -- serialization -----------------------------------------------------------------------
