@@ -13,6 +13,7 @@ import json
 import random
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -399,20 +400,17 @@ class FederatedSession:
         if not path:
             self.sim.schedule(0.0, on_deliver)
             return
+        links = zip([src] + path, path)
+        remaining = len(path)
 
-        def step(i: int, frm: int) -> None:
-            dst = path[i]
+        def step() -> None:
+            nonlocal remaining
+            frm, dst = next(links)
+            remaining -= 1
             self.msg_log.append(MessageRecord(kind, frm, dst, contributors, self.round))
+            self.sim.send(frm, dst, nbytes, step if remaining else on_deliver, kind=kind)
 
-            def arrived() -> None:
-                if i + 1 < len(path):
-                    step(i + 1, dst)
-                else:
-                    on_deliver()
-
-            self.sim.send(frm, dst, nbytes, arrived, kind=kind)
-
-        step(0, src)
+        step()
 
     # -- centralized protocol --------------------------------------------------
 
@@ -423,6 +421,7 @@ class FederatedSession:
         leaves = self.contributing_leaves()
         if not leaves:
             raise ProtocolError("no live contributing leaves")
+        self.msg_log = []
         self.sim.reset_counters()
         t0 = self.sim.now
         leaf_set = set(leaves)
@@ -460,15 +459,13 @@ class FederatedSession:
         def send_up(nid: int, msg: AggregateMessage) -> None:
             parent = group.members[nid].parent
             self.msg_log.append(MessageRecord(AGG_UP, nid, parent, (), self.round))
-            self.sim.send(nid, parent, msg.nbytes(),
-                          lambda: receive(parent, msg), kind=AGG_UP)
+            self.sim.send(nid, parent, msg.nbytes(), partial(receive, parent, msg),
+                          kind=AGG_UP)
 
         for nid, payload in zip(leaves, self._leaf_payloads(leaves)):
             msg = AggregateMessage(self.gid, self.round, payload, 1)
-            if nid == group.root:
-                self.sim.schedule(0.0, lambda n=nid, m=msg: receive(n, m))
-            else:
-                self.sim.schedule(0.0, lambda n=nid, m=msg: send_up(n, m))
+            self.sim.schedule(0.0, partial(receive if nid == group.root else send_up,
+                                           nid, msg))
 
         self.sim.run()
         if not state["finalized"]:
@@ -500,6 +497,7 @@ class FederatedSession:
         for nid in leaves:
             if nid != group.root and nid not in social.friends:
                 raise ProtocolError(f"social graph does not cover leaf {hex_id(nid)}")
+        self.msg_log = []
         self.sim.reset_counters()
         t0 = self.sim.now
         root = group.root
@@ -515,18 +513,21 @@ class FederatedSession:
 
         def run_gossip_hop() -> None:
             """Synchronous exchange: everyone shares its current buffer with
-            every friend; merges dedup by contributor."""
-            snapshots = {n: dict(buffers[n]) for n in gossipers}
+            every friend; merges dedup by contributor. Each sender's snapshot,
+            contributor tuple and size are shared by all of its messages."""
+            snapshots = {}
+            for n in gossipers:
+                snap = dict(buffers[n])
+                snapshots[n] = (snap, tuple(sorted(snap)), buffer_nbytes(snap))
+            log, send, rnd = self.msg_log, self.sim.send, self.round
             for receiver in gossipers:
+                merge = buffers[receiver].update
                 for friend in sorted(social.friends[receiver]):
                     if friend not in snapshots:
                         continue
-                    snap = snapshots[friend]
-                    self.msg_log.append(MessageRecord(
-                        AGG_UP, friend, receiver, tuple(sorted(snap)), self.round))
-                    self.sim.send(friend, receiver, buffer_nbytes(snap),
-                                  lambda r=receiver, s=snap: buffers[r].update(s),
-                                  kind=AGG_UP)
+                    snap, contribs, nbytes = snapshots[friend]
+                    log.append(MessageRecord(AGG_UP, friend, receiver, contribs, rnd))
+                    send(friend, receiver, nbytes, partial(merge, snap), kind=AGG_UP)
 
         for _hop in range(k):
             run_gossip_hop()

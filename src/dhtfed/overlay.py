@@ -200,7 +200,6 @@ class Node:
     id: int
     routing_table: RoutingTable
     leaf_set: LeafSet
-    alive: bool = True
     memberships: dict = field(default_factory=dict)  # group id -> TreeMembership
 
 
@@ -239,6 +238,10 @@ class Overlay:
     def __init__(self, leaf_side: int = LEAF_SIDE):
         self.nodes: dict[int, Node] = {}
         self.leaf_side = leaf_side
+        # The ids of the live nodes. The set is only ever changed in place:
+        # `is_alive` is bound to it, and so is every holder of that method.
+        self._live: set[int] = set()
+        self.is_alive = self._live.__contains__
         # Bumped on every liveness change (join, fail, rejoin), so state
         # derived from liveness, such as tree subtree sizes, knows it is stale.
         self.version = 0
@@ -254,12 +257,8 @@ class Overlay:
     def node(self, nid: int) -> Node:
         return self.nodes[nid]
 
-    def is_alive(self, nid: int) -> bool:
-        n = self.nodes.get(nid)
-        return n is not None and n.alive
-
     def live_ids(self) -> list[int]:
-        return sorted(nid for nid, n in self.nodes.items() if n.alive)
+        return sorted(self._live)
 
     # -- construction ------------------------------------------------------
 
@@ -281,6 +280,7 @@ class Overlay:
             raise ValueError("duplicate node ids")
         for nid in ordered:
             ov.nodes[nid] = ov._new_node(nid)
+        ov._live.update(ordered)
         n = len(ordered)
         if n <= 1:
             return ov
@@ -318,7 +318,8 @@ class Overlay:
                     bucket = buckets.get(h[:row] + cd)
                     if not bucket:
                         continue
-                    node.routing_table.rows[row][col] = _closest_in_sorted(bucket, nid)
+                    node.routing_table.rows[row][col] = _nearest_on_ring(
+                        bucket, nid, None)
         return ov
 
     # -- membership changes ------------------------------------------------
@@ -336,6 +337,7 @@ class Overlay:
         node = self._new_node(new_id)
         if not self.nodes:
             self.nodes[new_id] = node
+            self._live.add(new_id)
             return node
 
         if bootstrap is None:
@@ -362,6 +364,7 @@ class Overlay:
             node.routing_table.consider(m)
 
         self.nodes[new_id] = node
+        self._live.add(new_id)
 
         # Announce: neighbors fold the joiner into their own state.
         for m in node.leaf_set.members():
@@ -375,16 +378,14 @@ class Overlay:
         return node
 
     def fail(self, nid: int) -> None:
-        node = self.nodes.get(nid)
-        if node is None or not node.alive:
+        if nid not in self._live:
             raise ValueError("cannot fail a node that is not alive")
-        node.alive = False
+        self._live.remove(nid)
         self.version += 1
 
     def rejoin(self, nid: int) -> None:
         """Bring a failed node back with fresh state (join bumps the version)."""
-        node = self.nodes.get(nid)
-        if node is None or node.alive:
+        if nid not in self.nodes or nid in self._live:
             raise ValueError("cannot rejoin a node that is not dead")
         del self.nodes[nid]
         self.join(nid)
@@ -396,27 +397,22 @@ class Overlay:
         candidates learned from its live leaf neighbors; sweeps repeat until
         nothing changes. Routing tables are repaired lazily on use.
         """
+        live = self._live
         sweeps = 0
         changed = True
         while changed:
             changed = False
             sweeps += 1
-            for nid in sorted(self.nodes):
+            for nid in sorted(live):
                 node = self.nodes[nid]
-                if not node.alive:
+                members = node.leaf_set._members
+                if live.issuperset(members):
                     continue
-                members = node.leaf_set.members()
-                if all(self.is_alive(m) for m in members):
-                    continue
-                pool: set[int] = set(m for m in members if self.is_alive(m))
+                pool: set[int] = live.intersection(members)
                 for m in list(pool):
-                    for mm in self.nodes[m].leaf_set.members():
-                        if self.is_alive(mm):
-                            pool.add(mm)
+                    pool.update(live.intersection(self.nodes[m].leaf_set._members))
                 if not pool:  # no live leaf neighbor at all: fall back to table
-                    pool = {
-                        e for e in node.routing_table.entries() if self.is_alive(e)
-                    }
+                    pool = live.intersection(node.routing_table.entries())
                 before = set(members)
                 node.leaf_set._members = []
                 node.leaf_set.add_many(sorted(pool))
@@ -434,23 +430,24 @@ class Overlay:
         to the key. Dead table entries are dropped and patched on the way.
         """
         node = self.nodes[local_id]
-        if not node.alive:
+        live = self._live
+        if local_id not in live:
             raise ValueError("routing at a dead node")
         if key == local_id:
             return None
 
         if node.leaf_set.covers(key):
-            best = min(
-                [local_id] + [m for m in node.leaf_set.members() if self.is_alive(m)],
-                key=lambda m: (circular_distance(m, key), m),
-            )
-            return None if best == local_id else best
+            best = _nearest_on_ring(node.leaf_set._members, key, live)
+            if best is None or ((circular_distance(local_id, key), local_id)
+                                < (circular_distance(best, key), best)):
+                return None
+            return best
 
         row = shared_prefix_len(local_id, key)
         col = digit_at(key, row)
         cell = node.routing_table.get(row, col)
         if cell is not None:
-            if self.is_alive(cell):
+            if cell in live:
                 return cell
             node.routing_table.remove(cell)
             repl = self._find_replacement(node, row, col)
@@ -462,7 +459,7 @@ class Overlay:
         best_rank = None
         own_dist = circular_distance(local_id, key)
         for peer in self._known_peers(node):
-            if not self.is_alive(peer):
+            if peer not in live:
                 continue
             p = shared_prefix_len(peer, key)
             if p < row:
@@ -507,14 +504,31 @@ class Overlay:
                 )
 
 
-def _closest_in_sorted(sorted_ids: list[int], target: int) -> int:
+def _nearest_on_ring(sorted_ids: list[int], target: int,
+                     live: Optional[set[int]]) -> Optional[int]:
     """Member of a sorted id list minimizing circular distance to target.
 
-    The circular minimum is always at one of the two ring neighbors of the
-    target's insertion point. Ties go to the smaller id.
+    With `live`, only members in that set count, and None means none does.
+    The nearest member is always the first one met going up the ring from
+    the target's insertion point or the first one met going down from it,
+    so only those two are compared. Ties go to the smaller id.
     """
     n = len(sorted_ids)
+    if not n:
+        return None
     i = bisect_left(sorted_ids, target)
-    a = sorted_ids[(i - 1) % n]
-    b = sorted_ids[i % n]
-    return min((a, b), key=lambda m: (circular_distance(m, target), m))
+    k = i
+    up = sorted_ids[k % n]
+    while live is not None and up not in live:
+        k += 1
+        if k == i + n:
+            return None
+        up = sorted_ids[k % n]
+    k = i - 1
+    down = sorted_ids[k % n]
+    while live is not None and down not in live:  # stops at `up` at the latest
+        k -= 1
+        down = sorted_ids[k % n]
+    if (circular_distance(up, target), up) < (circular_distance(down, target), down):
+        return up
+    return down

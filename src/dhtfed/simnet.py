@@ -35,10 +35,14 @@ class LinkModel:
     bandwidth: float = 1048.576  # bytes per ms (~1 MiB/s)
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.lat_lo) and math.isfinite(self.lat_hi)):
+            raise ValueError("lat_lo and lat_hi must be finite")
+        if self.lat_lo < 0:
+            raise ValueError("lat_lo must be >= 0")
         if self.lat_lo > self.lat_hi:
             raise ValueError("lat_lo must be <= lat_hi")
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not (self.bandwidth > 0 and math.isfinite(self.bandwidth)):
+            raise ValueError("bandwidth must be positive and finite")
 
 
 @dataclass
@@ -64,6 +68,12 @@ class Simulator:
 
     `alive` is a predicate used at delivery time; messages to nodes that
     died in flight are counted as dropped, never delivered.
+
+    The queue holds two kinds of entries, ordered by (fire_time, sequence):
+    `(time, seq, action)` from `schedule`, and a message from `send`,
+    `(time, seq, on_deliver, src, dst, payload_bytes, kind)`, which the loop
+    delivers itself (drop check, ingress counters, trace) before calling
+    `on_deliver`.
     """
 
     def __init__(self, seed: int = 0, link: Optional[LinkModel] = None,
@@ -73,7 +83,7 @@ class Simulator:
         self.link = link or LinkModel()
         self.rng = random.Random(seed)
         self.alive = alive or (lambda _nid: True)
-        self._queue: list[tuple[float, int, Callable[[], None]]] = []
+        self._queue: list[tuple] = []
         self._seq = 0
         self.executed = 0
         self.sent = 0
@@ -97,34 +107,42 @@ class Simulator:
         """Schedule a delivery at now + latency + bytes/bandwidth."""
         if not self.alive(src):
             raise ValueError("sender is not alive")
-        latency = self.rng.uniform(self.link.lat_lo, self.link.lat_hi)
-        delay = latency + payload_bytes / self.link.bandwidth
+        if payload_bytes < 0:
+            raise ValueError("payload_bytes must be >= 0")
+        link = self.link
+        # The same arithmetic as rng.uniform(lat_lo, lat_hi), one draw per send.
+        latency = link.lat_lo + (link.lat_hi - link.lat_lo) * self.rng.random()
+        delay = latency + payload_bytes / link.bandwidth
         self.sent += 1
         self.egress_bytes[src] = self.egress_bytes.get(src, 0) + payload_bytes
         self.egress_msgs[src] = self.egress_msgs.get(src, 0) + 1
-
-        def deliver() -> None:
-            if not self.alive(dst):
-                self.dropped += 1
-                return
-            self.delivered += 1
-            self.ingress_bytes[dst] = self.ingress_bytes.get(dst, 0) + payload_bytes
-            self.ingress_msgs[dst] = self.ingress_msgs.get(dst, 0) + 1
-            if self.trace is not None:
-                self.trace.append((self.now, kind, src, dst, payload_bytes))
-            on_deliver()
-
-        self.schedule(delay, deliver)
+        self._seq += 1
+        heapq.heappush(self._queue, (self.now + delay, self._seq, on_deliver,
+                                     src, dst, payload_bytes, kind))
 
     def _drain(self, t_end: float) -> int:
         """Execute events in order while the next one fires at or before t_end."""
+        queue, alive, trace = self._queue, self.alive, self.trace
+        ingress_bytes, ingress_msgs = self.ingress_bytes, self.ingress_msgs
         count = 0
-        while self._queue and self._queue[0][0] <= t_end:
-            t, _seq, action = heapq.heappop(self._queue)
-            self.now = t
+        while queue and queue[0][0] <= t_end:
+            entry = heapq.heappop(queue)
+            self.now = entry[0]
             self.executed += 1
             count += 1
-            action()
+            if len(entry) == 3:
+                entry[2]()
+                continue
+            t, _seq, on_deliver, src, dst, nbytes, kind = entry
+            if not alive(dst):
+                self.dropped += 1
+                continue
+            self.delivered += 1
+            ingress_bytes[dst] = ingress_bytes.get(dst, 0) + nbytes
+            ingress_msgs[dst] = ingress_msgs.get(dst, 0) + 1
+            if trace is not None:
+                trace.append((t, kind, src, dst, nbytes))
+            on_deliver()
         return count
 
     def run_until(self, t_end: float) -> int:

@@ -257,7 +257,8 @@ class TreeManager:
     def _live_children(self, group: GroupState, nid: int) -> list[int]:
         """Children filtered to live nodes; dead entries are pruned on touch."""
         mem = group.members[nid]
-        live = [c for c in mem.children if self.overlay.is_alive(c)]
+        alive = self.overlay.is_alive
+        live = [c for c in mem.children if alive(c)]
         if len(live) != len(mem.children):
             mem.children = live
         return live

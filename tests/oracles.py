@@ -73,6 +73,14 @@ def leaf_covers(owner, members, per_side, key):
     return (key - owner) % ID_SPACE <= up_span or (owner - key) % ID_SPACE <= down_span
 
 
+def leaf_set_next_hop(owner, members, alive, key):
+    """The leaf-set routing step as a plain min: the owner or a live member,
+    whichever is closest to key (ties to the smaller id); None if the owner."""
+    best = min([owner] + [m for m in members if alive(m)],
+               key=lambda m: (circ_dist(m, key), m))
+    return None if best == owner else best
+
+
 def subtree_size(children, alive, nid):
     """Members reachable from nid through live children, nid included."""
     return 1 + sum(subtree_size(children, alive, c)

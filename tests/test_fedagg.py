@@ -10,7 +10,7 @@ from dhtfed.fedagg import (CENTRALIZED, DECENTRALIZED, UNWEIGHTED, WEIGHTED,
 from dhtfed import fedagg
 from dhtfed.model import (ModelParams, PersonalState, forward_batch, forward_heads,
                           local_finetune)
-from dhtfed.simnet import PREDICT
+from dhtfed.simnet import AGG_UP, PREDICT
 
 from conftest import build_world, gaussian_data
 from oracles import (flat_majority, flat_mean, reachable_within, recursive_average,
@@ -301,6 +301,34 @@ def test_decentralized_conservation_and_privacy():
     assert metrics.root_weight == metrics.contributors
     assert audit_decentralized_privacy(session.msg_log, social) == []
     assert metrics.mode == DECENTRALIZED
+
+
+@pytest.mark.parametrize("mode", [CENTRALIZED, DECENTRALIZED])
+def test_msg_log_holds_only_the_current_round(mode):
+    ids, overlay, sim, trees, gid, root = build_world(24, fanout=4, seed=37)
+    data = gaussian_data(ids, H, seed=7, n_per_node=10)
+    session = FederatedSession(trees, gid, data, H,
+                               RoundConfig(steps=1, batch=5, seed=13, gossip_k=2))
+    social = SocialGraph.ring_with_chords(session.contributing_leaves(),
+                                          chords=4, seed=3)
+    x = gaussian_data([1], H, seed=5)[1].x
+
+    def round_and_vote():
+        if mode == CENTRALIZED:
+            session.centralized_round()
+        else:
+            session.decentralized_round(social)
+        session.ensemble_infer(x)
+        return list(session.msg_log)
+
+    first, second = round_and_vote(), round_and_vote()
+    # Voting runs after the round has advanced the counter, so its PREDICT
+    # records carry the next round's number.
+    assert {(r.kind, r.round) for r in first} == {(AGG_UP, 0), (PREDICT, 1)}
+    assert {(r.kind, r.round) for r in second} == {(AGG_UP, 1), (PREDICT, 2)}
+    assert len(second) == len(first)  # same tree, same links, same traffic
+    if mode == DECENTRALIZED:
+        assert audit_decentralized_privacy(session.msg_log, social) == []
 
 
 def test_k0_direct_upload_is_flagged_by_the_audit():

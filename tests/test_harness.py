@@ -206,6 +206,10 @@ def test_config_validation_rules():
                        (dict(eta_local=-0.1), "eta_local"),
                        (dict(lat_lo=60.0, lat_hi=50.0), "lat_lo"),
                        (dict(bandwidth=0.0), "bandwidth"),
+                       (dict(lat_lo=-60.0), "lat_lo"),
+                       (dict(lat_hi=float("nan")), "finite"),
+                       (dict(bandwidth=float("nan")), "bandwidth"),
+                       (dict(bandwidth=float("inf")), "bandwidth"),
                        (dict(fanout=0), "fanout"),
                        (dict(heartbeat_period=2000.0), "failure_timeout")]:
         with pytest.raises(ValueError, match=match):
@@ -217,9 +221,10 @@ def test_bad_model_config_fails_before_the_overlay_is_built(monkeypatch):
         raise AssertionError("the overlay was built for a bad config")
 
     monkeypatch.setattr(Overlay, "build", no_build)
-    with pytest.raises(ValueError, match="penalty"):
-        run_scenario(ScenarioConfig(seed=1, nodes=12, rounds=1, topics=1,
-                                    tree_count=1, penalty="l1"))
+    for bad, match in [(dict(penalty="l1"), "penalty"), (dict(lat_lo=-60.0), "lat_lo")]:
+        with pytest.raises(ValueError, match=match):
+            run_scenario(ScenarioConfig(seed=1, nodes=12, rounds=1, topics=1,
+                                        tree_count=1, **bad))
 
 
 def test_bad_failure_lines_rejected(tmp_path):

@@ -4,13 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dhtfed.overlay import (ID_SPACE, LEAF_SIDE, LeafSet, Overlay,
-                            RoutingLoopError, circular_distance, digit_at,
+from dhtfed.overlay import (ID_SPACE, LEAF_SIDE, MAX_ROUTE_HOPS, LeafSet,
+                            Overlay, RoutingLoopError, circular_distance, digit_at,
                             hex_id, id_from_name, parse_id, random_ids,
                             shared_prefix_len, write_hop_traces)
 
-from oracles import (closest_id, leaf_covers, leaf_sides, prefix_digits,
-                     ring_neighbors)
+from oracles import (closest_id, leaf_covers, leaf_set_next_hop, leaf_sides,
+                     prefix_digits, ring_neighbors)
 
 
 # -- identifiers ---------------------------------------------------------------
@@ -326,6 +326,75 @@ def test_liveness_changes_bump_the_version():
     ov.route(ids[0], ids[7])
     ov.repair()
     assert ov.version == v2
+
+
+def oracle_route(ov, source, key):
+    """(hops, destination) with every leaf-set step taken by the oracle rule
+    and every other step by `Overlay.next_hop`."""
+    cur, hops = source, []
+    while True:
+        leaf_set = ov.node(cur).leaf_set
+        if key == cur:
+            nxt = None
+        elif leaf_set.covers(key):
+            nxt = leaf_set_next_hop(cur, leaf_set.members(), ov.is_alive, key)
+        else:
+            nxt = ov.next_hop(cur, key)
+        if nxt is None:
+            return hops, cur
+        hops.append(nxt)
+        cur = nxt
+        if len(hops) > MAX_ROUTE_HOPS:
+            raise RoutingLoopError(hex_id(key))
+
+
+# Ids on both sides of the ring's wrap at 0, mixed with ids from anywhere.
+_RING_IDS = st.one_of(st.integers(0, 1 << 12),
+                      st.integers(ID_SPACE - (1 << 12), ID_SPACE - 1),
+                      st.integers(0, ID_SPACE - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ids=st.sets(_RING_IDS, min_size=2, max_size=40),
+       leaf_side=st.sampled_from([1, 2, 3, LEAF_SIDE]),
+       ops=st.lists(st.tuples(st.sampled_from(["fail", "fail", "repair", "rejoin"]),
+                              st.integers(0, 1 << 16), st.integers(0, 1 << 16),
+                              _RING_IDS),
+                    max_size=25))
+def test_route_matches_the_leaf_set_oracle_hop_for_hop(ids, leaf_side, ops):
+    ids = sorted(ids)
+    ov = Overlay.build(ids, leaf_side)
+    live = set(ids)
+    for op, pick, src_pick, far in ops:
+        if op == "fail" and len(live) > 1:
+            nid = sorted(live)[pick % len(live)]
+            ov.fail(nid)
+            live.remove(nid)
+        elif op == "rejoin" and len(live) < len(ids):
+            dead = sorted(set(ids) - live)
+            nid = dead[pick % len(dead)]
+            ov.rejoin(nid)
+            live.add(nid)
+        elif op == "repair":
+            ov.repair()
+        assert ov.live_ids() == sorted(live)
+        assert [ov.is_alive(nid) for nid in ids] == [nid in live for nid in ids]
+
+        src = sorted(live)[src_pick % len(live)]
+        member = ids[pick % len(ids)]
+        gap = (ids[(pick + 1) % len(ids)] - member) % ID_SPACE
+        midway = (member + gap // 2) % ID_SPACE  # a tie when the gap is even
+        for key in (member, (member + 1) % ID_SPACE, (member - 1) % ID_SPACE,
+                    midway, 0, ID_SPACE - 1, far):
+            try:
+                res = ov.route(src, key)
+            except RoutingLoopError:
+                # Unrepaired leaf sets can bounce a key between two nodes;
+                # the oracle rule must loop the same way.
+                with pytest.raises(RoutingLoopError):
+                    oracle_route(ov, src, key)
+                continue
+            assert oracle_route(ov, src, key) == (res.hops, res.destination)
 
 
 # -- leaf sets -------------------------------------------------------------------

@@ -1,8 +1,12 @@
+import math
 import random
 
 import pytest
 
-from dhtfed.simnet import FailureSchedule, LinkModel, Simulator
+from dhtfed.overlay import Overlay, random_ids
+from dhtfed.simnet import (AGG_UP, HEARTBEAT, JOIN, FailureSchedule, LinkModel,
+                           Simulator)
+from dhtfed.tree import TreeConfig, TreeManager
 
 
 def test_zero_delay_runs_before_positive_delay():
@@ -102,6 +106,63 @@ def test_identical_seed_and_schedule_gives_identical_trace_hash():
     assert drive(4) != drive(5)
 
 
+# The sha256 of the event trace below, measured before messages became queue
+# entries of their own. Any change to latency draws, event order, drops or
+# byte counts moves it.
+PINNED_TRACE = "9244fee9e3f7d93a4143214d8f036ec066a482a74407ff16aa0f07a64d89c13d"
+
+
+def test_event_trace_is_pinned():
+    ids = random_ids(40, 17)
+    overlay = Overlay.build(ids)
+    sim = Simulator(seed=23, link=LinkModel(2.0, 30.0, 64.0),
+                    alive=overlay.is_alive, keep_trace=True)
+    trees = TreeManager(overlay, sim, TreeConfig(
+        fanout_cap=3, heartbeat_period=100.0, failure_timeout=300.0))
+    gid, root = trees.create_group("pin")
+    for nid in ids:
+        if nid != root:
+            trees.join_group(nid, gid)
+
+    # Sends interleaved with plain scheduled actions that send in turn; one
+    # message goes to a node that is dead by the time it arrives.
+    rng = random.Random(29)
+    dead = ids[7]
+    for i in range(60):
+        src, dst = rng.sample([n for n in ids if n != dead], 2)
+        if i == 20:
+            dst = dead
+        sim.send(src, dst, rng.randrange(0, 900), lambda: None,
+                 kind=(AGG_UP, JOIN)[i % 2])
+        if i % 3 == 0:
+            def relay(a=dst, b=src, nbytes=i * 11):
+                if overlay.is_alive(a):
+                    sim.send(a, b, nbytes, lambda: None, kind=AGG_UP)
+            sim.schedule(rng.uniform(0.0, 40.0), relay)
+        if i == 10:
+            overlay.fail(dead)
+    assert sim.run_until(35.0) > 0
+    assert sim.pending() > 0  # the cut-off left events queued
+    sim.run()
+
+    # A multicast, then heartbeats that detect a failed interior member.
+    trees.multicast(gid, 333)
+    sim.run()
+    group = trees.groups[gid]
+    interior = sorted(n for n, m in group.members.items()
+                      if m.children and n != root and overlay.is_alive(n))[0]
+    overlay.fail(interior)
+    trees.enable_heartbeats(gid)
+    sim.run_until(sim.now + 700.0)
+    trees.disable_heartbeats(gid)
+    sim.run()
+
+    assert sim.dropped == 1 and group.rejoins > 0
+    assert any(kind == HEARTBEAT for _t, kind, *_rest in sim.trace)
+    assert len(sim.trace) == 370
+    assert sim.trace_hash() == PINNED_TRACE
+
+
 def test_messages_to_dead_nodes_drop_and_conserve():
     dead = {2}
     sim = Simulator(seed=0, alive=lambda nid: nid not in dead)
@@ -160,3 +221,20 @@ def test_link_model_validation():
         LinkModel(5, 1, 10)
     with pytest.raises(ValueError):
         LinkModel(1, 5, 0)
+    for lat_lo, lat_hi, match in [(-60, 50, "lat_lo must be >= 0"),
+                                  (-5, -1, "lat_lo must be >= 0"),
+                                  (math.nan, 50, "finite"), (1, math.nan, "finite"),
+                                  (1, math.inf, "finite"), (-math.inf, 5, "finite")]:
+        with pytest.raises(ValueError, match=match):
+            LinkModel(lat_lo, lat_hi, 10)
+    for bandwidth in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="bandwidth"):
+            LinkModel(1, 5, bandwidth)
+    LinkModel(0, 0, 1e-3)  # zero latency is allowed
+
+
+def test_negative_payload_rejected_before_anything_is_queued():
+    sim = Simulator(seed=0)
+    with pytest.raises(ValueError, match="payload_bytes"):
+        sim.send(1, 2, -1, lambda: None)
+    assert sim.pending() == 0 and sim.sent == 0 and sim.egress_bytes == {}
