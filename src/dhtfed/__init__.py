@@ -7,8 +7,7 @@ from .tree import TreeConfig, TreeManager, TreeMembership
 from .model import (Example, LocalDataset, ModelParams, PersonalState,
                     forward, forward_batch, local_finetune, pfl_grad, pfl_loss)
 from .fedagg import (AggregateMessage, FederatedSession, ModeSelector,
-                     RoundConfig, SocialGraph, branch_aggregate, root_update,
-                     select_mode)
+                     RoundConfig, SocialGraph, branch_aggregate, root_update)
 from .harness import (MetricsRecord, ScenarioConfig, TopicSpec, compute_f1,
                       generate_topic_data, measure_dissemination, run_scenario)
 

@@ -10,12 +10,11 @@ import sys
 
 import numpy as np
 
-from .fedagg import (WEIGHTED, AggregateMessage, aggregate_up,
-                     write_round_log)
+from .fedagg import CENTRALIZED, DECENTRALIZED, write_round_log
 from .harness import (MIXED, SINGLE_TOPIC_PER_TREE, ScenarioConfig,
                       format_table, measure_dissemination, read_records,
                       run_scenario, summary_rows, write_csv, write_records)
-from .model import ModelParams
+from .model import deserialize_params
 from .overlay import Overlay, circular_distance, random_ids
 
 
@@ -121,30 +120,37 @@ def cmd_route_check(args) -> int:
     return 0 if bad == 0 else 1
 
 
+# Small enough that a trial's two scenarios take milliseconds.
+_AGG_CHECK_MODEL = dict(hidden_dim=4, points_per_node=16, test_points=16,
+                        steps=2, batch=8)
+
+
 def cmd_agg_check(args) -> int:
-    """Audit: weighted tree aggregation equals the flat mean of leaf deltas."""
+    """Audit: the tree's weighted aggregate equals the flat mean of the
+    leaves' updates, on the real round protocols.
+
+    Each trial runs one random single-tree scenario for one round in both
+    modes. With no gossip, the decentralized root averages every leaf's
+    update flat, so the centralized final weights must match its own; and
+    every round's root weight must equal its contributors.
+    """
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for trial in range(args.trials):
-        n = int(rng.integers(5, 40))
-        parents = {i: int(rng.integers(0, i)) for i in range(1, n)}
-        children: dict[int, list[int]] = {}
-        for c, p in parents.items():
-            children.setdefault(p, []).append(c)
-        leaves = [i for i in range(n) if i not in children]
-        msgs = {}
-        for leaf in leaves:
-            payload = ModelParams(rng.normal(size=(2, 4)), rng.normal(size=2))
-            msgs[leaf] = AggregateMessage(1, 0, payload, 1)
-        agg = aggregate_up(children, 0, msgs, WEIGHTED)
-        flat_w = np.mean([msgs[l].payload.w for l in leaves], axis=0)
-        flat_b = np.mean([msgs[l].payload.b for l in leaves], axis=0)
-        err = max(np.max(np.abs(agg.payload.w - flat_w)),
-                  np.max(np.abs(agg.payload.b - flat_b)))
-        worst = max(worst, err)
-        if agg.weight != len(leaves):
-            print(f"agg-check: weight conservation failed on trial {trial}")
-            return 1
+        base = dict(seed=int(rng.integers(1, 1 << 31)),
+                    nodes=int(rng.integers(5, 40)), fanout=int(rng.integers(1, 5)),
+                    rounds=1, topics=1, tree_count=1, gossip_k=0, **_AGG_CHECK_MODEL)
+        finals = []
+        for mode in (CENTRALIZED, DECENTRALIZED):
+            result = run_scenario(ScenarioConfig(mode=mode, **base))
+            if any(m.root_weight != m.contributors for m in result.round_metrics):
+                print(f"agg-check: weight conservation failed on trial {trial} ({mode})")
+                return 1
+            [blob] = result.final_weights.values()
+            finals.append(deserialize_params(blob))
+        tree, flat = finals
+        worst = max(worst, float(np.max(np.abs(tree.w - flat.w))),
+                    float(np.max(np.abs(tree.b - flat.b))))
     print(f"agg-check: trials={args.trials} worst_flat_mean_error={worst:.2e}")
     return 0 if worst <= 1e-9 else 1
 
@@ -199,7 +205,7 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(fn=cmd_route_check)
 
-    p = sub.add_parser("agg-check", help="aggregation flat-mean audit")
+    p = sub.add_parser("agg-check", help="aggregation flat-mean audit on real rounds")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_agg_check)

@@ -94,33 +94,6 @@ def branch_aggregate(children_msgs: list[AggregateMessage],
     return AggregateMessage(first.group, first.round, payload, total_weight)
 
 
-def aggregate_up(children: dict[int, list[int]], root: int,
-                 leaf_msgs: dict[int, AggregateMessage],
-                 mode: str = WEIGHTED) -> AggregateMessage:
-    """Pure structural aggregation over an explicit tree shape.
-
-    Used for oracle-style audits: no simulator, no overlay, just the
-    recursion the protocol performs. Interior nodes combine their
-    children's results; leaves supply their own message.
-    """
-
-    def visit(nid: int) -> Optional[AggregateMessage]:
-        kids = children.get(nid, [])
-        collected = [r for r in (visit(c) for c in kids) if r is not None]
-        if nid in leaf_msgs:
-            collected.append(leaf_msgs[nid])
-        if not collected:
-            return None
-        if len(collected) == 1:
-            return collected[0]
-        return branch_aggregate(collected, mode)
-
-    result = visit(root)
-    if result is None:
-        raise ProtocolError("no contributions reached the root")
-    return result
-
-
 def root_update(w_t: ModelParams, aggregate: AggregateMessage, eta: float,
                 expected_round: Optional[int] = None) -> ModelParams:
     """w_{t+1} = w_t - eta * aggregate.payload (payload carries mean deltas)."""
@@ -236,36 +209,6 @@ def write_round_log(metrics: list[RoundMetrics], path: str,
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def gossip_merge(buffers: dict[int, dict[int, ModelParams]],
-                 social: SocialGraph) -> dict[int, dict[int, ModelParams]]:
-    """One synchronous weight-tracked gossip exchange, as pure state math.
-
-    Every node's new buffer is the contributor-keyed union of its own and
-    all its friends' buffers; dedup by contributor id means mixing never
-    double counts a leaf. Same semantics as the simulated exchange inside
-    decentralized rounds.
-    """
-    out: dict[int, dict[int, ModelParams]] = {}
-    for nid in sorted(buffers):
-        merged = dict(buffers[nid])
-        for friend in sorted(social.friends.get(nid, ())):
-            if friend in buffers:
-                merged.update(buffers[friend])
-        out[nid] = merged
-    return out
-
-
-def buffer_mean(buf: dict[int, ModelParams]) -> ModelParams:
-    """Mean over a buffer's distinct contributions, in sorted-id order."""
-    if not buf:
-        raise ValueError("empty buffer")
-    mean = None
-    for cid in sorted(buf):
-        term = buf[cid] * (1.0 / len(buf))
-        mean = term if mean is None else mean + term
-    return mean
-
-
 @dataclass
 class MessageRecord:
     """One protocol message as seen by the privacy audit."""
@@ -316,17 +259,6 @@ class ModeSelector:
                 self.mode = want
                 self._last_switch = self._round
         return self.mode
-
-
-def select_mode(stats: list[tuple[int, float]], bytes_threshold: int = 1 << 20,
-                latency_threshold: float = 2000.0) -> str:
-    """Replay per-round (max ingress bytes, root latency) stats; default
-    CENTRALIZED until at least one measurement exists."""
-    sel = ModeSelector(bytes_threshold, latency_threshold)
-    mode = CENTRALIZED
-    for ingress, latency in stats:
-        mode = sel.update(ingress, latency)
-    return mode
 
 
 class FederatedSession:
@@ -534,31 +466,23 @@ class FederatedSession:
             self.sim.run()  # barrier: the hop completes before the next starts
 
         root_contrib: dict[int, ModelParams] = {}
-        state = {"arrived": 0}
-        forwarders = sorted(leaves)
-
-        def forward(nid: int) -> None:
+        for nid in sorted(leaves):
             buf = dict(buffers[nid])
-            contribs = tuple(sorted(buf))
-
-            def at_root() -> None:
-                root_contrib.update(buf)
-                state["arrived"] += 1
-
+            at_root = partial(root_contrib.update, buf)
             if nid == root:
                 self.sim.schedule(0.0, at_root)
             else:
                 self._send_routed(nid, root, buffer_nbytes(buf), AGG_UP,
-                                  contribs, at_root)
-
-        for nid in forwarders:
-            forward(nid)
+                                  tuple(sorted(buf)), at_root)
         self.sim.run()
         if not root_contrib:
             raise ProtocolError("no contributions reached the root")
 
-        aggregate = AggregateMessage(self.gid, self.round, buffer_mean(root_contrib),
-                                     len(root_contrib))
+        # The root's buffer is weight-1 messages, one per distinct
+        # contributor; summed in sorted order, they give the flat mean.
+        aggregate = branch_aggregate(
+            [AggregateMessage(self.gid, self.round, root_contrib[cid], 1)
+             for cid in sorted(root_contrib)], self.cfg.agg_mode)
         root_latency = self.sim.now - t0
         self._finalize(aggregate)
 

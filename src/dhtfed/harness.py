@@ -321,6 +321,21 @@ class ScenarioResult:
         return ("\n".join(r.to_json() for r in self.records) + "\n").encode()
 
 
+def _build_trees(trees: TreeManager, ids: list[int],
+                 names: list[str]) -> list[tuple[int, list[int]]]:
+    """One group per name, in order; group k is joined by its share
+    `sorted(ids)[k::len(names)]`. Returns (group id, share) per group."""
+    ordered, out = sorted(ids), []
+    for k, name in enumerate(names):
+        share = ordered[k::len(names)]
+        gid, _root = trees.create_group(name)
+        for nid in share:
+            if nid not in trees.groups[gid].members:
+                trees.join_group(nid, gid)
+        out.append((gid, share))
+    return out
+
+
 def run_scenario(cfg: ScenarioConfig, quiet: bool = True) -> ScenarioResult:
     """Build the overlay and trees, distribute data, run T federated rounds
     interleaved with ensemble inference on held-out per-topic test sets."""
@@ -335,24 +350,16 @@ def run_scenario(cfg: ScenarioConfig, quiet: bool = True) -> ScenarioResult:
     testsets = {t.topic_id: generate_testset(t, cfg.test_points, cfg.seed)
                 for t in topics}
 
-    partitions = [sorted(ids)[k::cfg.tree_count] for k in range(cfg.tree_count)]
+    tree_names = [f"{cfg.name}-tree-{k}" for k in range(cfg.tree_count)]
     sessions: list[FederatedSession] = []
-    tree_names: list[str] = []
-    for k in range(cfg.tree_count):
-        name = f"{cfg.name}-tree-{k}"
-        gid, root = trees.create_group(name)
-        for nid in partitions[k]:
-            if nid not in trees.groups[gid].members:
-                trees.join_group(nid, gid)
+    for k, (gid, share) in enumerate(_build_trees(trees, ids, tree_names)):
         if cfg.assignment == SINGLE_TOPIC_PER_TREE:
-            data = generate_topic_data(topics[k], partitions[k], cfg.seed)
+            data = generate_topic_data(topics[k], share, cfg.seed)
         else:
-            data = mixed_node_data(topics, partitions[k], cfg.seed,
-                                   cfg.points_per_node)
+            data = mixed_node_data(topics, share, cfg.seed, cfg.points_per_node)
         sessions.append(FederatedSession(trees, gid, data, cfg.hidden_dim,
                                          cfg.round_config(), lam=cfg.lam,
                                          eta_local=cfg.eta_local))
-        tree_names.append(name)
 
     socials: dict[int, SocialGraph] = {}
     selectors = [ModeSelector(cfg.bytes_threshold, cfg.latency_threshold)
@@ -469,14 +476,8 @@ def measure_dissemination(payload_bytes: list[int], node_counts: list[int],
                                 alive=overlay.is_alive)
                 trees = TreeManager(overlay, sim, TreeConfig(
                     fanout_cap=fanout, intercept_joins=intercept))
-                gids = []
-                parts = [sorted(ids)[k::tc] for k in range(tc)]
-                for k in range(tc):
-                    gid, _root = trees.create_group(f"disseminate-{n}-{tc}-{k}")
-                    for nid in parts[k]:
-                        if nid not in trees.groups[gid].members:
-                            trees.join_group(nid, gid)
-                    gids.append(gid)
+                gids = [gid for gid, _share in _build_trees(
+                    trees, ids, [f"disseminate-{n}-{tc}-{k}" for k in range(tc)])]
                 results = [trees.multicast(g, nb) for g in gids]
                 sim.run()
                 depth = max(trees.tree_stats(g).depth for g in gids)

@@ -245,6 +245,9 @@ class Overlay:
         # Bumped on every liveness change (join, fail, rejoin), so state
         # derived from liveness, such as tree subtree sizes, knows it is stale.
         self.version = 0
+        # Set by `fail`, cleared by `repair`: leaf sets may still list the
+        # dead, so `join` repairs first rather than route through them.
+        self._unrepaired = False
 
     # -- basic accessors ---------------------------------------------------
 
@@ -329,7 +332,8 @@ class Overlay:
 
         The new node's leaf set comes from the delivery node (its ring
         neighbor), which provably contains the joiner's true neighborhood;
-        routing rows are copied from the nodes on the join path.
+        routing rows are copied from the nodes on the join path. If a node
+        has failed since the last `repair`, leaf sets are repaired first.
         """
         if new_id in self.nodes:
             raise ValueError("node id already present")
@@ -340,6 +344,8 @@ class Overlay:
             self._live.add(new_id)
             return node
 
+        if self._unrepaired:
+            self.repair()
         if bootstrap is None:
             bootstrap = self.live_ids()[0]
         res = self.route(bootstrap, new_id)
@@ -381,6 +387,7 @@ class Overlay:
         if nid not in self._live:
             raise ValueError("cannot fail a node that is not alive")
         self._live.remove(nid)
+        self._unrepaired = True
         self.version += 1
 
     def rejoin(self, nid: int) -> None:
@@ -398,6 +405,7 @@ class Overlay:
         nothing changes. Routing tables are repaired lazily on use.
         """
         live = self._live
+        self._unrepaired = False
         sweeps = 0
         changed = True
         while changed:

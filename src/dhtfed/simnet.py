@@ -85,14 +85,12 @@ class Simulator:
         self.alive = alive or (lambda _nid: True)
         self._queue: list[tuple] = []
         self._seq = 0
-        self.executed = 0
         self.sent = 0
         self.delivered = 0
         self.dropped = 0
         self.ingress_bytes: dict[int, int] = {}
         self.egress_bytes: dict[int, int] = {}
         self.ingress_msgs: dict[int, int] = {}
-        self.egress_msgs: dict[int, int] = {}
         self.trace: list[tuple[float, str, int, int, int]] = [] if keep_trace else None
 
     def schedule(self, delay: float, action: Callable[[], None]) -> int:
@@ -115,7 +113,6 @@ class Simulator:
         delay = latency + payload_bytes / link.bandwidth
         self.sent += 1
         self.egress_bytes[src] = self.egress_bytes.get(src, 0) + payload_bytes
-        self.egress_msgs[src] = self.egress_msgs.get(src, 0) + 1
         self._seq += 1
         heapq.heappush(self._queue, (self.now + delay, self._seq, on_deliver,
                                      src, dst, payload_bytes, kind))
@@ -128,7 +125,6 @@ class Simulator:
         while queue and queue[0][0] <= t_end:
             entry = heapq.heappop(queue)
             self.now = entry[0]
-            self.executed += 1
             count += 1
             if len(entry) == 3:
                 entry[2]()
@@ -165,7 +161,6 @@ class Simulator:
         self.ingress_bytes.clear()
         self.egress_bytes.clear()
         self.ingress_msgs.clear()
-        self.egress_msgs.clear()
 
     def trace_hash(self) -> str:
         if self.trace is None:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dhtfed.model import LocalDataset
+from dhtfed import fedagg
+from dhtfed.model import LocalDataset, ModelParams
 from dhtfed.overlay import Overlay, random_ids
 from dhtfed.simnet import LinkModel, Simulator
 from dhtfed.tree import TreeConfig, TreeManager
@@ -38,6 +39,35 @@ def gaussian_data(ids, hidden_dim, seed, n_per_node=40, spread=1.5):
         out[nid] = LocalDataset(x, y)
     del rng0
     return out
+
+
+def inject_deltas(monkeypatch, data, deltas):
+    """Make every later round of a session over `data` upload `deltas[leaf]`
+    from each leaf instead of its fine-tuned update. `deltas` is read at
+    each round, so a caller may refill it between rounds."""
+    leaf_of = {id(d): nid for nid, d in data.items()}
+
+    def finetune(datas, _w_start, personals, *_args):
+        return [(deltas[leaf_of[id(d)]], p) for d, p in zip(datas, personals)]
+
+    monkeypatch.setattr(fedagg, "local_finetune", finetune)
+
+
+def round_aggregate(session, run_round):
+    """(root aggregate, round metrics) of one round. With eta=1, delta
+    uploads and a zero head, the round leaves exactly minus the aggregate
+    as the new head."""
+    assert session.cfg.eta == 1.0 and session.cfg.upload == "delta"
+    session.global_params = ModelParams.zeros(session.hidden_dim)
+    metrics = run_round()
+    return ModelParams.zeros(session.hidden_dim) - session.global_params, metrics
+
+
+def live_children(trees, gid):
+    """Each member's live children, as the round protocols see them."""
+    group = trees.group(gid)
+    return {m: [c for c in mem.children if trees.overlay.is_alive(c)]
+            for m, mem in group.members.items()}
 
 
 @pytest.fixture

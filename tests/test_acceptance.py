@@ -9,8 +9,8 @@ import time
 
 import numpy as np
 
-from dhtfed.fedagg import (UNWEIGHTED, WEIGHTED, AggregateMessage, FederatedSession,
-                           RoundConfig, SocialGraph, aggregate_up)
+from dhtfed.fedagg import (UNWEIGHTED, WEIGHTED, FederatedSession, RoundConfig,
+                           SocialGraph)
 from dhtfed.harness import (MIXED, SINGLE_TOPIC_PER_TREE, ScenarioConfig,
                             run_scenario, summary_rows, write_records)
 from dhtfed.model import (LocalDataset, ModelParams, PersonalState,
@@ -19,7 +19,8 @@ from dhtfed.overlay import Overlay, random_ids
 from dhtfed.simnet import LinkModel, Simulator
 from dhtfed.tree import TreeConfig, TreeManager
 
-from conftest import build_world, gaussian_data
+from conftest import (build_world, gaussian_data, inject_deltas, live_children,
+                      round_aggregate)
 from oracles import (central_difference, closest_id, flat_majority, flat_mean,
                      recursive_average)
 
@@ -103,38 +104,44 @@ def test_criterion_2_tree_churn_invariants_and_multicast():
               f"multicast exactly-once to {len(seen)}/{len(survivors)} survivors")
 
 
-def test_criterion_3_aggregation_matches_oracles():
+def test_criterion_3_aggregation_matches_oracles(monkeypatch):
     rng = np.random.default_rng(12)
     h = 6
     worst_weighted = 0.0
     worst_unweighted = 0.0
+    deltas = {}
     for shape in range(5):
+        # Real trees: fanout caps 1-4, JOIN interception on and off. A cap
+        # of 1 makes a chain with one leaf at depth n - 1.
         n = int(rng.integers(10, 40))
-        children: dict[int, list[int]] = {}
-        for i in range(1, n):
-            children.setdefault(int(rng.integers(0, i)), []).append(i)
-        leaves = [i for i in range(n) if i not in children]
+        ids, _ov, _sim, trees, gid, root = build_world(
+            n, fanout=(1, 2, 3, 4, 2)[shape], seed=300 + shape,
+            intercept=shape % 2 == 0)
+        data = gaussian_data(ids, h, seed=shape, n_per_node=4)
+        inject_deltas(monkeypatch, data, deltas)
+        weighted, paper = (FederatedSession(trees, gid, data, h,
+                                            RoundConfig(eta=1.0, agg_mode=mode, seed=1))
+                           for mode in (WEIGHTED, UNWEIGHTED))
+        leaves = weighted.contributing_leaves()
+        children = live_children(trees, gid)
         for _ in range(100):
-            msgs = {
-                leaf: AggregateMessage(
-                    1, 0, ModelParams(rng.normal(size=(2, h)),
-                                      rng.normal(size=2)), 1)
-                for leaf in leaves
-            }
-            weighted = aggregate_up(children, 0, msgs, WEIGHTED)
-            flat = flat_mean([msgs[l].payload.w for l in leaves])
-            worst_weighted = max(worst_weighted,
-                                 float(np.max(np.abs(weighted.payload.w - flat))))
-            paper = aggregate_up(children, 0, msgs, UNWEIGHTED)
-            oracle = recursive_average(children, 0,
-                                       {k: m.payload.w for k, m in msgs.items()})
+            deltas.clear()
+            deltas.update({leaf: ModelParams(rng.normal(size=(2, h)),
+                                             rng.normal(size=2))
+                           for leaf in leaves})
+            agg, _ = round_aggregate(weighted, weighted.centralized_round)
+            flat = flat_mean([deltas[l].w for l in leaves])
+            worst_weighted = max(worst_weighted, float(np.max(np.abs(agg.w - flat))))
+            agg, _ = round_aggregate(paper, paper.centralized_round)
+            oracle = recursive_average(children, root,
+                                       {k: d.w for k, d in deltas.items()})
             worst_unweighted = max(worst_unweighted,
-                              float(np.max(np.abs(paper.payload.w - oracle))))
+                                   float(np.max(np.abs(agg.w - oracle))))
     ok = worst_weighted <= 1e-9 and worst_unweighted <= 1e-12
     criterion(3, ok,
-              f"5 shapes x 100 delta sets: weighted-vs-flat-mean "
-              f"{worst_weighted:.2e} (<=1e-9), unweighted-vs-recursive "
-              f"{worst_unweighted:.2e} (<=1e-12)")
+              f"5 real trees x 100 delta sets through centralized rounds: "
+              f"weighted-vs-flat-mean {worst_weighted:.2e} (<=1e-9), "
+              f"unweighted-vs-recursive {worst_unweighted:.2e} (<=1e-12)")
 
 
 def test_criterion_4_root_update_identity():

@@ -4,15 +4,15 @@ import pytest
 from dhtfed.fedagg import (CENTRALIZED, DECENTRALIZED, UNWEIGHTED, WEIGHTED,
                            AggregateMessage, FederatedSession, ModeSelector,
                            ProtocolError, RoundConfig, SocialGraph,
-                           aggregate_up, audit_decentralized_privacy,
-                           branch_aggregate, buffer_mean, gossip_merge,
-                           root_update, select_mode)
+                           audit_decentralized_privacy, branch_aggregate,
+                           root_update)
 from dhtfed import fedagg
 from dhtfed.model import (ModelParams, PersonalState, forward_batch, forward_heads,
                           local_finetune)
 from dhtfed.simnet import AGG_UP, PREDICT
 
-from conftest import build_world, gaussian_data
+from conftest import (build_world, gaussian_data, inject_deltas, live_children,
+                      round_aggregate)
 from oracles import (flat_majority, flat_mean, reachable_within, recursive_average,
                      tree_tally)
 
@@ -53,45 +53,55 @@ def test_round_and_group_mismatch_rejected():
         branch_aggregate([])
 
 
-def test_weighted_mode_is_tree_shape_independent():
-    # Same 5 leaf values as a star and as a lopsided two-level tree.
+def test_weighted_mode_is_tree_shape_independent(monkeypatch):
+    # The same 5 leaf deltas through a star and through a fanout-2 tree.
     values = [1.0, 2.0, 4.0, 8.0, 16.0]
-    leaf_msgs = {i + 10: msg(v) for i, v in enumerate(values)}
-    star = {0: list(leaf_msgs)}
-    lopsided = {0: [10, 1], 1: [11, 12, 13, 14]}
+    ids, _ov, _sim, capped, gid, root = build_world(12, fanout=2, seed=61)
+    star = build_world(12, fanout=12, seed=61, intercept=False)[3]
+    leaves = capped.leaves(gid)[:len(values)]
+    assert len(leaves) == len(values) and root not in leaves
+    data = gaussian_data(leaves, H, seed=16, n_per_node=4)
+    deltas = {nid: const_params(v, H) for nid, v in zip(leaves, values)}
+    inject_deltas(monkeypatch, data, deltas)
 
-    w_star = aggregate_up(star, 0, leaf_msgs, WEIGHTED)
-    w_lop = aggregate_up(lopsided, 0, leaf_msgs, WEIGHTED)
-    assert np.max(np.abs(w_star.payload.w - w_lop.payload.w)) <= 1e-12
-    assert w_star.weight == w_lop.weight == 5
-    assert np.max(np.abs(w_star.payload.w - np.mean(values))) <= 1e-12
+    def aggregate(trees, mode):
+        session = FederatedSession(trees, gid, data, H,
+                                   RoundConfig(eta=1.0, agg_mode=mode, seed=1))
+        agg, metrics = round_aggregate(session, session.centralized_round)
+        assert metrics.root_weight == len(values)
+        return agg.w
 
-    u_star = aggregate_up(star, 0, leaf_msgs, UNWEIGHTED)
-    u_lop = aggregate_up(lopsided, 0, leaf_msgs, UNWEIGHTED)
-    assert not np.allclose(u_star.payload.w, u_lop.payload.w)
+    w_star, w_cap = aggregate(star, WEIGHTED), aggregate(capped, WEIGHTED)
+    assert np.max(np.abs(w_star - w_cap)) <= 1e-12
+    assert np.max(np.abs(w_star - np.mean(values))) <= 1e-12
+
+    u_star, u_cap = aggregate(star, UNWEIGHTED), aggregate(capped, UNWEIGHTED)
+    assert not np.allclose(u_star, u_cap)
     # unweighted mode equals the plain recursive per-level average
-    oracle = recursive_average(
-        lopsided, 0, {k: m.payload.w for k, m in leaf_msgs.items()})
-    assert np.max(np.abs(u_lop.payload.w - oracle)) <= 1e-12
+    oracle = recursive_average(live_children(capped, gid), root,
+                               {nid: d.w for nid, d in deltas.items()})
+    assert np.max(np.abs(u_cap - oracle)) <= 1e-12
 
 
-def test_random_shapes_weighted_equals_flat_mean():
+def test_random_shapes_weighted_equals_flat_mean(monkeypatch):
     rng = np.random.default_rng(0)
-    for _ in range(20):
+    deltas = {}
+    for trial in range(20):
         n = int(rng.integers(4, 30))
-        children = {}
-        for i in range(1, n):
-            children.setdefault(int(rng.integers(0, i)), []).append(i)
-        leaves = [i for i in range(n) if i not in children]
-        leaf_msgs = {
-            i: AggregateMessage(1, 0, ModelParams(rng.normal(size=(2, H)),
-                                                  rng.normal(size=2)), 1)
-            for i in leaves
-        }
-        agg = aggregate_up(children, 0, leaf_msgs, WEIGHTED)
-        flat = flat_mean([leaf_msgs[i].payload.w for i in leaves])
-        assert np.max(np.abs(agg.payload.w - flat)) <= 1e-9
-        assert agg.weight == len(leaves)
+        ids, _ov, _sim, trees, gid, root = build_world(
+            n, fanout=int(rng.integers(1, 5)), seed=200 + trial,
+            intercept=bool(rng.integers(2)))
+        data = gaussian_data(ids, H, seed=trial, n_per_node=4)
+        inject_deltas(monkeypatch, data, deltas)
+        session = FederatedSession(trees, gid, data, H, RoundConfig(eta=1.0, seed=1))
+        leaves = session.contributing_leaves()
+        deltas.clear()
+        deltas.update({nid: ModelParams(rng.normal(size=(2, H)), rng.normal(size=2))
+                       for nid in leaves})
+        agg, metrics = round_aggregate(session, session.centralized_round)
+        flat = flat_mean([deltas[nid].w for nid in leaves])
+        assert np.max(np.abs(agg.w - flat)) <= 1e-9
+        assert metrics.root_weight == len(leaves)
 
 
 def test_wire_roundtrip():
@@ -231,39 +241,68 @@ def test_rounds_are_deterministic_bit_for_bit():
 
 # -- decentralized rounds -----------------------------------------------------------------
 
-def test_two_friends_one_hop_share_their_average():
-    a, b = const_params(1.0), const_params(3.0)
-    buffers = {1: {1: a}, 2: {2: b}}
-    social = SocialGraph({1: {2}, 2: {1}})
-    merged = gossip_merge(buffers, social)
-    for nid in (1, 2):
-        mean = buffer_mean(merged[nid])
-        assert np.array_equal(mean.w, np.full((2, 1), 2.0))
+def star_of_leaves(n_leaves, seed):
+    """A root with n_leaves leaf children, each with a small dataset."""
+    ids, _ov, _sim, trees, gid, root = build_world(
+        n_leaves + 1, fanout=n_leaves + 1, seed=seed, intercept=False)
+    leaves = trees.leaves(gid)
+    assert sorted(leaves) == sorted(set(ids) - {root})
+    return trees, gid, root, gaussian_data(leaves, H, seed=seed, n_per_node=4)
 
 
-def test_ring_of_eight_reaches_global_mean_in_diameter_hops():
-    ids = list(range(8))
+def forwarded(session, root):
+    """Each leaf's contributor set as forwarded to the root. The overlays
+    here are small enough that every leaf reaches the root in one hop."""
+    out = {}
+    for r in session.msg_log:
+        if r.kind == AGG_UP and r.dst == root:
+            assert r.src not in out
+            out[r.src] = set(r.contributors)
+    return out
+
+
+def test_two_friends_one_hop_share_their_average(monkeypatch):
+    trees, gid, root, data = star_of_leaves(2, seed=71)
+    a, b = sorted(data)
+    inject_deltas(monkeypatch, data, {a: const_params(1.0, H), b: const_params(3.0, H)})
+    session = FederatedSession(trees, gid, data, H, RoundConfig(eta=1.0, seed=1))
+    social = SocialGraph({a: {b}, b: {a}})
+    agg, metrics = round_aggregate(
+        session, lambda: session.decentralized_round(social, k_gossip=1))
+    assert forwarded(session, root) == {a: {a, b}, b: {a, b}}
+    assert np.array_equal(agg.w, np.full((2, H), 2.0))
+    assert metrics.root_weight == 2
+
+
+def test_ring_of_eight_reaches_global_mean_in_diameter_hops(monkeypatch):
+    trees, gid, root, data = star_of_leaves(8, seed=73)
+    ids = sorted(data)
     social = SocialGraph.ring(ids)
     rng = np.random.default_rng(3)
-    values = {i: ModelParams(rng.normal(size=(2, 1)), rng.normal(size=2))
+    values = {i: ModelParams(rng.normal(size=(2, H)), rng.normal(size=2))
               for i in ids}
-    buffers = {i: {i: values[i]} for i in ids}
-    for _ in range(8):
-        buffers = gossip_merge(buffers, social)
+    inject_deltas(monkeypatch, data, values)
+    session = FederatedSession(trees, gid, data, H, RoundConfig(eta=1.0, seed=1))
+    agg, _ = round_aggregate(
+        session, lambda: session.decentralized_round(social, k_gossip=8))
     target = flat_mean([values[i].w for i in ids])
     for i in ids:
         assert reachable_within(social.friends, i, 8) == set(ids)
-        assert np.max(np.abs(buffer_mean(buffers[i]).w - target)) <= 1e-6
+        assert forwarded(session, root)[i] == set(ids)
+    assert np.max(np.abs(agg.w - target)) <= 1e-6
 
 
 def test_gossip_contents_match_reachability_oracle():
-    ids = list(range(10))
+    trees, gid, root, data = star_of_leaves(10, seed=75)
+    ids = sorted(data)
     social = SocialGraph.ring_with_chords(ids, chords=3, seed=5)
-    buffers = {i: {i: const_params(i)} for i in ids}
-    for k in range(1, 4):
-        buffers = gossip_merge(buffers, social)
-        for i in ids:
-            assert set(buffers[i]) == reachable_within(social.friends, i, k)
+    session = FederatedSession(trees, gid, data, H,
+                               RoundConfig(steps=1, batch=4, seed=1))
+    for k in range(5):
+        metrics = session.decentralized_round(social, k_gossip=k)
+        assert forwarded(session, root) == {
+            i: reachable_within(social.friends, i, k) for i in ids}
+        assert metrics.root_weight == len(ids)
 
 
 def test_k0_complete_graph_equals_centralized_star():
@@ -509,15 +548,16 @@ def test_no_live_leaves_rejected():
 # -- mode selection ------------------------------------------------------------------------
 
 def test_all_zero_stats_stay_centralized():
-    assert select_mode([]) == CENTRALIZED
-    assert select_mode([(0, 0.0), (0, 0.0)]) == CENTRALIZED
+    sel = ModeSelector()
+    assert sel.mode == CENTRALIZED
+    assert [sel.update(0, 0.0) for _ in range(2)] == [CENTRALIZED] * 2
 
 
 def test_threshold_edge_switches_to_decentralized():
     threshold = 1 << 20
-    assert select_mode([(threshold + 1, 0.0)], bytes_threshold=threshold) == DECENTRALIZED
-    assert select_mode([(threshold, 0.0)], bytes_threshold=threshold) == CENTRALIZED
-    assert select_mode([(0, 2001.0)], latency_threshold=2000.0) == DECENTRALIZED
+    assert ModeSelector(bytes_threshold=threshold).update(threshold + 1, 0.0) == DECENTRALIZED
+    assert ModeSelector(bytes_threshold=threshold).update(threshold, 0.0) == CENTRALIZED
+    assert ModeSelector(latency_threshold=2000.0).update(0, 2001.0) == DECENTRALIZED
 
 
 def test_hysteresis_limits_switching_rate():

@@ -326,6 +326,30 @@ def test_fail_then_rejoin_restores_membership():
         assert 0.0 <= rec.accuracy <= 1.0
 
 
+@pytest.mark.parametrize("mode", ["centralized", "decentralized"])
+def test_fail_and_rejoin_in_one_batch_join_on_repaired_leaf_sets(mode, monkeypatch):
+    # The rejoin is due in the batch that fails the same node, so its overlay
+    # join comes before the harness repairs: the join must repair first.
+    calls = []
+    for attr in ("fail", "repair", "join"):
+        original = getattr(Overlay, attr)
+
+        def logged(self, *args, _attr=attr, _original=original, **kwargs):
+            result = _original(self, *args, **kwargs)
+            calls.append(_attr)  # on return, so nested calls come first
+            return result
+
+        monkeypatch.setattr(Overlay, attr, logged)
+    cfg = ScenarioConfig(seed=53, nodes=40, rounds=3, topics=1, tree_count=1,
+                         points_per_node=20, fanout=4, name="same-batch", mode=mode,
+                         failures=[(0.0, 7, "fail"), (0.0, 7, "rejoin")])
+    result = run_scenario(cfg)
+    assert calls == ["fail", "repair", "join", "repair"]
+    assert result.tree_stats["same-batch-tree-0"].members == 40
+    assert all(m.root_weight == m.contributors for m in result.round_metrics)
+    assert run_scenario(cfg).records_blob() == result.records_blob()
+
+
 def test_record_files_roundtrip(tmp_path):
     cfg = ScenarioConfig(seed=43, nodes=12, rounds=2, topics=1, tree_count=1,
                          points_per_node=50, fanout=4, name="io")

@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dhtfed.overlay import (ID_SPACE, LEAF_SIDE, MAX_ROUTE_HOPS, LeafSet,
                             Overlay, RoutingLoopError, circular_distance, digit_at,
@@ -361,6 +361,10 @@ _RING_IDS = st.one_of(st.integers(0, 1 << 12),
                               st.integers(0, 1 << 16), st.integers(0, 1 << 16),
                               _RING_IDS),
                     max_size=25))
+# A rejoin right after a failure, with no repair between: the join must not
+# route through leaf sets that still list the dead node.
+@example(ids={0, 4095, ID_SPACE - 4094, ID_SPACE - 4093}, leaf_side=1,
+         ops=[("fail", 0, 0, 0), ("rejoin", 0, 0, 0)])
 def test_route_matches_the_leaf_set_oracle_hop_for_hop(ids, leaf_side, ops):
     ids = sorted(ids)
     ov = Overlay.build(ids, leaf_side)
