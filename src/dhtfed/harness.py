@@ -425,6 +425,9 @@ def _apply_due_failures(failures, sim, overlay, trees, sorted_ids, cfg) -> None:
         if action == "fail":
             overlay.fail(nid)
         else:
+            # Removing the member re-attaches its orphans by routing, so the
+            # leaf sets must not list a node failed earlier in this batch.
+            overlay.repair()
             stale = [gid for gid, g in trees.groups.items() if nid in g.members]
             for gid in stale:
                 trees.remove_member(gid, nid)

@@ -99,7 +99,7 @@ class LocalDataset:
             raise ValueError("x must be (n, H) with matching labels")
         if not np.isfinite(self.x).all():
             raise ValueError("features must be finite")
-        if self.y.size and not np.isin(self.y, (0, 1)).all():
+        if not ((self.y == 0) | (self.y == 1)).all():
             raise ValueError("labels must be binary")
 
     def __len__(self) -> int:

@@ -1,11 +1,15 @@
 """Structured P2P overlay: 128-bit id space, prefix routing, churn repair.
 
-Ids live on a circular space [0, 2^128). Each node keeps a 32x16 routing
-table (row = shared hex-prefix length, column = next digit) and a leaf set
-of the 12 numerically closest ids per side (with wraparound). Lookups are
-greedy: leaf-set window first, then the exact routing-table cell, then any
-known peer that keeps the shared prefix and strictly shrinks the numeric
-distance.
+Ids live on a circular space [0, 2^128). Each node keeps a routing table of
+up to 32x16 cells (row = shared hex-prefix length, column = next digit),
+holding only the rows up to the deepest one written, and a leaf set of the
+12 numerically closest ids per side (with wraparound). Lookups are greedy:
+leaf-set window first, then the exact routing-table cell, then any known
+peer that keeps the shared prefix and strictly shrinks the numeric distance.
+
+`Overlay.build` makes converged state by walking prefix blocks of the
+sorted ids (see `_fill_routing_rows`): the ids sharing a prefix form one
+contiguous slice, split by the next digit with bisect.
 """
 
 from __future__ import annotations
@@ -80,25 +84,26 @@ def random_ids(n: int, seed: int) -> list[int]:
 
 
 class RoutingTable:
-    """32 rows x 16 columns of optional peer ids.
+    """Up to 32 rows x 16 columns of optional peer ids.
 
     A peer in row r, column c shares exactly r leading digits with the
     owner and has digit c at position r; the owner's own digit column in
-    each row stays empty.
+    each row stays empty. `rows` holds only the rows up to the deepest one
+    written: a missing row reads as empty, and `consider` grows `rows` to
+    the row it fills.
     """
 
     def __init__(self, owner: int):
         self.owner = owner
-        self.rows: list[list[Optional[int]]] = [
-            [None] * RADIX for _ in range(N_DIGITS)
-        ]
+        self.rows: list[list[Optional[int]]] = []
 
     def get(self, row: int, col: int) -> Optional[int]:
-        return self.rows[row][col]
+        rows = self.rows
+        return rows[row][col] if row < len(rows) else None
 
     def remove(self, peer: int) -> None:
         row = shared_prefix_len(self.owner, peer)
-        if row >= N_DIGITS:
+        if row >= len(self.rows):
             return
         col = digit_at(peer, row)
         if self.rows[row][col] == peer:
@@ -110,8 +115,11 @@ class RoutingTable:
             return False
         row = shared_prefix_len(self.owner, peer)
         col = digit_at(peer, row)
-        if self.rows[row][col] is None:
-            self.rows[row][col] = peer
+        rows = self.rows
+        while len(rows) <= row:
+            rows.append([None] * RADIX)
+        if rows[row][col] is None:
+            rows[row][col] = peer
             return True
         return False
 
@@ -281,48 +289,28 @@ class Overlay:
         ordered = sorted(ids)
         if len(set(ordered)) != len(ordered):
             raise ValueError("duplicate node ids")
-        for nid in ordered:
-            ov.nodes[nid] = ov._new_node(nid)
+        nodes = [ov._new_node(nid) for nid in ordered]
+        ov.nodes = {node.id: node for node in nodes}
         ov._live.update(ordered)
         n = len(ordered)
         if n <= 1:
             return ov
 
-        # Exact leaf sets from ring adjacency.
-        for i, nid in enumerate(ordered):
-            node = ov.nodes[nid]
-            if n - 1 <= 2 * leaf_side:
-                node.leaf_set.add_many(x for x in ordered if x != nid)
-            else:
-                neigh = [ordered[(i + k) % n] for k in range(1, leaf_side + 1)]
-                neigh += [ordered[(i - k) % n] for k in range(1, leaf_side + 1)]
-                node.leaf_set.add_many(neigh)
+        # Exact leaf sets: each node's ring window of the sorted ids.
+        if n - 1 <= 2 * leaf_side:
+            for i, node in enumerate(nodes):
+                node.leaf_set._members = ordered[:i] + ordered[i + 1:]
+        else:
+            # ring[i + leaf_side] is ordered[i], with leaf_side ids each side.
+            ring = ordered[-leaf_side:] + ordered + ordered[:leaf_side]
+            for i, node in enumerate(nodes):
+                mid = i + leaf_side
+                window = ring[i:mid] + ring[mid + 1:mid + leaf_side + 1]
+                if not leaf_side <= i < n - leaf_side:  # wraps at 0
+                    window.sort()
+                node.leaf_set._members = window
 
-        # Prefix buckets deep enough to cover the longest shared prefix.
-        max_shared = max(
-            shared_prefix_len(ordered[i], ordered[(i + 1) % n]) for i in range(n)
-        )
-        buckets: dict[str, list[int]] = {}
-        for nid in ordered:
-            h = hex_id(nid)
-            for depth in range(1, max_shared + 2):
-                buckets.setdefault(h[:depth], []).append(nid)
-
-        hexdigits = "0123456789abcdef"
-        for nid in ordered:
-            node = ov.nodes[nid]
-            h = hex_id(nid)
-            for row in range(max_shared + 1):
-                own_digit = h[row]
-                for col in range(RADIX):
-                    cd = hexdigits[col]
-                    if cd == own_digit:
-                        continue
-                    bucket = buckets.get(h[:row] + cd)
-                    if not bucket:
-                        continue
-                    node.routing_table.rows[row][col] = _nearest_on_ring(
-                        bucket, nid, None)
+        _fill_routing_rows(ordered, [node.routing_table.rows for node in nodes])
         return ov
 
     # -- membership changes ------------------------------------------------
@@ -358,10 +346,10 @@ class Overlay:
         # Classic bootstrap: row i from the i-th node on the path, then the
         # delivery node's full state. consider() recomputes true placement.
         for i, pid in enumerate(path):
-            peer = self.nodes[pid]
             node.routing_table.consider(pid)
+            rows = self.nodes[pid].routing_table.rows  # a missing row is empty
             row = min(i, N_DIGITS - 1)
-            for cell in peer.routing_table.rows[row]:
+            for cell in rows[row] if row < len(rows) else ():
                 if cell is not None:
                     node.routing_table.consider(cell)
         for cell in target.routing_table.entries():
@@ -402,8 +390,12 @@ class Overlay:
 
         Each sweep lets every live node replace dead leaf entries with live
         candidates learned from its live leaf neighbors; sweeps repeat until
-        nothing changes. Routing tables are repaired lazily on use.
+        nothing changes. Routing tables are repaired lazily on use. With no
+        failure since the last repair, no leaf set lists a dead node, so it
+        returns 0 sweeps at once.
         """
+        if not self._unrepaired:
+            return 0
         live = self._live
         self._unrepaired = False
         sweeps = 0
@@ -510,6 +502,85 @@ class Overlay:
                 raise RoutingLoopError(
                     f"no delivery after {MAX_ROUTE_HOPS} hops for key {hex_id(key)}"
                 )
+
+
+def _fill_routing_rows(ordered: list[int],
+                      rows: list[list[list[Optional[int]]]]) -> None:
+    """Write the converged routing rows of the nodes with sorted ids `ordered`
+    into `rows`, the node at `ordered[i]` getting `rows[i]`.
+
+    The ids sharing a prefix form one contiguous block of `ordered`. A block
+    whose ids first differ at digit d splits by that digit into up to 16
+    sub-blocks, whose bounds are found by bisect. Cell (d, c) of every id in
+    the block is the id of sub-block c nearest to it on the ring (ties to
+    the smaller id), and each sub-block of two or more ids is split in turn.
+    Only the two ends of a sub-block can be nearest. For d >= 1 the block
+    is narrower than 2^124, so the ring does not wrap inside it: a lower
+    sub-block's nearest id is its last one and a higher one's is its first,
+    and all ids of one sub-block get the same row d. Rows of digits that a
+    whole block shares hold no cell, and are written only below a deeper row.
+    """
+    stack = [(0, len(ordered))]
+    while stack:
+        lo, hi = stack.pop()
+        depth = shared_prefix_len(ordered[lo], ordered[hi - 1])
+        shift = DIGIT_BITS * (N_DIGITS - 1 - depth)
+        base = ordered[lo] >> (shift + DIGIT_BITS) << (shift + DIGIT_BITS)
+        bounds = [lo]
+        for c in range(1, RADIX):
+            bounds.append(bisect_left(ordered, base | (c << shift), bounds[-1], hi))
+        bounds.append(hi)
+        spans = list(zip(bounds, bounds[1:]))
+        firsts = [ordered[s] if s < e else None for s, e in spans]
+        lasts = [ordered[e - 1] if s < e else None for s, e in spans]
+        for own, (s, e) in enumerate(spans):
+            if e - s > 1:
+                stack.append((s, e))
+            if s == e:
+                continue
+            if depth:
+                row, flips = lasts[:own] + [None] + firsts[own + 1:], []
+            else:
+                row, flips = _top_row(ordered, s, e, own, firsts, lasts)
+            for i in range(s, e):
+                node_rows = rows[i]
+                while len(node_rows) < depth:
+                    node_rows.append([None] * RADIX)
+                node_rows.append(row.copy())
+            for k, col, cell in flips:
+                for i in range(k, e):
+                    rows[i][0][col] = cell
+
+
+def _top_row(ordered: list[int], s: int, e: int, own: int,
+             firsts: list[Optional[int]], lasts: list[Optional[int]]
+             ) -> tuple[list[Optional[int]], list[tuple[int, int, int]]]:
+    """Row 0 of the ids `ordered[s:e]`, whose top digit is `own`.
+
+    Returns the row of `ordered[s]` and a list of (k, col, cell) flips:
+    from `ordered[k]` on, column col holds cell instead. The points nearer
+    to one of two ids form one half of the ring, whose ends lie between the
+    two ids and opposite them; so across the arc of one top digit, which of
+    another digit's first and last id is nearer flips at most once, and
+    bisect finds where.
+    """
+    row: list[Optional[int]] = [None] * RADIX
+    flips = []
+    for col, (first, last) in enumerate(zip(firsts, lasts)):
+        if first is None or col == own:
+            continue
+
+        def first_nearer(x: int, first: int = first, last: int = last) -> bool:
+            return ((circular_distance(first, x), first)
+                    < (circular_distance(last, x), last))
+
+        at_start = first_nearer(ordered[s])
+        row[col] = first if at_start else last
+        if first_nearer(ordered[e - 1]) != at_start:
+            k = bisect_left(ordered, True, s, e,
+                            key=lambda x: first_nearer(x) != at_start)
+            flips.append((k, col, last if at_start else first))
+    return row, flips
 
 
 def _nearest_on_ring(sorted_ids: list[int], target: int,

@@ -8,9 +8,12 @@ calls (`pfl_grad`, `forward_batch`), so they check the stacked multi-leaf
 paths against one leaf at a time.
 """
 
+from bisect import bisect_left
+
 import numpy as np
 
 from dhtfed.model import LocalDataset, ModelParams, pfl_grad
+from dhtfed.overlay import LEAF_SIDE, Overlay
 
 ID_SPACE = 1 << 128
 
@@ -79,6 +82,60 @@ def leaf_set_next_hop(owner, members, alive, key):
     best = min([owner] + [m for m in members if alive(m)],
                key=lambda m: (circ_dist(m, key), m))
     return None if best == owner else best
+
+
+def build_reference(ids, leaf_side=LEAF_SIDE):
+    """The converged overlay as first built: leaf sets from each id's ring
+    neighbours offered through `LeafSet.add_many`, and dense 32x16 routing
+    rows whose cells come from hex-string prefix buckets, one nearest-on-
+    the-ring search per cell (ties to the smaller id)."""
+    ov = Overlay(leaf_side)
+    ordered = sorted(ids)
+    for nid in ordered:
+        node = ov.nodes[nid] = ov._new_node(nid)
+        node.routing_table.rows = [[None] * 16 for _ in range(32)]
+    ov._live.update(ordered)
+    n = len(ordered)
+    if n <= 1:
+        return ov
+
+    for i, nid in enumerate(ordered):
+        node = ov.nodes[nid]
+        if n - 1 <= 2 * leaf_side:
+            node.leaf_set.add_many(x for x in ordered if x != nid)
+        else:
+            neigh = [ordered[(i + k) % n] for k in range(1, leaf_side + 1)]
+            neigh += [ordered[(i - k) % n] for k in range(1, leaf_side + 1)]
+            node.leaf_set.add_many(neigh)
+
+    # Prefix buckets deep enough to cover the longest shared prefix.
+    max_shared = max(
+        prefix_digits(ordered[i], ordered[(i + 1) % n]) for i in range(n)
+    )
+    buckets = {}
+    for nid in ordered:
+        h = format(nid, "032x")
+        for depth in range(1, max_shared + 2):
+            buckets.setdefault(h[:depth], []).append(nid)
+
+    hexdigits = "0123456789abcdef"
+    for nid in ordered:
+        node = ov.nodes[nid]
+        h = format(nid, "032x")
+        for row in range(max_shared + 1):
+            for col, cd in enumerate(hexdigits):
+                if cd == h[row]:
+                    continue
+                bucket = buckets.get(h[:row] + cd)
+                if not bucket:
+                    continue
+                # The nearest member is the first one met going up the ring
+                # from nid's insertion point or going down from it.
+                i = bisect_left(bucket, nid)
+                up, down = bucket[i % len(bucket)], bucket[i - 1]
+                node.routing_table.rows[row][col] = min(
+                    up, down, key=lambda m: (circ_dist(m, nid), m))
+    return ov
 
 
 def subtree_size(children, alive, nid):

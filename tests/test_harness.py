@@ -328,10 +328,11 @@ def test_fail_then_rejoin_restores_membership():
 
 @pytest.mark.parametrize("mode", ["centralized", "decentralized"])
 def test_fail_and_rejoin_in_one_batch_join_on_repaired_leaf_sets(mode, monkeypatch):
-    # The rejoin is due in the batch that fails the same node, so its overlay
-    # join comes before the harness repairs: the join must repair first.
+    # The rejoin is due in the batch that fails the same node: the harness
+    # repairs before the rejoin's tree removal routes orphans anew, and so
+    # before its overlay join.
     calls = []
-    for attr in ("fail", "repair", "join"):
+    for attr in ("fail", "repair", "join", "route"):
         original = getattr(Overlay, attr)
 
         def logged(self, *args, _attr=attr, _original=original, **kwargs):
@@ -344,6 +345,12 @@ def test_fail_and_rejoin_in_one_batch_join_on_repaired_leaf_sets(mode, monkeypat
                          points_per_node=20, fanout=4, name="same-batch", mode=mode,
                          failures=[(0.0, 7, "fail"), (0.0, 7, "rejoin")])
     result = run_scenario(cfg)
+    # No route runs on leaf sets that may still list the failed node.
+    unrepaired = False
+    for call in calls:
+        assert not (unrepaired and call == "route")
+        unrepaired = call == "fail" or (unrepaired and call != "repair")
+    calls = [call for call in calls if call != "route"]
     assert calls == ["fail", "repair", "join", "repair"]
     assert result.tree_stats["same-batch-tree-0"].members == 40
     assert all(m.root_weight == m.contributors for m in result.round_metrics)

@@ -96,11 +96,18 @@ def test_loss_is_shuffle_invariant():
 
 def test_empty_dataset_rejected():
     w = ModelParams.zeros(H)
-    empty = LocalDataset(np.zeros((0, H)), np.zeros(0, dtype=int))
+    empty = LocalDataset(np.zeros((0, H)), np.zeros(0, dtype=int))  # accepted
+    assert len(empty) == 0
     with pytest.raises(ValueError):
         pfl_loss(empty, w, PersonalState(ModelParams.zeros(H)))
     with pytest.raises(ValueError):
         pfl_grad(empty, w, PersonalState(ModelParams.zeros(H)))
+
+
+@pytest.mark.parametrize("labels", [[0, 2], [-1, 1]])
+def test_non_binary_labels_rejected(labels):
+    with pytest.raises(ValueError, match="binary"):
+        LocalDataset(np.zeros((2, H)), np.array(labels))
 
 
 def test_nonfinite_parameters_rejected():

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dhtfed.overlay import (ID_SPACE, LEAF_SIDE, MAX_ROUTE_HOPS, LeafSet,
-                            Overlay, RoutingLoopError, circular_distance, digit_at,
-                            hex_id, id_from_name, parse_id, random_ids,
-                            shared_prefix_len, write_hop_traces)
+                            Overlay, RoutingLoopError, RoutingTable,
+                            circular_distance, digit_at, hex_id, id_from_name,
+                            parse_id, random_ids, shared_prefix_len,
+                            write_hop_traces)
 
-from oracles import (closest_id, leaf_covers, leaf_set_next_hop, leaf_sides,
-                     prefix_digits, ring_neighbors)
+from oracles import (build_reference, closest_id, leaf_covers, leaf_set_next_hop,
+                     leaf_sides, prefix_digits, ring_neighbors)
 
 
 # -- identifiers ---------------------------------------------------------------
@@ -234,6 +235,78 @@ def test_built_overlay_placement_invariants():
                 if cell is not None:
                     assert shared_prefix_len(nid, cell) == row_idx
                     assert digit_at(cell, row_idx) == col_idx
+
+
+def dense_cells(table):
+    """A routing table's 32 x 16 cells, a missing row read as all None."""
+    return [list(table.rows[r]) if r < len(table.rows) else [None] * 16
+            for r in range(32)]
+
+
+@st.composite
+def _overlay_ids(draw):
+    """A few to a few thousand ids, drawn around 1-4 random centres with 12 to
+    128 free low bits (so clusters share long prefixes and fill deep rows),
+    plus any of the ids at both sides of the ring's wrap at 0."""
+    n = draw(st.one_of(st.integers(2, 40), st.integers(41, 3000)))
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    free = draw(st.sampled_from([12, 24, 64, 128]))
+    centres = [rng.getrandbits(128) >> free << free
+               for _ in range(draw(st.integers(1, 4)))]
+    ids = draw(st.sets(st.sampled_from([0, 1, ID_SPACE - 2, ID_SPACE - 1])))
+    while len(ids) < n:
+        ids.add(rng.choice(centres) | rng.getrandbits(free))
+    return sorted(ids)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ids=_overlay_ids(), leaf_side=st.sampled_from([1, 2, 3, LEAF_SIDE]))
+@example(ids=[0, ID_SPACE - 1], leaf_side=1)
+@example(ids=[0, 1, 1 << 127, ID_SPACE - 1], leaf_side=1)
+@example(ids=[0xAB << 120 | k for k in range(300)], leaf_side=2)
+def test_build_matches_the_reference_build_cell_for_cell(ids, leaf_side):
+    ov, ref = Overlay.build(ids, leaf_side), build_reference(ids, leaf_side)
+    assert list(ov.nodes) == list(ref.nodes)
+    for nid, node in ov.nodes.items():
+        assert node.leaf_set.members() == ref.nodes[nid].leaf_set.members()
+        assert dense_cells(node.routing_table) == ref.nodes[nid].routing_table.rows
+
+
+def test_unwritten_rows_read_as_empty():
+    owner = 0xAB << 120
+    table = RoutingTable(owner)
+    assert table.rows == []
+    assert table.get(0, 3) is None and table.get(31, 15) is None
+    table.remove(owner | 0x7 << 112)  # row 3, never written
+    assert table.rows == []
+
+
+def test_consider_grows_rows_only_to_the_row_it_fills():
+    owner = 0xAB << 120
+    table = RoutingTable(owner)
+    deep = owner | 0x7 << 112  # shares "ab0": row 3, column 7
+    assert table.consider(deep)
+    assert len(table.rows) == 4 and table.get(3, 7) == deep
+    assert table.rows[:3] == [[None] * 16] * 3
+    assert table.consider(0x1 << 124)  # row 0 exists already
+    assert not table.consider(owner)
+    assert len(table.rows) == 4
+    table.remove(deep)
+    assert table.get(3, 7) is None and len(table.rows) == 4
+
+
+def test_join_copies_nothing_from_rows_a_path_peer_never_wrote():
+    # Three ids with distinct top digits: each node writes row 0 only.
+    ids = [0x0 << 124 | 5, 0x1 << 124 | 5, 0x2 << 124 | 5]
+    new_id = 0x1 << 124 | 1 << 100
+    ov, ref = Overlay.build(ids), build_reference(ids)
+    path = [ids[0]] + ov.route(ids[0], new_id).hops
+    assert len(path) > len(ov.node(path[-1]).routing_table.rows) == 1
+    ov.join(new_id)
+    ref.join(new_id)
+    for nid in ids + [new_id]:
+        assert (dense_cells(ov.node(nid).routing_table)
+                == dense_cells(ref.node(nid).routing_table))
 
 
 # -- churn -----------------------------------------------------------------------
