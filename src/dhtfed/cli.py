@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import glob
+import logging
 import os
 import random
 import sys
@@ -24,6 +25,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quiet", action="store_true")
 
 
+def _log_progress(quiet: bool) -> None:
+    """Per-round progress lines go to stderr unless --quiet."""
+    logging.basicConfig(format="%(message)s")
+    logging.getLogger("dhtfed").setLevel(logging.WARNING if quiet else logging.INFO)
+
+
 def _ensure_out(path: str) -> str:
     os.makedirs(path, exist_ok=True)
     return path
@@ -42,7 +49,8 @@ def cmd_run(args) -> int:
     if args.mode is not None:
         cfg.mode = args.mode
     cfg.validate()
-    result = run_scenario(cfg, quiet=args.quiet)
+    _log_progress(args.quiet)
+    result = run_scenario(cfg)
     out = _ensure_out(args.out)
     write_records(result.records, os.path.join(out, f"{cfg.name}.jsonl"))
     by_round: dict[int, list[float]] = {}
@@ -65,6 +73,7 @@ def cmd_sweep(args) -> int:
     nodes = [int(x) for x in args.nodes.split(",")]
     points = [int(x) for x in args.points.split(",")]
     seeds = [int(x) for x in args.seeds.split(",")]
+    _log_progress(args.quiet)
     all_rows = []
     for n in nodes:
         for p in points:
@@ -75,7 +84,7 @@ def cmd_sweep(args) -> int:
                         points_per_node=p, topics=args.topics, tree_count=tc,
                         assignment=assignment,
                         name=f"sweep-{assignment}-n{n}-p{p}-s{seed}")
-                    result = run_scenario(cfg, quiet=True)
+                    result = run_scenario(cfg)
                     write_records(result.records,
                                   os.path.join(out, f"{cfg.name}.jsonl"))
                     for row in summary_rows(result.records):

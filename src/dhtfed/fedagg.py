@@ -20,7 +20,10 @@ import numpy as np
 
 from .model import (PENALTIES, LocalDataset, ModelParams, PersonalState,
                     deserialize_params, forward_heads, local_finetune,
-                    param_nbytes, pfl_loss, serialize_params)
+                    param_nbytes, pfl_losses, serialize_params)
+# perfbench/tracing.py attaches its model.loss span to this module's
+# pfl_loss; the round loss itself goes through pfl_losses.
+from .model import pfl_loss  # noqa: F401
 from .overlay import hex_id
 from .simnet import AGG_UP, PREDICT
 from .tree import TreeManager
@@ -31,7 +34,7 @@ DECENTRALIZED = "decentralized"
 UNWEIGHTED = "unweighted"
 WEIGHTED = "weighted"
 
-INFER_CHUNK = 16  # leaves whose votes one stacked matmul computes
+INFER_CHUNK = 16  # leaves whose votes or losses one stacked pass computes
 
 
 class ProtocolError(RuntimeError):
@@ -510,7 +513,7 @@ class FederatedSession:
         n = x.shape[0]
         leaf_set = set(leaves)
         kids: dict[int, list[int]] = {}
-        voters: list[int] = []  # the leaves in the order tally visits them
+        voters: list[int] = []  # the leaves in the order mass_tally visits them
         stack = [group.root]
         while stack:
             nid = stack.pop()
@@ -519,31 +522,35 @@ class FederatedSession:
             kids[nid] = self.trees._live_children(group, nid)
             stack.extend(reversed(kids[nid]))
 
-        def leaf_votes():
-            """(one-hot vote, probabilities) per voter, chunk by chunk."""
+        ones = np.zeros(n, dtype=np.int64)  # votes for label 1 per test point
+
+        def leaf_probs():
+            """Each voter's probabilities, chunk by chunk; counts the chunk's
+            votes first. A head votes 1 where p1 > p0, which is argmax with
+            its first-maximum rule."""
+            nonlocal ones
             for i in range(0, len(voters), INFER_CHUNK):
                 heads = [self.personal[v].w_per for v in voters[i:i + INFER_CHUNK]]
                 probs = forward_heads(x, np.stack([h.w for h in heads]),
                                       np.stack([h.b for h in heads]))
-                onehot = (probs.argmax(axis=-1)[..., None]
-                          == np.arange(probs.shape[-1])).astype(np.float64)
-                yield from zip(onehot, probs)
+                ones += np.count_nonzero(probs[..., 1] > probs[..., 0], axis=0)
+                yield from probs
 
-        votes_in_order = leaf_votes()
+        probs_in_order = leaf_probs()
 
-        def tally(nid: int) -> tuple[np.ndarray, np.ndarray]:
+        def mass_tally(nid: int) -> np.ndarray:
+            """Probability mass summed up the tree, child by child; read
+            only to break ties."""
             if nid in leaf_set:  # a leaf has no live children
-                return next(votes_in_order)
-            counts = np.zeros((n, 2))
+                return next(probs_in_order)
             mass = np.zeros((n, 2))
             for child in kids[nid]:
-                c_counts, c_mass = tally(child)
-                counts += c_counts
-                mass += c_mass
+                mass += mass_tally(child)
                 self.msg_log.append(MessageRecord(PREDICT, child, nid, (), self.round))
-            return counts, mass
+            return mass
 
-        counts, mass = tally(group.root)
+        mass = mass_tally(group.root)
+        counts = np.stack([len(voters) - ones, ones], axis=1).astype(np.float64)
         labels = np.where(
             counts[:, 1] > counts[:, 0], 1,
             np.where(counts[:, 0] > counts[:, 1], 0,
@@ -560,11 +567,11 @@ class FederatedSession:
         max_agg = 0
         if buffers is not None:
             max_agg = max((len(v) for v in buffers.values()), default=0)
-        loss = float(np.mean([
-            pfl_loss(self.data[nid], self.global_params, self.personal[nid],
-                     self.cfg.penalty)
-            for nid in leaves
-        ]))
+        losses = [pfl_losses([self.data[nid] for nid in chunk], self.global_params,
+                             [self.personal[nid] for nid in chunk], self.cfg.penalty)
+                  for chunk in (leaves[i:i + INFER_CHUNK]
+                                for i in range(0, len(leaves), INFER_CHUNK))]
+        loss = float(np.mean(np.concatenate(losses)))
         return RoundMetrics(
             round=self.round,
             mode=mode,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import csv
 import json
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -29,6 +30,8 @@ SINGLE_TOPIC_PER_TREE = "single"
 MIXED = "mixed"
 
 _TEST_STREAM = 1 << 130  # keeps test-set draws disjoint from per-node streams
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -336,9 +339,12 @@ def _build_trees(trees: TreeManager, ids: list[int],
     return out
 
 
-def run_scenario(cfg: ScenarioConfig, quiet: bool = True) -> ScenarioResult:
+def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Build the overlay and trees, distribute data, run T federated rounds
-    interleaved with ensemble inference on held-out per-topic test sets."""
+    interleaved with ensemble inference on held-out per-topic test sets.
+
+    Logs one progress line per round and tree at INFO on "dhtfed.harness".
+    """
     cfg.validate()
     ids = random_ids(cfg.nodes, cfg.seed)
     overlay = Overlay.build(ids)
@@ -398,11 +404,11 @@ def run_scenario(cfg: ScenarioConfig, quiet: bool = True) -> ScenarioResult:
                     dissemination=metrics.dissemination,
                     max_ingress_bytes=metrics.max_ingress_bytes,
                     mode=metrics.mode))
-            if not quiet:
+            if log.isEnabledFor(logging.INFO):
                 last = [r for r in records if r.round == rnd]
                 acc = sum(r.accuracy for r in last) / len(last)
-                print(f"round {rnd:3d} tree {k} mode={metrics.mode} "
-                      f"acc={acc:.4f} lat={metrics.root_latency:.0f}ms")
+                log.info("round %3d tree %d mode=%s acc=%.4f lat=%.0fms", rnd, k,
+                         metrics.mode, acc, metrics.root_latency)
     if failures:
         raise ValueError(f"failure events never fired: {failures}; the run "
                          f"ended at simulated time {sim.now:.1f} ms")

@@ -114,13 +114,16 @@ class LocalDataset:
 def _softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of a logit array, overwriting it.
 
-    The row maximum is taken label column by label column: the same values
-    as logits.max(axis=-1), without numpy's per-row reduction overhead.
+    The row maximum and the row sum are taken label column by label column:
+    the same values as logits.max(axis=-1) and e.sum(axis=-1), without
+    numpy's per-row reduction overhead. (numpy adds rows shorter than 8 in
+    order, so the sums agree bit for bit for 2 to 7 labels.)
     """
-    columns = [logits[..., j] for j in range(logits.shape[-1])]
-    logits -= reduce(np.maximum, columns)[..., None]
-    e = np.exp(logits)
-    return e / e.sum(axis=-1, keepdims=True)
+    labels = range(logits.shape[-1])
+    logits -= reduce(np.maximum, [logits[..., j] for j in labels])[..., None]
+    e = np.exp(logits, out=logits)
+    e /= reduce(np.add, [e[..., j] for j in labels])[..., None]
+    return e
 
 
 def forward(x: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -156,12 +159,38 @@ def _check_penalty(penalty: str) -> None:
         raise ValueError(f"unknown penalty {penalty!r}")
 
 
-def _proximal(w_cla: ModelParams, personal: PersonalState, penalty: str) -> float:
+def pfl_losses(datas: list[LocalDataset], w_cla: ModelParams,
+               personals: list[PersonalState], penalty: str = "squared") -> np.ndarray:
+    """pfl_loss of every leaf against the shared head w_cla, in leaf order.
+
+    Leaves that share a dataset size go through one stacked softmax, but
+    each leaf's logits come from its own matmul, so every loss equals the
+    one-leaf call bit for bit.
+    """
     _check_penalty(penalty)
-    diff = personal.w_per - w_cla
-    if penalty == "squared":
-        return 0.5 * personal.lam * diff.sq_norm()
-    return 0.5 * personal.lam * np.sqrt(diff.sq_norm())
+    if len(personals) != len(datas):
+        raise ValueError("need one personal state per dataset")
+    by_size: dict[int, list[int]] = {}
+    for i, data in enumerate(datas):
+        if len(data) == 0:
+            raise ValueError("dataset is empty")
+        by_size.setdefault(len(data), []).append(i)
+    w_t = w_cla.w.T
+    nll = np.empty(len(datas))
+    for n, leaves in by_size.items():
+        logits = np.empty((len(leaves), n, w_t.shape[1]))
+        for j, i in enumerate(leaves):
+            np.matmul(datas[i].x, w_t, out=logits[j])
+        logits += w_cla.b
+        probs = _softmax(logits)
+        y = np.stack([datas[i].y for i in leaves])
+        nll[leaves] = -np.log(probs[np.arange(len(leaves))[:, None], np.arange(n),
+                                    y]).mean(axis=1)
+    d_w = np.stack([p.w_per.w for p in personals]) - w_cla.w
+    d_b = np.stack([p.w_per.b for p in personals]) - w_cla.b
+    sq = np.sum(d_w * d_w, axis=(1, 2)) + np.sum(d_b * d_b, axis=1)
+    lam = np.array([p.lam for p in personals])
+    return nll + 0.5 * lam * (sq if penalty == "squared" else np.sqrt(sq))
 
 
 def pfl_loss(data: LocalDataset, w_cla: ModelParams, personal: PersonalState,
@@ -171,11 +200,7 @@ def pfl_loss(data: LocalDataset, w_cla: ModelParams, personal: PersonalState,
     With penalty="squared" the pull is (lambda/2) * ||w_per - w_cla||_F^2
     over all parameters; penalty="norm" uses the unsquared Frobenius norm.
     """
-    if len(data) == 0:
-        raise ValueError("dataset is empty")
-    probs = forward_batch(data.x, w_cla)
-    nll = -float(np.mean(np.log(probs[np.arange(len(data)), data.y])))
-    return nll + _proximal(w_cla, personal, penalty)
+    return float(pfl_losses([data], w_cla, [personal], penalty)[0])
 
 
 def _grad(x: np.ndarray, y: np.ndarray, w: np.ndarray, b: np.ndarray,

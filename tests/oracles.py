@@ -5,14 +5,15 @@ digit comparison, exhaustive scans, explicit recursions, boolean matrix
 powers) rather than reusing the code paths under test. The per-leaf
 references for fine-tuning and voting build on the public single-leaf
 calls (`pfl_grad`, `forward_batch`), so they check the stacked multi-leaf
-paths against one leaf at a time.
+paths against one leaf at a time. `loss_reference` is the per-leaf loss
+formula as it stood before the loss was stacked.
 """
 
 from bisect import bisect_left
 
 import numpy as np
 
-from dhtfed.model import LocalDataset, ModelParams, pfl_grad
+from dhtfed.model import LocalDataset, ModelParams, forward_batch, pfl_grad
 from dhtfed.overlay import LEAF_SIDE, Overlay
 
 ID_SPACE = 1 << 128
@@ -273,3 +274,18 @@ def tree_tally(children, root, leaf_probs, n):
 
     counts, mass = visit(root)
     return counts, mass, edges, voters
+
+
+def loss_reference(data, w_cla, personal, penalty="squared"):
+    """One leaf's loss: the mean negative log-likelihood of its labels under
+    forward_batch, plus (lambda/2) times the squared Frobenius distance of
+    w_per from w_cla, or the unsquared one for penalty="norm", all in
+    ModelParams arithmetic."""
+    if len(data) == 0:
+        raise ValueError("dataset is empty")
+    probs = forward_batch(data.x, w_cla)
+    nll = -float(np.mean(np.log(probs[np.arange(len(data)), data.y])))
+    diff = personal.w_per - w_cla
+    if penalty == "squared":
+        return nll + 0.5 * personal.lam * diff.sq_norm()
+    return nll + 0.5 * personal.lam * np.sqrt(diff.sq_norm())

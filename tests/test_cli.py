@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 
 from dhtfed.cli import main
@@ -47,6 +48,20 @@ def test_run_flag_overrides(tmp_path):
     with open(os.path.join(out, "clidemo.jsonl")) as fh:
         rounds = {json.loads(line)["round"] for line in fh}
     assert rounds == {0}
+
+
+def test_run_logs_progress_unless_quiet(tmp_path, caplog):
+    out = str(tmp_path / "results")
+    try:
+        assert main(["run", write_cfg(tmp_path), "--out", out]) == 0
+        loud = [r for r in caplog.records if r.name == "dhtfed.harness"]
+        caplog.clear()
+        assert main(["run", write_cfg(tmp_path), "--out", out, "--quiet"]) == 0
+        quiet = [r for r in caplog.records if r.name == "dhtfed.harness"]
+    finally:
+        logging.getLogger("dhtfed").setLevel(logging.NOTSET)
+    assert len(loud) == 2 * 2  # rounds x trees
+    assert quiet == []
 
 
 def test_run_rejects_bad_config(tmp_path, capsys):

@@ -515,6 +515,37 @@ def test_vote_across_chunk_boundaries_matches_a_per_leaf_recount(monkeypatch):
     assert [(r.src, r.dst) for r in session.msg_log if r.kind == PREDICT] == edges
 
 
+def test_forced_ties_are_broken_by_the_mass_tallied_in_tree_order():
+    """Half the voters carry the negated heads of the other half, so every
+    point gets equal counts and the tree-ordered mass sum decides."""
+    ids, overlay, sim, trees, gid, root = build_world(90, fanout=6, seed=33)
+    data = gaussian_data(ids, H, seed=15, n_per_node=6)
+    session = FederatedSession(trees, gid, data, H, RoundConfig(seed=1))
+    leaves = session.contributing_leaves()
+    half = len(leaves) // 2
+    assert half > fedagg.INFER_CHUNK
+    leaves = leaves[:2 * half]
+    session.data = {nid: data[nid] for nid in leaves}
+    rng = np.random.default_rng(7)
+    for a, b in zip(leaves[:half], leaves[half:]):
+        head = ModelParams(rng.normal(size=(2, H)), rng.normal(size=2))
+        session.personal[a].w_per = head
+        session.personal[b].w_per = head * -1.0
+    x = rng.normal(size=(400, H))
+    labels, tally = session.ensemble_infer(x)
+
+    probs = {nid: forward_batch(x, session.personal[nid].w_per) for nid in leaves}
+    group = trees.group(gid)
+    children = {m: list(group.members[m].children) for m in group.members}
+    counts, mass, edges, _voters = tree_tally(children, group.root, probs, len(x))
+    assert np.array_equal(counts[:, 0], counts[:, 1])  # every point ties
+    assert np.array_equal(tally, counts)
+    want = np.where(mass[:, 1] > mass[:, 0], 1, 0)
+    assert 0 < want.sum() < len(x)  # rounding in the mass sum goes both ways
+    assert np.array_equal(labels, want)
+    assert [(r.src, r.dst) for r in session.msg_log if r.kind == PREDICT] == edges
+
+
 @pytest.mark.parametrize("mode", [CENTRALIZED, DECENTRALIZED])
 def test_one_finetune_call_per_round(mode, monkeypatch):
     ids, overlay, sim, trees, gid, root = build_world(30, fanout=4, seed=12)

@@ -1,4 +1,5 @@
 import hashlib
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -283,6 +284,20 @@ def test_metrics_are_sane_and_dissemination_positive():
         assert 0.0 <= rec.f1 <= 1.0
         assert rec.dissemination > 0.0
         assert rec.mode == "centralized"
+
+
+def test_progress_is_logged_once_per_round_and_tree(caplog):
+    cfg = ScenarioConfig(seed=23, nodes=16, rounds=3, topics=2, tree_count=2,
+                         points_per_node=60, fanout=4, name="progress")
+    caplog.set_level(logging.WARNING, logger="dhtfed.harness")
+    run_scenario(cfg)
+    assert caplog.records == []
+    caplog.set_level(logging.INFO, logger="dhtfed.harness")
+    run_scenario(cfg)
+    lines = [r.getMessage() for r in caplog.records if r.name == "dhtfed.harness"]
+    assert [line.split(" mode=")[0] for line in lines] == [
+        f"round {rnd:3d} tree {k}" for rnd in range(3) for k in range(2)]
+    assert all(r.levelno == logging.INFO for r in caplog.records)
 
 
 def test_scenario_rerun_is_bit_identical():

@@ -4,9 +4,10 @@ import pytest
 from dhtfed.model import (Example, LocalDataset, ModelParams, PersonalState,
                           deserialize_params, forward, forward_batch,
                           forward_heads, local_finetune, param_nbytes, pfl_grad,
-                          pfl_loss, serialize_params)
+                          pfl_loss, pfl_losses, serialize_params)
+from dhtfed.fedagg import INFER_CHUNK
 
-from oracles import central_difference, finetune_reference
+from oracles import central_difference, finetune_reference, loss_reference
 
 H = 5
 
@@ -102,6 +103,36 @@ def test_empty_dataset_rejected():
         pfl_loss(empty, w, PersonalState(ModelParams.zeros(H)))
     with pytest.raises(ValueError):
         pfl_grad(empty, w, PersonalState(ModelParams.zeros(H)))
+
+
+@pytest.mark.parametrize("penalty", ["squared", "norm"])
+def test_stacked_loss_equals_the_per_leaf_formula_bit_for_bit(penalty):
+    rng = np.random.default_rng(23)
+    w = rand_params(rng)
+    sizes = [7, 40, 1, 13] * 9  # interleaved, so each size is a stack of its own
+    assert len(sizes) > 2 * INFER_CHUNK
+    datas = [rand_data(rng, n=n) for n in sizes]
+    personals = [PersonalState(w + rand_params(rng) * rng.uniform(0.1, 3.0),
+                               lam=rng.uniform(0.0, 2.0)) for _ in sizes]
+    personals[5] = PersonalState(w.copy(), lam=1.5)  # zero offset, norm kink
+    losses = pfl_losses(datas, w, personals, penalty)
+    want = [loss_reference(d, w, p, penalty) for d, p in zip(datas, personals)]
+    assert losses.tolist() == want
+    for d, p, expected in zip(datas, personals, want):
+        assert pfl_loss(d, w, p, penalty) == expected
+
+
+def test_stacked_loss_rejects_an_empty_dataset_and_unknown_penalty():
+    rng = np.random.default_rng(24)
+    w = rand_params(rng)
+    datas = [rand_data(rng), LocalDataset(np.zeros((0, H)), np.zeros(0, dtype=int))]
+    personals = [PersonalState(rand_params(rng)) for _ in datas]
+    with pytest.raises(ValueError, match="empty"):
+        pfl_losses(datas, w, personals)
+    with pytest.raises(ValueError, match="penalty"):
+        pfl_losses(datas[:1], w, personals[:1], "cubic")
+    with pytest.raises(ValueError, match="one personal state"):
+        pfl_losses(datas, w, personals[:1])
 
 
 @pytest.mark.parametrize("labels", [[0, 2], [-1, 1]])
@@ -357,6 +388,27 @@ def test_forward_heads_slices_equal_forward_batch_bit_for_bit():
     assert stacked.shape == (7, 50, 2)
     for head, probs in zip(heads, stacked):
         assert np.array_equal(probs, forward_batch(x, head))
+
+
+def test_softmax_matches_the_row_sum_formula_bit_for_bit():
+    """forward_heads against exp(l - max) / sum, with extreme, equal and
+    underflowing logits; with w = c * I on H=2 the logits are c * x + b."""
+    rng = np.random.default_rng(25)
+    x = np.concatenate([
+        rng.normal(size=(200, 2)) * 10.0 ** rng.uniform(-3, 3, size=(200, 1)),
+        [[1e3, -1e3], [-1e3, 1e3], [1e3, 1e3], [0.0, 0.0], [2.5, 2.5],
+         [0.0, -800.0], [-750.0, 0.0], [1e3, 999.0]],
+    ])
+    scales = np.array([1.0, -1.0, 0.5, 3.0])
+    w = scales[:, None, None] * np.eye(2)
+    b = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [-0.25, 0.75]])
+    probs = forward_heads(x, w, b)
+    logits = x @ w.transpose(0, 2, 1) + b[:, None, :]
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    assert np.array_equal(probs, e / e.sum(axis=-1, keepdims=True))
+    assert (probs == 0.0).any() and (probs[..., 0] == probs[..., 1]).any()
+    # the vote rule of ensemble_infer is argmax, first maximum on ties
+    assert np.array_equal(probs[..., 1] > probs[..., 0], probs.argmax(axis=-1) == 1)
 
 
 # -- serialization -----------------------------------------------------------------------
