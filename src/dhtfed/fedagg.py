@@ -76,6 +76,10 @@ def branch_aggregate(children_msgs: list[AggregateMessage],
     UNWEIGHTED mode is the plain per-level mean of the child payloads;
     WEIGHTED scales by contribution counts so the root result equals the
     flat mean over all leaves regardless of tree shape.
+
+    The payloads' raw arrays are scaled and summed in message order, with
+    the same elementwise products and sums as `ModelParams` arithmetic, and
+    only the result is checked for finiteness.
     """
     if not children_msgs:
         raise ValueError("cannot aggregate an empty message list")
@@ -85,16 +89,16 @@ def branch_aggregate(children_msgs: list[AggregateMessage],
             raise ProtocolError("round/group mismatch in branch aggregation")
     total_weight = sum(m.weight for m in children_msgs)
     if mode == UNWEIGHTED:
-        payload = children_msgs[0].payload * (1.0 / len(children_msgs))
-        for m in children_msgs[1:]:
-            payload = payload + m.payload * (1.0 / len(children_msgs))
+        scales = [1.0 / len(children_msgs)] * len(children_msgs)
     elif mode == WEIGHTED:
-        payload = children_msgs[0].payload * (children_msgs[0].weight / total_weight)
-        for m in children_msgs[1:]:
-            payload = payload + m.payload * (m.weight / total_weight)
+        scales = [m.weight / total_weight for m in children_msgs]
     else:
         raise ValueError(f"unknown aggregation mode {mode!r}")
-    return AggregateMessage(first.group, first.round, payload, total_weight)
+    w, b = first.payload.w * scales[0], first.payload.b * scales[0]
+    for m, scale in zip(children_msgs[1:], scales[1:]):
+        w += m.payload.w * scale
+        b += m.payload.b * scale
+    return AggregateMessage(first.group, first.round, ModelParams(w, b), total_weight)
 
 
 def root_update(w_t: ModelParams, aggregate: AggregateMessage, eta: float,
@@ -437,46 +441,43 @@ class FederatedSession:
         t0 = self.sim.now
         root = group.root
 
-        buffers: dict[int, dict[int, ModelParams]] = {
-            nid: {nid: payload}
-            for nid, payload in zip(leaves, self._leaf_payloads(leaves))
-        }
+        payloads = dict(zip(leaves, self._leaf_payloads(leaves)))
+        buffers: dict[int, set[int]] = {nid: {nid} for nid in leaves}
         gossipers = [n for n in leaves if social.friends.get(n)]
-
-        def buffer_nbytes(buf: dict[int, ModelParams]) -> int:
-            return 32 + param_nbytes(self.hidden_dim) + 16 * len(buf)
+        param_bytes = 32 + param_nbytes(self.hidden_dim)
 
         def run_gossip_hop() -> None:
             """Synchronous exchange: everyone shares its current buffer with
-            every friend; merges dedup by contributor. Each sender's snapshot,
-            contributor tuple and size are shared by all of its messages."""
+            every friend; merges dedup by contributor. Each sender's snapshot
+            is its sorted contributor tuple, which its messages share and
+            which sets their size."""
             snapshots = {}
             for n in gossipers:
-                snap = dict(buffers[n])
-                snapshots[n] = (snap, tuple(sorted(snap)), buffer_nbytes(snap))
+                contribs = tuple(sorted(buffers[n]))
+                snapshots[n] = (contribs, param_bytes + 16 * len(contribs))
             log, send, rnd = self.msg_log, self.sim.send, self.round
             for receiver in gossipers:
                 merge = buffers[receiver].update
                 for friend in sorted(social.friends[receiver]):
                     if friend not in snapshots:
                         continue
-                    snap, contribs, nbytes = snapshots[friend]
+                    contribs, nbytes = snapshots[friend]
                     log.append(MessageRecord(AGG_UP, friend, receiver, contribs, rnd))
-                    send(friend, receiver, nbytes, partial(merge, snap), kind=AGG_UP)
+                    send(friend, receiver, nbytes, partial(merge, contribs), kind=AGG_UP)
 
         for _hop in range(k):
             run_gossip_hop()
             self.sim.run()  # barrier: the hop completes before the next starts
 
-        root_contrib: dict[int, ModelParams] = {}
+        root_contrib: set[int] = set()
         for nid in sorted(leaves):
-            buf = dict(buffers[nid])
-            at_root = partial(root_contrib.update, buf)
+            contribs = tuple(sorted(buffers[nid]))
+            at_root = partial(root_contrib.update, contribs)
             if nid == root:
                 self.sim.schedule(0.0, at_root)
             else:
-                self._send_routed(nid, root, buffer_nbytes(buf), AGG_UP,
-                                  tuple(sorted(buf)), at_root)
+                self._send_routed(nid, root, param_bytes + 16 * len(contribs), AGG_UP,
+                                  contribs, at_root)
         self.sim.run()
         if not root_contrib:
             raise ProtocolError("no contributions reached the root")
@@ -484,7 +485,7 @@ class FederatedSession:
         # The root's buffer is weight-1 messages, one per distinct
         # contributor; summed in sorted order, they give the flat mean.
         aggregate = branch_aggregate(
-            [AggregateMessage(self.gid, self.round, root_contrib[cid], 1)
+            [AggregateMessage(self.gid, self.round, payloads[cid], 1)
              for cid in sorted(root_contrib)], self.cfg.agg_mode)
         root_latency = self.sim.now - t0
         self._finalize(aggregate)

@@ -21,7 +21,13 @@ N_LABELS = 2
 
 @dataclass
 class ModelParams:
-    """Weights of the classification head: w is (L, H), bias is (L,)."""
+    """Weights of the classification head: w is (L, H), bias is (L,).
+
+    The constructor and the operators check shapes and finiteness. Inside a
+    round, `_finetune_stack` checks its stacked results once and wraps each
+    leaf's slices with `_trusted`, and `fedagg.branch_aggregate` sums raw
+    arrays and checks only its result.
+    """
 
     w: np.ndarray
     b: np.ndarray
@@ -33,6 +39,14 @@ class ModelParams:
             raise ValueError("w must be (L, H) and b must be (L,)")
         if not (np.isfinite(self.w).all() and np.isfinite(self.b).all()):
             raise ValueError("parameters must be finite")
+
+    @classmethod
+    def _trusted(cls, w: np.ndarray, b: np.ndarray) -> "ModelParams":
+        """Wrap float64 arrays of shapes (L, H) and (L,) that the caller has
+        already checked to be finite: no copy, no check."""
+        params = object.__new__(cls)
+        params.w, params.b = w, b
+        return params
 
     @property
     def dim(self) -> int:
@@ -258,8 +272,8 @@ def local_finetune(datas: list[LocalDataset], w_start: ModelParams,
 
     Leaves that share a batch size step together on stacked (B, batch, H)
     arrays; each leaf's result equals a run on that leaf alone, bit for bit.
-    The arguments are checked once per call and the results for finiteness
-    on return, so a diverging leaf raises ValueError.
+    The arguments are checked once per call, and the stacked results of each
+    batch size once for finiteness, so a diverging leaf raises ValueError.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -319,8 +333,10 @@ def _finetune_stack(datas, w_start, personals, steps, batch, draws, penalty):
                                        w_start.b - d_b, p_w, p_b, lam, penalty)
         d_w, d_b = d_w + eta_w * gw, d_b + eta_b * gb
         p_w, p_b = p_w - eta_w * gw_per, p_b - eta_b * gb_per
-    return [(ModelParams(d_w[i], d_b[i]),
-             PersonalState(ModelParams(p_w[i], p_b[i]), p.lam, p.eta_local))
+    if not all(np.isfinite(a).all() for a in (d_w, d_b, p_w, p_b)):
+        raise ValueError("parameters must be finite")
+    return [(ModelParams._trusted(d_w[i], d_b[i]),
+             PersonalState(ModelParams._trusted(p_w[i], p_b[i]), p.lam, p.eta_local))
             for i, p in enumerate(personals)]
 
 

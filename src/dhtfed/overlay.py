@@ -190,12 +190,21 @@ class LeafSet:
         # A contiguous ring window; when it wraps, its low ids come first.
         self._members = m[lo:hi] if lo < hi else m[:hi] + m[lo:]
 
-    def covers(self, key: int) -> bool:
-        """True iff key falls inside the circular window spanned by the set."""
+    def covers(self, key: int, live=None) -> bool:
+        """True iff key falls inside the circular window spanned by the set.
+
+        With `live` given, the window is spanned by the members in `live`
+        only (none: nothing is covered), since a set not yet repaired may
+        still list dead nodes whose span reaches past the live ones.
+        """
         m = self._members
-        n = len(m)
-        if not n:
+        if not m:
             return True  # alone: everything is local
+        if live is not None:
+            m = [nid for nid in m if nid in live]
+            if not m:
+                return False
+        n = len(m)
         k = min(self.per_side, n)
         i = bisect_right(m, self.owner)
         up_span = self._offset_up(m[(i + k - 1) % n])
@@ -428,6 +437,8 @@ class Overlay:
         Order: leaf-set window, exact routing-table cell, then any known
         peer with a shared prefix at least as long that is strictly closer
         to the key. Dead table entries are dropped and patched on the way.
+        Between a `fail` and the next `repair`, the leaf-set window is the
+        one spanned by the live members.
         """
         node = self.nodes[local_id]
         live = self._live
@@ -436,7 +447,7 @@ class Overlay:
         if key == local_id:
             return None
 
-        if node.leaf_set.covers(key):
+        if node.leaf_set.covers(key, live if self._unrepaired else None):
             best = _nearest_on_ring(node.leaf_set._members, key, live)
             if best is None or ((circular_distance(local_id, key), local_id)
                                 < (circular_distance(best, key), best)):

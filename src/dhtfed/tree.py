@@ -55,6 +55,8 @@ class TreeStats:
     depth: int
     max_fanout: int
     depth_histogram: dict[int, int]
+    rejoins: int  # members re-attached after losing their parent
+    dead_parent_rejoins: int  # of those, the ones whose old parent had died
 
 
 class GroupState:
@@ -64,6 +66,7 @@ class GroupState:
         self.root = root
         self.members: dict[int, TreeMembership] = {}
         self.rejoins = 0
+        self.dead_parent_rejoins = 0
         # Live member -> members reachable through live children, itself
         # included; valid while sizes_version == Overlay.version (-1: stale).
         self.sizes: dict[int, int] = {}
@@ -351,6 +354,8 @@ class TreeManager:
                 self._resize_chain(group, old_parent, -group.sizes.get(member, 0))
         mem.parent = None
         group.rejoins += 1
+        if old_parent is not None and not self.overlay.is_alive(old_parent):
+            group.dead_parent_rejoins += 1
         self._attach(group, member)
 
     def remove_member(self, gid: int, member: int) -> None:
@@ -411,7 +416,8 @@ class TreeManager:
             max_fan = max(max_fan, len(kids))
             stack.extend((c, d + 1) for c in kids)
         depth = max(hist) if hist else 0
-        return TreeStats(count, depth, max_fan, dict(sorted(hist.items())))
+        return TreeStats(count, depth, max_fan, dict(sorted(hist.items())),
+                         group.rejoins, group.dead_parent_rejoins)
 
     def validate(self, gid: int) -> list[str]:
         """Structural invariant check over live members; empty list == valid."""

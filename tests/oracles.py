@@ -167,6 +167,19 @@ def flat_mean(arrays):
     return np.mean(np.stack(list(arrays)), axis=0)
 
 
+def branch_aggregate_reference(payloads, weights, mode):
+    """The branch aggregate in ModelParams arithmetic, as it stood before
+    branch_aggregate summed raw arrays: each payload times its scale
+    (1/count unweighted, weight/total weighted), added in message order."""
+    total = sum(weights)
+    scales = ([1.0 / len(payloads)] * len(payloads) if mode == "unweighted"
+              else [wt / total for wt in weights])
+    out = payloads[0] * scales[0]
+    for params, scale in zip(payloads[1:], scales[1:]):
+        out = out + params * scale
+    return out
+
+
 def recursive_average(children, root, leaf_values):
     """Unweighted per-level averaging down-up, as plain recursion."""
 

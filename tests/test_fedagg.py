@@ -13,8 +13,8 @@ from dhtfed.simnet import AGG_UP, PREDICT
 
 from conftest import (build_world, gaussian_data, inject_deltas, live_children,
                       round_aggregate)
-from oracles import (flat_majority, flat_mean, reachable_within, recursive_average,
-                     tree_tally)
+from oracles import (branch_aggregate_reference, flat_majority, flat_mean,
+                     reachable_within, recursive_average, tree_tally)
 
 H = 4
 
@@ -51,6 +51,30 @@ def test_round_and_group_mismatch_rejected():
         branch_aggregate([msg(1, group=1), msg(2, group=2)])
     with pytest.raises(ValueError):
         branch_aggregate([])
+
+
+@pytest.mark.parametrize("mode", [UNWEIGHTED, WEIGHTED])
+def test_branch_aggregate_equals_params_arithmetic_bit_for_bit(mode):
+    rng = np.random.default_rng(17)
+    for count in range(1, 21):
+        weights = [int(wt) for wt in rng.integers(1, 50, size=count)]
+        payloads = [ModelParams(rng.normal(size=(2, H)) * 10.0 ** rng.integers(-3, 4),
+                                rng.normal(size=2)) for _ in range(count)]
+        out = branch_aggregate([AggregateMessage(1, 0, p, wt)
+                                for p, wt in zip(payloads, weights)], mode)
+        want = branch_aggregate_reference(payloads, weights, mode)
+        assert np.array_equal(out.payload.w, want.w)
+        assert np.array_equal(out.payload.b, want.b)
+        assert out.weight == sum(weights)
+
+
+def test_branch_aggregate_rejects_a_payload_made_nonfinite_in_place():
+    for bad in (np.inf, np.nan):
+        msgs = [msg(1.0, h=H), msg(2.0, h=H), msg(3.0, h=H)]
+        msgs[1].payload.w[0, 2] = bad
+        for mode in (UNWEIGHTED, WEIGHTED):
+            with pytest.raises(ValueError, match="finite"):
+                branch_aggregate(msgs, mode)
 
 
 def test_weighted_mode_is_tree_shape_independent(monkeypatch):

@@ -15,6 +15,7 @@ from dhtfed.harness import (MIXED, SINGLE_TOPIC_PER_TREE, DisseminationRow,
                             write_records)
 from dhtfed.overlay import Overlay, random_ids
 from dhtfed.simnet import LinkModel
+from dhtfed.tree import TreeManager
 
 from conftest import build_world
 
@@ -339,6 +340,38 @@ def test_fail_then_rejoin_restores_membership():
     assert stats.members == 20  # back in the tree
     for rec in result.records:
         assert 0.0 <= rec.accuracy <= 1.0
+
+
+def test_tree_stats_export_rejoins_and_the_dead_parent_share(monkeypatch):
+    managers, dead_parent = [], {}
+    init, handle = TreeManager.__init__, TreeManager.handle_parent_failure
+
+    def init_logged(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        managers.append(self)
+
+    def handle_logged(self, gid, member):
+        parent = self.groups[gid].members[member].parent
+        if parent is not None and not self.overlay.is_alive(parent):
+            dead_parent[gid] = dead_parent.get(gid, 0) + 1
+        handle(self, gid, member)
+
+    monkeypatch.setattr(TreeManager, "__init__", init_logged)
+    monkeypatch.setattr(TreeManager, "handle_parent_failure", handle_logged)
+    cfg = ScenarioConfig(seed=41, nodes=30, rounds=3, topics=2, tree_count=2,
+                         points_per_node=20, fanout=4, name="storm",
+                         failures=[(0.0, 5, "fail")])
+    result = run_scenario(cfg)
+    (trees,) = managers
+    groups = {g.name: g for g in trees.groups.values()}
+    assert set(result.tree_stats) == set(groups)
+    for name, stats in result.tree_stats.items():
+        assert stats.rejoins == groups[name].rejoins
+        assert stats.dead_parent_rejoins == dead_parent.get(groups[name].gid, 0)
+        assert stats.dead_parent_rejoins <= stats.rejoins
+    # The rejoin storm: most parent-failure rejoins had a live parent.
+    stats = result.tree_stats["storm-tree-1"]
+    assert 0 < stats.dead_parent_rejoins < stats.rejoins
 
 
 @pytest.mark.parametrize("mode", ["centralized", "decentralized"])

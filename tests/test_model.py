@@ -371,12 +371,16 @@ def test_norm_penalty_at_the_kink_stacked_with_other_leaves():
 
 
 def test_diverging_finetune_raises():
-    rng = np.random.default_rng(3)
-    datas, personals = _leaf_round(rng, [12, 12, 12])
-    personals[1] = PersonalState(rand_params(rng), eta_local=1e306)
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
-        local_finetune(datas, ModelParams.zeros(H), personals, steps=4, batch=12,
-                       rngs=[np.random.default_rng(i) for i in range(3)])
+    # Two batch sizes, so two stacked groups run; the diverging leaf sits in
+    # the first group or in the second.
+    for diverging in range(4):
+        rng = np.random.default_rng(3)
+        datas, personals = _leaf_round(rng, [12, 12, 12, 12])
+        personals[diverging] = PersonalState(rand_params(rng), eta_local=1e306)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
+            local_finetune(datas, ModelParams.zeros(H), personals, steps=4,
+                           batch=[12, 6, 12, 6],
+                           rngs=[np.random.default_rng(i) for i in range(4)])
 
 
 def test_forward_heads_slices_equal_forward_batch_bit_for_bit():

@@ -382,6 +382,17 @@ def test_route_from_dead_node_rejected():
         ov.route(ids[0], ids[1])
 
 
+def test_unrepaired_leaf_window_spans_only_live_members():
+    # Node 1's leaf window reaches past the key only through the dead node 0;
+    # judged on it, 1 forwards to 2^128-4096, which hands the key back.
+    far = ID_SPACE - 4096
+    ov = Overlay.build([0, 1, far], leaf_side=1)
+    ov.fail(0)
+    for src in (1, far):
+        for key in (ID_SPACE - 1, 0, ID_SPACE - 2048, far + 1):
+            assert ov.route(src, key).destination == closest_id([1, far], key)
+
+
 def test_routing_loop_guard_exists():
     assert issubclass(RoutingLoopError, RuntimeError)
 
@@ -403,14 +414,19 @@ def test_liveness_changes_bump_the_version():
 
 def oracle_route(ov, source, key):
     """(hops, destination) with every leaf-set step taken by the oracle rule
-    and every other step by `Overlay.next_hop`."""
+    and every other step by `Overlay.next_hop`. The leaf-set window is the
+    one its live members span: a set that lists the dead covers nothing
+    through them."""
     cur, hops = source, []
     while True:
         leaf_set = ov.node(cur).leaf_set
+        members = leaf_set.members()
+        live = [m for m in members if ov.is_alive(m)]
         if key == cur:
             nxt = None
-        elif leaf_set.covers(key):
-            nxt = leaf_set_next_hop(cur, leaf_set.members(), ov.is_alive, key)
+        elif (leaf_covers(cur, live, leaf_set.per_side, key) if live
+              else not members):
+            nxt = leaf_set_next_hop(cur, members, ov.is_alive, key)
         else:
             nxt = ov.next_hop(cur, key)
         if nxt is None:
@@ -438,6 +454,9 @@ _RING_IDS = st.one_of(st.integers(0, 1 << 12),
 # route through leaf sets that still list the dead node.
 @example(ids={0, 4095, ID_SPACE - 4094, ID_SPACE - 4093}, leaf_side=1,
          ops=[("fail", 0, 0, 0), ("rejoin", 0, 0, 0)])
+# A key that the dead node's span alone put outside node 1's leaf window.
+@example(ids={0, 1, ID_SPACE - 4096}, leaf_side=1,
+         ops=[("fail", 0, 1, ID_SPACE - 1)])
 def test_route_matches_the_leaf_set_oracle_hop_for_hop(ids, leaf_side, ops):
     ids = sorted(ids)
     ov = Overlay.build(ids, leaf_side)
