@@ -190,21 +190,12 @@ class LeafSet:
         # A contiguous ring window; when it wraps, its low ids come first.
         self._members = m[lo:hi] if lo < hi else m[:hi] + m[lo:]
 
-    def covers(self, key: int, live=None) -> bool:
-        """True iff key falls inside the circular window spanned by the set.
-
-        With `live` given, the window is spanned by the members in `live`
-        only (none: nothing is covered), since a set not yet repaired may
-        still list dead nodes whose span reaches past the live ones.
-        """
+    def covers(self, key: int) -> bool:
+        """True iff key falls inside the circular window spanned by the set."""
         m = self._members
-        if not m:
-            return True  # alone: everything is local
-        if live is not None:
-            m = [nid for nid in m if nid in live]
-            if not m:
-                return False
         n = len(m)
+        if not n:
+            return True  # alone: everything is local
         k = min(self.per_side, n)
         i = bisect_right(m, self.owner)
         up_span = self._offset_up(m[(i + k - 1) % n])
@@ -263,7 +254,8 @@ class Overlay:
         # derived from liveness, such as tree subtree sizes, knows it is stale.
         self.version = 0
         # Set by `fail`, cleared by `repair`: leaf sets may still list the
-        # dead, so `join` repairs first rather than route through them.
+        # dead, so `route` (and so `join`) repairs first rather than route
+        # through them.
         self._unrepaired = False
 
     # -- basic accessors ---------------------------------------------------
@@ -330,7 +322,7 @@ class Overlay:
         The new node's leaf set comes from the delivery node (its ring
         neighbor), which provably contains the joiner's true neighborhood;
         routing rows are copied from the nodes on the join path. If a node
-        has failed since the last `repair`, leaf sets are repaired first.
+        has failed since the last `repair`, `route` repairs leaf sets first.
         """
         if new_id in self.nodes:
             raise ValueError("node id already present")
@@ -341,8 +333,6 @@ class Overlay:
             self._live.add(new_id)
             return node
 
-        if self._unrepaired:
-            self.repair()
         if bootstrap is None:
             bootstrap = self.live_ids()[0]
         res = self.route(bootstrap, new_id)
@@ -437,8 +427,6 @@ class Overlay:
         Order: leaf-set window, exact routing-table cell, then any known
         peer with a shared prefix at least as long that is strictly closer
         to the key. Dead table entries are dropped and patched on the way.
-        Between a `fail` and the next `repair`, the leaf-set window is the
-        one spanned by the live members.
         """
         node = self.nodes[local_id]
         live = self._live
@@ -447,7 +435,7 @@ class Overlay:
         if key == local_id:
             return None
 
-        if node.leaf_set.covers(key, live if self._unrepaired else None):
+        if node.leaf_set.covers(key):
             best = _nearest_on_ring(node.leaf_set._members, key, live)
             if best is None or ((circular_distance(local_id, key), local_id)
                                 < (circular_distance(best, key), best)):
@@ -498,9 +486,16 @@ class Overlay:
         return None
 
     def route(self, source: int, key: int) -> RouteResult:
-        """Apply next_hop until delivery, recording every hop."""
+        """Apply next_hop until delivery, recording every hop.
+
+        If a node has failed since the last `repair`, leaf sets are repaired
+        first: a set that still lists a dead node can span past the live
+        ones and hand a key back and forth.
+        """
         if not self.is_alive(source):
             raise ValueError("route source must be alive")
+        if self._unrepaired:
+            self.repair()
         cur = source
         hops: list[int] = []
         while True:

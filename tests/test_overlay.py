@@ -382,15 +382,21 @@ def test_route_from_dead_node_rejected():
         ov.route(ids[0], ids[1])
 
 
-def test_unrepaired_leaf_window_spans_only_live_members():
-    # Node 1's leaf window reaches past the key only through the dead node 0;
-    # judged on it, 1 forwards to 2^128-4096, which hands the key back.
-    far = ID_SPACE - 4096
-    ov = Overlay.build([0, 1, far], leaf_side=1)
-    ov.fail(0)
-    for src in (1, far):
-        for key in (ID_SPACE - 1, 0, ID_SPACE - 2048, far + 1):
-            assert ov.route(src, key).destination == closest_id([1, far], key)
+@pytest.mark.parametrize("ids, dead", [
+    # Node 1's leaf set reaches past 2^128-1 only through the dead node 0;
+    # unrepaired, 1 forwarded to 2^128-4096, which handed the key back.
+    ([0, 1, ID_SPACE - 4096], 0),
+    # Trimmed sets: node 100 lists only 50 and the dead 150.
+    ([50, 100, 150, 200], 150),
+])
+def test_route_after_a_fail_without_repair_reaches_the_closest_live_node(ids, dead):
+    live = [nid for nid in ids if nid != dead]
+    keys = [ID_SPACE - 1, 0, ID_SPACE - 2048, 190, 175, 125, dead, dead + 1]
+    for src in live:
+        for key in keys:
+            ov = Overlay.build(ids, leaf_side=1)
+            ov.fail(dead)
+            assert ov.route(src, key).destination == closest_id(live, key)
 
 
 def test_routing_loop_guard_exists():
@@ -414,19 +420,14 @@ def test_liveness_changes_bump_the_version():
 
 def oracle_route(ov, source, key):
     """(hops, destination) with every leaf-set step taken by the oracle rule
-    and every other step by `Overlay.next_hop`. The leaf-set window is the
-    one its live members span: a set that lists the dead covers nothing
-    through them."""
+    and every other step by `Overlay.next_hop`."""
     cur, hops = source, []
     while True:
         leaf_set = ov.node(cur).leaf_set
-        members = leaf_set.members()
-        live = [m for m in members if ov.is_alive(m)]
         if key == cur:
             nxt = None
-        elif (leaf_covers(cur, live, leaf_set.per_side, key) if live
-              else not members):
-            nxt = leaf_set_next_hop(cur, members, ov.is_alive, key)
+        elif leaf_set.covers(key):
+            nxt = leaf_set_next_hop(cur, leaf_set.members(), ov.is_alive, key)
         else:
             nxt = ov.next_hop(cur, key)
         if nxt is None:
@@ -454,9 +455,11 @@ _RING_IDS = st.one_of(st.integers(0, 1 << 12),
 # route through leaf sets that still list the dead node.
 @example(ids={0, 4095, ID_SPACE - 4094, ID_SPACE - 4093}, leaf_side=1,
          ops=[("fail", 0, 0, 0), ("rejoin", 0, 0, 0)])
-# A key that the dead node's span alone put outside node 1's leaf window.
+# Routes right after a failure, with no repair between: unrepaired, node 1
+# bounced 2^128-1 with 2^128-4096, and node 100 kept 190 from 200.
 @example(ids={0, 1, ID_SPACE - 4096}, leaf_side=1,
          ops=[("fail", 0, 1, ID_SPACE - 1)])
+@example(ids={50, 100, 150, 200}, leaf_side=1, ops=[("fail", 2, 1, 190)])
 def test_route_matches_the_leaf_set_oracle_hop_for_hop(ids, leaf_side, ops):
     ids = sorted(ids)
     ov = Overlay.build(ids, leaf_side)
@@ -480,10 +483,11 @@ def test_route_matches_the_leaf_set_oracle_hop_for_hop(ids, leaf_side, ops):
         member = ids[pick % len(ids)]
         gap = (ids[(pick + 1) % len(ids)] - member) % ID_SPACE
         midway = (member + gap // 2) % ID_SPACE  # a tie when the gap is even
+        exact = None
         for key in (member, (member + 1) % ID_SPACE, (member - 1) % ID_SPACE,
                     midway, 0, ID_SPACE - 1, far):
             try:
-                res = ov.route(src, key)
+                res = ov.route(src, key)  # repairs first after a fail
             except RoutingLoopError:
                 # Unrepaired leaf sets can bounce a key between two nodes;
                 # the oracle rule must loop the same way.
@@ -491,6 +495,17 @@ def test_route_matches_the_leaf_set_oracle_hop_for_hop(ids, leaf_side, ops):
                     oracle_route(ov, src, key)
                 continue
             assert oracle_route(ov, src, key) == (res.hops, res.destination)
+            if exact is None:
+                # route repaired any set that listed a dead node. A repair
+                # can leave a set inexact when one side lost all its live
+                # members; where none is, delivery is exact.
+                assert all(live.issuperset(ov.node(nid).leaf_set.members())
+                           for nid in live)
+                exact = all(set(ov.node(nid).leaf_set.members())
+                            == ring_neighbors(sorted(live), nid, leaf_side)
+                            for nid in live)
+            if exact:
+                assert res.destination == closest_id(live, key)
 
 
 # -- leaf sets -------------------------------------------------------------------
