@@ -216,7 +216,7 @@ def write_round_log(metrics: list[RoundMetrics], path: str,
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-@dataclass
+@dataclass(slots=True)
 class MessageRecord:
     """One protocol message as seen by the privacy audit."""
 
@@ -445,6 +445,11 @@ class FederatedSession:
         buffers: dict[int, set[int]] = {nid: {nid} for nid in leaves}
         gossipers = [n for n in leaves if social.friends.get(n)]
         param_bytes = 32 + param_nbytes(self.hidden_dim)
+        # Every hop sends along the same links, in receiver order and then
+        # in each receiver's sorted friend order: friend sets never change.
+        is_gossiper = set(gossipers).__contains__
+        links = [(friend, receiver) for receiver in gossipers
+                 for friend in sorted(social.friends[receiver]) if is_gossiper(friend)]
 
         def run_gossip_hop() -> None:
             """Synchronous exchange: everyone shares its current buffer with
@@ -455,15 +460,18 @@ class FederatedSession:
             for n in gossipers:
                 contribs = tuple(sorted(buffers[n]))
                 snapshots[n] = (contribs, param_bytes + 16 * len(contribs))
-            log, send, rnd = self.msg_log, self.sim.send, self.round
-            for receiver in gossipers:
-                merge = buffers[receiver].update
-                for friend in sorted(social.friends[receiver]):
-                    if friend not in snapshots:
-                        continue
-                    contribs, nbytes = snapshots[friend]
-                    log.append(MessageRecord(AGG_UP, friend, receiver, contribs, rnd))
-                    send(friend, receiver, nbytes, partial(merge, contribs), kind=AGG_UP)
+            log, rnd = self.msg_log, self.round
+            msgs = []
+            for friend, receiver in links:
+                contribs, nbytes = snapshots[friend]
+                log.append(MessageRecord(AGG_UP, friend, receiver, contribs, rnd))
+                msgs.append((friend, receiver, nbytes))
+
+            def merge(i: int) -> None:
+                friend, receiver = links[i]
+                buffers[receiver].update(snapshots[friend][0])
+
+            self.sim.send_many(msgs, merge, AGG_UP)
 
         for _hop in range(k):
             run_gossip_hop()

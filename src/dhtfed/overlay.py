@@ -93,6 +93,8 @@ class RoutingTable:
     the row it fills.
     """
 
+    __slots__ = ("owner", "rows")
+
     def __init__(self, owner: int):
         self.owner = owner
         self.rows: list[list[Optional[int]]] = []
@@ -136,6 +138,8 @@ class LeafSet:
     Offers are cheap: anything can be proposed via add(); the set trims
     itself back to the true 12-nearest per side among everything offered.
     """
+
+    __slots__ = ("owner", "per_side", "_members")
 
     def __init__(self, owner: int, per_side: int = LEAF_SIDE):
         self.owner = owner
@@ -203,7 +207,7 @@ class LeafSet:
         return self._offset_up(key) <= up_span or self._offset_down(key) <= down_span
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     id: int
     routing_table: RoutingTable

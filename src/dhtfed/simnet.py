@@ -69,11 +69,12 @@ class Simulator:
     `alive` is a predicate used at delivery time; messages to nodes that
     died in flight are counted as dropped, never delivered.
 
-    The queue holds two kinds of entries, ordered by (fire_time, sequence):
-    `(time, seq, action)` from `schedule`, and a message from `send`,
-    `(time, seq, on_deliver, src, dst, payload_bytes, kind)`, which the loop
-    delivers itself (drop check, ingress counters, trace) before calling
-    `on_deliver`.
+    The queue holds three kinds of entries, ordered by (fire_time, sequence):
+    `(time, seq, action)` from `schedule`; a message from `send`,
+    `(time, seq, on_deliver, src, dst, payload_bytes, kind)`; and a batch
+    from `send_many`, `(time, seq, batch, pos)`, keyed by the earliest of
+    its messages not yet delivered. The loop delivers each message itself
+    (drop check, ingress counters, trace) before calling its callback.
     """
 
     def __init__(self, seed: int = 0, link: Optional[LinkModel] = None,
@@ -117,28 +118,97 @@ class Simulator:
         heapq.heappush(self._queue, (self.now + delay, self._seq, on_deliver,
                                      src, dst, payload_bytes, kind))
 
+    def send_many(self, msgs: list[tuple[int, int, int]],
+                  on_deliver: Callable[[int], None], kind: str = MULTICAST) -> None:
+        """Send each `msgs[i] = (src, dst, payload_bytes)`, calling
+        `on_deliver(i)` when it arrives, exactly as `len(msgs)` successive
+        `send` calls would: the same latency draws in list order,
+        consecutive sequence numbers, and one event per message. The whole
+        batch takes one queue entry. Every message is checked before any
+        latency is drawn.
+        """
+        alive = self.alive
+        for src, _dst, nbytes in msgs:
+            if not alive(src):
+                raise ValueError("sender is not alive")
+            if nbytes < 0:
+                raise ValueError("payload_bytes must be >= 0")
+        if not msgs:
+            return
+        link = self.link
+        lat_lo, lat_span, bandwidth = link.lat_lo, link.lat_hi - link.lat_lo, link.bandwidth
+        draw, now, egress_bytes = self.rng.random, self.now, self.egress_bytes
+        times = []
+        for src, _dst, nbytes in msgs:
+            times.append(now + (lat_lo + lat_span * draw() + nbytes / bandwidth))
+            egress_bytes[src] = egress_bytes.get(src, 0) + nbytes
+        self.sent += len(msgs)
+        seq0 = self._seq + 1
+        self._seq += len(msgs)
+        # A stable sort: messages due at the same time stay in list order,
+        # which is their sequence order.
+        order = sorted(range(len(msgs)), key=times.__getitem__)
+        first = order[0]
+        heapq.heappush(self._queue, (times[first], seq0 + first,
+                                     (msgs, times, order, seq0, on_deliver, kind), 0))
+
     def _drain(self, t_end: float) -> int:
         """Execute events in order while the next one fires at or before t_end."""
         queue, alive, trace = self._queue, self.alive, self.trace
         ingress_bytes, ingress_msgs = self.ingress_bytes, self.ingress_msgs
+        heappop, heappush = heapq.heappop, heapq.heappush
         count = 0
         while queue and queue[0][0] <= t_end:
-            entry = heapq.heappop(queue)
-            self.now = entry[0]
-            count += 1
+            entry = heappop(queue)
+            t = entry[0]
             if len(entry) == 3:
+                self.now = t
+                count += 1
                 entry[2]()
                 continue
-            t, _seq, on_deliver, src, dst, nbytes, kind = entry
-            if not alive(dst):
-                self.dropped += 1
-                continue
-            self.delivered += 1
-            ingress_bytes[dst] = ingress_bytes.get(dst, 0) + nbytes
-            ingress_msgs[dst] = ingress_msgs.get(dst, 0) + 1
-            if trace is not None:
-                trace.append((t, kind, src, dst, nbytes))
-            on_deliver()
+            if len(entry) == 7:
+                _t, _seq, on_deliver, src, dst, nbytes, kind = entry
+                batch = None
+            else:
+                _t, _seq, batch, pos = entry
+                msgs, times, order, seq0, on_deliver, kind = batch
+                i = order[pos]
+                src, dst, nbytes = msgs[i]
+            while True:
+                self.now = t
+                count += 1
+                if not alive(dst):
+                    self.dropped += 1
+                else:
+                    self.delivered += 1
+                    ingress_bytes[dst] = ingress_bytes.get(dst, 0) + nbytes
+                    ingress_msgs[dst] = ingress_msgs.get(dst, 0) + 1
+                    if trace is not None:
+                        trace.append((t, kind, src, dst, nbytes))
+                    if batch is None:
+                        on_deliver()
+                    else:
+                        try:
+                            on_deliver(i)
+                        except BaseException:
+                            if pos + 1 < len(order):  # the rest stays queued
+                                i = order[pos + 1]
+                                heappush(queue, (times[i], seq0 + i, batch, pos + 1))
+                            raise
+                if batch is None:
+                    break
+                pos += 1
+                if pos == len(order):
+                    break
+                i = order[pos]
+                t = times[i]
+                # The batch goes on in place only while its next message is
+                # due by the cut-off and before every other queued event,
+                # those its own callbacks just queued included.
+                if t > t_end or (queue and queue[0] < (t, seq0 + i)):
+                    heappush(queue, (t, seq0 + i, batch, pos))
+                    break
+                src, dst, nbytes = msgs[i]
         return count
 
     def run_until(self, t_end: float) -> int:

@@ -41,7 +41,7 @@ class TreeConfig:
             raise ValueError("failure_timeout must be >= 2 * heartbeat_period")
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeMembership:
     group: int
     parent: Optional[int] = None
@@ -291,16 +291,17 @@ class TreeManager:
 
     def _forward(self, group: GroupState, nid: int, nbytes: int,
                  result: MulticastResult, on_member) -> None:
-        for child in self._live_children(group, nid):
-            result.forwards += 1
+        msgs = [(nid, child, nbytes) for child in self._live_children(group, nid)]
+        result.forwards += len(msgs)
 
-            def deliver(c: int = child) -> None:
-                result.deliveries[c] = self.sim.now
-                if on_member is not None:
-                    on_member(c)
-                self._forward(group, c, nbytes, result, on_member)
+        def deliver(i: int) -> None:
+            child = msgs[i][1]
+            result.deliveries[child] = self.sim.now
+            if on_member is not None:
+                on_member(child)
+            self._forward(group, child, nbytes, result, on_member)
 
-            self.sim.send(nid, child, nbytes, deliver, kind=MULTICAST)
+        self.sim.send_many(msgs, deliver, MULTICAST)
 
     # -- heartbeats and self-healing ------------------------------------------
 
@@ -330,17 +331,16 @@ class TreeManager:
             if (mem.parent is not None
                     and now - mem.last_parent_heartbeat > self.config.failure_timeout):
                 self.handle_parent_failure(gid, nid)
-        for nid in sorted(group.members):
-            if not self.overlay.is_alive(nid):
-                continue
-            for child in self._live_children(group, nid):
+        alive = self.overlay.is_alive
+        beats = [(nid, child, HEARTBEAT_BYTES) for nid in sorted(group.members)
+                 if alive(nid) for child in self._live_children(group, nid)]
 
-                def beat(c: int = child) -> None:
-                    cm = group.members.get(c)
-                    if cm is not None:
-                        cm.last_parent_heartbeat = self.sim.now
+        def beat(i: int) -> None:
+            cm = group.members.get(beats[i][1])
+            if cm is not None:
+                cm.last_parent_heartbeat = self.sim.now
 
-                self.sim.send(nid, child, HEARTBEAT_BYTES, beat, kind=HEARTBEAT)
+        self.sim.send_many(beats, beat, HEARTBEAT)
 
     def handle_parent_failure(self, gid: int, member: int) -> None:
         """Drop the dead parent link and re-route a JOIN, subtree in tow."""

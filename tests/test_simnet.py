@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dhtfed.overlay import Overlay, random_ids
 from dhtfed.simnet import (AGG_UP, HEARTBEAT, JOIN, FailureSchedule, LinkModel,
@@ -238,3 +239,120 @@ def test_negative_payload_rejected_before_anything_is_queued():
     with pytest.raises(ValueError, match="payload_bytes"):
         sim.send(1, 2, -1, lambda: None)
     assert sim.pending() == 0 and sim.sent == 0 and sim.egress_bytes == {}
+
+
+def test_send_many_rejects_before_anything_is_queued():
+    for msgs, match in [([(1, 2, 10), (9, 2, 10)], "sender"),
+                        ([(1, 2, 10), (1, 2, -1)], "payload_bytes")]:
+        sim = Simulator(seed=0, alive=lambda nid: nid != 9)
+        state = sim.rng.getstate()
+        with pytest.raises(ValueError, match=match):
+            sim.send_many(msgs, lambda i: None, AGG_UP)
+        assert sim.pending() == 0 and sim.sent == 0 and sim.egress_bytes == {}
+        assert sim._seq == 0 and sim.rng.getstate() == state
+
+
+class _Boom(Exception):
+    pass
+
+
+class _Twin:
+    """One simulator driven by a script; `batched` sends each batch with
+    `send_many`, otherwise with one `send` per message."""
+
+    def __init__(self, batched: bool, link: LinkModel):
+        self.batched = batched
+        self.dead = {5}
+        self.sim = Simulator(seed=11, link=link, alive=lambda n: n not in self.dead,
+                             keep_trace=True)
+        self.log = []
+
+    def batch(self, tag, msgs, reactions, kind=AGG_UP):
+        if self.batched:
+            self.sim.send_many(msgs, lambda i: self.arrive((tag, i), reactions[i]), kind)
+        else:
+            for i, (src, dst, nbytes) in enumerate(msgs):
+                self.sim.send(src, dst, nbytes,
+                              lambda i=i: self.arrive((tag, i), reactions[i]), kind=kind)
+
+    def arrive(self, tag, reaction):
+        """Log the arrival, then react: schedule an action, send once, send
+        a batch or raise."""
+        sim = self.sim
+        self.log.append((tag, sim.now))
+        if reaction is None:
+            return
+        what, arg = reaction
+        if what == "schedule":
+            sim.schedule(arg, lambda: self.log.append((tag + ("action",), sim.now)))
+        elif what == "send":
+            dst, nbytes = arg
+            sim.send(tag[-1] % 3, dst, nbytes,
+                     lambda: self.log.append((tag + ("reply",), sim.now)), kind=JOIN)
+        elif what == "batch":
+            self.batch(tag + ("batch",), [(tag[-1] % 3, dst, nbytes) for dst, nbytes in arg],
+                       [None] * len(arg), kind=HEARTBEAT)
+        else:
+            raise _Boom()
+
+    def step(self, k, op):
+        """Run one script step; returns what it returned or raised."""
+        what, arg = op
+        try:
+            if what == "batch":
+                msgs, reactions = arg
+                return self.batch((k,), msgs, reactions)
+            if what == "send":
+                src, dst, nbytes = arg
+                return self.sim.send(src, dst, nbytes,
+                                     lambda: self.log.append(((k,), self.sim.now)))
+            if what == "schedule":
+                return self.sim.schedule(arg, lambda: self.log.append(((k,), self.sim.now)))
+            if what == "fail":
+                self.dead.add(arg)
+                return None
+            if what == "run_until":
+                return self.sim.run_until(self.sim.now + arg)
+            return self.sim.run()
+        except _Boom:
+            return "boom"
+
+    def state(self):
+        sim = self.sim
+        return (sim.trace, sim.sent, sim.delivered, sim.dropped, sim.ingress_bytes,
+                sim.egress_bytes, sim.ingress_msgs, sim.now, self.log, sim.rng.getstate())
+
+
+# Senders 0-2 stay alive; receivers 0-5 include node 5, always dead, and
+# nodes 3 and 4, which a script may fail.
+_NBYTES = st.sampled_from([0, 0, 1, 64, 333, 900])
+_REACTIONS = st.one_of(
+    st.none(),
+    st.tuples(st.just("schedule"), st.sampled_from([0.0, 0.5, 3.0, 20.0])),
+    st.tuples(st.just("send"), st.tuples(st.integers(0, 5), _NBYTES)),
+    st.tuples(st.just("batch"), st.lists(st.tuples(st.integers(0, 5), _NBYTES),
+                                         max_size=4)),
+    st.tuples(st.just("raise"), st.none()),
+)
+_BATCH = st.lists(st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 5), _NBYTES),
+                            _REACTIONS), max_size=12).map(
+    lambda pairs: ([m for m, _r in pairs], [r for _m, r in pairs]))
+_OPS = st.one_of(
+    st.tuples(st.just("batch"), _BATCH),
+    st.tuples(st.just("send"), st.tuples(st.integers(0, 2), st.integers(0, 5), _NBYTES)),
+    st.tuples(st.just("schedule"), st.sampled_from([0.0, 1.0, 7.5, 30.0])),
+    st.tuples(st.just("fail"), st.integers(3, 4)),
+    st.tuples(st.just("run_until"), st.sampled_from([0.0, 5.0, 12.0, 25.0, 60.0])),
+    st.tuples(st.just("run"), st.none()),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(link=st.sampled_from([LinkModel(5.0, 5.0, 100.0), LinkModel(0.0, 0.0, 64.0),
+                             LinkModel(2.0, 30.0, 64.0)]),
+       script=st.lists(_OPS, max_size=25))
+def test_send_many_matches_a_loop_of_sends(link, script):
+    batched, looped = _Twin(True, link), _Twin(False, link)
+    for k, op in enumerate(script + [("run", None)] * 3):
+        assert batched.step(k, op) == looped.step(k, op)
+        assert batched.state() == looped.state()
