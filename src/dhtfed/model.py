@@ -96,12 +96,6 @@ class PersonalState:
         return PersonalState(self.w_per.copy(), self.lam, self.eta_local)
 
 
-@dataclass
-class Example:
-    x: np.ndarray
-    y: int
-
-
 class LocalDataset:
     """One node's labelled feature vectors, tagged with a topic id."""
 
@@ -118,11 +112,6 @@ class LocalDataset:
 
     def __len__(self) -> int:
         return self.x.shape[0]
-
-    @classmethod
-    def from_examples(cls, examples: list[Example], topic_id: int = 0) -> "LocalDataset":
-        return cls(np.stack([e.x for e in examples]),
-                   np.array([e.y for e in examples]), topic_id)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -263,12 +252,16 @@ def local_finetune(datas: list[LocalDataset], w_start: ModelParams,
 
     Leaf i runs `steps` joint mini-batch gradient steps on datas[i], from
     personals[i]. `batch` is one size for every leaf or one per leaf, each in
-    [1, len(data)]. `rngs` yields one generator per leaf, in leaf order; leaf
-    i draws each step's sorted minibatch with one `choice` on its generator
-    (no draw when the batch is the whole dataset), and the generator is not
-    used after that, so a lazy iterable keeps only one alive. Returns one
-    (delta, new state) per leaf: delta = w_start - w_final is the update the
-    leaf uploads, and the personalized copy advances by the same step rule.
+    [1, len(data)]. `rngs` yields one generator per leaf, in leaf order.
+    Leaf i's minibatches are those of one sorted
+    `choice(len(data), batch, replace=False)` per step on its generator, and
+    the generator ends where those calls leave it (no draw when the batch is
+    the whole dataset). `draw_minibatches` computes them mostly from raw
+    PCG64 words, stacked over the leaves; its docstring says when it calls
+    `choice` instead. It holds at most DRAW_CHUNK generators at a time, so a
+    lazy iterable keeps only that many alive. Returns one (delta, new state)
+    per leaf: delta = w_start - w_final is the update the leaf uploads, and
+    the personalized copy advances by the same step rule.
 
     Leaves that share a batch size step together on stacked (B, batch, H)
     arrays; each leaf's result equals a run on that leaf alone, bit for bit.
@@ -284,15 +277,8 @@ def local_finetune(datas: list[LocalDataset], w_start: ModelParams,
     for data, size in zip(datas, batches):
         if not 1 <= size <= len(data):
             raise ValueError("batch must be in [1, len(data)]")
-    draws = []  # per leaf: (steps, batch) sorted row indices, or None
-    for data, size, rng in zip(datas, batches, rngs, strict=True):
-        idx = None
-        if size < len(data):
-            idx = np.empty((steps, size), dtype=np.int64)
-            for step in range(steps):
-                idx[step] = rng.choice(len(data), size=size, replace=False)
-            idx.sort(axis=-1)
-        draws.append(idx)
+    draws = draw_minibatches([len(data) for data in datas], batches.tolist(), steps,
+                             rngs)
     by_batch: dict[int, list[int]] = {}
     for i, size in enumerate(batches):
         by_batch.setdefault(int(size), []).append(i)
@@ -338,6 +324,176 @@ def _finetune_stack(datas, w_start, personals, steps, batch, draws, penalty):
     return [(ModelParams._trusted(d_w[i], d_b[i]),
              PersonalState(ModelParams._trusted(p_w[i], p_b[i]), p.lam, p.eta_local))
             for i, p in enumerate(personals)]
+
+
+# -- minibatch draws ------------------------------------------------------------
+#
+# For n <= FLOYD_MAX_N, numpy 2.x computes Generator.choice(n, size,
+# replace=False) with Floyd's algorithm (Bentley & Floyd, 1987): for each j in
+# [n - size, n) it draws v uniform on [0, j] and takes v, or j when v is
+# already taken. It then shuffles the picks with size - 1 more draws, on
+# [0, i] for i = size - 1 down to 1. Each draw on [0, r] is Lemire's method
+# (Lemire, 2019): (u * (r + 1)) >> 32 of a 32-bit word u from the bit
+# generator's next_uint32, redrawn while the low 32 bits of the product fall
+# below 2^32 mod (r + 1). PCG64's next_uint32 hands out the low half of a
+# 64-bit output, then buffers the high half for the next call. So, barring a
+# redraw, one step reads 2 * size - 1 words in a fixed layout, and the steps
+# of a leaf can be read from its generator with one random_raw call (whose
+# uint32 view gives that order on a little-endian host; the probe turns the
+# draw off anywhere it does not match).
+
+FLOYD_MAX_N = 10_000
+DRAW_CHUNK = 64  # leaves whose generators and raw words one stacked draw holds
+_SEEN_BYTES = 1 << 20  # bound on the bitmap of values taken in Floyd's repeats
+
+_fast_draw: bool | None = None  # the probe's verdict, taken once per process
+
+
+def draw_minibatches(ns: list[int], sizes, steps: int,
+                     rngs: Iterable[np.random.Generator]) -> list:
+    """Each leaf's `steps` sorted minibatches, leaf i drawing from the i-th
+    generator of `rngs`: a (steps, sizes[i]) int64 array of row indices into
+    range(ns[i]), or None when sizes[i] == ns[i] (no draw).
+
+    The rows, and the state each generator is left in, are exactly those of
+    `steps` calls `rng.choice(n, size, replace=False)`, each sorted. A leaf
+    with size < n <= FLOYD_MAX_N and a fresh PCG64 generator (a `Generator`
+    with no buffered half-word) reads the words those calls would consume
+    with one `random_raw`; the words of up to DRAW_CHUNK such leaves go
+    through Floyd's algorithm together (`_floyd_rows`). A leaf where some
+    word may have been a Lemire rejection is rewound with `PCG64.advance` and
+    calls `choice`. So does every other leaf: n > FLOYD_MAX_N, another bit
+    generator, a buffered half-word, or a numpy on which the one-time probe
+    (`fast_draw_enabled`) finds that the raw-word draw differs from `choice`.
+
+    An exactness test compares the generators' next draws, not their
+    `bit_generator.state` dicts: `uinteger` may hold a stale half-word
+    while `has_uint32` is 0.
+    """
+    return _draw(ns, sizes, steps, rngs, fast_draw_enabled())
+
+
+def fast_draw_enabled() -> bool:
+    """Whether this numpy's `choice` matches the raw-word draw; the first
+    call runs the probe."""
+    global _fast_draw
+    if _fast_draw is None:
+        _fast_draw = _probe_fast_draw()
+    return _fast_draw
+
+
+# The probe's calls: (steps, [(n, size), ...]), one generator per leaf seeded
+# [_PROBE_SEED, leaf]. They cover an even and an odd word count per leaf,
+# leaves whose picks often repeat, n = FLOYD_MAX_N, and (leaf 3 of the first
+# call) a word that takes the rejection fallback.
+_PROBE_SEED = 54673
+_PROBE_CALLS = ((10, [(200, 32), (2000, 32), (7, 6), (FLOYD_MAX_N, 300)]),
+                (1, [(32, 8), (2, 1), (200, 31), (FLOYD_MAX_N, 300)]))
+
+
+def _probe_fast_draw() -> bool:
+    for steps, leaves in _PROBE_CALLS:
+        fast = [np.random.default_rng([_PROBE_SEED, i]) for i in range(len(leaves))]
+        slow = [np.random.default_rng([_PROBE_SEED, i]) for i in range(len(leaves))]
+        got = _draw([n for n, _ in leaves], [s for _, s in leaves], steps, fast, True)
+        for (n, size), rows, a, b in zip(leaves, got, fast, slow):
+            if not (np.array_equal(rows, _choice_rows(n, size, steps, b))
+                    and np.array_equal(a.integers(1 << 32, size=8, dtype=np.uint32),
+                                       b.integers(1 << 32, size=8, dtype=np.uint32))):
+                return False
+    return True
+
+
+def _draw(ns, sizes, steps, rngs, fast: bool) -> list:
+    out: list = []
+    pending: dict = {}  # id(rng) -> (leaf, n, size, rng, raw, last word)
+    for n, size, rng in zip(ns, sizes, rngs, strict=True):
+        # A generator seen again must first finish the draws it owes.
+        if len(pending) == DRAW_CHUNK or id(rng) in pending:
+            _resolve(pending.values(), steps, out)
+            pending = {}
+        out.append(None)
+        if size == n:
+            continue
+        if (fast and n <= FLOYD_MAX_N and type(rng) is np.random.Generator
+                and type(bits := rng.bit_generator) is np.random.PCG64
+                and not bits.state["has_uint32"]):
+            count = steps * (2 * size - 1)
+            raw = bits.random_raw(count // 2)
+            # An odd count ends on the low half of one more output, and its
+            # high half stays buffered, as `choice` leaves it.
+            last = rng.integers(1 << 32, dtype=np.uint32) if count % 2 else None
+            pending[id(rng)] = (len(out) - 1, n, size, rng, raw, last)
+        else:
+            out[-1] = _choice_rows(n, size, steps, rng)
+    _resolve(pending.values(), steps, out)
+    return out
+
+
+def _choice_rows(n: int, size: int, steps: int, rng) -> np.ndarray:
+    idx = np.empty((steps, size), dtype=np.int64)
+    for step in range(steps):
+        idx[step] = rng.choice(n, size=size, replace=False)
+    idx.sort(axis=-1)
+    return idx
+
+
+def _resolve(entries, steps: int, out: list) -> None:
+    """Turn the raw words of pending leaves into their rows, in `out`."""
+    by_size: dict[int, list] = {}
+    for entry in entries:
+        by_size.setdefault(entry[2], []).append(entry)
+    for size, group in by_size.items():
+        count = steps * (2 * size - 1)
+        words = np.empty((len(group), count), dtype=np.uint32)
+        words[:, :count - count % 2] = np.stack([e[4] for e in group]).view(np.uint32)
+        if count % 2:
+            words[:, -1] = [e[5] for e in group]
+        rows, suspect = _floyd_rows(np.array([e[1] for e in group]), size,
+                                    words.reshape(len(group), steps, 2 * size - 1))
+        for (leaf, n, _size, rng, _raw, _last), leaf_rows, rewind in zip(
+                group, rows, suspect.tolist()):
+            if rewind:
+                rng.bit_generator.advance(-((count + 1) // 2))
+                leaf_rows = _choice_rows(n, size, steps, rng)
+            out[leaf] = leaf_rows
+
+
+def _floyd_rows(ns: np.ndarray, size: int, words: np.ndarray):
+    """Floyd's picks for B leaves of populations ns, from the words `choice`
+    would read: words is (B, steps, 2 * size - 1) uint32, each step's `size`
+    Floyd draws then its `size - 1` shuffle draws. Returns the sorted picks
+    (B, steps, size) and, per leaf, whether some word's low product half is
+    below its bound, so that it may have been a rejection and `choice` may
+    have read further."""
+    nb, steps = words.shape[:2]
+    j = ns[:, None] - size + np.arange(size)
+    bound = np.empty((nb, 1, 2 * size - 1), dtype=np.uint64)
+    bound[:, 0, :size] = j + 1
+    bound[:, 0, size:] = np.arange(size, 1, -1)
+    m = words * bound
+    suspect = ((m & 0xFFFFFFFF) < bound).any(axis=(1, 2))
+    picks = (m[..., :size] >> 32).astype(np.int64).reshape(nb * steps, size)
+    rows = np.sort(picks, axis=1)
+    repeats = np.flatnonzero((rows[:, 1:] == rows[:, :-1]).any(axis=1))
+    # Only a row with a repeated pick differs from its sorted picks. In such
+    # rows a pick already taken takes j instead, position by position; a
+    # block of rows marks its taken values in one flat (rows * n) bitmap.
+    n_max = int(ns.max())
+    block = max(1, _SEEN_BYTES // n_max)
+    j_rows = np.repeat(j, steps, axis=0)
+    for lo in range(0, repeats.size, block):
+        sub = repeats[lo:lo + block]
+        offset = np.arange(sub.size)[:, None] * n_max
+        taken, j_sub = picks[sub] + offset, j_rows[sub] + offset
+        seen = np.zeros(sub.size * n_max, dtype=bool)
+        for t in range(size):
+            pick = taken[:, t]
+            again = seen[pick]
+            pick[again] = j_sub[again, t]
+            seen[pick] = True
+        rows[sub] = np.sort(taken - offset, axis=1)
+    return rows.reshape(nb, steps, size), suspect
 
 
 # -- wire form ----------------------------------------------------------------

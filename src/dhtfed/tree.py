@@ -292,6 +292,8 @@ class TreeManager:
     def _forward(self, group: GroupState, nid: int, nbytes: int,
                  result: MulticastResult, on_member) -> None:
         msgs = [(nid, child, nbytes) for child in self._live_children(group, nid)]
+        if not msgs:
+            return
         result.forwards += len(msgs)
 
         def deliver(i: int) -> None:

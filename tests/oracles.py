@@ -264,6 +264,19 @@ def finetune_reference(data, w_start, personal, steps, batch, rng,
     return delta, per
 
 
+def draw_reference(ns, sizes, steps, rngs):
+    """`model.draw_minibatches` as a loop: per leaf, one sorted
+    `choice(n, size, replace=False)` per step, or None when size == n."""
+    out = []
+    for n, size, rng in zip(ns, sizes, rngs):
+        rows = None
+        if size < n:
+            rows = np.sort([rng.choice(n, size=size, replace=False)
+                            for _ in range(steps)], axis=1)
+        out.append(rows)
+    return out
+
+
 def tree_tally(children, root, leaf_probs, n):
     """The vote tally as plain recursion: a node adds its own one-hot vote
     (if it votes) and then each child's tally, in child order. Returns

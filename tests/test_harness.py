@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dhtfed import model
 from dhtfed.fedagg import FederatedSession, RoundConfig, write_round_log
 from dhtfed.harness import (MIXED, SINGLE_TOPIC_PER_TREE, DisseminationRow,
                             MetricsRecord, ScenarioConfig, compute_accuracy,
@@ -511,6 +512,13 @@ def test_pinned_scenario_digest(name, monkeypatch, tmp_path):
     log = tmp_path / "rounds.jsonl"
     write_round_log(result.round_metrics, str(log))
     assert hashlib.sha256(log.read_bytes()).hexdigest() == want_log
+
+
+def test_demo_digest_with_every_draw_through_choice(monkeypatch):
+    # The raw-word minibatch draw is only a faster route to the same rows.
+    monkeypatch.setattr(model, "_fast_draw", False)
+    result = run_scenario(ScenarioConfig.from_ini(str(DEMO_INI)))
+    assert scenario_digest(result) == PINNED["demo"][1]
 
 
 @pytest.mark.parametrize("failures, match", [

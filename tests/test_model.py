@@ -1,13 +1,19 @@
+import gc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from dhtfed.model import (Example, LocalDataset, ModelParams, PersonalState,
-                          deserialize_params, forward, forward_batch,
-                          forward_heads, local_finetune, param_nbytes, pfl_grad,
-                          pfl_loss, pfl_losses, serialize_params)
+from dhtfed import model
+from dhtfed.model import (FLOYD_MAX_N, LocalDataset, ModelParams, PersonalState,
+                          deserialize_params, draw_minibatches, forward,
+                          forward_batch, forward_heads, local_finetune,
+                          param_nbytes, pfl_grad, pfl_loss, pfl_losses,
+                          serialize_params)
 from dhtfed.fedagg import INFER_CHUNK
 
-from oracles import central_difference, finetune_reference, loss_reference
+from oracles import (central_difference, draw_reference, finetune_reference,
+                     loss_reference)
 
 H = 5
 
@@ -383,6 +389,164 @@ def test_diverging_finetune_raises():
                            rngs=[np.random.default_rng(i) for i in range(4)])
 
 
+# -- minibatch draws ---------------------------------------------------------------
+
+# Leaf 0, (n, size) = (10000, 300) over 11 steps from default_rng([1274, 0]),
+# reads a word that Lemire's method rejects, so it must take the fallback.
+REJECTED = dict(leaves=[(10000, 300), (200, 32), (12000, 300), (7, 6)], steps=11,
+                seed=1274)
+
+
+def next_words(rngs):
+    return [rng.integers(1 << 32, size=8, dtype=np.uint32) for rng in rngs]
+
+
+def assert_draws_match_choice(leaves, steps, make_rng):
+    """draw_minibatches equals the choice loop on twin generators: the rows,
+    and each generator's next eight 32-bit draws after the call."""
+    ns, sizes = [n for n, _ in leaves], [s for _, s in leaves]
+    fast = [make_rng(i) for i in range(len(leaves))]
+    slow = [make_rng(i) for i in range(len(leaves))]
+    got = draw_minibatches(ns, sizes, steps, iter(fast))
+    want = draw_reference(ns, sizes, steps, slow)
+    for i, (rows, want_rows) in enumerate(zip(got, want, strict=True)):
+        if want_rows is None:
+            assert rows is None, i
+        else:
+            assert rows.dtype == np.int64 and np.array_equal(rows, want_rows), i
+    for i, (a, b) in enumerate(zip(next_words(fast), next_words(slow))):
+        assert np.array_equal(a, b), i
+
+
+def count_choice_draws(monkeypatch):
+    """Record (n, size, steps) of every leaf that calls `choice`."""
+    calls = []
+    original = model._choice_rows
+
+    def counted(n, size, steps, rng):
+        calls.append((n, size, steps))
+        return original(n, size, steps, rng)
+
+    monkeypatch.setattr(model, "_choice_rows", counted)
+    return calls
+
+
+def test_the_probe_enables_the_raw_word_draw_on_this_numpy():
+    assert model.fast_draw_enabled()
+
+
+_leaf = st.one_of(st.integers(2, 64), st.integers(2, 12000)).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(1, min(n - 1, 300))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(leaves=st.lists(_leaf, min_size=1, max_size=6), steps=st.integers(1, 11),
+       seed=st.integers(0, 2**32 - 1))
+@example(**REJECTED)
+def test_draw_matches_a_choice_loop_on_twin_generators(leaves, steps, seed):
+    assert_draws_match_choice(leaves, steps, lambda i: np.random.default_rng([seed, i]))
+
+
+def test_a_rejected_word_takes_the_fallback(monkeypatch):
+    calls = count_choice_draws(monkeypatch)
+    leaves = REJECTED["leaves"]
+    assert_draws_match_choice(leaves, REJECTED["steps"],
+                              lambda i: np.random.default_rng([REJECTED["seed"], i]))
+    # leaf 0 is rewound and redrawn; n = 12000 is above FLOYD_MAX_N
+    assert sorted(calls) == [(10000, 300, 11), (12000, 300, 11)]
+
+
+def test_draw_shares_a_generator_between_leaves_in_order(monkeypatch):
+    # One generator for every leaf: each leaf's draws start where the last
+    # leaf's ended, also across a chunk boundary and a rejected word.
+    monkeypatch.setattr(model, "DRAW_CHUNK", 2)
+    leaves = [(10000, 300), (200, 32), (32, 8), (32, 32), (9, 4)]
+    for seed in (1274, 5):
+        fast, slow = np.random.default_rng([seed, 0]), np.random.default_rng([seed, 0])
+        ns, sizes = [n for n, _ in leaves], [s for _, s in leaves]
+        got = draw_minibatches(ns, sizes, 11, [fast] * len(leaves))
+        want = draw_reference(ns, sizes, 11, [slow] * len(leaves))
+        for rows, want_rows in zip(got, want):
+            assert (rows is None and want_rows is None) or np.array_equal(rows, want_rows)
+        assert np.array_equal(*next_words([fast, slow]))
+
+
+def test_draw_holds_at_most_a_chunk_of_generators(monkeypatch):
+    monkeypatch.setattr(model, "DRAW_CHUNK", 3)
+
+    def alive():
+        gc.collect()
+        return sum(type(o) is np.random.Generator for o in gc.get_objects())
+
+    base, peak = alive(), 0
+
+    def rngs():
+        nonlocal peak
+        for i in range(12):
+            peak = max(peak, alive() - base)
+            yield np.random.default_rng(i)
+
+    draw_minibatches([40] * 12, [8] * 12, 3, rngs())
+    assert peak == 3
+
+
+def _fallback_case(rng, leaves, steps, make_rng):
+    """local_finetune on datasets of the given (rows, batch) equals the
+    per-step choice reference, and leaves each generator where it leaves
+    its twin."""
+    datas, personals = _leaf_round(rng, [n for n, _ in leaves])
+    w_start = rand_params(rng)
+    fast = [make_rng(i) for i in range(len(leaves))]
+    slow = [make_rng(i) for i in range(len(leaves))]
+    got = local_finetune(datas, w_start, personals, steps, [b for _, b in leaves], fast)
+    for i, (data, personal) in enumerate(zip(datas, personals)):
+        want_delta, want_state = finetune_reference(
+            data, w_start, personal, steps, leaves[i][1], slow[i])
+        assert np.array_equal(got[i][0].w, want_delta.w), i
+        assert np.array_equal(got[i][1].w_per.b, want_state.w_per.b), i
+    for i, (a, b) in enumerate(zip(next_words(fast), next_words(slow))):
+        assert np.array_equal(a, b), i
+
+
+def test_finetune_draws_with_choice_on_another_bit_generator(monkeypatch):
+    calls = count_choice_draws(monkeypatch)
+    _fallback_case(np.random.default_rng(30), [(40, 8), (9, 9), (40, 5)], 3,
+                   lambda i: np.random.Generator(np.random.MT19937([30, i])))
+    assert calls == [(40, 8, 3), (40, 5, 3)]
+
+
+def test_finetune_draws_with_choice_after_a_buffered_half_word(monkeypatch):
+    def buffered(i):
+        rng = np.random.default_rng([31, i])
+        if i != 1:  # leaf 1 stays fresh and takes the raw-word draw
+            rng.integers(1 << 32, dtype=np.uint32)
+        return rng
+
+    calls = count_choice_draws(monkeypatch)
+    _fallback_case(np.random.default_rng(31), [(40, 8), (40, 8), (23, 4)], 2, buffered)
+    assert calls == [(40, 8, 2), (23, 4, 2)]
+
+
+def test_finetune_draws_with_choice_above_floyd_max_n(monkeypatch):
+    calls = count_choice_draws(monkeypatch)
+    _fallback_case(np.random.default_rng(32), [(FLOYD_MAX_N + 1, 16), (FLOYD_MAX_N, 16)],
+                   2, lambda i: np.random.default_rng([32, i]))
+    assert calls == [(FLOYD_MAX_N + 1, 16, 2)]
+
+
+def test_a_failed_probe_turns_the_raw_word_draw_off(monkeypatch):
+    # A raw-word draw that is off by one in every pick must fail the probe.
+    floyd_rows = model._floyd_rows
+    monkeypatch.setattr(model, "_floyd_rows",
+                        lambda *args: (lambda r, s: (r + 1, s))(*floyd_rows(*args)))
+    monkeypatch.setattr(model, "_fast_draw", None)
+    calls = count_choice_draws(monkeypatch)
+    _fallback_case(np.random.default_rng(33), [(40, 8), (200, 32)], 3,
+                   lambda i: np.random.default_rng([33, i]))
+    assert not model.fast_draw_enabled()
+    assert calls[-2:] == [(40, 8, 3), (200, 32, 3)]
+
+
 def test_forward_heads_slices_equal_forward_batch_bit_for_bit():
     rng = np.random.default_rng(21)
     heads = [rand_params(rng) for _ in range(7)]
@@ -432,14 +596,6 @@ def test_params_roundtrip_and_layout():
     assert first == p.w[0, 0]
     last = struct.unpack_from("<d", blob, len(blob) - 8)[0]
     assert last == p.b[1]
-
-
-def test_dataset_from_examples():
-    rng = np.random.default_rng(18)
-    examples = [Example(rng.normal(size=H), int(i % 2)) for i in range(6)]
-    data = LocalDataset.from_examples(examples, topic_id=3)
-    assert len(data) == 6 and data.topic_id == 3
-    assert np.array_equal(data.x[2], examples[2].x)
 
 
 def test_dataset_rejects_nonbinary_labels():

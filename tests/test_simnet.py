@@ -178,6 +178,21 @@ def test_messages_to_dead_nodes_drop_and_conserve():
     assert sim.ingress_bytes[3] == 10
 
 
+@pytest.mark.parametrize("drain", ["run", "run_until"])
+def test_a_message_dropped_at_a_dead_receiver_counts_as_an_event(drain):
+    # One scheduled action, one send and a batch of three: four messages,
+    # three of them to the dead node 2, make five events.
+    sim = Simulator(seed=0, alive=lambda nid: nid != 2)
+    delivered = []
+    sim.schedule(5, lambda: None)
+    sim.send(1, 2, 10, lambda: delivered.append("send"))
+    sim.send_many([(1, 2, 10), (1, 3, 10), (1, 2, 0)], delivered.append, AGG_UP)
+    events = sim.run() if drain == "run" else sim.run_until(1000)
+    assert events == 5
+    assert (sim.sent, sim.delivered, sim.dropped) == (4, 1, 3)
+    assert delivered == [1] and sim.pending() == 0
+
+
 def test_dead_sender_rejected():
     sim = Simulator(seed=0, alive=lambda nid: nid != 1)
     with pytest.raises(ValueError):
