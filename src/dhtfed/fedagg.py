@@ -302,15 +302,13 @@ class FederatedSession:
         return [m for m in self.trees.leaves(self.gid) if m in self.data]
 
     def _leaf_payloads(self, leaves: list[int]) -> list[ModelParams]:
-        """Fine-tune all leaves in one call; each draws from its own
-        generator, seeded by (seed, round, leaf id) and made when its turn
-        comes."""
+        """Fine-tune all leaves in one call; each draws its minibatches from
+        the stream seeded by (seed, round, leaf id)."""
         datas = [self.data[nid] for nid in leaves]
         results = local_finetune(
             datas, self.global_params, [self.personal[nid] for nid in leaves],
             self.cfg.steps, [min(self.cfg.batch, len(d)) for d in datas],
-            (np.random.default_rng([self.cfg.seed, self.round, nid]) for nid in leaves),
-            self.cfg.penalty,
+            [(self.cfg.seed, self.round, nid) for nid in leaves], self.cfg.penalty,
         )
         payloads = []
         for nid, (delta, new_state) in zip(leaves, results):

@@ -21,7 +21,8 @@ import numpy as np
 
 from .fedagg import (CENTRALIZED, DECENTRALIZED, FederatedSession, ModeSelector,
                      RoundConfig, RoundMetrics, SocialGraph)
-from .model import LocalDataset, ModelParams, PersonalState, serialize_params
+from .model import (LocalDataset, ModelParams, PersonalState, seeded_generators,
+                    serialize_params)
 from .overlay import Overlay, random_ids
 from .simnet import FailureSchedule, LinkModel, Simulator
 from .tree import TreeConfig, TreeManager
@@ -73,8 +74,13 @@ def make_topics(n_topics: int, hidden_dim: int, seed: int,
 def _sample(spec: TopicSpec, n: int, seed: int,
             stream: int) -> tuple[np.ndarray, np.ndarray]:
     """n labelled points of one topic, drawn from the generator keyed by
-    (seed, topic, stream): fair-coin labels, class mean plus Gaussian noise."""
-    rng = np.random.default_rng([seed, spec.topic_id, stream])
+    (seed, topic, stream)."""
+    return _points(spec, n, np.random.default_rng([seed, spec.topic_id, stream]))
+
+
+def _points(spec: TopicSpec, n: int,
+            rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Fair-coin labels, then class mean plus Gaussian noise."""
     y = rng.integers(0, 2, size=n)
     means = np.where(y[:, None] == 1, spec.mean1, spec.mean0)
     return means + spec.cov_scale * rng.normal(size=(n, spec.mean0.size)), y
@@ -82,10 +88,13 @@ def _sample(spec: TopicSpec, n: int, seed: int,
 
 def generate_topic_data(spec: TopicSpec, node_ids: list[int],
                         seed: int) -> dict[int, LocalDataset]:
-    """Per-node datasets, deterministic per (seed, node id, topic)."""
-    return {nid: LocalDataset(*_sample(spec, spec.samples_per_node, seed, nid),
-                              spec.topic_id)
-            for nid in sorted(node_ids)}
+    """Per-node datasets, deterministic per (seed, node id, topic): node
+    nid's points are `_sample(spec, spec.samples_per_node, seed, nid)`, with
+    every node's stream seeded in one pass."""
+    nids = sorted(node_ids)
+    rngs = seeded_generators([(seed, spec.topic_id, nid) for nid in nids])
+    return {nid: LocalDataset(*_points(spec, spec.samples_per_node, rng), spec.topic_id)
+            for nid, rng in zip(nids, rngs)}
 
 
 def generate_testset(spec: TopicSpec, n: int, seed: int) -> LocalDataset:
@@ -94,13 +103,16 @@ def generate_testset(spec: TopicSpec, n: int, seed: int) -> LocalDataset:
 
 def mixed_node_data(topics: list[TopicSpec], node_ids: list[int], seed: int,
                     points_per_node: int) -> dict[int, LocalDataset]:
-    """Each node holds an even split of every topic's data."""
+    """Each node holds an even split of every topic's data: its share of
+    topic t is `_sample(topics[t], share, seed, nid)`."""
     shares = [points_per_node // len(topics)] * len(topics)
     for i in range(points_per_node - sum(shares)):
         shares[i] += 1
+    nids = sorted(node_ids)
+    rngs = seeded_generators([(seed, spec.topic_id, nid) for nid in nids for spec in topics])
     out = {}
-    for nid in sorted(node_ids):
-        xs, ys = zip(*(_sample(spec, share, seed, nid)
+    for nid in nids:
+        xs, ys = zip(*(_points(spec, share, next(rngs))
                        for spec, share in zip(topics, shares)))
         out[nid] = LocalDataset(np.concatenate(xs), np.concatenate(ys), -1)
     return out
@@ -463,10 +475,6 @@ class DisseminationRow:
     @property
     def max_ms(self) -> float:
         return max(self.per_tree_ms)
-
-    @property
-    def mean_ms(self) -> float:
-        return sum(self.per_tree_ms) / len(self.per_tree_ms)
 
 
 def measure_dissemination(payload_bytes: list[int], node_counts: list[int],

@@ -9,10 +9,12 @@ gradient descent on both.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import struct
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -246,22 +248,20 @@ def pfl_grad(data: LocalDataset, w_cla: ModelParams, personal: PersonalState,
 
 def local_finetune(datas: list[LocalDataset], w_start: ModelParams,
                    personals: list[PersonalState], steps: int, batch,
-                   rngs: Iterable[np.random.Generator], penalty: str = "squared",
+                   entropies: Sequence[Sequence[int]], penalty: str = "squared",
                    ) -> list[tuple[ModelParams, PersonalState]]:
     """Fine-tune every leaf of a round from the shared head w_start.
 
     Leaf i runs `steps` joint mini-batch gradient steps on datas[i], from
     personals[i]. `batch` is one size for every leaf or one per leaf, each in
-    [1, len(data)]. `rngs` yields one generator per leaf, in leaf order.
-    Leaf i's minibatches are those of one sorted
-    `choice(len(data), batch, replace=False)` per step on its generator, and
-    the generator ends where those calls leave it (no draw when the batch is
-    the whole dataset). `draw_minibatches` computes them mostly from raw
-    PCG64 words, stacked over the leaves; its docstring says when it calls
-    `choice` instead. It holds at most DRAW_CHUNK generators at a time, so a
-    lazy iterable keeps only that many alive. Returns one (delta, new state)
-    per leaf: delta = w_start - w_final is the update the leaf uploads, and
-    the personalized copy advances by the same step rule.
+    [1, len(data)]. `entropies` holds one seed per leaf, in leaf order, each a
+    sequence of non-negative ints: leaf i's minibatches are those of one
+    sorted `choice(len(data), batch, replace=False)` per step on
+    `np.random.default_rng(entropies[i])` (no draw when the batch is the
+    whole dataset). `draw_minibatches` computes them without building that
+    generator for most leaves; its docstring says when it does. Returns one
+    (delta, new state) per leaf: delta = w_start - w_final is the update the
+    leaf uploads, and the personalized copy advances by the same step rule.
 
     Leaves that share a batch size step together on stacked (B, batch, H)
     arrays; each leaf's result equals a run on that leaf alone, bit for bit.
@@ -278,7 +278,7 @@ def local_finetune(datas: list[LocalDataset], w_start: ModelParams,
         if not 1 <= size <= len(data):
             raise ValueError("batch must be in [1, len(data)]")
     draws = draw_minibatches([len(data) for data in datas], batches.tolist(), steps,
-                             rngs)
+                             entropies)
     by_batch: dict[int, list[int]] = {}
     for i, size in enumerate(batches):
         by_batch.setdefault(int(size), []).append(i)
@@ -326,6 +326,151 @@ def _finetune_stack(datas, w_start, personals, steps, batch, draws, penalty):
             for i, p in enumerate(personals)]
 
 
+# -- seeded streams -------------------------------------------------------------
+#
+# np.random.default_rng(entropy) seeds PCG64 (O'Neill, 2014) through numpy's
+# SeedSequence. The entropy's ints become 32-bit words, each int as its words
+# from the lowest, at least one. The words are hashed into a pool of four
+# (`_pool`), and the pool into four uint64 words v0..v3. PCG64 then takes
+# initstate = v0 << 64 | v1 and inc = (v2 << 64 | v3) << 1 | 1, and starts at
+# state = ((inc + initstate) * _PCG_MULT + inc) mod 2^128. `seed_pcg64` does
+# this for many entropies at once in numpy, one pass per count of words: the
+# hash in uint32 arithmetic, which wraps mod 2^32 as the C code does, and the
+# 128-bit step on 32-bit limbs held in uint64.
+
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32 = (1 << 32) - 1
+_PCG_LIMBS = np.array([_PCG_MULT >> s & _M32 for s in (0, 32, 64, 96)],
+                      dtype=np.uint64)[:, None]
+
+
+def seed_pcg64(entropies: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """The PCG64 `state` and `inc` of `np.random.default_rng(e)` for each
+    entropy e, a sequence of non-negative ints, in order. A negative int
+    raises ValueError, as SeedSequence does."""
+    words, bounds = _entropy_words(entropies)
+    counts = np.diff(bounds)
+    state = np.empty((4, counts.size), dtype=np.uint64)
+    inc = np.empty_like(state)
+    for count in set(counts.tolist()):
+        group = np.flatnonzero(counts == count)
+        pool = _pool(words[bounds[group, None] + np.arange(count)])
+        # generate_state(4, np.uint64) gives v0..v3 as eight words, each v
+        # little end first; below, 128-bit values are four 32-bit limbs,
+        # low first, held in uint64.
+        out = _hashmix(np.concatenate([pool, pool]),
+                       _consts(_INIT_B, _MULT_B, 8)).astype(np.uint64)
+        seq = out[[6, 7, 4, 5]]  # v2 << 64 | v3
+        step = seq << 1 & _M32
+        step[1:] |= seq[:-1] >> 31
+        step[0] |= 1
+        base = _carry(out[[2, 3, 0, 1]] + step)  # (v0 << 64 | v1) + inc
+        acc = np.zeros_like(base)
+        for i in range(4):  # base * _PCG_MULT mod 2^128, limb by limb
+            prod = base[i] * _PCG_LIMBS[:4 - i]
+            acc[i:] += prod & _M32
+            acc[i + 1:] += prod[:3 - i] >> 32
+        state[:, group], inc[:, group] = _carry(acc + step), step
+    return _ints(state), _ints(inc)
+
+
+def _entropy_words(entropies: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """SeedSequence's 32-bit words of every entropy, one after the other, and
+    the bounds of each entropy's words: each int gives its words from the
+    lowest up to its highest nonzero one, at least one."""
+    ints = list(map(operator.index, itertools.chain.from_iterable(entropies)))
+    counts = (np.fromiter(map(int.bit_length, ints), dtype=np.int64, count=len(ints))
+              + 31) // 32
+    width = max(1, int(counts.max(initial=0)))
+    try:
+        blob = b"".join([x.to_bytes(4 * width, "little") for x in ints])
+    except OverflowError:  # to_bytes of a negative int
+        raise ValueError("expected non-negative integer entropy") from None
+    words = np.frombuffer(blob, dtype="<u4").reshape(len(ints), width).astype(np.uint32)
+    counts = np.maximum(counts, 1)
+    lengths = np.fromiter(map(len, entropies), dtype=np.int64, count=len(entropies))
+    ends = np.concatenate([[0], np.cumsum(counts)])
+    return (words[np.arange(width) < counts[:, None]],
+            ends[np.concatenate([[0], np.cumsum(lengths)])])
+
+
+def _carry(limbs: np.ndarray) -> np.ndarray:
+    """(4, G) limbs, each below 2^63, carried into 32-bit limbs mod 2^128."""
+    for k in range(3):
+        limbs[k + 1] += limbs[k] >> 32
+    return limbs & _M32
+
+
+def _ints(limbs: np.ndarray) -> list[int]:
+    return [hi << 64 | lo for hi, lo in zip((limbs[3] << 32 | limbs[2]).tolist(),
+                                             (limbs[1] << 32 | limbs[0]).tolist())]
+
+
+def _consts(init: int, mult: int, count: int) -> np.ndarray:
+    """(count + 1, 1) uint32: init * mult^k mod 2^32 for k = 0..count, the
+    hash constant before each of `count` successive hash calls and after
+    the last."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _M32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def _hashmix(v: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix, one call per row of the result: row k hashes
+    v (or v's row k) with consts[k] and consts[k + 1]."""
+    v = (v ^ consts[:-1]) * consts[1:]
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return r ^ (r >> 16)
+
+
+def _pool(words: np.ndarray) -> np.ndarray:
+    """SeedSequence's pool of four for each row of (G, W) uint32 entropy
+    words, as (4, G) uint32."""
+    g, w = words.shape
+    consts = _consts(_INIT_A, _MULT_A, 16 + 4 * max(0, w - 4))
+    pool = np.zeros((4, g), dtype=np.uint32)
+    pool[:min(w, 4)] = words[:, :4].T
+    pool = _hashmix(pool, consts[:5])
+    k = 4
+    for src in range(4):
+        hashed = _hashmix(pool[src], consts[k:k + 4])
+        k += 3
+        for dst, h in zip([d for d in range(4) if d != src], hashed):
+            pool[dst] = _mix(pool[dst], h)
+    for src in range(4, w):
+        pool = _mix(pool, _hashmix(words[:, src], consts[k:k + 5]))
+        k += 4
+    return pool
+
+
+def seeded_generators(entropies: Sequence[Sequence[int]]) -> Iterator[np.random.Generator]:
+    """For each entropy, in order, a generator at the start of the stream of
+    `np.random.default_rng(entropy)`. When the probe passes, all entropies
+    are seeded in one pass and each step re-seeds one reused Generator, so
+    finish with one before taking the next; otherwise each is a new
+    `default_rng`."""
+    if fast_streams_enabled():
+        return _reseeded(entropies)
+    return (np.random.default_rng(e) for e in entropies)
+
+
+def _reseeded(entropies) -> Iterator[np.random.Generator]:
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    for state, inc in zip(*seed_pcg64(entropies)):
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
 # -- minibatch draws ------------------------------------------------------------
 #
 # For n <= FLOYD_MAX_N, numpy 2.x computes Generator.choice(n, size,
@@ -338,95 +483,57 @@ def _finetune_stack(datas, w_start, personals, steps, batch, draws, penalty):
 # below 2^32 mod (r + 1). PCG64's next_uint32 hands out the low half of a
 # 64-bit output, then buffers the high half for the next call. So, barring a
 # redraw, one step reads 2 * size - 1 words in a fixed layout, and the steps
-# of a leaf can be read from its generator with one random_raw call (whose
-# uint32 view gives that order on a little-endian host; the probe turns the
-# draw off anywhere it does not match).
+# of a leaf are the first words of its stream, which one random_raw call
+# reads (its uint32 view gives that order on a little-endian host; the probe
+# turns the draw off anywhere it does not match).
 
 FLOYD_MAX_N = 10_000
-DRAW_CHUNK = 64  # leaves whose generators and raw words one stacked draw holds
+DRAW_WORDS = 1 << 15  # words held before a stacked Floyd pass runs
 _SEEN_BYTES = 1 << 20  # bound on the bitmap of values taken in Floyd's repeats
-
-_fast_draw: bool | None = None  # the probe's verdict, taken once per process
 
 
 def draw_minibatches(ns: list[int], sizes, steps: int,
-                     rngs: Iterable[np.random.Generator]) -> list:
-    """Each leaf's `steps` sorted minibatches, leaf i drawing from the i-th
-    generator of `rngs`: a (steps, sizes[i]) int64 array of row indices into
-    range(ns[i]), or None when sizes[i] == ns[i] (no draw).
+                     entropies: Sequence[Sequence[int]]) -> list:
+    """Each leaf's `steps` sorted minibatches, leaf i drawing from the stream
+    of `np.random.default_rng(entropies[i])`: a (steps, sizes[i]) int64 array
+    of row indices into range(ns[i]), or None when sizes[i] == ns[i] (no
+    draw).
 
-    The rows, and the state each generator is left in, are exactly those of
-    `steps` calls `rng.choice(n, size, replace=False)`, each sorted. A leaf
-    with size < n <= FLOYD_MAX_N and a fresh PCG64 generator (a `Generator`
-    with no buffered half-word) reads the words those calls would consume
-    with one `random_raw`; the words of up to DRAW_CHUNK such leaves go
-    through Floyd's algorithm together (`_floyd_rows`). A leaf where some
-    word may have been a Lemire rejection is rewound with `PCG64.advance` and
-    calls `choice`. So does every other leaf: n > FLOYD_MAX_N, another bit
-    generator, a buffered half-word, or a numpy on which the one-time probe
-    (`fast_draw_enabled`) finds that the raw-word draw differs from `choice`.
-
-    An exactness test compares the generators' next draws, not their
-    `bit_generator.state` dicts: `uinteger` may hold a stale half-word
-    while `has_uint32` is 0.
+    The rows are exactly those of `steps` calls `rng.choice(n, size,
+    replace=False)` on that generator, each sorted. The streams of all leaves
+    with size < n <= FLOYD_MAX_N are seeded in one pass, and each leaf reads
+    the words those calls would consume with one `random_raw`. The words of
+    leaves that share a size go through Floyd's algorithm together
+    (`_floyd_rows`), once DRAW_WORDS words are held and at the end. A leaf
+    where some word may have been a Lemire rejection builds its
+    `default_rng` and calls `choice`. So does every leaf with n > FLOYD_MAX_N,
+    and every leaf on a numpy where the one-time probe
+    (`fast_streams_enabled`) finds that the seeding or the draw differs.
     """
-    return _draw(ns, sizes, steps, rngs, fast_draw_enabled())
+    return _draw(ns, sizes, steps, entropies, fast_streams_enabled())
 
 
-def fast_draw_enabled() -> bool:
-    """Whether this numpy's `choice` matches the raw-word draw; the first
-    call runs the probe."""
-    global _fast_draw
-    if _fast_draw is None:
-        _fast_draw = _probe_fast_draw()
-    return _fast_draw
-
-
-# The probe's calls: (steps, [(n, size), ...]), one generator per leaf seeded
-# [_PROBE_SEED, leaf]. They cover an even and an odd word count per leaf,
-# leaves whose picks often repeat, n = FLOYD_MAX_N, and (leaf 3 of the first
-# call) a word that takes the rejection fallback.
-_PROBE_SEED = 54673
-_PROBE_CALLS = ((10, [(200, 32), (2000, 32), (7, 6), (FLOYD_MAX_N, 300)]),
-                (1, [(32, 8), (2, 1), (200, 31), (FLOYD_MAX_N, 300)]))
-
-
-def _probe_fast_draw() -> bool:
-    for steps, leaves in _PROBE_CALLS:
-        fast = [np.random.default_rng([_PROBE_SEED, i]) for i in range(len(leaves))]
-        slow = [np.random.default_rng([_PROBE_SEED, i]) for i in range(len(leaves))]
-        got = _draw([n for n, _ in leaves], [s for _, s in leaves], steps, fast, True)
-        for (n, size), rows, a, b in zip(leaves, got, fast, slow):
-            if not (np.array_equal(rows, _choice_rows(n, size, steps, b))
-                    and np.array_equal(a.integers(1 << 32, size=8, dtype=np.uint32),
-                                       b.integers(1 << 32, size=8, dtype=np.uint32))):
-                return False
-    return True
-
-
-def _draw(ns, sizes, steps, rngs, fast: bool) -> list:
-    out: list = []
-    pending: dict = {}  # id(rng) -> (leaf, n, size, rng, raw, last word)
-    for n, size, rng in zip(ns, sizes, rngs, strict=True):
-        # A generator seen again must first finish the draws it owes.
-        if len(pending) == DRAW_CHUNK or id(rng) in pending:
-            _resolve(pending.values(), steps, out)
-            pending = {}
-        out.append(None)
-        if size == n:
-            continue
-        if (fast and n <= FLOYD_MAX_N and type(rng) is np.random.Generator
-                and type(bits := rng.bit_generator) is np.random.PCG64
-                and not bits.state["has_uint32"]):
-            count = steps * (2 * size - 1)
-            raw = bits.random_raw(count // 2)
-            # An odd count ends on the low half of one more output, and its
-            # high half stays buffered, as `choice` leaves it.
-            last = rng.integers(1 << 32, dtype=np.uint32) if count % 2 else None
-            pending[id(rng)] = (len(out) - 1, n, size, rng, raw, last)
-        else:
-            out[-1] = _choice_rows(n, size, steps, rng)
-    _resolve(pending.values(), steps, out)
+def _draw(ns, sizes, steps, entropies, fast: bool) -> list:
+    if not len(ns) == len(sizes) == len(entropies):
+        raise ValueError("need one size and one entropy per leaf")
+    out: list = [None] * len(ns)
+    raw, slow = [], []
+    for i, (n, size) in enumerate(zip(ns, sizes)):
+        if size < n:
+            (raw if fast and n <= FLOYD_MAX_N else slow).append(i)
+    pending: dict[int, list] = {}  # size -> [(leaf, its raw words)]
+    held = 0
+    for i, rng in zip(raw, _reseeded([entropies[i] for i in raw])):
+        count = steps * (2 * sizes[i] - 1)
+        pending.setdefault(sizes[i], []).append(
+            (i, rng.bit_generator.random_raw((count + 1) // 2)))
+        held += count
+        if held >= DRAW_WORDS:
+            slow += _resolve(pending, ns, steps, out)
+            pending, held = {}, 0
+    slow += _resolve(pending, ns, steps, out)
+    for i in slow:
+        out[i] = _choice_rows(ns[i], sizes[i], steps, np.random.default_rng(entropies[i]))
     return out
 
 
@@ -438,25 +545,23 @@ def _choice_rows(n: int, size: int, steps: int, rng) -> np.ndarray:
     return idx
 
 
-def _resolve(entries, steps: int, out: list) -> None:
-    """Turn the raw words of pending leaves into their rows, in `out`."""
-    by_size: dict[int, list] = {}
-    for entry in entries:
-        by_size.setdefault(entry[2], []).append(entry)
-    for size, group in by_size.items():
-        count = steps * (2 * size - 1)
-        words = np.empty((len(group), count), dtype=np.uint32)
-        words[:, :count - count % 2] = np.stack([e[4] for e in group]).view(np.uint32)
-        if count % 2:
-            words[:, -1] = [e[5] for e in group]
-        rows, suspect = _floyd_rows(np.array([e[1] for e in group]), size,
-                                    words.reshape(len(group), steps, 2 * size - 1))
-        for (leaf, n, _size, rng, _raw, _last), leaf_rows, rewind in zip(
-                group, rows, suspect.tolist()):
-            if rewind:
-                rng.bit_generator.advance(-((count + 1) // 2))
-                leaf_rows = _choice_rows(n, size, steps, rng)
-            out[leaf] = leaf_rows
+def _resolve(pending: dict, ns, steps: int, out: list) -> list[int]:
+    """Write the rows of each pending leaf, from its raw words, into `out`;
+    return the leaves where some word may have been a rejection."""
+    rejected = []
+    for size, group in pending.items():
+        leaves = [i for i, _ in group]
+        per_step = 2 * size - 1
+        words = np.concatenate([raw for _, raw in group]).view(np.uint32)
+        words = words.reshape(len(group), -1)[:, :steps * per_step]
+        rows, suspect = _floyd_rows(np.array([ns[i] for i in leaves]), size,
+                                    words.reshape(len(group), steps, per_step))
+        for i, leaf_rows, bad in zip(leaves, rows, suspect.tolist()):
+            if bad:
+                rejected.append(i)
+            else:
+                out[i] = leaf_rows
+    return rejected
 
 
 def _floyd_rows(ns: np.ndarray, size: int, words: np.ndarray):
@@ -494,6 +599,47 @@ def _floyd_rows(ns: np.ndarray, size: int, words: np.ndarray):
             seen[pick] = True
         rows[sub] = np.sort(taken - offset, axis=1)
     return rows.reshape(nb, steps, size), suspect
+
+
+# -- the probe -----------------------------------------------------------------
+
+_fast_streams: bool | None = None  # the probe's verdict, taken once per process
+
+
+def fast_streams_enabled() -> bool:
+    """Whether this numpy's `default_rng` streams and `choice` match the
+    one-pass seeding and the raw-word draw; the first call runs the probe."""
+    global _fast_streams
+    if _fast_streams is None:
+        _fast_streams = _probe()
+    return _fast_streams
+
+
+# The probe seeds entropies of 1, 3, 6 and 8 words, then makes its draw
+# calls: (steps, [(n, size), ...]), leaf i seeded (_PROBE_SEED, i). They cover
+# an even and an odd word count per leaf, leaves whose picks often repeat,
+# n = FLOYD_MAX_N, and (leaf 3 of the first call) a word that takes the
+# rejection fallback.
+_PROBE_SEED = 54673
+_PROBE_ENTROPIES = ((_PROBE_SEED,), (_PROBE_SEED, 0, 7), (_PROBE_SEED, 3, 2**127 + 11),
+                    (2**40 + _PROBE_SEED, 0, 2**96 + 5, 1))
+_PROBE_CALLS = ((10, [(200, 32), (2000, 32), (7, 6), (FLOYD_MAX_N, 300)]),
+                (1, [(32, 8), (2, 1), (200, 31), (FLOYD_MAX_N, 300)]))
+
+
+def _probe() -> bool:
+    for entropy, rng in zip(_PROBE_ENTROPIES, _reseeded(_PROBE_ENTROPIES)):
+        if not np.array_equal(rng.bit_generator.random_raw(4),
+                              np.random.default_rng(entropy).bit_generator.random_raw(4)):
+            return False
+    for steps, leaves in _PROBE_CALLS:
+        entropies = [(_PROBE_SEED, i) for i in range(len(leaves))]
+        got = _draw([n for n, _ in leaves], [s for _, s in leaves], steps, entropies, True)
+        for (n, size), rows, entropy in zip(leaves, got, entropies):
+            if not np.array_equal(rows, _choice_rows(n, size, steps,
+                                                     np.random.default_rng(entropy))):
+                return False
+    return True
 
 
 # -- wire form ----------------------------------------------------------------

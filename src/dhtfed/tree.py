@@ -326,15 +326,19 @@ class TreeManager:
     def heartbeat_tick(self, gid: int, now: float) -> None:
         """One maintenance round: detect dead parents, emit existence messages."""
         group = self.group(gid)
-        for nid in sorted(group.members):
-            if not self.overlay.is_alive(nid):
+        alive = self.overlay.is_alive
+        members = sorted(group.members)
+        for nid in members:
+            if not alive(nid):
                 continue
             mem = group.members[nid]
             if (mem.parent is not None
                     and now - mem.last_parent_heartbeat > self.config.failure_timeout):
                 self.handle_parent_failure(gid, nid)
-        alive = self.overlay.is_alive
-        beats = [(nid, child, HEARTBEAT_BYTES) for nid in sorted(group.members)
+        # A rejoin removes no member; one whose root is gone may add one.
+        if len(members) != len(group.members):
+            members = sorted(group.members)
+        beats = [(nid, child, HEARTBEAT_BYTES) for nid in members
                  if alive(nid) for child in self._live_children(group, nid)]
 
         def beat(i: int) -> None:

@@ -153,9 +153,9 @@ def test_criterion_4_root_update_identity():
                                RoundConfig(eta=1.0, steps=6, batch=8, seed=3),
                                lam=0.4, eta_local=0.1)
     w0 = session.global_params.copy()
-    rng = np.random.default_rng([3, 0, leaf])
     [(delta, _)] = local_finetune([data[leaf]], w0,
-                                  [PersonalState(w0.copy(), 0.4, 0.1)], 6, 8, [rng])
+                                  [PersonalState(w0.copy(), 0.4, 0.1)], 6, 8,
+                                  [(3, 0, leaf)])
     session.centralized_round()
     finetuned = w0 - delta
     ok = (np.array_equal(session.global_params.w, finetuned.w)

@@ -169,10 +169,9 @@ def test_single_leaf_eta_one_recovers_finetuned_weights_exactly():
     w0 = session.global_params.copy()
     assert np.array_equal(w0.w, np.zeros((2, H)))
 
-    rng = np.random.default_rng([3, 0, leaf])
     [(delta, _state)] = local_finetune([data[leaf]], w0,
                                        [PersonalState(w0.copy(), 0.4, 0.1)], 4, 8,
-                                       [rng])
+                                       [(3, 0, leaf)])
     session.centralized_round()
     expected = w0 - delta  # the leaf's own fine-tuned weights
     assert np.array_equal(session.global_params.w, expected.w)
@@ -192,10 +191,9 @@ def test_star_round_equals_flat_average_oracle():
 
     finetuned = []
     for nid in sorted(data):
-        rng = np.random.default_rng([7, 0, nid])
         [(delta, _)] = local_finetune([data[nid]], w0,
                                       [PersonalState(w0.copy(), 0.5, 0.1)], 3, 10,
-                                      [rng])
+                                      [(7, 0, nid)])
         finetuned.append((w0 - delta).w)
     oracle = flat_mean(finetuned)
 

@@ -13,7 +13,7 @@ from dhtfed.harness import (MIXED, SINGLE_TOPIC_PER_TREE, DisseminationRow,
                             generate_topic_data, make_topics,
                             measure_dissemination, mixed_node_data,
                             read_records, run_scenario, summary_rows,
-                            write_records)
+                            write_records, _sample)
 from dhtfed.overlay import Overlay, random_ids
 from dhtfed.simnet import LinkModel
 from dhtfed.tree import TreeManager
@@ -81,6 +81,24 @@ def test_mixed_data_splits_points_evenly():
     topics = make_topics(3, 8, seed=7)
     data = mixed_node_data(topics, [1, 2], seed=1, points_per_node=100)
     assert all(len(ds) == 100 for ds in data.values())
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_node_data_equals_per_node_samples(monkeypatch, fast):
+    # Seeding every node's stream in one pass is only a faster route to the
+    # points of one default_rng per (seed, topic, node). Odd counts leave a
+    # buffered half-word after the labels.
+    monkeypatch.setattr(model, "_fast_streams", fast)
+    topics = make_topics(3, 8, seed=7, samples_per_node=33)
+    ids = random_ids(5, 3) + [0, 7]
+    single = generate_topic_data(topics[1], ids, seed=2**33 + 1)
+    mixed = mixed_node_data(topics, ids, seed=4, points_per_node=50)
+    for nid in ids:
+        x, y = _sample(topics[1], 33, 2**33 + 1, nid)
+        assert np.array_equal(single[nid].x, x) and np.array_equal(single[nid].y, y)
+        parts = [_sample(spec, share, 4, nid) for spec, share in zip(topics, [17, 17, 16])]
+        assert np.array_equal(mixed[nid].x, np.concatenate([x for x, _ in parts]))
+        assert np.array_equal(mixed[nid].y, np.concatenate([y for _, y in parts]))
 
 
 # -- metrics ---------------------------------------------------------------------------
@@ -515,8 +533,9 @@ def test_pinned_scenario_digest(name, monkeypatch, tmp_path):
 
 
 def test_demo_digest_with_every_draw_through_choice(monkeypatch):
-    # The raw-word minibatch draw is only a faster route to the same rows.
-    monkeypatch.setattr(model, "_fast_draw", False)
+    # The one-pass seeding and the raw-word minibatch draw are only a faster
+    # route to the same data and rows.
+    monkeypatch.setattr(model, "_fast_streams", False)
     result = run_scenario(ScenarioConfig.from_ini(str(DEMO_INI)))
     assert scenario_digest(result) == PINNED["demo"][1]
 

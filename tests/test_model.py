@@ -1,5 +1,3 @@
-import gc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -222,7 +220,7 @@ def test_zero_step_size_is_a_null_update():
     w = rand_params(rng)
     personal = PersonalState(rand_params(rng), lam=0.5, eta_local=0.0)
     [(delta, state)] = local_finetune([data], w, [personal], steps=5, batch=6,
-                                      rngs=[np.random.default_rng(0)])
+                                      entropies=[(0,)])
     assert np.array_equal(delta.w, np.zeros((2, H)))
     assert np.array_equal(delta.b, np.zeros(2))
     assert np.array_equal(state.w_per.w, personal.w_per.w)
@@ -235,7 +233,7 @@ def test_single_full_batch_step_equals_analytic_gradient_exactly():
     personal = PersonalState(rand_params(rng), lam=0.3, eta_local=0.05)
     g_cla, _ = pfl_grad(data, w, personal)
     [(delta, _)] = local_finetune([data], w, [personal], steps=1, batch=len(data),
-                                  rngs=[np.random.default_rng(0)])
+                                  entropies=[(0,)])
     assert np.array_equal(delta.w, 0.05 * g_cla.w)
     assert np.array_equal(delta.b, 0.05 * g_cla.b)
 
@@ -250,7 +248,7 @@ def test_training_reduces_loss_on_separable_data():
     personal = PersonalState(ModelParams.zeros(H), lam=0.1, eta_local=0.2)
     before = pfl_loss(data, w0, personal)
     [(delta, state)] = local_finetune([data], w0, [personal], steps=200, batch=32,
-                                      rngs=[np.random.default_rng(1)])
+                                      entropies=[(1,)])
     after = pfl_loss(data, w0 - delta, state)
     assert after < before
 
@@ -282,7 +280,7 @@ def test_finetune_is_deterministic_per_seed():
 
     def run(seed):
         [result] = local_finetune([data], w, [personal], steps=20, batch=16,
-                                  rngs=[np.random.default_rng(seed)])
+                                  entropies=[(seed,)])
         return result
 
     d1, s1 = run(77)
@@ -299,10 +297,10 @@ def test_finetune_validates_arguments():
     w = rand_params(rng)
     personal = PersonalState(rand_params(rng))
 
-    def call(datas=(data,), personals=(personal,), steps=1, batch=2, n_rngs=1,
-             **kw):
+    def call(datas=(data,), personals=(personal,), steps=1, batch=2,
+             entropies=((0,),), **kw):
         return local_finetune(list(datas), w, list(personals), steps, batch,
-                              [np.random.default_rng(0)] * n_rngs, **kw)
+                              list(entropies), **kw)
 
     with pytest.raises(ValueError):
         call(steps=0)
@@ -312,15 +310,18 @@ def test_finetune_validates_arguments():
         call(penalty="cubic")
     with pytest.raises(ValueError, match="one personal state"):
         call(datas=(data, data))
-    with pytest.raises(ValueError, match="shorter"):  # one generator per leaf
+    with pytest.raises(ValueError, match="one entropy per leaf"):
         call(datas=(data, data), personals=(personal, personal))
     with pytest.raises(ValueError, match="batch"):  # one leaf's batch too large
         call(datas=(data, rand_data(rng, n=2)), personals=(personal, personal),
-             n_rngs=2, batch=3)
+             entropies=[(0,), (1,)], batch=3)
     with pytest.raises(ValueError, match="batch"):
-        call(datas=(data, data), personals=(personal, personal), n_rngs=2,
-             batch=[2, 0])
-    assert call(datas=(), personals=(), n_rngs=0) == []
+        call(datas=(data, data), personals=(personal, personal),
+             entropies=[(0,), (1,)], batch=[2, 0])
+    with pytest.raises(ValueError, match="non-negative"):
+        call(datas=(data, data), personals=(personal, personal),
+             entropies=[(0,), (3, -1)])
+    assert call(datas=(), personals=(), entropies=()) == []
 
 
 def _leaf_round(rng, sizes):
@@ -345,8 +346,7 @@ def test_finetune_matches_the_params_level_step_rule_bit_for_bit(penalty):
     batches = [min(8, n) for n in sizes]
     starts = [p.w_per.copy() for p in personals]
     got = local_finetune(datas, w_start, personals, 12, batches,
-                         [np.random.default_rng([5, i]) for i in range(len(sizes))],
-                         penalty)
+                         [(5, i) for i in range(len(sizes))], penalty)
     for i, (data, personal) in enumerate(zip(datas, personals)):
         want_delta, want_state = finetune_reference(
             data, w_start, personal, 12, batches[i], np.random.default_rng([5, i]),
@@ -367,8 +367,8 @@ def test_norm_penalty_at_the_kink_stacked_with_other_leaves():
     datas, personals = _leaf_round(rng, [12, 12, 12])
     w_start = rand_params(rng)
     personals[1] = PersonalState(w_start.copy(), lam=3.0, eta_local=0.1)
-    got = local_finetune(datas, w_start, personals, 1, 12,
-                         [np.random.default_rng(i) for i in range(3)], "norm")
+    got = local_finetune(datas, w_start, personals, 1, 12, [(i,) for i in range(3)],
+                         "norm")
     for i in range(3):
         want_delta, want_state = finetune_reference(
             datas[i], w_start, personals[i], 1, 12, np.random.default_rng(i), "norm")
@@ -386,36 +386,79 @@ def test_diverging_finetune_raises():
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
             local_finetune(datas, ModelParams.zeros(H), personals, steps=4,
                            batch=[12, 6, 12, 6],
-                           rngs=[np.random.default_rng(i) for i in range(4)])
+                           entropies=[(i,) for i in range(4)])
+
+
+# -- seeded streams ----------------------------------------------------------------
+
+def _int_of_words(words):
+    """An int whose SeedSequence words are exactly `words` (a top word of 0
+    would be dropped, so it is made 1)."""
+    if len(words) > 1 and words[-1] == 0:
+        words = words[:-1] + [1]
+    return sum(w << (32 * k) for k, w in enumerate(words))
+
+
+# Entropy as (seed, round, id) the way sessions seed leaves and nodes, plus
+# sequences whose ints split into 1 to 8 words in any way, and none.
+_word = st.integers(0, 2**32 - 1)
+_entropy = st.one_of(
+    st.tuples(st.integers(0, 2**64), st.integers(0, 50), st.integers(0, 2**96 - 1)),
+    st.lists(st.lists(_word, min_size=1, max_size=4), max_size=8)
+    .filter(lambda ints: sum(map(len, ints)) <= 8)
+    .map(lambda ints: [_int_of_words(words) for words in ints]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(entropies=st.lists(_entropy, min_size=1, max_size=12))
+@example(entropies=[(), (0,), (2**32,), (7, 0, 5), (2**32 + 3, 0, 2**96 - 1),
+                    (1, 2, 3, 4, 5, 6, 7, 8), (0, 0, 0, 0, 0)])
+def test_seeding_matches_default_rng(entropies):
+    states, incs = model.seed_pcg64(entropies)
+    for e, state, inc, rng in zip(entropies, states, incs, model._reseeded(entropies),
+                                  strict=True):
+        want = np.random.default_rng(e).bit_generator
+        assert (state, inc) == (want.state["state"]["state"], want.state["state"]["inc"])
+        assert np.array_equal(rng.bit_generator.random_raw(6), want.random_raw(6))
+
+
+def test_negative_entropy_raises_as_seed_sequence_does():
+    for entropy in ([-1], [3, 0, -(2**70)]):
+        with pytest.raises(ValueError, match="non-negative"):
+            np.random.default_rng(entropy)
+        with pytest.raises(ValueError, match="non-negative"):
+            model.seed_pcg64([(1, 2), entropy])
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_seeded_generators_give_default_rng_streams(monkeypatch, fast):
+    monkeypatch.setattr(model, "_fast_streams", fast)
+    entropies = [(9, 0, 2**127 + i) for i in range(5)] + [(9,), ()]
+    for e, rng in zip(entropies, model.seeded_generators(entropies), strict=True):
+        want = np.random.default_rng(e)
+        assert np.array_equal(rng.integers(0, 2, size=7), want.integers(0, 2, size=7))
+        assert np.array_equal(rng.normal(size=5), want.normal(size=5))
 
 
 # -- minibatch draws ---------------------------------------------------------------
 
-# Leaf 0, (n, size) = (10000, 300) over 11 steps from default_rng([1274, 0]),
+# Leaf 0, (n, size) = (10000, 300) over 11 steps from entropy (1274, 0),
 # reads a word that Lemire's method rejects, so it must take the fallback.
 REJECTED = dict(leaves=[(10000, 300), (200, 32), (12000, 300), (7, 6)], steps=11,
                 seed=1274)
 
 
-def next_words(rngs):
-    return [rng.integers(1 << 32, size=8, dtype=np.uint32) for rng in rngs]
-
-
-def assert_draws_match_choice(leaves, steps, make_rng):
-    """draw_minibatches equals the choice loop on twin generators: the rows,
-    and each generator's next eight 32-bit draws after the call."""
+def assert_draws_match_choice(leaves, steps, entropies):
+    """draw_minibatches equals the choice loop on default_rng(entropy)."""
     ns, sizes = [n for n, _ in leaves], [s for _, s in leaves]
-    fast = [make_rng(i) for i in range(len(leaves))]
-    slow = [make_rng(i) for i in range(len(leaves))]
-    got = draw_minibatches(ns, sizes, steps, iter(fast))
-    want = draw_reference(ns, sizes, steps, slow)
+    got = draw_minibatches(ns, sizes, steps, entropies)
+    want = draw_reference(ns, sizes, steps, [np.random.default_rng(e) for e in entropies])
     for i, (rows, want_rows) in enumerate(zip(got, want, strict=True)):
         if want_rows is None:
             assert rows is None, i
         else:
             assert rows.dtype == np.int64 and np.array_equal(rows, want_rows), i
-    for i, (a, b) in enumerate(zip(next_words(fast), next_words(slow))):
-        assert np.array_equal(a, b), i
 
 
 def count_choice_draws(monkeypatch):
@@ -432,7 +475,7 @@ def count_choice_draws(monkeypatch):
 
 
 def test_the_probe_enables_the_raw_word_draw_on_this_numpy():
-    assert model.fast_draw_enabled()
+    assert model.fast_streams_enabled()
 
 
 _leaf = st.one_of(st.integers(2, 64), st.integers(2, 12000)).flatmap(
@@ -444,107 +487,81 @@ _leaf = st.one_of(st.integers(2, 64), st.integers(2, 12000)).flatmap(
        seed=st.integers(0, 2**32 - 1))
 @example(**REJECTED)
 def test_draw_matches_a_choice_loop_on_twin_generators(leaves, steps, seed):
-    assert_draws_match_choice(leaves, steps, lambda i: np.random.default_rng([seed, i]))
+    assert_draws_match_choice(leaves, steps, [(seed, i) for i in range(len(leaves))])
 
 
 def test_a_rejected_word_takes_the_fallback(monkeypatch):
     calls = count_choice_draws(monkeypatch)
     leaves = REJECTED["leaves"]
     assert_draws_match_choice(leaves, REJECTED["steps"],
-                              lambda i: np.random.default_rng([REJECTED["seed"], i]))
-    # leaf 0 is rewound and redrawn; n = 12000 is above FLOYD_MAX_N
+                              [(REJECTED["seed"], i) for i in range(len(leaves))])
+    # leaf 0 has a suspect word; n = 12000 is above FLOYD_MAX_N
     assert sorted(calls) == [(10000, 300, 11), (12000, 300, 11)]
 
 
-def test_draw_shares_a_generator_between_leaves_in_order(monkeypatch):
-    # One generator for every leaf: each leaf's draws start where the last
-    # leaf's ended, also across a chunk boundary and a rejected word.
-    monkeypatch.setattr(model, "DRAW_CHUNK", 2)
-    leaves = [(10000, 300), (200, 32), (32, 8), (32, 32), (9, 4)]
-    for seed in (1274, 5):
-        fast, slow = np.random.default_rng([seed, 0]), np.random.default_rng([seed, 0])
-        ns, sizes = [n for n, _ in leaves], [s for _, s in leaves]
-        got = draw_minibatches(ns, sizes, 11, [fast] * len(leaves))
-        want = draw_reference(ns, sizes, 11, [slow] * len(leaves))
-        for rows, want_rows in zip(got, want):
-            assert (rows is None and want_rows is None) or np.array_equal(rows, want_rows)
-        assert np.array_equal(*next_words([fast, slow]))
+def test_draw_resolves_at_most_draw_words_at_a_time(monkeypatch):
+    # Floyd passes start once DRAW_WORDS words are held: each pass holds at
+    # most that many plus one leaf's, and the rows stay those of `choice`,
+    # also for a rejected word held in a later pass.
+    monkeypatch.setattr(model, "DRAW_WORDS", 100)
+    held = []
+    floyd_rows = model._floyd_rows
+
+    def counted(ns, size, words):
+        held.append(words.size)
+        return floyd_rows(ns, size, words)
+
+    monkeypatch.setattr(model, "_floyd_rows", counted)
+    leaves = [(32, 8)] * 9 + [(200, 32), (32, 8), (9, 9), REJECTED["leaves"][0]]
+    entropies = [(1274, i) for i in range(len(leaves) - 1)] + [(1274, 0)]
+    assert_draws_match_choice(leaves, 11, entropies)
+    assert len(held) > 5 and max(held) < 100 + 11 * 599
 
 
-def test_draw_holds_at_most_a_chunk_of_generators(monkeypatch):
-    monkeypatch.setattr(model, "DRAW_CHUNK", 3)
-
-    def alive():
-        gc.collect()
-        return sum(type(o) is np.random.Generator for o in gc.get_objects())
-
-    base, peak = alive(), 0
-
-    def rngs():
-        nonlocal peak
-        for i in range(12):
-            peak = max(peak, alive() - base)
-            yield np.random.default_rng(i)
-
-    draw_minibatches([40] * 12, [8] * 12, 3, rngs())
-    assert peak == 3
-
-
-def _fallback_case(rng, leaves, steps, make_rng):
+def _fallback_case(rng, leaves, steps, entropies):
     """local_finetune on datasets of the given (rows, batch) equals the
-    per-step choice reference, and leaves each generator where it leaves
-    its twin."""
+    per-step choice reference on default_rng(entropy)."""
     datas, personals = _leaf_round(rng, [n for n, _ in leaves])
     w_start = rand_params(rng)
-    fast = [make_rng(i) for i in range(len(leaves))]
-    slow = [make_rng(i) for i in range(len(leaves))]
-    got = local_finetune(datas, w_start, personals, steps, [b for _, b in leaves], fast)
+    got = local_finetune(datas, w_start, personals, steps, [b for _, b in leaves],
+                         entropies)
     for i, (data, personal) in enumerate(zip(datas, personals)):
         want_delta, want_state = finetune_reference(
-            data, w_start, personal, steps, leaves[i][1], slow[i])
+            data, w_start, personal, steps, leaves[i][1],
+            np.random.default_rng(entropies[i]))
         assert np.array_equal(got[i][0].w, want_delta.w), i
         assert np.array_equal(got[i][1].w_per.b, want_state.w_per.b), i
-    for i, (a, b) in enumerate(zip(next_words(fast), next_words(slow))):
-        assert np.array_equal(a, b), i
-
-
-def test_finetune_draws_with_choice_on_another_bit_generator(monkeypatch):
-    calls = count_choice_draws(monkeypatch)
-    _fallback_case(np.random.default_rng(30), [(40, 8), (9, 9), (40, 5)], 3,
-                   lambda i: np.random.Generator(np.random.MT19937([30, i])))
-    assert calls == [(40, 8, 3), (40, 5, 3)]
-
-
-def test_finetune_draws_with_choice_after_a_buffered_half_word(monkeypatch):
-    def buffered(i):
-        rng = np.random.default_rng([31, i])
-        if i != 1:  # leaf 1 stays fresh and takes the raw-word draw
-            rng.integers(1 << 32, dtype=np.uint32)
-        return rng
-
-    calls = count_choice_draws(monkeypatch)
-    _fallback_case(np.random.default_rng(31), [(40, 8), (40, 8), (23, 4)], 2, buffered)
-    assert calls == [(40, 8, 2), (23, 4, 2)]
 
 
 def test_finetune_draws_with_choice_above_floyd_max_n(monkeypatch):
     calls = count_choice_draws(monkeypatch)
     _fallback_case(np.random.default_rng(32), [(FLOYD_MAX_N + 1, 16), (FLOYD_MAX_N, 16)],
-                   2, lambda i: np.random.default_rng([32, i]))
+                   2, [(32, i) for i in range(2)])
     assert calls == [(FLOYD_MAX_N + 1, 16, 2)]
 
 
 def test_a_failed_probe_turns_the_raw_word_draw_off(monkeypatch):
-    # A raw-word draw that is off by one in every pick must fail the probe.
-    floyd_rows = model._floyd_rows
-    monkeypatch.setattr(model, "_floyd_rows",
-                        lambda *args: (lambda r, s: (r + 1, s))(*floyd_rows(*args)))
-    monkeypatch.setattr(model, "_fast_draw", None)
-    calls = count_choice_draws(monkeypatch)
-    _fallback_case(np.random.default_rng(33), [(40, 8), (200, 32)], 3,
-                   lambda i: np.random.default_rng([33, i]))
-    assert not model.fast_draw_enabled()
-    assert calls[-2:] == [(40, 8, 3), (200, 32, 3)]
+    # A raw-word draw that is off by one in every pick, a seeding with a
+    # wrong SeedSequence constant, or one that drops every entropy word
+    # after the fourth (which the draw's two-word probe entropies never
+    # show), must fail the probe; every leaf then draws with `choice` on its
+    # own default_rng, and data streams are built by default_rng too.
+    floyd_rows, pool = model._floyd_rows, model._pool
+    faults = [("_floyd_rows", lambda *args: (lambda r, s: (r + 1, s))(*floyd_rows(*args))),
+              ("_MULT_B", 0x58F38DED ^ 4),
+              ("_pool", lambda words: pool(words[:, :4]))]
+    for name, fault in faults:
+        with monkeypatch.context() as patch:
+            patch.setattr(model, name, fault)
+            patch.setattr(model, "_fast_streams", None)
+            calls = count_choice_draws(patch)
+            _fallback_case(np.random.default_rng(33), [(40, 8), (200, 32)], 3,
+                           [(33, i) for i in range(2)])
+            assert not model.fast_streams_enabled(), name
+            assert calls[-2:] == [(40, 8, 3), (200, 32, 3)], name
+            first, second = model.seeded_generators([(33, 0), (33, 1)])
+            assert first is not second, name  # one default_rng each
+    assert model.fast_streams_enabled()
 
 
 def test_forward_heads_slices_equal_forward_batch_bit_for_bit():

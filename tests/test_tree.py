@@ -337,6 +337,30 @@ def test_killing_the_root_elects_the_closest_live_node():
     assert set(trees.live_members(gid)) == set(live)
 
 
+def test_a_tick_beats_from_the_root_its_failure_pass_added(monkeypatch):
+    # Without intercepts, an orphan whose root is gone attaches under the
+    # live node closest to the group id. When that node is not a member yet,
+    # the tick's failure pass adds it, and its beats go out in the same tick.
+    ids, overlay, sim, trees, gid, root = build_world(30, fanout=3, seed=4,
+                                                      intercept=False)
+    group = trees.groups[gid]
+    heir = closest_id([x for x in ids if x != root], gid)
+    trees.remove_member(gid, heir)
+    overlay.fail(root)
+    now = 5000.0
+    for mem in group.members.values():
+        if mem.parent != root:
+            mem.last_parent_heartbeat = now
+    sent = []
+    monkeypatch.setattr(sim, "send_many",
+                        lambda batch, deliver, kind: sent.extend(batch))
+    trees.heartbeat_tick(gid, now)
+    assert group.root == heir and group.members[heir].children
+    want = [(nid, child) for nid in sorted(group.members) if overlay.is_alive(nid)
+            for child in trees._live_children(group, nid)]
+    assert [(src, dst) for src, dst, _ in sent] == want
+
+
 def test_mass_interior_failure_heals_within_window():
     ids, overlay, sim, trees, gid, root = build_world(400, fanout=8, seed=42)
     group = trees.groups[gid]
