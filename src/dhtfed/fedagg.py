@@ -125,9 +125,6 @@ class SocialGraph:
                 if nid not in self.friends.get(f, set()):
                     raise ValueError("social graph must be symmetric")
 
-    def isolated(self) -> list[int]:
-        return sorted(n for n, fs in self.friends.items() if not fs)
-
     @classmethod
     def complete(cls, ids: list[int]) -> "SocialGraph":
         ids = sorted(ids)
@@ -367,8 +364,7 @@ class FederatedSession:
         expected: dict[int, int] = {}
 
         def feeds(nid: int) -> bool:
-            kids = self.trees._live_children(group, nid)
-            n_feed = sum(1 for c in kids if feeds(c))
+            n_feed = sum(1 for c in group.members[nid].children if feeds(c))
             if nid in leaf_set:
                 n_feed += 1  # its own local update
             expected[nid] = n_feed
@@ -519,15 +515,13 @@ class FederatedSession:
         x = np.asarray(x, dtype=np.float64)
         n = x.shape[0]
         leaf_set = set(leaves)
-        kids: dict[int, list[int]] = {}
         voters: list[int] = []  # the leaves in the order mass_tally visits them
         stack = [group.root]
         while stack:
             nid = stack.pop()
             if nid in leaf_set:
                 voters.append(nid)
-            kids[nid] = self.trees._live_children(group, nid)
-            stack.extend(reversed(kids[nid]))
+            stack.extend(reversed(group.members[nid].children))
 
         ones = np.zeros(n, dtype=np.int64)  # votes for label 1 per test point
 
@@ -548,10 +542,10 @@ class FederatedSession:
         def mass_tally(nid: int) -> np.ndarray:
             """Probability mass summed up the tree, child by child; read
             only to break ties."""
-            if nid in leaf_set:  # a leaf has no live children
+            if nid in leaf_set:  # a leaf has no children
                 return next(probs_in_order)
             mass = np.zeros((n, 2))
-            for child in kids[nid]:
+            for child in group.members[nid].children:
                 mass += mass_tally(child)
                 self.msg_log.append(MessageRecord(PREDICT, child, nid, (), self.round))
             return mass

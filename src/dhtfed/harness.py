@@ -71,13 +71,6 @@ def make_topics(n_topics: int, hidden_dim: int, seed: int,
     return topics
 
 
-def _sample(spec: TopicSpec, n: int, seed: int,
-            stream: int) -> tuple[np.ndarray, np.ndarray]:
-    """n labelled points of one topic, drawn from the generator keyed by
-    (seed, topic, stream)."""
-    return _points(spec, n, np.random.default_rng([seed, spec.topic_id, stream]))
-
-
 def _points(spec: TopicSpec, n: int,
             rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Fair-coin labels, then class mean plus Gaussian noise."""
@@ -89,8 +82,8 @@ def _points(spec: TopicSpec, n: int,
 def generate_topic_data(spec: TopicSpec, node_ids: list[int],
                         seed: int) -> dict[int, LocalDataset]:
     """Per-node datasets, deterministic per (seed, node id, topic): node
-    nid's points are `_sample(spec, spec.samples_per_node, seed, nid)`, with
-    every node's stream seeded in one pass."""
+    nid's points are `_points` drawn from `default_rng([seed, topic, nid])`,
+    with every node's stream seeded in one pass."""
     nids = sorted(node_ids)
     rngs = seeded_generators([(seed, spec.topic_id, nid) for nid in nids])
     return {nid: LocalDataset(*_points(spec, spec.samples_per_node, rng), spec.topic_id)
@@ -98,13 +91,14 @@ def generate_topic_data(spec: TopicSpec, node_ids: list[int],
 
 
 def generate_testset(spec: TopicSpec, n: int, seed: int) -> LocalDataset:
-    return LocalDataset(*_sample(spec, n, seed, _TEST_STREAM), spec.topic_id)
+    rng = next(seeded_generators([(seed, spec.topic_id, _TEST_STREAM)]))
+    return LocalDataset(*_points(spec, n, rng), spec.topic_id)
 
 
 def mixed_node_data(topics: list[TopicSpec], node_ids: list[int], seed: int,
                     points_per_node: int) -> dict[int, LocalDataset]:
     """Each node holds an even split of every topic's data: its share of
-    topic t is `_sample(topics[t], share, seed, nid)`."""
+    topic t is `_points` drawn from `default_rng([seed, t, nid])`."""
     shares = [points_per_node // len(topics)] * len(topics)
     for i in range(points_per_node - sum(shares)):
         shares[i] += 1

@@ -72,9 +72,6 @@ class ModelParams:
 
     __rmul__ = __mul__
 
-    def sq_norm(self) -> float:
-        return float(np.sum(self.w * self.w) + np.sum(self.b * self.b))
-
     def allclose(self, other: "ModelParams", atol: float = 0.0, rtol: float = 0.0) -> bool:
         return (np.allclose(self.w, other.w, atol=atol, rtol=rtol)
                 and np.allclose(self.b, other.b, atol=atol, rtol=rtol))

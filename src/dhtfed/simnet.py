@@ -54,6 +54,8 @@ class FailureSchedule:
     def __post_init__(self) -> None:
         last = 0.0
         for t, _node, action in self.events:
+            if not math.isfinite(t):
+                raise ValueError(f"failure event time {t} is not finite")
             if t < 0:
                 raise ValueError(f"failure event time {t} is negative")
             if t < last:

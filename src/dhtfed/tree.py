@@ -7,17 +7,19 @@ descendants (ties to the smaller id), so trees stay balanced under the
 fanout cap. Parents emit existence messages; a member that stops hearing
 from its parent re-issues the JOIN, carrying its whole subtree with it.
 
-Each group keeps a count of live descendants per live member. Attaching a
-subtree adds its count along the chain of live ancestors, and a parent-failure
-rejoin subtracts it first, so a join or rejoin costs O(fanout * depth) rather
-than a walk of every subtree it passes. Liveness changes in the overlay bump
-`Overlay.version`; a group whose counts are older than that (or that lost a
-member, or was rerooted) recounts them in one O(members) pass before its next
-adoption.
+Child lists hold only live ids, and each group keeps a count of live
+descendants per live member. Attaching a subtree adds its count along the
+chain of live ancestors, and a parent-failure rejoin subtracts it first, so a
+join or rejoin costs O(fanout * depth) rather than a walk of every subtree it
+passes. Liveness changes in the overlay bump `Overlay.version`; a group older
+than that (or that lost a member, or was rerooted) drops the dead from its
+child lists and recounts in one O(members) pass, run by `TreeManager.group`,
+by each adoption and by each multicast hop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -37,6 +39,10 @@ class TreeConfig:
     def __post_init__(self) -> None:
         if self.fanout_cap < 1:
             raise ValueError("fanout_cap must be >= 1")
+        if not (self.heartbeat_period > 0 and math.isfinite(self.heartbeat_period)):
+            raise ValueError("heartbeat_period must be positive and finite")
+        if not math.isfinite(self.failure_timeout):
+            raise ValueError("failure_timeout must be finite")
         if self.failure_timeout < 2 * self.heartbeat_period:
             raise ValueError("failure_timeout must be >= 2 * heartbeat_period")
 
@@ -64,11 +70,15 @@ class GroupState:
         self.gid = gid
         self.name = name
         self.root = root
+        # Every member's `children` holds only live ids, in attach order,
+        # from the moment `TreeManager.group` returns until the next liveness
+        # change; walks read the lists as they stand.
         self.members: dict[int, TreeMembership] = {}
         self.rejoins = 0
         self.dead_parent_rejoins = 0
-        # Live member -> members reachable through live children, itself
-        # included; valid while sizes_version == Overlay.version (-1: stale).
+        # Live member -> members reachable through its children, itself
+        # included. Lists and sizes are in sync while sizes_version ==
+        # Overlay.version (-1: stale).
         self.sizes: dict[int, int] = {}
         self.sizes_version = -1
 
@@ -118,7 +128,9 @@ class TreeManager:
     def group(self, gid: int) -> GroupState:
         if gid not in self.groups:
             raise KeyError(f"unknown group {hex_id(gid)}")
-        return self.groups[gid]
+        group = self.groups[gid]
+        self._sync(group)
+        return group
 
     def join_group(self, member: int, gid: int) -> TreeMembership:
         group = self.group(gid)
@@ -176,10 +188,10 @@ class TreeManager:
 
     def _adopt(self, group: GroupState, adopter: int, joiner: int) -> None:
         """Attach under `adopter`, delegating while children are at the cap."""
-        sizes = self._live_sizes(group)
+        sizes = self._sync(group)
         cur = adopter
         while True:
-            children = self._live_children(group, cur)
+            children = group.members[cur].children
             if len(children) < self.config.fanout_cap:
                 break
             cur = min(children, key=lambda c: (sizes[c], c))
@@ -189,26 +201,25 @@ class TreeManager:
         mem.last_parent_heartbeat = self.sim.now
         self._resize_chain(group, cur, sizes[joiner])
 
-    def _live_sizes(self, group: GroupState) -> dict[int, int]:
-        """The group's live subtree sizes, recounted in one pass if stale."""
+    def _sync(self, group: GroupState) -> dict[int, int]:
+        """Bring a stale group up to date: drop the dead from every child
+        list (order kept), then recount the live subtree sizes in one pass.
+        Returns the sizes."""
         if group.sizes_version == self.overlay.version:
             return group.sizes
         alive = self.overlay.is_alive
         members = group.members
+        for mem in members.values():
+            mem.children = [c for c in mem.children if alive(c)]
         sizes: dict[int, int] = {}
         for top in members:
             if top in sizes or not alive(top):
                 continue
-            order = []
-            stack = [top]
-            while stack:
-                cur = stack.pop()
-                order.append(cur)
-                stack.extend(c for c in members[cur].children
-                             if alive(c) and c not in sizes)
+            order = [top]  # breadth first: each member after its parent
+            for cur in order:
+                order.extend(c for c in members[cur].children if c not in sizes)
             for cur in reversed(order):
-                sizes[cur] = 1 + sum(sizes[c] for c in members[cur].children
-                                     if alive(c))
+                sizes[cur] = 1 + sum(sizes[c] for c in members[cur].children)
         group.sizes = sizes
         group.sizes_version = self.overlay.version
         return sizes
@@ -216,12 +227,10 @@ class TreeManager:
     def _resize_chain(self, group: GroupState, nid: int, delta: int) -> None:
         """Add delta to the sizes of nid and its live ancestors, O(depth).
 
-        With fresh counts, `sizes` holds exactly the live members, so the
-        walk stops at the root or at the first dead ancestor. Stale counts
-        are left alone: the next adoption recounts them.
+        `sizes` holds exactly the live members, so the walk stops at the
+        root or at the first dead ancestor. Stale counts are thrown away by
+        the next recount, so updating them does no harm.
         """
-        if group.sizes_version != self.overlay.version:
-            return
         sizes = group.sizes
         while nid in sizes:
             sizes[nid] += delta
@@ -257,15 +266,6 @@ class TreeManager:
                 raise RuntimeError("cycle in tree parent chain")
         return False
 
-    def _live_children(self, group: GroupState, nid: int) -> list[int]:
-        """Children filtered to live nodes; dead entries are pruned on touch."""
-        mem = group.members[nid]
-        alive = self.overlay.is_alive
-        live = [c for c in mem.children if alive(c)]
-        if len(live) != len(mem.children):
-            mem.children = live
-        return live
-
     # -- multicast -----------------------------------------------------------
 
     def multicast(self, gid: int, payload_bytes: int, sender: Optional[int] = None,
@@ -291,7 +291,8 @@ class TreeManager:
 
     def _forward(self, group: GroupState, nid: int, nbytes: int,
                  result: MulticastResult, on_member) -> None:
-        msgs = [(nid, child, nbytes) for child in self._live_children(group, nid)]
+        self._sync(group)  # a scheduled fail may fire between deliveries
+        msgs = [(nid, child, nbytes) for child in group.members[nid].children]
         if not msgs:
             return
         result.forwards += len(msgs)
@@ -339,7 +340,7 @@ class TreeManager:
         if len(members) != len(group.members):
             members = sorted(group.members)
         beats = [(nid, child, HEARTBEAT_BYTES) for nid in members
-                 if alive(nid) for child in self._live_children(group, nid)]
+                 if alive(nid) for child in group.members[nid].children]
 
         def beat(i: int) -> None:
             cm = group.members.get(beats[i][1])
@@ -396,7 +397,7 @@ class TreeManager:
         group = self.group(gid)
         return sorted(
             m for m in group.members
-            if self.overlay.is_alive(m) and not self._live_children(group, m)
+            if self.overlay.is_alive(m) and not group.members[m].children
         )
 
     def depth_of(self, gid: int, nid: int) -> int:
@@ -418,7 +419,7 @@ class TreeManager:
             nid, d = stack.pop()
             count += 1
             hist[d] = hist.get(d, 0) + 1
-            kids = self._live_children(group, nid)
+            kids = group.members[nid].children
             max_fan = max(max_fan, len(kids))
             stack.extend((c, d + 1) for c in kids)
         depth = max(hist) if hist else 0
@@ -435,7 +436,7 @@ class TreeManager:
             problems.append(f"expected exactly one root, found {len(roots)}")
         for m in live:
             mem = group.members[m]
-            kids = self._live_children(group, m)
+            kids = mem.children
             if len(kids) > self.config.fanout_cap:
                 problems.append(f"fanout cap exceeded at {hex_id(m)}")
             if len(set(kids)) != len(kids):
@@ -459,7 +460,7 @@ class TreeManager:
                 problems.append(f"cycle through {hex_id(cur)}")
                 break
             reached.add(cur)
-            stack.extend(self._live_children(group, cur))
+            stack.extend(group.members[cur].children)
         if reached != set(live):
             problems.append(
                 f"tree covers {len(reached)} of {len(live)} live members"
@@ -473,6 +474,6 @@ class TreeManager:
             stack = [group.root]
             while stack:
                 nid = stack.pop()
-                for c in self._live_children(group, nid):
+                for c in group.members[nid].children:
                     fh.write(f"{hex_id(nid)}\t{hex_id(c)}\n")
                     stack.append(c)

@@ -312,6 +312,7 @@ def loss_reference(data, w_cla, personal, penalty="squared"):
     probs = forward_batch(data.x, w_cla)
     nll = -float(np.mean(np.log(probs[np.arange(len(data)), data.y])))
     diff = personal.w_per - w_cla
+    sq = float(np.sum(diff.w * diff.w) + np.sum(diff.b * diff.b))
     if penalty == "squared":
-        return nll + 0.5 * personal.lam * diff.sq_norm()
-    return nll + 0.5 * personal.lam * np.sqrt(diff.sq_norm())
+        return nll + 0.5 * personal.lam * sq
+    return nll + 0.5 * personal.lam * np.sqrt(sq)

@@ -76,7 +76,7 @@ def test_criterion_2_tree_churn_invariants_and_multicast():
     window = 3000.0 + depth * 1000.0  # failure_timeout + depth * heartbeat
     sim.run_until(sim.now + window / 2)
     transient_fanout_ok = all(
-        len(trees._live_children(group, nid)) <= 16
+        len(group.members[nid].children) <= 16
         for nid in trees.live_members(gid))
     sim.run_until(sim.now + window / 2)
     trees.disable_heartbeats(gid)
@@ -85,7 +85,7 @@ def test_criterion_2_tree_churn_invariants_and_multicast():
     problems = trees.validate(gid)
     survivors = set(ids) - set(victims)
     fanout_ok = all(
-        len(trees._live_children(group, nid)) <= 16
+        len(group.members[nid].children) <= 16
         for nid in trees.live_members(gid))
 
     seen = []

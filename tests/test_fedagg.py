@@ -412,7 +412,7 @@ def test_isolated_leaf_contributes_directly():
     friends = SocialGraph.ring(rest).friends
     friends[iso] = set()
     social = SocialGraph(friends)
-    assert social.isolated() == [iso]
+    assert [n for n, fs in social.friends.items() if not fs] == [iso]
     metrics = session.decentralized_round(social)
     assert metrics.root_weight == len(leaves)  # isolated one still counted
     # its raw weight-1 forward is excused: fewer than two friends

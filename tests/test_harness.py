@@ -13,7 +13,7 @@ from dhtfed.harness import (MIXED, SINGLE_TOPIC_PER_TREE, DisseminationRow,
                             generate_topic_data, make_topics,
                             measure_dissemination, mixed_node_data,
                             read_records, run_scenario, summary_rows,
-                            write_records, _sample)
+                            write_records)
 from dhtfed.overlay import Overlay, random_ids
 from dhtfed.simnet import LinkModel
 from dhtfed.tree import TreeManager
@@ -83,6 +83,15 @@ def test_mixed_data_splits_points_evenly():
     assert all(len(ds) == 100 for ds in data.values())
 
 
+def sample(spec, n, seed, stream):
+    """n points of one topic from default_rng([seed, topic, stream]): fair
+    coin labels, then class mean plus scaled Gaussian noise."""
+    rng = np.random.default_rng([seed, spec.topic_id, stream])
+    y = rng.integers(0, 2, size=n)
+    noise = rng.normal(size=(n, spec.mean0.size))
+    return np.where(y[:, None] == 1, spec.mean1, spec.mean0) + spec.cov_scale * noise, y
+
+
 @pytest.mark.parametrize("fast", [True, False])
 def test_node_data_equals_per_node_samples(monkeypatch, fast):
     # Seeding every node's stream in one pass is only a faster route to the
@@ -94,11 +103,14 @@ def test_node_data_equals_per_node_samples(monkeypatch, fast):
     single = generate_topic_data(topics[1], ids, seed=2**33 + 1)
     mixed = mixed_node_data(topics, ids, seed=4, points_per_node=50)
     for nid in ids:
-        x, y = _sample(topics[1], 33, 2**33 + 1, nid)
+        x, y = sample(topics[1], 33, 2**33 + 1, nid)
         assert np.array_equal(single[nid].x, x) and np.array_equal(single[nid].y, y)
-        parts = [_sample(spec, share, 4, nid) for spec, share in zip(topics, [17, 17, 16])]
+        parts = [sample(spec, share, 4, nid) for spec, share in zip(topics, [17, 17, 16])]
         assert np.array_equal(mixed[nid].x, np.concatenate([x for x, _ in parts]))
         assert np.array_equal(mixed[nid].y, np.concatenate([y for _, y in parts]))
+    test = generate_testset(topics[2], 41, seed=5)
+    x, y = sample(topics[2], 41, 5, 1 << 130)
+    assert np.array_equal(test.x, x) and np.array_equal(test.y, y)
 
 
 # -- metrics ---------------------------------------------------------------------------
@@ -232,7 +244,13 @@ def test_config_validation_rules():
                        (dict(bandwidth=float("nan")), "bandwidth"),
                        (dict(bandwidth=float("inf")), "bandwidth"),
                        (dict(fanout=0), "fanout"),
-                       (dict(heartbeat_period=2000.0), "failure_timeout")]:
+                       (dict(heartbeat_period=2000.0), "failure_timeout"),
+                       (dict(heartbeat_period=0.0), "heartbeat_period"),
+                       (dict(heartbeat_period=-1000.0), "heartbeat_period"),
+                       (dict(heartbeat_period=float("nan")), "heartbeat_period"),
+                       (dict(heartbeat_period=float("inf")), "heartbeat_period"),
+                       (dict(failure_timeout=float("nan")), "failure_timeout"),
+                       (dict(failure_timeout=float("inf")), "failure_timeout")]:
         with pytest.raises(ValueError, match=match):
             ScenarioConfig(seed=1, **bad).validate()
 
@@ -550,6 +568,8 @@ def test_demo_digest_with_every_draw_through_choice(monkeypatch):
     ([(0.0, 3, "rejoin")], "not failed"),
     ([(0.0, 3, "fail"), (10.0, 3, "rejoin"), (20.0, 3, "rejoin")], "not failed"),
     ([(50000.0, 3, "fail")], r"never fired.*50000.*simulated time"),
+    ([(float("nan"), 3, "fail")], "not finite"),
+    ([(0.0, 2, "fail"), (float("inf"), 3, "fail")], "not finite"),
 ])
 def test_run_scenario_rejects_bad_failure_schedule(failures, match):
     cfg = ScenarioConfig(seed=1, nodes=12, rounds=2, topics=1, tree_count=1,

@@ -230,6 +230,12 @@ def test_failure_schedule_validation():
         FailureSchedule([(5.0, 1, "fail"), (0.0, 2, "fail")])
     with pytest.raises(ValueError):
         FailureSchedule([(0.0, 1, "explode")])
+    # NaN passes every comparison and inf fires after the last round
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            FailureSchedule([(0.0, 1, "fail"), (t, 2, "fail")])
+        with pytest.raises(ValueError, match="not finite"):
+            FailureSchedule([(t, 1, "fail")])
 
 
 def test_link_model_validation():

@@ -9,7 +9,7 @@ from dhtfed.overlay import Overlay, id_from_name, random_ids
 from dhtfed.simnet import Simulator
 from dhtfed.tree import TreeConfig, TreeManager
 
-from conftest import build_world
+from conftest import build_world, live_children
 from oracles import closest_id, subtree_size, walk_tree
 
 
@@ -138,6 +138,20 @@ def test_large_multicast_is_exactly_once_and_bounded_by_depth():
     assert max(trees.depth_of(gid, nid) for nid in result.deliveries) == stats.depth
 
 
+def test_a_node_failed_mid_multicast_is_not_sent_to():
+    # The fail fires after the multicast starts, before the victim's parent
+    # forwards: the parent must send only to its children still alive.
+    ids, overlay, sim, trees, gid, root = build_world(100, fanout=4, seed=9)
+    group = trees.groups[gid]
+    victim = next(nid for nid, mem in sorted(group.members.items())
+                  if mem.parent not in (None, root) and not mem.children)
+    sim.schedule(0.0, lambda: overlay.fail(victim))
+    result = trees.multicast(gid, 512)
+    sim.run()
+    assert sim.dropped == 0
+    assert set(result.deliveries) == set(ids) - {victim}
+
+
 def test_multicast_from_non_root_rejected():
     ids, overlay, sim, trees, gid, root = build_world(5, seed=21)
     other = next(nid for nid in ids if nid != root)
@@ -202,7 +216,7 @@ def assert_sizes_match_oracle(trees, gid):
     children = {nid: m.children for nid, m in group.members.items()}
     want = {nid: subtree_size(children, alive, nid)
             for nid in group.members if alive(nid)}
-    assert trees._live_sizes(group) == want
+    assert trees._sync(group) == want
 
 
 def heal(trees, gid):
@@ -282,6 +296,8 @@ def test_kept_sizes_match_oracle_under_random_churn(seed, fanout, intercept, ops
                 trees.handle_parent_failure(gid, pool[pick % len(pool)])
         elif len(members) >= 3:  # remove
             trees.remove_member(gid, members[pick % len(members)])
+        lists = {m: mem.children for m, mem in trees.group(gid).members.items()}
+        assert lists == live_children(trees, gid)
         assert_sizes_match_oracle(trees, gid)
         assert trees.validate(gid) == []
 
@@ -357,7 +373,7 @@ def test_a_tick_beats_from_the_root_its_failure_pass_added(monkeypatch):
     trees.heartbeat_tick(gid, now)
     assert group.root == heir and group.members[heir].children
     want = [(nid, child) for nid in sorted(group.members) if overlay.is_alive(nid)
-            for child in trees._live_children(group, nid)]
+            for child in group.members[nid].children]
     assert [(src, dst) for src, dst, _ in sent] == want
 
 
@@ -382,7 +398,7 @@ def test_mass_interior_failure_heals_within_window():
     assert set(trees.live_members(gid)) == survivors
     # fanout cap still holds everywhere after healing
     for nid in trees.live_members(gid):
-        assert len(trees._live_children(group, nid)) <= 8
+        assert len(group.members[nid].children) <= 8
 
 
 def test_heartbeat_config_validation():
