@@ -139,16 +139,18 @@ def cmd_agg_check(args) -> int:
     leaves' updates, on the real round protocols.
 
     Each trial runs one random single-tree scenario for one round in both
-    modes. With no gossip, the decentralized root averages every leaf's
-    update flat, so the centralized final weights must match its own; and
-    every round's root weight must equal its contributors.
+    modes, with 0 to 3 gossip hops drawn per trial. However far the leaves
+    gossip, the decentralized root averages each distinct leaf's update once,
+    flat, so the centralized final weights must match its own; and every
+    round's root weight must equal its contributors.
     """
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for trial in range(args.trials):
         base = dict(seed=int(rng.integers(1, 1 << 31)),
                     nodes=int(rng.integers(5, 40)), fanout=int(rng.integers(1, 5)),
-                    rounds=1, topics=1, tree_count=1, gossip_k=0, **_AGG_CHECK_MODEL)
+                    gossip_k=int(rng.integers(0, 4)), rounds=1, topics=1,
+                    tree_count=1, **_AGG_CHECK_MODEL)
         finals = []
         for mode in (CENTRALIZED, DECENTRALIZED):
             result = run_scenario(ScenarioConfig(mode=mode, **base))

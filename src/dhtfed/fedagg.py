@@ -213,15 +213,34 @@ def write_round_log(metrics: list[RoundMetrics], path: str,
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+def mask_members(mask: int, leaf_ids: tuple[int, ...]) -> tuple[int, ...]:
+    """The ids whose bits are set in `mask` (bit i stands for leaf_ids[i]),
+    in ascending bit order."""
+    return tuple(leaf_ids[i] for i, bit in enumerate(reversed(bin(mask)[2:]))
+                 if bit == "1")
+
+
 @dataclass(slots=True)
 class MessageRecord:
-    """One protocol message as seen by the privacy audit."""
+    """One protocol message as seen by the privacy audit.
+
+    Its contributing leaves are a bitmask over the round's sorted leaf ids:
+    bit i of `mask` stands for `leaf_ids[i]`, and every record of a round
+    shares one `leaf_ids` tuple. Centralized AGG_UP and PREDICT records
+    carry no contributors: mask 0 over an empty tuple.
+    """
 
     kind: str
     src: int
     dst: int
-    contributors: tuple[int, ...]
+    mask: int
+    leaf_ids: tuple[int, ...]
     round: int = 0
+
+    @property
+    def contributors(self) -> tuple[int, ...]:
+        """The contributing leaf ids in ascending order, decoded when read."""
+        return mask_members(self.mask, self.leaf_ids)
 
 
 def audit_decentralized_privacy(records: list[MessageRecord],
@@ -233,7 +252,7 @@ def audit_decentralized_privacy(records: list[MessageRecord],
     """
     violations = []
     for r in records:
-        if len(r.contributors) != 1:
+        if r.mask.bit_count() != 1:
             continue
         c = r.contributors[0]
         friends = social.friends.get(c, set())
@@ -327,9 +346,10 @@ class FederatedSession:
             self.global_params, effective, self.cfg.eta, expected_round=self.round
         )
 
-    def _send_routed(self, src: int, key: int, nbytes: int, kind: str,
-                     contributors: tuple[int, ...], on_deliver) -> None:
-        """Forward along the DHT route, hop by hop, logging every message."""
+    def _send_routed(self, src: int, key: int, nbytes: int, kind: str, mask: int,
+                     leaf_ids: tuple[int, ...], on_deliver) -> None:
+        """Forward along the DHT route, hop by hop, logging every message
+        with its contributor mask over `leaf_ids`."""
         path = self.overlay.route(src, key).hops
         if not path:
             self.sim.schedule(0.0, on_deliver)
@@ -341,7 +361,7 @@ class FederatedSession:
             nonlocal remaining
             frm, dst = next(links)
             remaining -= 1
-            self.msg_log.append(MessageRecord(kind, frm, dst, contributors, self.round))
+            self.msg_log.append(MessageRecord(kind, frm, dst, mask, leaf_ids, self.round))
             self.sim.send(frm, dst, nbytes, step if remaining else on_deliver, kind=kind)
 
         step()
@@ -391,7 +411,7 @@ class FederatedSession:
 
         def send_up(nid: int, msg: AggregateMessage) -> None:
             parent = group.members[nid].parent
-            self.msg_log.append(MessageRecord(AGG_UP, nid, parent, (), self.round))
+            self.msg_log.append(MessageRecord(AGG_UP, nid, parent, 0, (), self.round))
             self.sim.send(nid, parent, msg.nbytes(), partial(receive, parent, msg),
                           kind=AGG_UP)
 
@@ -418,9 +438,11 @@ class FederatedSession:
         """Leaves fine-tune, gossip friend-set aggregates for K hops, then
         forward their buffers to the root over the DHT.
 
-        Buffers are contributor-keyed, so repeated mixing never double
-        counts a leaf: the root's final aggregate is the mean over distinct
-        leaf updates it can see.
+        Buffers are contributor bitmasks over the round's sorted leaf ids
+        (bit i stands for the i-th smallest), so a merge is an OR and
+        repeated mixing never double counts a leaf. The root ORs what
+        reaches it into one mask and averages its set bits' updates in
+        ascending id order: the flat mean over the distinct leaves it sees.
         """
         group = self.trees.group(self.gid)
         k = self.cfg.gossip_k if k_gossip is None else k_gossip
@@ -436,7 +458,8 @@ class FederatedSession:
         root = group.root
 
         payloads = dict(zip(leaves, self._leaf_payloads(leaves)))
-        buffers: dict[int, set[int]] = {nid: {nid} for nid in leaves}
+        leaf_ids = tuple(sorted(leaves))
+        buffers = {nid: 1 << i for i, nid in enumerate(leaf_ids)}
         gossipers = [n for n in leaves if social.friends.get(n)]
         param_bytes = 32 + param_nbytes(self.hidden_dim)
         # Every hop sends along the same links, in receiver order and then
@@ -447,23 +470,21 @@ class FederatedSession:
 
         def run_gossip_hop() -> None:
             """Synchronous exchange: everyone shares its current buffer with
-            every friend; merges dedup by contributor. Each sender's snapshot
-            is its sorted contributor tuple, which its messages share and
-            which sets their size."""
-            snapshots = {}
-            for n in gossipers:
-                contribs = tuple(sorted(buffers[n]))
-                snapshots[n] = (contribs, param_bytes + 16 * len(contribs))
+            every friend, and a merge ORs the sender's mask into the
+            receiver's. A sender's snapshot is its mask as the hop starts:
+            its messages carry it, and its bit count sets their size."""
+            snapshot = buffers.copy()
+            nbytes = {n: param_bytes + 16 * snapshot[n].bit_count() for n in gossipers}
             log, rnd = self.msg_log, self.round
             msgs = []
             for friend, receiver in links:
-                contribs, nbytes = snapshots[friend]
-                log.append(MessageRecord(AGG_UP, friend, receiver, contribs, rnd))
-                msgs.append((friend, receiver, nbytes))
+                log.append(MessageRecord(AGG_UP, friend, receiver, snapshot[friend],
+                                         leaf_ids, rnd))
+                msgs.append((friend, receiver, nbytes[friend]))
 
             def merge(i: int) -> None:
                 friend, receiver = links[i]
-                buffers[receiver].update(snapshots[friend][0])
+                buffers[receiver] |= snapshot[friend]
 
             self.sim.send_many(msgs, merge, AGG_UP)
 
@@ -471,24 +492,28 @@ class FederatedSession:
             run_gossip_hop()
             self.sim.run()  # barrier: the hop completes before the next starts
 
-        root_contrib: set[int] = set()
-        for nid in sorted(leaves):
-            contribs = tuple(sorted(buffers[nid]))
-            at_root = partial(root_contrib.update, contribs)
+        root_mask = 0
+
+        def at_root(mask: int) -> None:
+            nonlocal root_mask
+            root_mask |= mask
+
+        for nid in leaf_ids:
+            mask = buffers[nid]
             if nid == root:
-                self.sim.schedule(0.0, at_root)
+                self.sim.schedule(0.0, partial(at_root, mask))
             else:
-                self._send_routed(nid, root, param_bytes + 16 * len(contribs), AGG_UP,
-                                  contribs, at_root)
+                self._send_routed(nid, root, param_bytes + 16 * mask.bit_count(), AGG_UP,
+                                  mask, leaf_ids, partial(at_root, mask))
         self.sim.run()
-        if not root_contrib:
+        if not root_mask:
             raise ProtocolError("no contributions reached the root")
 
         # The root's buffer is weight-1 messages, one per distinct
-        # contributor; summed in sorted order, they give the flat mean.
+        # contributor; summed in ascending id order, they give the flat mean.
         aggregate = branch_aggregate(
             [AggregateMessage(self.gid, self.round, payloads[cid], 1)
-             for cid in sorted(root_contrib)], self.cfg.agg_mode)
+             for cid in mask_members(root_mask, leaf_ids)], self.cfg.agg_mode)
         root_latency = self.sim.now - t0
         self._finalize(aggregate)
 
@@ -547,7 +572,7 @@ class FederatedSession:
             mass = np.zeros((n, 2))
             for child in group.members[nid].children:
                 mass += mass_tally(child)
-                self.msg_log.append(MessageRecord(PREDICT, child, nid, (), self.round))
+                self.msg_log.append(MessageRecord(PREDICT, child, nid, 0, (), self.round))
             return mass
 
         mass = mass_tally(group.root)

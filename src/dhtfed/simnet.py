@@ -97,6 +97,8 @@ class Simulator:
         self.trace: list[tuple[float, str, int, int, int]] = [] if keep_trace else None
 
     def schedule(self, delay: float, action: Callable[[], None]) -> int:
+        if not math.isfinite(delay):
+            raise ValueError(f"delay {delay} is not finite")
         if delay < 0:
             raise ValueError("delay must be >= 0")
         self._seq += 1
@@ -214,7 +216,10 @@ class Simulator:
         return count
 
     def run_until(self, t_end: float) -> int:
-        """Execute all events with fire_time <= t_end; returns the count."""
+        """Execute all events with fire_time <= t_end; returns the count.
+        `run` drains the whole queue."""
+        if not math.isfinite(t_end):
+            raise ValueError(f"t_end {t_end} is not finite")
         if t_end < self.now:
             raise ValueError("cannot run backwards")
         count = self._drain(t_end)

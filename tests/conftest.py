@@ -10,12 +10,12 @@ from dhtfed.tree import TreeConfig, TreeManager
 
 def build_world(n, fanout=16, seed=42, intercept=True, group="g",
                 lat=(10.0, 50.0), bandwidth=1048.576, heartbeat=1000.0,
-                timeout=3000.0):
+                timeout=3000.0, keep_trace=False):
     """Overlay + simulator + one fully joined tree; returns the lot."""
     ids = random_ids(n, seed)
     overlay = Overlay.build(ids)
     sim = Simulator(seed=seed, link=LinkModel(lat[0], lat[1], bandwidth),
-                    alive=overlay.is_alive)
+                    alive=overlay.is_alive, keep_trace=keep_trace)
     trees = TreeManager(overlay, sim, TreeConfig(
         fanout_cap=fanout, heartbeat_period=heartbeat,
         failure_timeout=timeout, intercept_joins=intercept))

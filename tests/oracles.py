@@ -6,10 +6,12 @@ powers) rather than reusing the code paths under test. The per-leaf
 references for fine-tuning and voting build on the public single-leaf
 calls (`pfl_grad`, `forward_batch`), so they check the stacked multi-leaf
 paths against one leaf at a time. `loss_reference` is the per-leaf loss
-formula as it stood before the loss was stacked.
+formula as it stood before the loss was stacked, and `gossip_reference`
+the decentralized round as it stood with set-valued contributor buffers.
 """
 
 from bisect import bisect_left
+from functools import partial
 
 import numpy as np
 
@@ -316,3 +318,75 @@ def loss_reference(data, w_cla, personal, penalty="squared"):
     if penalty == "squared":
         return nll + 0.5 * personal.lam * sq
     return nll + 0.5 * personal.lam * np.sqrt(sq)
+
+
+def gossip_reference(session, social, k):
+    """`FederatedSession.decentralized_round` as it stood with contributor
+    sets: a leaf's buffer is a Python set, a hop's snapshot of each sender
+    is its sorted tuple, a merge is `set.update`, and the root sums the
+    sorted union. Runs one round on `session`, with the same sends in the
+    same order, and returns (metrics, log); log lists every message as
+    (kind, src, dst, contributors, round)."""
+    from dhtfed.fedagg import DECENTRALIZED, AggregateMessage, branch_aggregate
+    from dhtfed.model import param_nbytes
+    from dhtfed.simnet import AGG_UP
+
+    sim, rnd = session.sim, session.round
+    root = session.trees.group(session.gid).root
+    leaves = session.contributing_leaves()
+    sim.reset_counters()
+    t0 = sim.now
+    log = []
+    payloads = dict(zip(leaves, session._leaf_payloads(leaves)))
+    buffers = {nid: {nid} for nid in leaves}
+    param_bytes = 32 + param_nbytes(session.hidden_dim)
+    gossipers = [n for n in leaves if social.friends.get(n)]
+    is_gossiper = set(gossipers)
+    links = [(friend, receiver) for receiver in gossipers
+             for friend in sorted(social.friends[receiver]) if friend in is_gossiper]
+
+    for _hop in range(k):
+        snapshots = {n: tuple(sorted(buffers[n])) for n in gossipers}
+        msgs = []
+        for friend, receiver in links:
+            log.append((AGG_UP, friend, receiver, snapshots[friend], rnd))
+            msgs.append((friend, receiver, param_bytes + 16 * len(snapshots[friend])))
+
+        def merge(i, snapshots=snapshots):
+            friend, receiver = links[i]
+            buffers[receiver].update(snapshots[friend])
+
+        sim.send_many(msgs, merge, AGG_UP)
+        sim.run()
+
+    root_contrib = set()
+
+    def forward(hops, contribs, nbytes):
+        """Send along the remaining route links; the root merges at the end."""
+        frm, dst = hops[0]
+        log.append((AGG_UP, frm, dst, contribs, rnd))
+        then = (partial(forward, hops[1:], contribs, nbytes) if len(hops) > 1
+                else partial(root_contrib.update, contribs))
+        sim.send(frm, dst, nbytes, then, kind=AGG_UP)
+
+    for nid in sorted(leaves):
+        contribs = tuple(sorted(buffers[nid]))
+        path = [] if nid == root else session.overlay.route(nid, root).hops
+        if path:
+            forward(list(zip([nid] + path, path)), contribs,
+                    param_bytes + 16 * len(contribs))
+        else:
+            sim.schedule(0.0, partial(root_contrib.update, contribs))
+    sim.run()
+
+    aggregate = branch_aggregate(
+        [AggregateMessage(session.gid, rnd, payloads[cid], 1)
+         for cid in sorted(root_contrib)], session.cfg.agg_mode)
+    root_latency = sim.now - t0
+    session._finalize(aggregate)
+    mc = session.trees.multicast(session.gid, param_nbytes(session.hidden_dim))
+    sim.run()
+    metrics = session._metrics(DECENTRALIZED, leaves, aggregate.weight, None,
+                               root_latency, mc.elapsed)
+    session.round += 1
+    return metrics, log

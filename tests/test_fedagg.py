@@ -1,11 +1,14 @@
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dhtfed.fedagg import (CENTRALIZED, DECENTRALIZED, UNWEIGHTED, WEIGHTED,
                            AggregateMessage, FederatedSession, ModeSelector,
                            ProtocolError, RoundConfig, SocialGraph,
                            audit_decentralized_privacy, branch_aggregate,
-                           root_update)
+                           mask_members, root_update)
 from dhtfed import fedagg
 from dhtfed.model import (ModelParams, PersonalState, forward_batch, forward_heads,
                           local_finetune)
@@ -14,7 +17,8 @@ from dhtfed.simnet import AGG_UP, PREDICT
 from conftest import (build_world, gaussian_data, inject_deltas, live_children,
                       round_aggregate)
 from oracles import (branch_aggregate_reference, flat_majority, flat_mean,
-                     reachable_within, recursive_average, tree_tally)
+                     gossip_reference, reachable_within, recursive_average,
+                     tree_tally)
 
 H = 4
 
@@ -417,6 +421,70 @@ def test_isolated_leaf_contributes_directly():
     assert metrics.root_weight == len(leaves)  # isolated one still counted
     # its raw weight-1 forward is excused: fewer than two friends
     assert audit_decentralized_privacy(session.msg_log, social) == []
+
+
+def test_mask_members_lists_the_set_bits_ids_in_ascending_order():
+    assert mask_members(0b1011, (10, 20, 30, 40)) == (10, 20, 40)
+    assert mask_members(1 << 3, (10, 20, 30, 40)) == (40,)
+    assert mask_members(0, ()) == ()
+
+
+def test_message_records_decode_their_contributors_when_read():
+    ids, overlay, sim, trees, gid, root = build_world(24, fanout=4, seed=37)
+    data = gaussian_data(ids, H, seed=7, n_per_node=10)
+    session = FederatedSession(trees, gid, data, H,
+                               RoundConfig(steps=1, batch=5, seed=13, gossip_k=2))
+    leaves = session.contributing_leaves()
+    social = SocialGraph.ring_with_chords(leaves, chords=4, seed=3)
+    session.decentralized_round(social)
+    sizes = set()
+    for r in session.msg_log:
+        contributors = r.contributors
+        assert contributors == tuple(sorted(set(contributors)))
+        assert r.contributors == contributors  # every read decodes the same
+        assert len(contributors) == r.mask.bit_count()
+        assert set(contributors) <= set(leaves)
+        sizes.add(len(contributors))
+    assert min(sizes) == 1 and max(sizes) > 3  # raw hop-1 shares and merged ones
+
+    session.centralized_round()
+    session.ensemble_infer(gaussian_data([1], H, seed=5)[1].x)
+    assert {r.kind for r in session.msg_log} == {AGG_UP, PREDICT}
+    assert all(r.mask == 0 and r.contributors == () for r in session.msg_log)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 14), fanout=st.integers(1, 5), seed=st.integers(0, 1 << 16),
+       chords=st.integers(0, 4), isolated=st.integers(0, 3),
+       ks=st.lists(st.integers(0, 4), min_size=1, max_size=2))
+def test_bitmask_gossip_matches_the_set_reference(n, fanout, seed, chords, isolated, ks):
+    """Message log, simulator trace, metrics and final weights all equal
+    the set-based round's, round after round."""
+    def world():
+        ids, _ov, sim, trees, gid, _root = build_world(
+            n, fanout=fanout, seed=seed, keep_trace=True)
+        data = gaussian_data(ids, H, seed=seed, n_per_node=6)
+        return sim, FederatedSession(trees, gid, data, H,
+                                     RoundConfig(steps=1, batch=4, seed=seed))
+
+    sim, session = world()
+    ref_sim, ref_session = world()
+    leaves = session.contributing_leaves()
+    alone = set(random.Random(seed).sample(leaves, min(isolated, len(leaves))))
+    linked = [nid for nid in leaves if nid not in alone]
+    friends = (SocialGraph.ring_with_chords(linked, chords, seed) if len(linked) >= 2
+               else SocialGraph.ring(linked)).friends
+    friends.update((nid, set()) for nid in alone)
+    social = SocialGraph(friends)
+    for k in ks:
+        metrics = session.decentralized_round(social, k_gossip=k)
+        ref_metrics, ref_log = gossip_reference(ref_session, social, k)
+        assert [(r.kind, r.src, r.dst, r.contributors, r.round)
+                for r in session.msg_log] == ref_log
+        assert metrics == ref_metrics
+    assert sim.trace_hash() == ref_sim.trace_hash()
+    assert np.array_equal(session.global_params.w, ref_session.global_params.w)
+    assert np.array_equal(session.global_params.b, ref_session.global_params.b)
 
 
 def test_social_graph_validation():

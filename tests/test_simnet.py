@@ -208,6 +208,22 @@ def test_clock_never_runs_backwards():
         sim.schedule(-1, lambda: None)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_times_are_rejected_and_change_nothing(bad):
+    # A NaN entry at the head of the queue used to stop `run` before
+    # anything queued after it; `run_until(nan)` set the clock to NaN.
+    sim = Simulator(seed=0)
+    fired = []
+    with pytest.raises(ValueError, match="not finite"):
+        sim.schedule(bad, lambda: fired.append("bad"))
+    with pytest.raises(ValueError, match="not finite"):
+        sim.run_until(bad)
+    assert sim.now == 0.0 and sim.pending() == 0
+    sim.schedule(5, lambda: fired.append("late"))
+    assert sim.run() == 1
+    assert fired == ["late"] and sim.now == 5.0
+
+
 def test_trace_export_is_line_delimited(tmp_path):
     from dhtfed.simnet import write_trace
 
