@@ -107,24 +107,34 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_route_check(args) -> int:
-    """Audit: every lookup must land on the globally closest live node."""
+    """Audit: every lookup must land on the globally closest live node.
+
+    With --fail K, K nodes drawn from a stream of their own fail first, and
+    lookups start at live nodes only; the first route repairs the leaf sets.
+    """
+    if not 0 <= args.fail < args.nodes:
+        raise ValueError(f"--fail must be in [0, {args.nodes})")
     ids = random_ids(args.nodes, args.seed)
     overlay = Overlay.build(ids)
+    for nid in random.Random(args.seed + 2).sample(ids, args.fail):
+        overlay.fail(nid)
+    live = overlay.live_ids()
     rng = random.Random(args.seed + 1)
     bad = 0
     worst = 0
     total = 0
     for _ in range(args.lookups):
-        src = ids[rng.randrange(len(ids))]
+        src = live[rng.randrange(len(live))]
         key = rng.getrandbits(128)
         res = overlay.route(src, key)
-        oracle = min(ids, key=lambda m: (circular_distance(m, key), m))
+        oracle = min(live, key=lambda m: (circular_distance(m, key), m))
         if res.destination != oracle:
             bad += 1
         worst = max(worst, res.hop_count)
         total += res.hop_count
     mean = total / args.lookups
-    print(f"route-check: n={args.nodes} lookups={args.lookups} "
+    failed = f" failed={args.fail}" if args.fail else ""
+    print(f"route-check: n={args.nodes}{failed} lookups={args.lookups} "
           f"misdelivered={bad} max_hops={worst} mean_hops={mean:.3f}")
     return 0 if bad == 0 else 1
 
@@ -214,6 +224,8 @@ def main(argv=None) -> int:
     p.add_argument("--nodes", type=int, default=1000)
     p.add_argument("--lookups", type=int, default=10000)
     p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--fail", type=int, default=0,
+                   help="fail this many seeded nodes before the lookups")
     p.set_defaults(fn=cmd_route_check)
 
     p = sub.add_parser("agg-check", help="aggregation flat-mean audit on real rounds")

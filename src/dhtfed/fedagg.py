@@ -222,12 +222,11 @@ def mask_members(mask: int, leaf_ids: tuple[int, ...]) -> tuple[int, ...]:
 
 @dataclass(slots=True)
 class MessageRecord:
-    """One protocol message as seen by the privacy audit.
+    """One gossip or routed message as seen by the privacy audit.
 
     Its contributing leaves are a bitmask over the round's sorted leaf ids:
     bit i of `mask` stands for `leaf_ids[i]`, and every record of a round
-    shares one `leaf_ids` tuple. Centralized AGG_UP and PREDICT records
-    carry no contributors: mask 0 over an empty tuple.
+    shares one `leaf_ids` tuple.
     """
 
     kind: str
@@ -243,8 +242,22 @@ class MessageRecord:
         return mask_members(self.mask, self.leaf_ids)
 
 
-def audit_decentralized_privacy(records: list[MessageRecord],
-                                social: SocialGraph) -> list[MessageRecord]:
+class TreeMessageRecord:
+    """A centralized AGG_UP or PREDICT message, sent along a tree edge. It
+    names no contributors: `mask` reads 0 and `contributors` (), from the
+    class, so each record stores only its four fields."""
+
+    __slots__ = ("kind", "src", "dst", "round")
+    mask = 0
+    contributors = ()
+
+    def __init__(self, kind: str, src: int, dst: int, round: int) -> None:
+        self.kind, self.src, self.dst, self.round = kind, src, dst, round
+
+
+def audit_decentralized_privacy(
+        records: list[MessageRecord | TreeMessageRecord],
+        social: SocialGraph) -> list[MessageRecord | TreeMessageRecord]:
     """Messages that expose a single leaf's raw update outside its friend set.
 
     A weight-1 message whose only contributor has at least two friends must
@@ -310,7 +323,7 @@ class FederatedSession:
             nid: PersonalState(self.global_params.copy(), lam, eta_local)
             for nid in sorted(data)
         }
-        self.msg_log: list[MessageRecord] = []
+        self.msg_log: list[MessageRecord | TreeMessageRecord] = []
 
     # -- shared pieces -------------------------------------------------------
 
@@ -411,7 +424,7 @@ class FederatedSession:
 
         def send_up(nid: int, msg: AggregateMessage) -> None:
             parent = group.members[nid].parent
-            self.msg_log.append(MessageRecord(AGG_UP, nid, parent, 0, (), self.round))
+            self.msg_log.append(TreeMessageRecord(AGG_UP, nid, parent, self.round))
             self.sim.send(nid, parent, msg.nbytes(), partial(receive, parent, msg),
                           kind=AGG_UP)
 
@@ -572,7 +585,7 @@ class FederatedSession:
             mass = np.zeros((n, 2))
             for child in group.members[nid].children:
                 mass += mass_tally(child)
-                self.msg_log.append(MessageRecord(PREDICT, child, nid, 0, (), self.round))
+                self.msg_log.append(TreeMessageRecord(PREDICT, child, nid, self.round))
             return mass
 
         mass = mass_tally(group.root)

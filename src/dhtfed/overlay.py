@@ -19,6 +19,7 @@ import json
 import random
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator, Optional
 
 ID_BITS = 128
@@ -137,14 +138,20 @@ class LeafSet:
 
     Offers are cheap: anything can be proposed via add(); the set trims
     itself back to the true 12-nearest per side among everything offered.
+    Every write ends in `_trim`, which also notes the farthest kept member
+    on each side, so `covers` reads the window without a search.
     """
 
-    __slots__ = ("owner", "per_side", "_members")
+    __slots__ = ("owner", "per_side", "_members", "_up_end", "_down_end")
 
     def __init__(self, owner: int, per_side: int = LEAF_SIDE):
         self.owner = owner
         self.per_side = per_side
         self._members: list[int] = []  # sorted by id
+        # The farthest kept member going up and going down the ring (None
+        # when the set is empty): ids already held in `_members`.
+        self._up_end: Optional[int] = None
+        self._down_end: Optional[int] = None
 
     def __contains__(self, nid: int) -> bool:
         i = bisect_left(self._members, nid)
@@ -168,43 +175,36 @@ class LeafSet:
                 insort(self._members, nid)
         self._trim()
 
-    def remove(self, nid: int) -> None:
-        i = bisect_left(self._members, nid)
-        if i < len(self._members) and self._members[i] == nid:
-            self._members.pop(i)
-
-    def _offset_up(self, nid: int) -> int:
-        return (nid - self.owner) % ID_SPACE
-
-    def _offset_down(self, nid: int) -> int:
-        return (self.owner - nid) % ID_SPACE
-
     # The members are sorted by id, so with i = bisect_right(members, owner)
     # the k-th nearest member upward is members[(i + k - 1) % n] and the
     # k-th nearest downward is members[(i - k) % n]: no sort by offset.
 
     def _trim(self) -> None:
-        m = self._members
-        n = len(m)
-        if n <= 2 * self.per_side:
-            return
-        i = bisect_right(m, self.owner)
-        lo = (i - self.per_side) % n
-        hi = (i + self.per_side) % n
-        # A contiguous ring window; when it wraps, its low ids come first.
-        self._members = m[lo:hi] if lo < hi else m[:hi] + m[lo:]
-
-    def covers(self, key: int) -> bool:
-        """True iff key falls inside the circular window spanned by the set."""
+        """Keep the per_side nearest members each way, and note the farthest
+        kept one on each side. Every write to `_members` ends here."""
         m = self._members
         n = len(m)
         if not n:
-            return True  # alone: everything is local
+            self._up_end = self._down_end = None
+            return
         k = min(self.per_side, n)
         i = bisect_right(m, self.owner)
-        up_span = self._offset_up(m[(i + k - 1) % n])
-        down_span = self._offset_down(m[(i - k) % n])
-        return self._offset_up(key) <= up_span or self._offset_down(key) <= down_span
+        lo = (i - k) % n
+        self._up_end = m[(i + k - 1) % n]
+        self._down_end = m[lo]
+        if n > 2 * k:
+            hi = (i + k) % n
+            # A contiguous ring window; when it wraps, its low ids come first.
+            self._members = m[lo:hi] if lo < hi else m[:hi] + m[lo:]
+
+    def covers(self, key: int) -> bool:
+        """True iff key falls inside the circular window spanned by the set."""
+        up = self._up_end
+        if up is None:
+            return True  # alone: everything is local
+        owner = self.owner
+        return ((key - owner) % ID_SPACE <= (up - owner) % ID_SPACE
+                or (owner - key) % ID_SPACE <= (owner - self._down_end) % ID_SPACE)
 
 
 @dataclass(slots=True)
@@ -254,15 +254,26 @@ class Overlay:
         # `is_alive` is bound to it, and so is every holder of that method.
         self._live: set[int] = set()
         self.is_alive = self._live.__contains__
-        # Bumped on every liveness change (join, fail, rejoin), so state
-        # derived from liveness, such as tree subtree sizes, knows it is stale.
-        self.version = 0
+        # The id of every liveness change (join, fail, rejoin), oldest
+        # first; see `version`.
+        self.liveness_changes: list[int] = []
         # Set by `fail`, cleared by `repair`: leaf sets may still list the
         # dead, so `route` (and so `join`) repairs first rather than route
         # through them.
         self._unrepaired = False
 
     # -- basic accessors ---------------------------------------------------
+
+    @property
+    def version(self) -> int:
+        """The number of liveness changes so far (joins, fails, rejoins).
+
+        State derived from liveness, such as tree subtree sizes, notes the
+        version it was computed at; `liveness_changes[version:]` then names
+        the nodes changed since, so it is recomputed only if one of them
+        matters to it.
+        """
+        return len(self.liveness_changes)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -305,6 +316,7 @@ class Overlay:
         if n - 1 <= 2 * leaf_side:
             for i, node in enumerate(nodes):
                 node.leaf_set._members = ordered[:i] + ordered[i + 1:]
+                node.leaf_set._trim()
         else:
             # ring[i + leaf_side] is ordered[i], with leaf_side ids each side.
             ring = ordered[-leaf_side:] + ordered + ordered[:leaf_side]
@@ -314,6 +326,7 @@ class Overlay:
                 if not leaf_side <= i < n - leaf_side:  # wraps at 0
                     window.sort()
                 node.leaf_set._members = window
+                node.leaf_set._trim()
 
         _fill_routing_rows(ordered, [node.routing_table.rows for node in nodes])
         return ov
@@ -330,7 +343,7 @@ class Overlay:
         """
         if new_id in self.nodes:
             raise ValueError("node id already present")
-        self.version += 1
+        self.liveness_changes.append(new_id)
         node = self._new_node(new_id)
         if not self.nodes:
             self.nodes[new_id] = node
@@ -379,49 +392,49 @@ class Overlay:
             raise ValueError("cannot fail a node that is not alive")
         self._live.remove(nid)
         self._unrepaired = True
-        self.version += 1
+        self.liveness_changes.append(nid)
 
     def rejoin(self, nid: int) -> None:
-        """Bring a failed node back with fresh state (join bumps the version)."""
+        """Bring a failed node back with fresh state (join logs the change)."""
         if nid not in self.nodes or nid in self._live:
             raise ValueError("cannot rejoin a node that is not dead")
         del self.nodes[nid]
         self.join(nid)
 
     def repair(self) -> int:
-        """Eagerly rebuild leaf sets around dead nodes, to fixpoint.
+        """Rebuild the leaf sets that list a dead node, in one pass.
 
-        Each sweep lets every live node replace dead leaf entries with live
-        candidates learned from its live leaf neighbors; sweeps repeat until
-        nothing changes. Routing tables are repaired lazily on use. With no
-        failure since the last repair, no leaf set lists a dead node, so it
-        returns 0 sweeps at once.
+        Each live node whose leaf set lists a dead node, in id order, pools
+        the live ids among its live members (`near`) and their leaf sets,
+        as those stand when its turn comes, and keeps the nearest of them
+        per side. With no live member left it pools the live entries of its
+        routing table instead. Routing tables are repaired lazily on use.
+
+        One pass is exact, in that a second would change nothing: liveness
+        does not change during a repair, every rebuilt set holds only live
+        ids, and a set with no dead member is skipped. Returns the number
+        of passes: 1, or 0 when no node has failed since the last repair.
         """
         if not self._unrepaired:
             return 0
         live = self._live
+        nodes = self.nodes
         self._unrepaired = False
-        sweeps = 0
-        changed = True
-        while changed:
-            changed = False
-            sweeps += 1
-            for nid in sorted(live):
-                node = self.nodes[nid]
-                members = node.leaf_set._members
-                if live.issuperset(members):
-                    continue
-                pool: set[int] = live.intersection(members)
-                for m in list(pool):
-                    pool.update(live.intersection(self.nodes[m].leaf_set._members))
-                if not pool:  # no live leaf neighbor at all: fall back to table
-                    pool = live.intersection(node.routing_table.entries())
-                before = set(members)
-                node.leaf_set._members = []
-                node.leaf_set.add_many(sorted(pool))
-                if set(node.leaf_set.members()) != before:
-                    changed = True
-        return sweeps
+        for nid in sorted(live):
+            leaf_set = nodes[nid].leaf_set
+            members = leaf_set._members
+            if live.issuperset(members):
+                continue
+            near = live.intersection(members)
+            if near:
+                pool = live.intersection(chain(
+                    near, *[nodes[m].leaf_set._members for m in near]))
+            else:  # no live leaf neighbor at all: fall back to the table
+                pool = live.intersection(nodes[nid].routing_table.entries())
+            pool.discard(nid)
+            leaf_set._members = sorted(pool)
+            leaf_set._trim()
+        return 1
 
     # -- routing -----------------------------------------------------------
 

@@ -9,12 +9,14 @@ from its parent re-issues the JOIN, carrying its whole subtree with it.
 
 Child lists hold only live ids, and each group keeps a count of live
 descendants per live member. Attaching a subtree adds its count along the
-chain of live ancestors, and a parent-failure rejoin subtracts it first, so a
-join or rejoin costs O(fanout * depth) rather than a walk of every subtree it
-passes. Liveness changes in the overlay bump `Overlay.version`; a group older
-than that (or that lost a member, or was rerooted) drops the dead from its
-child lists and recounts in one O(members) pass, run by `TreeManager.group`,
-by each adoption and by each multicast hop.
+chain of live ancestors; a parent-failure rejoin, a removed live member and a
+reroot subtract what they cut off. So a join, rejoin or removal costs
+O(fanout * depth) rather than a walk of every subtree it passes. A group is
+recounted only when one of its own members changed liveness (failed, or came
+back) since its last sync: then it drops the dead from its child lists and
+recounts in one O(members) pass. `TreeManager.group`, each adoption and each
+multicast hop check for that. The join or failure of a non-member, such as a
+dead member removed before it rejoins, costs no recount.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class TreeStats:
 
 
 class GroupState:
-    def __init__(self, gid: int, name: str, root: int):
+    def __init__(self, gid: int, name: str, root: int, version: int):
         self.gid = gid
         self.name = name
         self.root = root
@@ -77,10 +79,12 @@ class GroupState:
         self.rejoins = 0
         self.dead_parent_rejoins = 0
         # Live member -> members reachable through its children, itself
-        # included. Lists and sizes are in sync while sizes_version ==
-        # Overlay.version (-1: stale).
+        # included, kept up to date by every attach, detach and reroot.
+        # Lists and sizes were last synced at Overlay.version ==
+        # sizes_version, and stay exact until a node named in
+        # `Overlay.liveness_changes[sizes_version:]` is a member.
         self.sizes: dict[int, int] = {}
-        self.sizes_version = -1
+        self.sizes_version = version
 
 
 class MulticastResult:
@@ -120,7 +124,7 @@ class TreeManager:
         if creator is None:
             creator = self.overlay.live_ids()[0]
         root = self.overlay.route(creator, gid).destination
-        group = GroupState(gid, name, root)
+        group = GroupState(gid, name, root, self.overlay.version)
         self._add_member(group, root)
         self.groups[gid] = group
         return gid, root
@@ -194,7 +198,7 @@ class TreeManager:
             children = group.members[cur].children
             if len(children) < self.config.fanout_cap:
                 break
-            cur = min(children, key=lambda c: (sizes[c], c))
+            cur = min(zip(map(sizes.__getitem__, children), children))[1]
         group.members[cur].children.append(joiner)
         mem = group.members[joiner]
         mem.parent = cur
@@ -202,13 +206,20 @@ class TreeManager:
         self._resize_chain(group, cur, sizes[joiner])
 
     def _sync(self, group: GroupState) -> dict[int, int]:
-        """Bring a stale group up to date: drop the dead from every child
-        list (order kept), then recount the live subtree sizes in one pass.
-        Returns the sizes."""
-        if group.sizes_version == self.overlay.version:
+        """Bring the group up to date and return its sizes. If a member
+        changed liveness since the last sync, drop the dead from every
+        child list (order kept), then recount the live subtree sizes in one
+        pass; otherwise the lists and kept sizes are already exact."""
+        overlay = self.overlay
+        version = overlay.version
+        synced = group.sizes_version
+        if synced == version:
             return group.sizes
-        alive = self.overlay.is_alive
         members = group.members
+        if members.keys().isdisjoint(overlay.liveness_changes[synced:]):
+            group.sizes_version = version
+            return group.sizes
+        alive = overlay.is_alive
         for mem in members.values():
             mem.children = [c for c in mem.children if alive(c)]
         sizes: dict[int, int] = {}
@@ -221,7 +232,7 @@ class TreeManager:
             for cur in reversed(order):
                 sizes[cur] = 1 + sum(sizes[c] for c in members[cur].children)
         group.sizes = sizes
-        group.sizes_version = self.overlay.version
+        group.sizes_version = version
         return sizes
 
     def _resize_chain(self, group: GroupState, nid: int, delta: int) -> None:
@@ -243,14 +254,18 @@ class TreeManager:
         while cur is not None:
             chain.append(cur)
             cur = group.members[cur].parent
-        for child, parent in zip(chain, chain[1:]):
+        links = list(zip(chain, chain[1:]))
+        sizes = group.sizes
+        # Cut every link, top first, so each chain member keeps the count
+        # of its own piece; the adoptions below add the pieces back.
+        for child, parent in reversed(links):
             group.members[parent].children.remove(child)
+            sizes[parent] -= sizes[child]
         group.members[new_root].parent = None
         group.root = new_root
-        group.sizes_version = -1
         # Former parents re-attach as children, through normal delegation so
         # the fanout cap holds even at the pivot.
-        for child, parent in zip(chain, chain[1:]):
+        for child, parent in links:
             self._adopt(group, child, parent)
 
     def _in_subtree(self, group: GroupState, node: int, top: int) -> bool:
@@ -371,11 +386,13 @@ class TreeManager:
         mem = group.members.pop(member, None)
         if mem is None:
             return
-        group.sizes_version = -1
+        # Only a live member is counted, in its own and its ancestors' sizes.
+        size = group.sizes.pop(member, 0)
         if mem.parent is not None and mem.parent in group.members:
             siblings = group.members[mem.parent].children
             if member in siblings:
                 siblings.remove(member)
+                self._resize_chain(group, mem.parent, -size)
         node = self.overlay.nodes.get(member)
         if node is not None:
             node.memberships.pop(gid, None)

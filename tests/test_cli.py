@@ -76,6 +76,16 @@ def test_route_check_passes(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "misdelivered=0" in out
+    assert "failed" not in out  # without --fail the output is as before
+
+
+def test_route_check_after_failures_routes_live_to_live(capsys):
+    rc = main(["route-check", "--nodes", "300", "--lookups", "300", "--seed", "5",
+               "--fail", "60"])
+    assert rc == 0
+    assert "n=300 failed=60 lookups=300 misdelivered=0" in capsys.readouterr().out
+    assert main(["route-check", "--nodes", "30", "--fail", "30"]) == 2
+    assert "--fail must be in [0, 30)" in capsys.readouterr().err
 
 
 def test_agg_check_passes(capsys):

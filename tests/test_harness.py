@@ -524,6 +524,18 @@ PINNED = {
              failures=[(0.0, 4, "fail"), (0.0, 7, "fail"), (8000.0, 4, "rejoin")]),
         "fc500695f91f458346e90413ad2251eee37125fcf53342fc054c798f726cbfd1",
         "ccab1d67581227dcd37c646f96fdcaa5e61077bd724561b74aa2c51fe2819180"),
+    # The perfbench churn shape at N=300: 3 single-topic trees, 2% of the
+    # nodes fail at t=0 and half of them rejoin at t=8000, light model. It
+    # runs the rejoin storm, repair after a batch of failures, rejoins and
+    # tree recounts over several groups at once.
+    "perfbench-churn": (
+        dict(seed=23, nodes=300, rounds=2, mode="centralized", topics=3,
+             tree_count=3, assignment="single", hidden_dim=8, steps=1,
+             batch=8, points_per_node=32,
+             failures=[(0.0, i, "fail") for i in (182, 176, 0, 251, 177, 270)]
+             + [(8000.0, i, "rejoin") for i in (182, 176, 0)]),
+        "5c9f6541a9f97bdb4ed43a7b1709846c98c0e3a102928d354a5d169cf3f623ca",
+        "46f289f61d3528bbc3626a68d6f81059f8a39ca6b19d5cf999e146c5b85700c6"),
 }
 
 

@@ -208,15 +208,21 @@ def test_export_edges_of_a_thousand_member_tree_is_pinned(tmp_path):
 def assert_sizes_match_oracle(trees, gid):
     """The sizes the next adoption reads equal a brute-force walk.
 
-    When the counts are fresh they are returned as kept, so this checks the
-    O(depth) updates; stale counts are recounted first.
+    Unless a member changed liveness since the last sync, the sync must
+    return the counts as kept, so this checks the O(depth) updates;
+    otherwise it checks the recount.
     """
     group = trees.groups[gid]
-    alive = trees.overlay.is_alive
+    overlay = trees.overlay
+    alive = overlay.is_alive
     children = {nid: m.children for nid, m in group.members.items()}
     want = {nid: subtree_size(children, alive, nid)
             for nid in group.members if alive(nid)}
-    assert trees._sync(group) == want
+    kept = group.sizes
+    changed = group.members.keys() & overlay.liveness_changes[group.sizes_version:]
+    sizes = trees._sync(group)
+    assert sizes == want
+    assert (sizes is kept) == (not changed)
 
 
 def heal(trees, gid):
@@ -240,6 +246,32 @@ def test_spurious_rejoins_keep_sizes_without_a_recount():
         assert group.sizes_version == overlay.version  # updated, not recounted
     assert_sizes_match_oracle(trees, gid)
     assert trees.validate(gid) == []
+
+
+def test_a_harness_rejoin_and_a_live_removal_recount_nothing():
+    ids, overlay, sim, trees, gid, root = build_world(300, fanout=4, seed=17)
+    group = trees.groups[gid]
+    victim, leaver = [m for m in ids if m != root and group.members[m].children][:2]
+    overlay.fail(victim)
+    overlay.repair()
+    heal(trees, gid)  # the victim is a member: this recounts
+    sizes = trees.group(gid).sizes
+    # What the harness does when a failed member rejoins.
+    trees.remove_member(gid, victim)
+    overlay.rejoin(victim)
+    trees.join_group(victim, gid)
+    assert trees.group(gid).sizes is sizes
+    # A live member leaves; its orphans re-attach. A new node joins the
+    # overlay but not the group.
+    trees.remove_member(gid, leaver)
+    overlay.join(max(ids) + 1)
+    assert trees.group(gid).sizes is sizes
+    assert_sizes_match_oracle(trees, gid)
+    assert trees.validate(gid) == []
+    # A failed member is dropped from the lists by a recount.
+    overlay.fail(victim)
+    assert trees.group(gid).sizes is not sizes
+    assert_sizes_match_oracle(trees, gid)
 
 
 CHURN_OPS = st.lists(
@@ -267,7 +299,7 @@ def test_kept_sizes_match_oracle_under_random_churn(seed, fanout, intercept, ops
             trees.join_group(nid, gid)
     assert_sizes_match_oracle(trees, gid)
     for op, pick in ops:
-        members = trees.live_members(gid)
+        members = sorted(m for m in group.members if overlay.is_alive(m))
         if op == "join":
             pool = [n for n in overlay.live_ids() if n not in group.members]
             if pool:
@@ -287,7 +319,9 @@ def test_kept_sizes_match_oracle_under_random_churn(seed, fanout, intercept, ops
             nid = dead[pick % len(dead)]
             was_member = nid in group.members
             trees.remove_member(gid, nid)
+            assert_sizes_match_oracle(trees, gid)
             overlay.rejoin(nid)
+            assert_sizes_match_oracle(trees, gid)
             if was_member:
                 trees.join_group(nid, gid)
         elif op == "reattach":
@@ -296,9 +330,9 @@ def test_kept_sizes_match_oracle_under_random_churn(seed, fanout, intercept, ops
                 trees.handle_parent_failure(gid, pool[pick % len(pool)])
         elif len(members) >= 3:  # remove
             trees.remove_member(gid, members[pick % len(members)])
+        assert_sizes_match_oracle(trees, gid)  # before any other sync
         lists = {m: mem.children for m, mem in trees.group(gid).members.items()}
         assert lists == live_children(trees, gid)
-        assert_sizes_match_oracle(trees, gid)
         assert trees.validate(gid) == []
 
 
