@@ -34,7 +34,9 @@ DECENTRALIZED = "decentralized"
 UNWEIGHTED = "unweighted"
 WEIGHTED = "weighted"
 
-INFER_CHUNK = 16  # leaves whose votes or losses one stacked pass computes
+# Heads that one vote product (`count_votes_for_one`) or one stacked loss
+# or softmax pass takes at a time; it bounds the (n, INFER_CHUNK) blocks.
+INFER_CHUNK = 16
 
 
 class ProtocolError(RuntimeError):
@@ -109,6 +111,65 @@ def root_update(w_t: ModelParams, aggregate: AggregateMessage, eta: float,
             f"stale aggregate: round {aggregate.round}, expected {expected_round}"
         )
     return w_t - eta * aggregate.payload
+
+
+def count_votes_for_one(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """How many of the heads stacked as w (V, 2, H) and b (V, 2) vote label 1
+    at each feature row of x (n, H): the heads whose `forward_heads`
+    probabilities have p1 > p0 there, counted bit for bit, with a softmax
+    only for heads whose margin leaves the vote open.
+
+    The heads go `INFER_CHUNK` at a time through one product
+    d = x @ (w1 - w0).T + (b1 - b0), which is within err_h of the reference
+    margin l1 - l0 (l0, l1: `forward_heads`' logits). A vote is settled as
+
+    - 0 where d <= -err_h. Then l1 <= l0, so the softmax subtracts l0:
+      e0 = exp(0) = 1 >= exp(fl(l1 - l0)) = e1 (exp is exact at 0 and at
+      most 1 below it), and p1 = fl(e1 / S) <= fl(e0 / S) = p0. An exactly
+      zero head has d = err_h = 0 and settles here: hence `<=`.
+    - 1 where d > fl(2**-20 + err_h) >= max(2**-20, err_h). With err_h at
+      least twice the bound below, l1 - l0 > max(2**-20, err_h) / 2 >=
+      2**-21, so e1 = 1 and e0 = exp(fl(l0 - l1)) <= exp(-2**-21) lies at
+      least 2**-22 below 1, far more than the roundings of e0 / S and 1 / S.
+
+    A head with a row neither rule settles goes through `forward_heads` on
+    all of x, whose slice for each head equals that head's own product.
+
+    The bound. Let u = 2**-53, g(k) = k u / (1 - k u), X = max |x| and
+    B_h = X * sum |w_h| + |b_h0| + |b_h1|. A dot product of length H is
+    within g(H) sum_k |x_k a_k| of the exact one in any summation order,
+    with or without FMA, so a logit with its bias add is within
+    g(H + 1) (sum_k |x_k w_jk| + |b_j|) of x . w_j + b_j, and l1 - l0 is
+    within g(H + 1) B_h of the exact margin. The filter rounds w1 - w0 and
+    b1 - b0 once each before its dot product and bias add, so d is within
+    g(H + 2) B_h of it. Products that underflow add at most 3H * 2**-1074
+    more (none when w_h = 0). So |d - (l1 - l0)| <= 2 g(H + 2) B_h + 3H *
+    2**-1074, and err_h = (H + 2) * 2**-50 * B_h + 2**-1000 [w_h != 0] is at
+    least twice that for H < 2**40, after the roundings of its own sums and
+    products. A head with B_h >= 2**1000 gets err_h = NaN and settles
+    nothing; below that no partial sum, logit or margin can overflow.
+    """
+    h = x.shape[1]
+    dw = w[:, 1] - w[:, 0]
+    db = b[:, 1] - b[:, 0]
+    w_mass = np.abs(w).sum(axis=(1, 2))
+    bound = np.abs(x).max(initial=0.0) * w_mass + np.abs(b).sum(axis=1)
+    err = (h + 2) * 2.0 ** -50 * bound + np.where(w_mass > 0, 2.0 ** -1000, 0.0)
+    err[bound >= 2.0 ** 1000] = np.nan  # comparisons with NaN are false
+    neg_err, one_above = -err, err + 2.0 ** -20
+    votes = np.zeros((x.shape[0], INFER_CHUNK), dtype=np.int64)  # per row and block column
+    for i in range(0, len(w), INFER_CHUNK):
+        block = slice(i, i + INFER_CHUNK)
+        d = x @ dw[block].T
+        d += db[block]
+        one = d > one_above[block]
+        zero = d <= neg_err[block]
+        if np.count_nonzero(one) + np.count_nonzero(zero) < one.size:  # disjoint
+            open_heads = np.flatnonzero(~(one | zero).all(axis=0))
+            probs = forward_heads(x, w[block][open_heads], b[block][open_heads])
+            one[:, open_heads] = (probs[..., 1] > probs[..., 0]).T
+        votes[:, :one.shape[1]] += one
+    return votes.sum(axis=1)
 
 
 @dataclass
@@ -544,58 +605,73 @@ class FederatedSession:
         """Majority vote over the leaves' personalized heads, tallied up the
         tree; ties break to the larger probability mass, then label 0.
 
+        x must be finite and of shape (n, hidden_dim). A head votes 1 where
+        its softmax has p1 > p0. `count_votes_for_one` settles a vote from
+        the head's logit margin d, taken by one product per block of
+        `INFER_CHUNK` voters, and the margin's rounding bound
+        err_h = (H + 2) * 2**-50 * (max|x| * sum|w_h| + |b_h0| + |b_h1|)
+        (+ 2**-1000 unless w_h = 0): 0 where d <= -err_h, 1 where
+        d > 2**-20 + err_h. Only a head with a point between the two takes
+        the exact path, a `forward_heads` softmax.
+
+        Only points whose counts tie get the mass tally: `forward_heads`
+        probabilities of every voter on all of x, taken at those points and
+        summed up the tree, child by child. The PREDICT records follow the
+        tree walk in the same order whether or not a point ties.
+
         Returns (labels, root vote tally of shape (n, 2)).
         """
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.hidden_dim:
+            raise ValueError(f"x must be (n, {self.hidden_dim}), got shape {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError("x must be finite")
         group = self.trees.group(self.gid)
         leaves = self.contributing_leaves()
         if not leaves:
             raise ProtocolError("no live leaves to vote")
-        x = np.asarray(x, dtype=np.float64)
-        n = x.shape[0]
         leaf_set = set(leaves)
-        voters: list[int] = []  # the leaves in the order mass_tally visits them
-        stack = [group.root]
-        while stack:
-            nid = stack.pop()
-            if nid in leaf_set:
-                voters.append(nid)
-            stack.extend(reversed(group.members[nid].children))
+        voters: list[int] = []  # in tree order, the order the mass tally reads them
+        log, rnd = self.msg_log, self.round
 
-        ones = np.zeros(n, dtype=np.int64)  # votes for label 1 per test point
-
-        def leaf_probs():
-            """Each voter's probabilities, chunk by chunk; counts the chunk's
-            votes first. A head votes 1 where p1 > p0, which is argmax with
-            its first-maximum rule."""
-            nonlocal ones
-            for i in range(0, len(voters), INFER_CHUNK):
-                heads = [self.personal[v].w_per for v in voters[i:i + INFER_CHUNK]]
-                probs = forward_heads(x, np.stack([h.w for h in heads]),
-                                      np.stack([h.b for h in heads]))
-                ones += np.count_nonzero(probs[..., 1] > probs[..., 0], axis=0)
-                yield from probs
-
-        probs_in_order = leaf_probs()
-
-        def mass_tally(nid: int) -> np.ndarray:
-            """Probability mass summed up the tree, child by child; read
-            only to break ties."""
+        def walk(nid: int) -> None:
+            """Lists the voters and sends each child's result up, child by
+            child, once the child's own subtree has sent its results."""
             if nid in leaf_set:  # a leaf has no children
-                return next(probs_in_order)
-            mass = np.zeros((n, 2))
+                voters.append(nid)
+                return
             for child in group.members[nid].children:
-                mass += mass_tally(child)
-                self.msg_log.append(TreeMessageRecord(PREDICT, child, nid, self.round))
-            return mass
+                walk(child)
+                log.append(TreeMessageRecord(PREDICT, child, nid, rnd))
 
-        mass = mass_tally(group.root)
+        walk(group.root)
+        heads = [self.personal[v].w_per for v in voters]
+        w = np.stack([h.w for h in heads])
+        b = np.stack([h.b for h in heads])
+        ones = count_votes_for_one(x, w, b)
+        labels = (2 * ones > len(voters)).astype(np.int64)
+        tied = np.flatnonzero(2 * ones == len(voters))
+        if tied.size:
+            # On all of x: a product over the tied rows alone can be summed
+            # in another order and differ in the last bit.
+            probs = (p for i in range(0, len(voters), INFER_CHUNK)
+                     for p in forward_heads(x, w[i:i + INFER_CHUNK],
+                                            b[i:i + INFER_CHUNK])[:, tied])
+
+            def mass_at(nid: int) -> np.ndarray:
+                """Probability mass at the tied points, summed up the tree
+                child by child."""
+                if nid in leaf_set:
+                    return next(probs)
+                mass = np.zeros((tied.size, 2))
+                for child in group.members[nid].children:
+                    mass += mass_at(child)
+                return mass
+
+            mass = mass_at(group.root)
+            labels[tied] = mass[:, 1] > mass[:, 0]
         counts = np.stack([len(voters) - ones, ones], axis=1).astype(np.float64)
-        labels = np.where(
-            counts[:, 1] > counts[:, 0], 1,
-            np.where(counts[:, 0] > counts[:, 1], 0,
-                     np.where(mass[:, 1] > mass[:, 0], 1, 0)),
-        )
-        return labels.astype(np.int64), counts
+        return labels, counts
 
     # -- bookkeeping ---------------------------------------------------------------
 

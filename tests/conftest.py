@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from dhtfed import fedagg
 from dhtfed.model import LocalDataset, ModelParams
 from dhtfed.overlay import Overlay, random_ids
 from dhtfed.simnet import LinkModel, Simulator
 from dhtfed.tree import TreeConfig, TreeManager
+
+
+# `pytest --hypothesis-profile vote-2000` gives every test that leaves
+# max_examples to the profile (the vote-equivalence test in test_fedagg.py)
+# 2000 examples; tier-1 runs keep hypothesis's default of 100.
+settings.register_profile("vote-2000", max_examples=2000)
 
 
 def build_world(n, fanout=16, seed=42, intercept=True, group="g",

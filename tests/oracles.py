@@ -8,7 +8,9 @@ calls (`pfl_grad`, `forward_batch`), so they check the stacked multi-leaf
 paths against one leaf at a time. `loss_reference` is the per-leaf loss
 formula as it stood before the loss was stacked, `gossip_reference`
 the decentralized round as it stood with set-valued contributor buffers,
-and `repair_reference` the leaf-set repair as it stood with repeated sweeps.
+`repair_reference` the leaf-set repair as it stood with repeated sweeps,
+and `vote_reference` the ensemble vote as it stood with a softmax for
+every head.
 """
 
 from bisect import bisect_left
@@ -16,7 +18,8 @@ from functools import partial
 
 import numpy as np
 
-from dhtfed.model import LocalDataset, ModelParams, forward_batch, pfl_grad
+from dhtfed.model import (LocalDataset, ModelParams, forward_batch, forward_heads,
+                          pfl_grad)
 from dhtfed.overlay import LEAF_SIDE, Overlay
 
 ID_SPACE = 1 << 128
@@ -426,3 +429,57 @@ def gossip_reference(session, social, k):
                                root_latency, mc.elapsed)
     session.round += 1
     return metrics, log
+
+
+def vote_reference(session, x):
+    """`FederatedSession.ensemble_infer` as it stood with a softmax for
+    every head: the voters' heads go `INFER_CHUNK` at a time through
+    `forward_heads`, a head votes 1 where p1 > p0, and the probability mass
+    adds up the tree at every node, child by child, to break ties. Returns
+    (labels, counts, edges); edges lists the PREDICT (child, parent) pairs
+    in the order they are sent. The session is left untouched."""
+    from dhtfed.fedagg import INFER_CHUNK
+
+    group = session.trees.group(session.gid)
+    leaf_set = set(session.contributing_leaves())
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    voters = []
+    stack = [group.root]
+    while stack:
+        nid = stack.pop()
+        if nid in leaf_set:
+            voters.append(nid)
+        stack.extend(reversed(group.members[nid].children))
+
+    ones = np.zeros(n, dtype=np.int64)
+
+    def leaf_probs():
+        nonlocal ones
+        for i in range(0, len(voters), INFER_CHUNK):
+            heads = [session.personal[v].w_per for v in voters[i:i + INFER_CHUNK]]
+            probs = forward_heads(x, np.stack([h.w for h in heads]),
+                                  np.stack([h.b for h in heads]))
+            ones += np.count_nonzero(probs[..., 1] > probs[..., 0], axis=0)
+            yield from probs
+
+    probs_in_order = leaf_probs()
+    edges = []
+
+    def mass_tally(nid):
+        if nid in leaf_set:
+            return next(probs_in_order)
+        mass = np.zeros((n, 2))
+        for child in group.members[nid].children:
+            mass += mass_tally(child)
+            edges.append((child, nid))
+        return mass
+
+    mass = mass_tally(group.root)
+    counts = np.stack([len(voters) - ones, ones], axis=1).astype(np.float64)
+    labels = np.where(
+        counts[:, 1] > counts[:, 0], 1,
+        np.where(counts[:, 0] > counts[:, 1], 0,
+                 np.where(mass[:, 1] > mass[:, 0], 1, 0)),
+    )
+    return labels.astype(np.int64), counts, edges

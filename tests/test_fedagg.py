@@ -18,7 +18,7 @@ from conftest import (build_world, gaussian_data, inject_deltas, live_children,
                       round_aggregate)
 from oracles import (branch_aggregate_reference, flat_majority, flat_mean,
                      gossip_reference, reachable_within, recursive_average,
-                     tree_tally)
+                     tree_tally, vote_reference)
 
 H = 4
 
@@ -567,34 +567,31 @@ def test_root_tally_matches_flat_recount():
     assert np.array_equal(tally.sum(axis=1), np.full(200, float(len(leaves))))
 
 
-def test_vote_across_chunk_boundaries_matches_a_per_leaf_recount(monkeypatch):
+def predict_edges(session):
+    return [(r.src, r.dst) for r in session.msg_log if r.kind == PREDICT]
+
+
+def test_vote_across_chunk_boundaries_matches_a_per_leaf_recount():
     ids, overlay, sim, trees, gid, root = build_world(70, fanout=8, seed=31)
     data = gaussian_data(ids, H, seed=14, n_per_node=6)
     session = FederatedSession(trees, gid, data, H, RoundConfig(seed=1))
     leaves = session.contributing_leaves()
-    assert len(leaves) > 2 * fedagg.INFER_CHUNK
+    assert len(leaves) > 2 * fedagg.INFER_CHUNK  # more than two blocks of voters
     rng = np.random.default_rng(6)
     for nid in leaves:
         session.personal[nid].w_per = ModelParams(rng.normal(size=(2, H)),
                                                   rng.normal(size=2))
     x = rng.normal(size=(300, H))
-    chunks = []
-
-    def spy(x, w, b):
-        chunks.append(w)
-        return forward_heads(x, w, b)
-
-    monkeypatch.setattr(fedagg, "forward_heads", spy)
+    want_labels, want_tally, want_edges = vote_reference(session, x)
     labels, tally = session.ensemble_infer(x)
+    assert np.array_equal(labels, want_labels)
+    assert np.array_equal(tally, want_tally)
+    assert predict_edges(session) == want_edges
 
     probs = {nid: forward_batch(x, session.personal[nid].w_per) for nid in leaves}
     group = trees.group(gid)
     children = {m: list(group.members[m].children) for m in group.members}
-    counts, mass, edges, voters = tree_tally(children, group.root, probs, len(x))
-    # the heads go in fixed-size chunks, in the order the tally visits them
-    assert [len(c) for c in chunks[:-1]] == [fedagg.INFER_CHUNK] * (len(chunks) - 1)
-    assert np.array_equal(np.concatenate(chunks),
-                          np.stack([session.personal[v].w_per.w for v in voters]))
+    counts, mass, edges, _voters = tree_tally(children, group.root, probs, len(x))
     assert np.array_equal(tally, counts)
     votes = np.stack([np.argmax(probs[n], axis=1) for n in leaves])
     assert np.array_equal(labels, flat_majority(votes, np.stack(list(probs.values()))))
@@ -602,7 +599,102 @@ def test_vote_across_chunk_boundaries_matches_a_per_leaf_recount(monkeypatch):
         counts[:, 1] > counts[:, 0], 1,
         np.where(counts[:, 0] > counts[:, 1], 0, np.where(mass[:, 1] > mass[:, 0], 1, 0))))
     # the PREDICT records are the tally's edges, in the order results pass up
-    assert [(r.src, r.dst) for r in session.msg_log if r.kind == PREDICT] == edges
+    assert predict_edges(session) == edges
+
+
+@pytest.mark.parametrize("x, match", [
+    (np.full((3, H), np.nan), "finite"),
+    (np.array([[0.0] * (H - 1) + [np.inf]]), "finite"),
+    (np.array([[0.0] * (H - 1) + [-np.inf]] * 2), "finite"),
+    (np.zeros((2, H + 1)), r"must be \(n, 4\)"),
+    (np.zeros(H), r"must be \(n, 4\)"),
+])
+def test_ensemble_infer_rejects_bad_features_before_any_work(x, match):
+    ids, overlay, sim, trees, gid, root = build_world(12, fanout=3, seed=4)
+    session = FederatedSession(trees, gid, gaussian_data(ids, H, seed=3), H,
+                               RoundConfig(seed=1))
+    with pytest.raises(ValueError, match=match):
+        session.ensemble_infer(x)
+    assert session.msg_log == []  # rejected before any PREDICT was sent
+    labels, tally = session.ensemble_infer(np.zeros((0, H)))
+    assert labels.shape == (0,) and labels.dtype == np.int64
+    assert tally.shape == (0, 2)
+
+
+# Head shapes for the vote-equivalence test. "cancel" heads put the margin
+# at one test point within a few ulps of 0 (or of 2**-20 for "cancel-one")
+# with w1 != w0, so the two paths round differently; "bias" heads do the
+# same with w = 0 and logits near 0, where a positive margin still votes 0.
+HEAD_KINDS = ("zero", "random", "cancel", "cancel-one", "bias", "bias-one")
+
+
+def vote_head(kind, rng, x, ulps):
+    """One personalized head of the given kind for the features x."""
+    if kind == "zero":
+        return ModelParams.zeros(H)
+    w, b = rng.normal(size=(2, H)), rng.normal(size=2)
+    if kind == "random":
+        return ModelParams(w, b)
+    target = 2.0 ** -20 if kind.endswith("-one") else 0.0
+    if kind.startswith("bias"):
+        w, b = np.zeros((2, H)), np.array([0.0, target or 2.0 ** -60])
+    elif len(x):
+        w[1] = w[0] + rng.normal(size=H)
+        row = x[rng.integers(len(x))]
+        b[1] = b[0] + (row @ w[0] - row @ w[1]) + target
+    for _ in range(abs(ulps)):
+        b[1] = np.nextafter(b[1], np.copysign(np.inf, ulps))
+    return ModelParams(w, b)
+
+
+@settings(deadline=None)  # examples from the active profile; CI runs "vote-2000"
+@given(nodes=st.integers(2, 64), fanout=st.integers(1, 8), seed=st.integers(0, 1 << 16),
+       dropped=st.integers(0, 3), points=st.integers(0, 24),
+       x_scale=st.sampled_from([1.0, 1e150, 1e300]), paired=st.booleans(),
+       kinds=st.lists(st.sampled_from(HEAD_KINDS), min_size=1, max_size=6),
+       ulps=st.lists(st.integers(-4, 4), min_size=1, max_size=6))
+def test_vote_matches_the_softmax_reference(nodes, fanout, seed, dropped, points,
+                                            x_scale, paired, kinds, ulps):
+    """Labels, tally and PREDICT edges equal the vote with a softmax for
+    every head, on random trees with non-contributing members, exactly zero
+    heads, margins a few ulps from 0 and from 2**-20, negated head pairs
+    (which force ties), large |x|, and n of 0 and 1. When no point ties,
+    an exactly zero head never reaches the exact path."""
+    ids, overlay, sim, trees, gid, root = build_world(nodes, fanout=fanout, seed=seed)
+    data = gaussian_data(ids, H, seed=seed, n_per_node=2)
+    session = FederatedSession(trees, gid, data, H, RoundConfig(seed=seed))
+    rng = np.random.default_rng(seed)
+    leaves = session.contributing_leaves()
+    keep = max(1, len(leaves) - dropped)
+    if paired:
+        keep = max(2, keep - keep % 2)  # an even number of voters
+    for nid in rng.permutation(leaves)[keep:]:
+        del session.data[nid]  # still a leaf of the tree, but it does not vote
+    leaves = session.contributing_leaves()
+    x = rng.normal(size=(points, H)) * x_scale
+    half = len(leaves) // 2 if paired else 0
+    for a, b in zip(leaves[:half], leaves[half:]):  # ties at every point
+        head = vote_head("random", rng, x, 0)
+        session.personal[a].w_per, session.personal[b].w_per = head, head * -1.0
+    for i, nid in enumerate(leaves[2 * half:]):
+        session.personal[nid].w_per = vote_head(kinds[i % len(kinds)], rng, x,
+                                                ulps[i % len(ulps)])
+
+    want_labels, want_tally, want_edges = vote_reference(session, x)
+    exact_heads = []
+
+    def spy(x, w, b):
+        exact_heads.extend(zip(w, b))
+        return forward_heads(x, w, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fedagg, "forward_heads", spy)
+        labels, tally = session.ensemble_infer(x)
+    assert np.array_equal(labels, want_labels)
+    assert np.array_equal(tally, want_tally)
+    assert predict_edges(session) == want_edges
+    if not (tally[:, 0] == tally[:, 1]).any():
+        assert all(w.any() or b.any() for w, b in exact_heads)
 
 
 def test_forced_ties_are_broken_by_the_mass_tallied_in_tree_order():
@@ -633,7 +725,7 @@ def test_forced_ties_are_broken_by_the_mass_tallied_in_tree_order():
     want = np.where(mass[:, 1] > mass[:, 0], 1, 0)
     assert 0 < want.sum() < len(x)  # rounding in the mass sum goes both ways
     assert np.array_equal(labels, want)
-    assert [(r.src, r.dst) for r in session.msg_log if r.kind == PREDICT] == edges
+    assert predict_edges(session) == edges
 
 
 @pytest.mark.parametrize("mode", [CENTRALIZED, DECENTRALIZED])

@@ -570,6 +570,23 @@ def test_demo_digest_with_every_draw_through_choice(monkeypatch):
     assert scenario_digest(result) == PINNED["demo"][1]
 
 
+def test_the_demo_pin_covers_votes_broken_by_probability_mass(monkeypatch):
+    # Only tied points get the mass tally, so the demo digest guards that
+    # path only while some of the demo's votes tie.
+    tied_points = []
+    infer = FederatedSession.ensemble_infer
+
+    def counted(self, x):
+        labels, tally = infer(self, x)
+        tied_points.append(int(np.count_nonzero(tally[:, 0] == tally[:, 1])))
+        return labels, tally
+
+    monkeypatch.setattr(FederatedSession, "ensemble_infer", counted)
+    result = run_scenario(ScenarioConfig.from_ini(str(DEMO_INI)))
+    assert scenario_digest(result) == PINNED["demo"][1]
+    assert any(tied_points)
+
+
 @pytest.mark.parametrize("failures, match", [
     ([(0.0, 1, "explode")], "unknown failure action"),
     ([(3000.0, 5, "fail"), (0.0, 8, "fail")], "non-decreasing"),
