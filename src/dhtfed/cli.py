@@ -48,7 +48,6 @@ def cmd_run(args) -> int:
         cfg.fanout = args.fanout
     if args.mode is not None:
         cfg.mode = args.mode
-    cfg.validate()
     _log_progress(args.quiet)
     result = run_scenario(cfg)
     out = _ensure_out(args.out)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import random
-import struct
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
@@ -19,8 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .model import (PENALTIES, LocalDataset, ModelParams, PersonalState,
-                    deserialize_params, forward_heads, local_finetune,
-                    param_nbytes, pfl_losses, serialize_params)
+                    forward_heads, local_finetune, param_nbytes, pfl_losses)
 # perfbench/tracing.py attaches its model.loss span to this module's
 # pfl_loss; the round loss itself goes through pfl_losses.
 from .model import pfl_loss  # noqa: F401
@@ -37,6 +35,10 @@ WEIGHTED = "weighted"
 # Heads that one vote product (`count_votes_for_one`) or one stacked loss
 # or softmax pass takes at a time; it bounds the (n, INFER_CHUNK) blocks.
 INFER_CHUNK = 16
+
+# Simulated bytes an aggregate carries ahead of its parameters: a 16-byte
+# group id, then its round and weight at 8 bytes each.
+AGG_HEADER_BYTES = 32
 
 
 class ProtocolError(RuntimeError):
@@ -56,19 +58,7 @@ class AggregateMessage:
 
     def nbytes(self) -> int:
         l, h = self.payload.w.shape
-        return 32 + param_nbytes(h, l)
-
-    def serialize(self) -> bytes:
-        """16-byte big-endian group id, <QQ round and weight, then the params."""
-        return (self.group.to_bytes(16, "big")
-                + struct.pack("<QQ", self.round, self.weight)
-                + serialize_params(self.payload))
-
-    @classmethod
-    def deserialize(cls, blob: bytes) -> "AggregateMessage":
-        rnd, weight = struct.unpack_from("<QQ", blob, 16)
-        return cls(int.from_bytes(blob[:16], "big"), rnd,
-                   deserialize_params(blob[32:]), weight)
+        return AGG_HEADER_BYTES + param_nbytes(h, l)
 
 
 def branch_aggregate(children_msgs: list[AggregateMessage],
@@ -185,11 +175,6 @@ class SocialGraph:
             for f in fs:
                 if nid not in self.friends.get(f, set()):
                     raise ValueError("social graph must be symmetric")
-
-    @classmethod
-    def complete(cls, ids: list[int]) -> "SocialGraph":
-        ids = sorted(ids)
-        return cls({n: set(ids) - {n} for n in ids})
 
     @classmethod
     def ring(cls, ids: list[int]) -> "SocialGraph":
@@ -328,7 +313,7 @@ def audit_decentralized_privacy(
     for r in records:
         if r.mask.bit_count() != 1:
             continue
-        c = r.contributors[0]
+        c = r.leaf_ids[r.mask.bit_length() - 1]  # the one set bit, without a walk
         friends = social.friends.get(c, set())
         if len(friends) >= 2 and r.dst != c and r.dst not in friends:
             violations.append(r)
@@ -369,8 +354,7 @@ class FederatedSession:
 
     def __init__(self, trees: TreeManager, gid: int, data: dict[int, LocalDataset],
                  hidden_dim: int, cfg: Optional[RoundConfig] = None,
-                 lam: float = 0.5, eta_local: float = 0.1,
-                 initial: Optional[ModelParams] = None):
+                 lam: float = 0.5, eta_local: float = 0.1):
         self.trees = trees
         self.overlay = trees.overlay
         self.sim = trees.sim
@@ -378,7 +362,7 @@ class FederatedSession:
         self.data = data
         self.hidden_dim = hidden_dim
         self.cfg = cfg or RoundConfig()
-        self.global_params = initial.copy() if initial else ModelParams.zeros(hidden_dim)
+        self.global_params = ModelParams.zeros(hidden_dim)
         self.round = 0
         self.personal: dict[int, PersonalState] = {
             nid: PersonalState(self.global_params.copy(), lam, eta_local)
@@ -535,7 +519,7 @@ class FederatedSession:
         leaf_ids = tuple(sorted(leaves))
         buffers = {nid: 1 << i for i, nid in enumerate(leaf_ids)}
         gossipers = [n for n in leaves if social.friends.get(n)]
-        param_bytes = 32 + param_nbytes(self.hidden_dim)
+        param_bytes = AGG_HEADER_BYTES + param_nbytes(self.hidden_dim)
         # Every hop sends along the same links, in receiver order and then
         # in each receiver's sorted friend order: friend sets never change.
         is_gossiper = set(gossipers).__contains__

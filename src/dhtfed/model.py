@@ -72,10 +72,6 @@ class ModelParams:
 
     __rmul__ = __mul__
 
-    def allclose(self, other: "ModelParams", atol: float = 0.0, rtol: float = 0.0) -> bool:
-        return (np.allclose(self.w, other.w, atol=atol, rtol=rtol)
-                and np.allclose(self.b, other.b, atol=atol, rtol=rtol))
-
 
 @dataclass
 class PersonalState:
@@ -126,14 +122,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     e = np.exp(logits, out=logits)
     e /= reduce(np.add, [e[..., j] for j in labels])[..., None]
     return e
-
-
-def forward(x: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Class probabilities for one feature vector (softmax of w @ x + b)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.dim,):
-        raise ValueError(f"feature dim {x.shape} does not match H={params.dim}")
-    return _softmax((params.w @ x + params.b)[None])[0]
 
 
 def forward_heads(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

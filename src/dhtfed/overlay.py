@@ -15,7 +15,6 @@ contiguous slice, split by the next digit with bisect.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
@@ -47,12 +46,6 @@ def id_from_name(name: str) -> int:
 def hex_id(value: int) -> str:
     """Canonical text form: 32 lowercase hex digits."""
     return format(value, "032x")
-
-
-def parse_id(text: str) -> int:
-    if len(text) != N_DIGITS:
-        raise ValueError("id text must be exactly 32 hex digits")
-    return int(text, 16)
 
 
 def circular_distance(a: int, b: int) -> int:
@@ -227,18 +220,6 @@ class RouteResult:
         return len(self.hops)
 
 
-def write_hop_traces(results, path: str) -> None:
-    """Line-delimited hop records: {source, key, hops, destination}."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in results:
-            fh.write(json.dumps({
-                "source": hex_id(r.source),
-                "key": hex_id(r.key),
-                "hops": [hex_id(h) for h in r.hops],
-                "destination": hex_id(r.destination),
-            }) + "\n")
-
-
 class Overlay:
     """All nodes of one simulated overlay, plus join/fail/repair machinery.
 
@@ -333,8 +314,9 @@ class Overlay:
 
     # -- membership changes ------------------------------------------------
 
-    def join(self, new_id: int, bootstrap: Optional[int] = None) -> Node:
-        """Protocol-level join: route toward the new id, copy state, announce.
+    def join(self, new_id: int) -> Node:
+        """Protocol-level join: route from the smallest live id toward the
+        new id, copy state, announce.
 
         The new node's leaf set comes from the delivery node (its ring
         neighbor), which provably contains the joiner's true neighborhood;
@@ -350,9 +332,7 @@ class Overlay:
             self._live.add(new_id)
             return node
 
-        if bootstrap is None:
-            bootstrap = self.live_ids()[0]
-        res = self.route(bootstrap, new_id)
+        res = self.route(self.live_ids()[0], new_id)
         path = [res.source] + res.hops
         target = self.nodes[res.destination]
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 # Message kinds flowing through the simulated network.
-JOIN = "JOIN"
 MULTICAST = "MULTICAST"
 AGG_UP = "AGG_UP"
 HEARTBEAT = "HEARTBEAT"
@@ -246,12 +245,3 @@ class Simulator:
         for t, kind, src, dst, nbytes in self.trace:
             h.update(f"{t!r}|{kind}|{src:x}|{dst:x}|{nbytes}\n".encode())
         return h.hexdigest()
-
-
-def write_trace(sim: Simulator, path: str) -> None:
-    """Export the event trace as tab-separated (time, type, from, to, bytes)."""
-    if sim.trace is None:
-        raise ValueError("simulator was created with keep_trace=False")
-    with open(path, "w", encoding="utf-8") as fh:
-        for t, kind, src, dst, nbytes in sim.trace:
-            fh.write(f"{t!r}\t{kind}\t{src:032x}\t{dst:032x}\t{nbytes}\n")

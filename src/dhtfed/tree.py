@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .overlay import Overlay, id_from_name, hex_id
 from .simnet import Simulator, HEARTBEAT, MULTICAST
@@ -114,16 +114,15 @@ class TreeManager:
 
     # -- group lifecycle ---------------------------------------------------
 
-    def create_group(self, name: str, creator: Optional[int] = None) -> tuple[int, int]:
-        """Route a CREATE toward the hashed name; the delivery node is root."""
+    def create_group(self, name: str) -> tuple[int, int]:
+        """Route a CREATE from the smallest live id toward the hashed name;
+        the delivery node is root."""
         if not self.overlay.nodes:
             raise ValueError("overlay is empty")
         gid = id_from_name(name)
         if gid in self.groups:
             raise ValueError(f"group {name!r} already exists")
-        if creator is None:
-            creator = self.overlay.live_ids()[0]
-        root = self.overlay.route(creator, gid).destination
+        root = self.overlay.route(self.overlay.live_ids()[0], gid).destination
         group = GroupState(gid, name, root, self.overlay.version)
         self._add_member(group, root)
         self.groups[gid] = group
@@ -283,29 +282,23 @@ class TreeManager:
 
     # -- multicast -----------------------------------------------------------
 
-    def multicast(self, gid: int, payload_bytes: int, sender: Optional[int] = None,
-                  on_member: Optional[Callable[[int], None]] = None) -> MulticastResult:
+    def multicast(self, gid: int, payload_bytes: int) -> MulticastResult:
         """Forward a payload root -> children recursively through the simulator.
 
         Returns a result object that fills in as the simulator runs; drain
         the simulator to completion before reading it.
         """
         group = self.group(gid)
-        if sender is None:
-            sender = group.root
-        if sender != group.root:
-            raise ValueError("multicast must start at the root")
-        if not self.overlay.is_alive(sender):
+        root = group.root
+        if not self.overlay.is_alive(root):
             raise ValueError("root is not alive")
         result = MulticastResult(self.sim.now)
-        result.deliveries[sender] = self.sim.now
-        if on_member is not None:
-            on_member(sender)
-        self._forward(group, sender, payload_bytes, result, on_member)
+        result.deliveries[root] = self.sim.now
+        self._forward(group, root, payload_bytes, result)
         return result
 
     def _forward(self, group: GroupState, nid: int, nbytes: int,
-                 result: MulticastResult, on_member) -> None:
+                 result: MulticastResult) -> None:
         self._sync(group)  # a scheduled fail may fire between deliveries
         msgs = [(nid, child, nbytes) for child in group.members[nid].children]
         if not msgs:
@@ -315,9 +308,7 @@ class TreeManager:
         def deliver(i: int) -> None:
             child = msgs[i][1]
             result.deliveries[child] = self.sim.now
-            if on_member is not None:
-                on_member(child)
-            self._forward(group, child, nbytes, result, on_member)
+            self._forward(group, child, nbytes, result)
 
         self.sim.send_many(msgs, deliver, MULTICAST)
 
@@ -417,15 +408,6 @@ class TreeManager:
             if self.overlay.is_alive(m) and not group.members[m].children
         )
 
-    def depth_of(self, gid: int, nid: int) -> int:
-        group = self.group(gid)
-        depth = 0
-        cur = group.members[nid].parent
-        while cur is not None:
-            depth += 1
-            cur = group.members[cur].parent
-        return depth
-
     def tree_stats(self, gid: int) -> TreeStats:
         group = self.group(gid)
         hist: dict[int, int] = {}
@@ -483,14 +465,3 @@ class TreeManager:
                 f"tree covers {len(reached)} of {len(live)} live members"
             )
         return problems
-
-    def export_edges(self, gid: int, path: str) -> None:
-        """Line-delimited parent/child edge records (tab-separated hex ids)."""
-        group = self.group(gid)
-        with open(path, "w", encoding="utf-8") as fh:
-            stack = [group.root]
-            while stack:
-                nid = stack.pop()
-                for c in group.members[nid].children:
-                    fh.write(f"{hex_id(nid)}\t{hex_id(c)}\n")
-                    stack.append(c)

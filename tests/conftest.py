@@ -3,8 +3,9 @@ import pytest
 from hypothesis import settings
 
 from dhtfed import fedagg
+from dhtfed.fedagg import SocialGraph
 from dhtfed.model import LocalDataset, ModelParams
-from dhtfed.overlay import Overlay, random_ids
+from dhtfed.overlay import Overlay, hex_id, random_ids
 from dhtfed.simnet import LinkModel, Simulator
 from dhtfed.tree import TreeConfig, TreeManager
 
@@ -68,6 +69,27 @@ def round_aggregate(session, run_round):
     session.global_params = ModelParams.zeros(session.hidden_dim)
     metrics = run_round()
     return ModelParams.zeros(session.hidden_dim) - session.global_params, metrics
+
+
+def complete_graph(ids):
+    """The social graph in which every leaf is friends with every other."""
+    ids = sorted(ids)
+    return SocialGraph({n: set(ids) - {n} for n in ids})
+
+
+def edge_lines(trees, gid):
+    """The tree's parent/child edges as `parent<TAB>child` lines of hex
+    ids, in depth-first order from the root, each child list read last to
+    first off a stack."""
+    group = trees.group(gid)
+    lines = []
+    stack = [group.root]
+    while stack:
+        nid = stack.pop()
+        for c in group.members[nid].children:
+            lines.append(f"{hex_id(nid)}\t{hex_id(c)}\n")
+            stack.append(c)
+    return "".join(lines)
 
 
 def live_children(trees, gid):

@@ -71,6 +71,17 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_run_rejects_bad_overrides_before_any_output(tmp_path, capsys):
+    out = tmp_path / "r"
+    for flag, value, message in (("--nodes", "0", "nodes and rounds must be positive"),
+                                 ("--fanout", "0", "fanout_cap must be >= 1")):
+        rc = main(["run", write_cfg(tmp_path), "--out", str(out), "--quiet",
+                   flag, value])
+        assert rc == 2
+        assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_route_check_passes(capsys):
     rc = main(["route-check", "--nodes", "128", "--lookups", "300", "--seed", "5"])
     assert rc == 0

@@ -14,8 +14,8 @@ from dhtfed.model import (ModelParams, PersonalState, forward_batch, forward_hea
                           local_finetune)
 from dhtfed.simnet import AGG_UP, PREDICT
 
-from conftest import (build_world, gaussian_data, inject_deltas, live_children,
-                      round_aggregate)
+from conftest import (build_world, complete_graph, gaussian_data, inject_deltas,
+                      live_children, round_aggregate)
 from oracles import (branch_aggregate_reference, flat_majority, flat_mean,
                      gossip_reference, reachable_within, recursive_average,
                      tree_tally, vote_reference)
@@ -130,18 +130,6 @@ def test_random_shapes_weighted_equals_flat_mean(monkeypatch):
         flat = flat_mean([deltas[nid].w for nid in leaves])
         assert np.max(np.abs(agg.w - flat)) <= 1e-9
         assert metrics.root_weight == len(leaves)
-
-
-def test_wire_roundtrip():
-    rng = np.random.default_rng(1)
-    m = AggregateMessage(0xDEADBEEF << 96 | 0x1234, 7,
-                         ModelParams(rng.normal(size=(2, H)), rng.normal(size=2)), 9)
-    blob = m.serialize()
-    assert len(blob) == m.nbytes()
-    back = AggregateMessage.deserialize(blob)
-    assert back.group == m.group and back.round == 7 and back.weight == 9
-    assert np.array_equal(back.payload.w, m.payload.w)
-    assert np.array_equal(back.payload.b, m.payload.b)
 
 
 # -- root update --------------------------------------------------------------------
@@ -347,7 +335,7 @@ def test_k0_complete_graph_equals_centralized_star():
         data = gaussian_data([i for i in ids if i != root], H, seed=6)
         s = FederatedSession(trees, gid, data, H,
                              RoundConfig(eta=1.0, steps=2, batch=8, seed=11))
-        s.decentralized_round(SocialGraph.complete(sorted(data)), k_gossip=0)
+        s.decentralized_round(complete_graph(sorted(data)), k_gossip=0)
         return s.global_params
 
     wc, wd = centralized(), decentralized()
@@ -740,7 +728,7 @@ def test_one_finetune_call_per_round(mode, monkeypatch):
         return local_finetune(datas, *args, **kwargs)
 
     monkeypatch.setattr(fedagg, "local_finetune", counted)
-    social = SocialGraph.complete(session.contributing_leaves())
+    social = complete_graph(session.contributing_leaves())
     for _ in range(3):
         if mode == CENTRALIZED:
             session.centralized_round()

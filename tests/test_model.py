@@ -4,8 +4,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from dhtfed import model
 from dhtfed.model import (FLOYD_MAX_N, LocalDataset, ModelParams, PersonalState,
-                          deserialize_params, draw_minibatches, forward,
-                          forward_batch, forward_heads, local_finetune,
+                          deserialize_params, draw_minibatches, forward_batch,
+                          forward_heads, local_finetune,
                           param_nbytes, pfl_grad, pfl_loss, pfl_losses,
                           serialize_params)
 from dhtfed.fedagg import INFER_CHUNK
@@ -29,9 +29,8 @@ def rand_data(rng, n=12, h=H):
 def test_zero_weights_give_uniform_probabilities():
     p = ModelParams.zeros(H)
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        out = forward(rng.normal(size=H), p)
-        assert np.array_equal(out, [0.5, 0.5])
+    out = forward_batch(rng.normal(size=(20, H)), p)
+    assert np.array_equal(out, np.full((20, 2), 0.5))
 
 
 def test_probabilities_form_a_simplex_point():
@@ -47,14 +46,14 @@ def test_forward_matches_closed_form_logits():
     p = ModelParams(np.array([[2.0] + [0.0] * (H - 1), [0.0] * H]), np.zeros(2))
     x = np.zeros(H)
     x[0] = 1.0
-    out = forward(x, p)
+    out = forward_batch(x[None], p)[0]
     e2 = np.exp(2.0)
     assert out == pytest.approx([e2 / (e2 + 1), 1 / (e2 + 1)], abs=1e-12)
 
 
 def test_forward_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
-        forward(np.zeros(H + 1), ModelParams.zeros(H))
+        forward_batch(np.zeros(H), ModelParams.zeros(H))  # one row, not a batch
     with pytest.raises(ValueError):
         forward_batch(np.zeros((3, H + 2)), ModelParams.zeros(H))
 
@@ -357,7 +356,9 @@ def test_finetune_matches_the_params_level_step_rule_bit_for_bit(penalty):
         assert np.array_equal(state.w_per.w, want_state.w_per.w), i
         assert np.array_equal(state.w_per.b, want_state.w_per.b), i
         assert (state.lam, state.eta_local) == (personal.lam, personal.eta_local)
-        assert personal.w_per.allclose(starts[i])  # the caller's state is untouched
+        # the caller's state is untouched
+        assert np.array_equal(personal.w_per.w, starts[i].w)
+        assert np.array_equal(personal.w_per.b, starts[i].b)
 
 
 def test_norm_penalty_at_the_kink_stacked_with_other_leaves():
