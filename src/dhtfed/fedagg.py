@@ -117,10 +117,13 @@ def count_votes_for_one(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarr
       e0 = exp(0) = 1 >= exp(fl(l1 - l0)) = e1 (exp is exact at 0 and at
       most 1 below it), and p1 = fl(e1 / S) <= fl(e0 / S) = p0. An exactly
       zero head has d = err_h = 0 and settles here: hence `<=`.
-    - 1 where d > fl(2**-20 + err_h) >= max(2**-20, err_h). With err_h at
-      least twice the bound below, l1 - l0 > max(2**-20, err_h) / 2 >=
-      2**-21, so e1 = 1 and e0 = exp(fl(l0 - l1)) <= exp(-2**-21) lies at
-      least 2**-22 below 1, far more than the roundings of e0 / S and 1 / S.
+    - 1 where d > fl(2**-40 + err_h) >= max(2**-40, err_h). With err_h at
+      least twice the bound below, l1 - l0 > max(2**-40, err_h) / 2 >=
+      2**-41, so e1 = 1 and fl(l0 - l1) <= -2**-41. Then e0 =
+      exp(fl(l0 - l1)), within an ulp or so of exp, is at most
+      exp(-2**-41) + 2**-52 < 1 - 2**-42. S = fl(e0 + 1) lies in [1, 2),
+      so 1 / S - e0 / S > 2**-43, far more than the roundings of e0 / S
+      and 1 / S (at most 2**-54 each).
 
     A head with a row neither rule settles goes through `forward_heads` on
     all of x, whose slice for each head equals that head's own product.
@@ -146,7 +149,7 @@ def count_votes_for_one(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarr
     bound = np.abs(x).max(initial=0.0) * w_mass + np.abs(b).sum(axis=1)
     err = (h + 2) * 2.0 ** -50 * bound + np.where(w_mass > 0, 2.0 ** -1000, 0.0)
     err[bound >= 2.0 ** 1000] = np.nan  # comparisons with NaN are false
-    neg_err, one_above = -err, err + 2.0 ** -20
+    neg_err, one_above = -err, err + 2.0 ** -40
     votes = np.zeros((x.shape[0], INFER_CHUNK), dtype=np.int64)  # per row and block column
     for i in range(0, len(w), INFER_CHUNK):
         block = slice(i, i + INFER_CHUNK)
@@ -282,20 +285,14 @@ class MessageRecord:
     leaf_ids: tuple[int, ...]
     round: int = 0
 
-    @property
-    def contributors(self) -> tuple[int, ...]:
-        """The contributing leaf ids in ascending order, decoded when read."""
-        return mask_members(self.mask, self.leaf_ids)
-
 
 class TreeMessageRecord:
     """A centralized AGG_UP or PREDICT message, sent along a tree edge. It
-    names no contributors: `mask` reads 0 and `contributors` (), from the
-    class, so each record stores only its four fields."""
+    names no contributors: `mask` reads 0, from the class, so each record
+    stores only its four fields."""
 
     __slots__ = ("kind", "src", "dst", "round")
     mask = 0
-    contributors = ()
 
     def __init__(self, kind: str, src: int, dst: int, round: int) -> None:
         self.kind, self.src, self.dst, self.round = kind, src, dst, round
@@ -595,7 +592,7 @@ class FederatedSession:
         `INFER_CHUNK` voters, and the margin's rounding bound
         err_h = (H + 2) * 2**-50 * (max|x| * sum|w_h| + |b_h0| + |b_h1|)
         (+ 2**-1000 unless w_h = 0): 0 where d <= -err_h, 1 where
-        d > 2**-20 + err_h. Only a head with a point between the two takes
+        d > 2**-40 + err_h. Only a head with a point between the two takes
         the exact path, a `forward_heads` softmax.
 
         Only points whose counts tie get the mass tally: `forward_heads`

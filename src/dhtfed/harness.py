@@ -73,10 +73,22 @@ def make_topics(n_topics: int, hidden_dim: int, seed: int,
 
 def _points(spec: TopicSpec, n: int,
             rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Fair-coin labels, then class mean plus Gaussian noise."""
+    """Fair-coin labels, then class mean plus Gaussian noise, built in place.
+
+    The same bits as `means + cov_scale * rng.normal(size=(n, H))` from the
+    same PCG64 words. `normal` returns 0.0 + 1.0 * z for each standard draw
+    z, that is z + 0.0, which turns a -0.0 draw into +0.0; the draws get the
+    same + 0.0 here. The scale and the means then go in by the same
+    operations with their operands swapped, which changes no finite result,
+    cov_scale 0 included. (Adding 0.0 to the means instead would not do:
+    with cov_scale 0, a -0.0 mean plus a negative draw's -0.0 is -0.0.)
+    """
     y = rng.integers(0, 2, size=n)
-    means = np.where(y[:, None] == 1, spec.mean1, spec.mean0)
-    return means + spec.cov_scale * rng.normal(size=(n, spec.mean0.size)), y
+    x = rng.standard_normal((n, spec.mean0.size))
+    x += 0.0
+    x *= spec.cov_scale
+    x += np.concatenate([spec.mean0, spec.mean1]).reshape(2, -1)[y]
+    return x, y
 
 
 def generate_topic_data(spec: TopicSpec, node_ids: list[int],

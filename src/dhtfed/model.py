@@ -153,9 +153,12 @@ def pfl_losses(datas: list[LocalDataset], w_cla: ModelParams,
                personals: list[PersonalState], penalty: str = "squared") -> np.ndarray:
     """pfl_loss of every leaf against the shared head w_cla, in leaf order.
 
-    Leaves that share a dataset size go through one stacked softmax, but
-    each leaf's logits come from its own matmul, so every loss equals the
-    one-leaf call bit for bit.
+    Leaves that share a dataset size are scored together. Each leaf's
+    logits come from its own matmul into a stacked (B, n, L) array, which is
+    copied once to label-major (L, B, n); the softmax, the pick of each
+    point's label, the `log` and the row mean then run on contiguous rows.
+    Per element that is the arithmetic of `_softmax` (maximum and sum label
+    by label, in order), so every loss equals the one-leaf call bit for bit.
     """
     _check_penalty(penalty)
     if len(personals) != len(datas):
@@ -170,12 +173,17 @@ def pfl_losses(datas: list[LocalDataset], w_cla: ModelParams,
     for n, leaves in by_size.items():
         logits = np.empty((len(leaves), n, w_t.shape[1]))
         for j, i in enumerate(leaves):
+            # the one-leaf product, as it is: BLAS may sum another layout's
+            # product (w @ x.T, or into label-major rows) in another order
             np.matmul(datas[i].x, w_t, out=logits[j])
-        logits += w_cla.b
-        probs = _softmax(logits)
+        z = logits.transpose(2, 0, 1).copy()
+        z += w_cla.b[:, None, None]
+        z -= reduce(np.maximum, z)
+        e = np.exp(z, out=z)
         y = np.stack([datas[i].y for i in leaves])
-        nll[leaves] = -np.log(probs[np.arange(len(leaves))[:, None], np.arange(n),
-                                    y]).mean(axis=1)
+        picked = np.where(y == 1, e[1], e[0])  # labels are 0 or 1
+        picked /= reduce(np.add, e)
+        nll[leaves] = -np.log(picked, out=picked).mean(axis=1)
     d_w = np.stack([p.w_per.w for p in personals]) - w_cla.w
     d_b = np.stack([p.w_per.b for p in personals]) - w_cla.b
     sq = np.sum(d_w * d_w, axis=(1, 2)) + np.sum(d_b * d_b, axis=1)
@@ -193,19 +201,26 @@ def pfl_loss(data: LocalDataset, w_cla: ModelParams, personal: PersonalState,
     return float(pfl_losses([data], w_cla, [personal], penalty)[0])
 
 
-def _grad(x: np.ndarray, y: np.ndarray, w: np.ndarray, b: np.ndarray,
+def _one_hot(y: np.ndarray, n_labels: int) -> np.ndarray:
+    """Float one-hot rows of the int labels y, on a new last axis."""
+    return (y[..., None] == np.arange(n_labels)).astype(np.float64)
+
+
+def _grad(x: np.ndarray, onehot: np.ndarray, w: np.ndarray, b: np.ndarray,
           w_per: np.ndarray, b_per: np.ndarray, lam: np.ndarray, penalty: str):
     """Gradients of pfl_loss for B leaves at once, on raw stacked arrays.
 
-    x is (B, n, H) with labels y (B, n); w and w_per are (B, L, H), b and
-    b_per (B, L); lam is (B,). Returns (grad_w, grad_b, grad_w_per,
-    grad_b_per). Leaf i's slices equal the B=1 call on leaf i alone, bit for
-    bit: every product is a per-leaf matmul and every sum runs in the same
-    order as on a single leaf.
+    x is (B, n, H) with labels as `_one_hot` rows (B, n, L); w and w_per are
+    (B, L, H), b and b_per (B, L); lam is (B,). Returns (grad_w, grad_b,
+    grad_w_per, grad_b_per). Leaf i's slices equal the B=1 call on leaf i
+    alone, bit for bit: every product is a per-leaf matmul and every sum
+    runs in the same order as on a single leaf. Subtracting the one-hot
+    takes 1 off each label's probability and leaves the others as they are,
+    since v - 0.0 == v for every float v, -0.0 included.
     """
-    nb, n = y.shape
+    n = x.shape[1]
     dlogits = _softmax(x @ w.transpose(0, 2, 1) + b[:, None, :])
-    dlogits[np.arange(nb)[:, None], np.arange(n), y] -= 1.0
+    dlogits -= onehot
     dlogits /= n
     dw, db = w_per - w, b_per - b
     if penalty == "squared":
@@ -224,10 +239,10 @@ def pfl_grad(data: LocalDataset, w_cla: ModelParams, personal: PersonalState,
     if len(data) == 0:
         raise ValueError("dataset is empty")
     _check_penalty(penalty)
-    gw, gb, gw_per, gb_per = _grad(data.x[None], data.y[None], w_cla.w[None],
-                                   w_cla.b[None], personal.w_per.w[None],
-                                   personal.w_per.b[None],
-                                   np.array([personal.lam]), penalty)
+    gw, gb, gw_per, gb_per = _grad(data.x[None], _one_hot(data.y[None], w_cla.w.shape[0]),
+                                   w_cla.w[None], w_cla.b[None], personal.w_per.w[None],
+                                   personal.w_per.b[None], np.array([personal.lam]),
+                                   penalty)
     return ModelParams(gw[0], gb[0]), ModelParams(gw_per[0], gb_per[0])
 
 
@@ -277,18 +292,27 @@ def local_finetune(datas: list[LocalDataset], w_start: ModelParams,
     return out
 
 
+GATHER_BYTES = 1 << 20  # bound on the minibatch rows gathered for a block of steps
+
+
 def _finetune_stack(datas, w_start, personals, steps, batch, draws, penalty):
     """local_finetune for leaves that share one batch size."""
     nb = len(datas)
-    # The minibatch rows of every leaf, gathered anew at each step; a leaf
-    # whose batch is its whole dataset is written once.
-    x = np.empty((nb, batch, w_start.dim))
+    n_labels, dim = w_start.w.shape
+    # The minibatch rows of every leaf for a block of steps: x[i, s] holds
+    # leaf i's rows for step s of the block. A drawn leaf's rows for a block
+    # come from one gather, written in place (mode="clip" takes no buffer;
+    # the rows are in range); a leaf whose batch is its whole dataset is
+    # written once.
+    block = max(1, min(steps, GATHER_BYTES // (8 * nb * batch * dim)))
+    x = np.empty((nb, block, batch, dim))
     y = np.empty((nb, steps, batch), dtype=np.int64)
     for i, (data, idx) in enumerate(zip(datas, draws)):
         if idx is None:
             x[i], y[i] = data.x, data.y
         else:
             y[i] = data.y[idx]
+    onehot = _one_hot(y, n_labels)
     drawn = [i for i, idx in enumerate(draws) if idx is not None]
     lam = np.array([p.lam for p in personals])
     eta = np.array([p.eta_local for p in personals])
@@ -297,13 +321,17 @@ def _finetune_stack(datas, w_start, personals, steps, batch, draws, penalty):
     d_b = np.zeros((nb,) + w_start.b.shape)
     p_w = np.stack([p.w_per.w for p in personals])
     p_b = np.stack([p.w_per.b for p in personals])
-    for step in range(steps):
+    for first in range(0, steps, block):
+        last = min(steps, first + block)
         for i in drawn:
-            x[i] = datas[i].x[draws[i][step]]
-        gw, gb, gw_per, gb_per = _grad(x, y[:, step], w_start.w - d_w,
-                                       w_start.b - d_b, p_w, p_b, lam, penalty)
-        d_w, d_b = d_w + eta_w * gw, d_b + eta_b * gb
-        p_w, p_b = p_w - eta_w * gw_per, p_b - eta_b * gb_per
+            np.take(datas[i].x, draws[i][first:last], axis=0, out=x[i, :last - first],
+                    mode="clip")
+        for step in range(first, last):
+            gw, gb, gw_per, gb_per = _grad(x[:, step - first], onehot[:, step],
+                                           w_start.w - d_w, w_start.b - d_b, p_w, p_b,
+                                           lam, penalty)
+            d_w, d_b = d_w + eta_w * gw, d_b + eta_b * gb
+            p_w, p_b = p_w - eta_w * gw_per, p_b - eta_b * gb_per
     if not all(np.isfinite(a).all() for a in (d_w, d_b, p_w, p_b)):
         raise ValueError("parameters must be finite")
     return [(ModelParams._trusted(d_w[i], d_b[i]),

@@ -6,11 +6,12 @@ powers) rather than reusing the code paths under test. The per-leaf
 references for fine-tuning and voting build on the public single-leaf
 calls (`pfl_grad`, `forward_batch`), so they check the stacked multi-leaf
 paths against one leaf at a time. `loss_reference` is the per-leaf loss
-formula as it stood before the loss was stacked, `gossip_reference`
-the decentralized round as it stood with set-valued contributor buffers,
-`repair_reference` the leaf-set repair as it stood with repeated sweeps,
-and `vote_reference` the ensemble vote as it stood with a softmax for
-every head.
+formula as it stood before the loss was stacked, `points_reference` the
+point generator's formula as it stood before it drew in place,
+`gossip_reference` the decentralized round as it stood with set-valued
+contributor buffers, `repair_reference` the leaf-set repair as it stood
+with repeated sweeps, and `vote_reference` the ensemble vote as it stood
+with a softmax for every head.
 """
 
 from bisect import bisect_left
@@ -357,6 +358,14 @@ def loss_reference(data, w_cla, personal, penalty="squared"):
     if penalty == "squared":
         return nll + 0.5 * personal.lam * sq
     return nll + 0.5 * personal.lam * np.sqrt(sq)
+
+
+def points_reference(spec, n, rng):
+    """`harness._points` as a formula: fair-coin labels, each row its class
+    mean plus cov_scale times a `normal` draw."""
+    y = rng.integers(0, 2, size=n)
+    means = np.where(y[:, None] == 1, spec.mean1, spec.mean0)
+    return means + spec.cov_scale * rng.normal(size=(n, spec.mean0.size)), y
 
 
 def gossip_reference(session, social, k):

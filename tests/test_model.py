@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dhtfed import model
-from dhtfed.model import (FLOYD_MAX_N, LocalDataset, ModelParams, PersonalState,
-                          deserialize_params, draw_minibatches, forward_batch,
-                          forward_heads, local_finetune,
+from dhtfed.model import (FLOYD_MAX_N, PENALTIES, LocalDataset, ModelParams,
+                          PersonalState, deserialize_params, draw_minibatches,
+                          forward_batch, forward_heads, local_finetune,
                           param_nbytes, pfl_grad, pfl_loss, pfl_losses,
                           serialize_params)
 from dhtfed.fedagg import INFER_CHUNK
+from dhtfed.harness import TopicSpec, _points
 
 from oracles import (central_difference, draw_reference, finetune_reference,
-                     loss_reference)
+                     loss_reference, points_reference)
 
 H = 5
 
@@ -123,6 +124,35 @@ def test_stacked_loss_equals_the_per_leaf_formula_bit_for_bit(penalty):
     assert losses.tolist() == want
     for d, p, expected in zip(datas, personals, want):
         assert pfl_loss(d, w, p, penalty) == expected
+
+
+# Dataset sizes for the loss property: single points and sizes that repeat,
+# so that one call stacks several leaves of a size beside leaves of others.
+_loss_size = st.one_of(st.sampled_from([1, 2, 7]), st.integers(1, 60))
+
+
+@settings(deadline=None)  # examples from the active profile; CI runs "model-2000"
+@given(sizes=st.lists(_loss_size, min_size=1, max_size=12),
+       seed=st.integers(0, 2**32 - 1),
+       x_scale=st.sampled_from([1.0, 1e-3, 1e50, 1e150]), tied=st.booleans(),
+       penalty=st.sampled_from(PENALTIES))
+def test_round_loss_matches_the_per_leaf_formula(sizes, seed, x_scale, tied, penalty):
+    """pfl_losses equals loss_reference leaf by leaf, bit for bit: n=1,
+    mixed sizes, tied logits (equal rows of w_cla) and |x| up to 1e150,
+    where a label's probability underflows to 0 and its loss is inf."""
+    rng = np.random.default_rng(seed)
+    w = rand_params(rng)
+    if tied:
+        w = ModelParams(w.w[[0, 0]], w.b[[0, 0]])
+    datas = [LocalDataset(rng.normal(size=(n, H)) * x_scale, rng.integers(0, 2, size=n))
+             for n in sizes]
+    personals = [PersonalState(w + rand_params(rng) * rng.uniform(0.0, 3.0),
+                               lam=rng.uniform(0.0, 2.0)) for _ in sizes]
+    with np.errstate(divide="ignore"):  # log(0) where a probability underflows
+        got = pfl_losses(datas, w, personals, penalty)
+        want = np.array([loss_reference(d, w, p, penalty)
+                         for d, p in zip(datas, personals)])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_stacked_loss_rejects_an_empty_dataset_and_unknown_penalty():
@@ -361,6 +391,38 @@ def test_finetune_matches_the_params_level_step_rule_bit_for_bit(penalty):
         assert np.array_equal(personal.w_per.b, starts[i].b)
 
 
+@settings(deadline=None)  # examples from the active profile; CI runs "model-2000"
+@given(seed=st.integers(0, 2**32 - 1), batch=st.integers(32, 64),
+       big=st.integers(4, 8), small=st.integers(0, 3), steps=st.integers(5, 8),
+       penalty=st.sampled_from(PENALTIES))
+def test_finetune_across_gather_blocks_matches_the_reference(seed, batch, big, small,
+                                                           steps, penalty):
+    """A stack whose minibatch rows span two or more gather blocks steps
+    like one leaf at a time. Leaf 0's batch is its whole dataset, so it
+    draws nothing; leaves smaller than the batch make stacks of their own."""
+    hidden = 256
+    rng = np.random.default_rng(seed)
+    sizes = ([batch] + rng.integers(batch, 3 * batch, size=big - 1).tolist()
+             + rng.integers(1, batch, size=small).tolist())
+    batches = [min(batch, n) for n in sizes]
+    assert steps * 8 * big * batch * hidden > model.GATHER_BYTES  # two blocks or more
+    datas = [rand_data(rng, n=n, h=hidden) for n in sizes]
+    personals = [PersonalState(rand_params(rng, hidden), lam=float(rng.uniform(0.0, 2.0)),
+                               eta_local=float(rng.uniform(0.01, 0.3)))
+                 for _ in sizes]
+    w_start = rand_params(rng, hidden)
+    entropies = [(seed, i) for i in range(len(sizes))]
+    got = local_finetune(datas, w_start, personals, steps, batches, entropies, penalty)
+    for i, (delta, state) in enumerate(got):
+        want_delta, want_state = finetune_reference(
+            datas[i], w_start, personals[i], steps, batches[i],
+            np.random.default_rng(entropies[i]), penalty)
+        assert np.array_equal(delta.w, want_delta.w), i
+        assert np.array_equal(delta.b, want_delta.b), i
+        assert np.array_equal(state.w_per.w, want_state.w_per.w), i
+        assert np.array_equal(state.w_per.b, want_state.w_per.b), i
+
+
 def test_norm_penalty_at_the_kink_stacked_with_other_leaves():
     # A leaf whose personal head equals the shared head has a zero pull
     # (the subgradient at the kink) while its neighbours in the stack pull.
@@ -597,6 +659,61 @@ def test_softmax_matches_the_row_sum_formula_bit_for_bit():
     assert (probs == 0.0).any() and (probs[..., 0] == probs[..., 1]).any()
     # the vote rule of ensemble_infer is argmax, first maximum on ties
     assert np.array_equal(probs[..., 1] > probs[..., 0], probs.argmax(axis=-1) == 1)
+
+
+# -- data generation ---------------------------------------------------------------
+
+_mean_part = st.sampled_from([-0.0, 0.0, -1.5, 2.0, 1e-300])
+
+
+@settings(deadline=None)  # examples from the active profile; CI runs "model-2000"
+@given(n=st.integers(0, 40), mean0=st.lists(_mean_part, min_size=2, max_size=6),
+       mean1=st.lists(_mean_part, min_size=2, max_size=6),
+       cov_scale=st.one_of(st.sampled_from([0.0, 1.0, 5e-324]), st.floats(0.0, 1e3)),
+       seed=st.integers(0, 2**32 - 1))
+def test_points_match_the_former_formula(n, mean0, mean1, cov_scale, seed):
+    """`_points` gives the bits of mean + cov_scale * normal from the same
+    stream, with -0.0 mean components and cov_scale 0 among the cases."""
+    dim = min(len(mean0), len(mean1))
+    mean0, mean1 = np.array(mean0[:dim]), np.array(mean1[:dim])
+    assume(not np.array_equal(mean0, mean1))
+    spec = TopicSpec(0, mean0, mean1, cov_scale, n)
+    x, y = _points(spec, n, np.random.default_rng(seed))
+    want_x, want_y = points_reference(spec, n, np.random.default_rng(seed))
+    assert x.tobytes() == want_x.tobytes()
+    assert np.array_equal(y, want_y)
+
+
+class _FixedDraws:
+    """A generator stand-in with set labels and standard normal draws, whose
+    `normal` computes numpy's 0.0 + 1.0 * z."""
+
+    def __init__(self, y, z):
+        self.y, self.z = np.array(y), np.array(z)
+
+    def integers(self, low, high, size):
+        return self.y.copy()
+
+    def standard_normal(self, shape):
+        return self.z.copy()
+
+    def normal(self, size):
+        return 0.0 + 1.0 * self.z
+
+
+@pytest.mark.parametrize("cov_scale", [0.0, 5e-324, 1.0, 3.0])
+def test_points_match_the_former_formula_on_zero_draws(cov_scale):
+    """-0.0 draws, which `normal` turns into +0.0, negative draws that a
+    zero scale takes to -0.0, and tiny ones that a tiny scale does, each
+    beside -0.0 and +0.0 mean components."""
+    spec = TopicSpec(0, np.array([-0.0, 0.0, 1.0]), np.array([0.0, -0.0, -1.0]),
+                     cov_scale, 6)
+    y = [0, 0, 0, 1, 1, 1]
+    z = [[-0.0, -0.0, -0.0], [0.0, -1e-300, 0.0], [-0.25, 0.5, -2.0],
+         [-0.0, 0.5, -2.0], [-1e-300, -0.0, 0.0], [0.0, -0.5, 0.0]]
+    x, _ = _points(spec, 6, _FixedDraws(y, z))
+    want_x, _ = points_reference(spec, 6, _FixedDraws(y, z))
+    assert x.tobytes() == want_x.tobytes()
 
 
 # -- serialization -----------------------------------------------------------------------
