@@ -25,6 +25,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quiet", action="store_true")
 
 
+def _positive_int(raw: str) -> int:
+    """argparse type: an integer >= 1 (an audit of nothing checks nothing)."""
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _log_progress(quiet: bool) -> None:
     """Per-round progress lines go to stderr unless --quiet."""
     logging.basicConfig(format="%(message)s")
@@ -220,15 +228,15 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("route-check", help="overlay delivery-correctness audit")
-    p.add_argument("--nodes", type=int, default=1000)
-    p.add_argument("--lookups", type=int, default=10000)
+    p.add_argument("--nodes", type=_positive_int, default=1000)
+    p.add_argument("--lookups", type=_positive_int, default=10000)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--fail", type=int, default=0,
                    help="fail this many seeded nodes before the lookups")
     p.set_defaults(fn=cmd_route_check)
 
     p = sub.add_parser("agg-check", help="aggregation flat-mean audit on real rounds")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_agg_check)
 

@@ -23,8 +23,8 @@ from .model import (PENALTIES, LocalDataset, ModelParams, PersonalState,
 # pfl_loss; the round loss itself goes through pfl_losses.
 from .model import pfl_loss  # noqa: F401
 from .overlay import hex_id
-from .simnet import AGG_UP, PREDICT
-from .tree import TreeManager
+from .simnet import AGG_UP
+from .tree import GroupState, TreeManager
 
 CENTRALIZED = "centralized"
 DECENTRALIZED = "decentralized"
@@ -234,7 +234,6 @@ class RoundMetrics:
     contributors: int
     root_weight: int
     max_ingress_bytes: int
-    max_agg_ingress_msgs: int
     total_bytes: int
     root_latency: float
     dissemination: float
@@ -271,14 +270,13 @@ def mask_members(mask: int, leaf_ids: tuple[int, ...]) -> tuple[int, ...]:
 
 @dataclass(slots=True)
 class MessageRecord:
-    """One gossip or routed message as seen by the privacy audit.
+    """One gossip or routed AGG_UP message as seen by the privacy audit.
 
     Its contributing leaves are a bitmask over the round's sorted leaf ids:
     bit i of `mask` stands for `leaf_ids[i]`, and every record of a round
     shares one `leaf_ids` tuple.
     """
 
-    kind: str
     src: int
     dst: int
     mask: int
@@ -286,21 +284,8 @@ class MessageRecord:
     round: int = 0
 
 
-class TreeMessageRecord:
-    """A centralized AGG_UP or PREDICT message, sent along a tree edge. It
-    names no contributors: `mask` reads 0, from the class, so each record
-    stores only its four fields."""
-
-    __slots__ = ("kind", "src", "dst", "round")
-    mask = 0
-
-    def __init__(self, kind: str, src: int, dst: int, round: int) -> None:
-        self.kind, self.src, self.dst, self.round = kind, src, dst, round
-
-
-def audit_decentralized_privacy(
-        records: list[MessageRecord | TreeMessageRecord],
-        social: SocialGraph) -> list[MessageRecord | TreeMessageRecord]:
+def audit_decentralized_privacy(records: list[MessageRecord],
+                                social: SocialGraph) -> list[MessageRecord]:
     """Messages that expose a single leaf's raw update outside its friend set.
 
     A weight-1 message whose only contributor has at least two friends must
@@ -365,7 +350,9 @@ class FederatedSession:
             nid: PersonalState(self.global_params.copy(), lam, eta_local)
             for nid in sorted(data)
         }
-        self.msg_log: list[MessageRecord | TreeMessageRecord] = []
+        # The decentralized round's gossip and routed messages; a
+        # centralized round leaves it empty.
+        self.msg_log: list[MessageRecord] = []
 
     # -- shared pieces -------------------------------------------------------
 
@@ -401,25 +388,25 @@ class FederatedSession:
             self.global_params, effective, self.cfg.eta, expected_round=self.round
         )
 
-    def _send_routed(self, src: int, key: int, nbytes: int, kind: str, mask: int,
+    def _send_routed(self, src: int, key: int, nbytes: int, mask: int,
                      leaf_ids: tuple[int, ...], on_deliver) -> None:
-        """Forward along the DHT route, hop by hop, logging every message
-        with its contributor mask over `leaf_ids`."""
+        """Forward an AGG_UP along the DHT route, hop by hop, logging every
+        message with its contributor mask over `leaf_ids`."""
         path = self.overlay.route(src, key).hops
         if not path:
             self.sim.schedule(0.0, on_deliver)
             return
-        links = zip([src] + path, path)
-        remaining = len(path)
+        self._hop([src] + path, 0, nbytes, mask, leaf_ids, on_deliver)
 
-        def step() -> None:
-            nonlocal remaining
-            frm, dst = next(links)
-            remaining -= 1
-            self.msg_log.append(MessageRecord(kind, frm, dst, mask, leaf_ids, self.round))
-            self.sim.send(frm, dst, nbytes, step if remaining else on_deliver, kind=kind)
-
-        step()
+    def _hop(self, nodes: list[int], i: int, nbytes: int, mask: int,
+             leaf_ids: tuple[int, ...], on_deliver) -> None:
+        """Send the route's link from nodes[i] to nodes[i + 1]. Its delivery
+        sends the next link; the last link's delivery calls `on_deliver`."""
+        frm, dst = nodes[i], nodes[i + 1]
+        self.msg_log.append(MessageRecord(frm, dst, mask, leaf_ids, self.round))
+        then = (partial(self._hop, nodes, i + 1, nbytes, mask, leaf_ids, on_deliver)
+                if i + 2 < len(nodes) else on_deliver)
+        self.sim.send(frm, dst, nbytes, then, kind=AGG_UP)
 
     # -- centralized protocol --------------------------------------------------
 
@@ -435,57 +422,56 @@ class FederatedSession:
         t0 = self.sim.now
         leaf_set = set(leaves)
 
-        # Which children feed each interior node this round.
+        # How many messages each member waits for this round: one from each
+        # child whose subtree holds a contributing leaf, and its own update
+        # if it is one. Children come after their parent in `order`.
+        members = group.members
+        order = [group.root]
+        for nid in order:
+            order.extend(members[nid].children)
         expected: dict[int, int] = {}
-
-        def feeds(nid: int) -> bool:
-            n_feed = sum(1 for c in group.members[nid].children if feeds(c))
-            if nid in leaf_set:
-                n_feed += 1  # its own local update
-            expected[nid] = n_feed
-            return n_feed > 0
-
-        feeds(group.root)
+        for nid in reversed(order):
+            expected[nid] = (nid in leaf_set) + sum(
+                1 for c in members[nid].children if expected[c])
 
         buffers: dict[int, list[AggregateMessage]] = {}
-        state = {"finalized": False, "root_latency": 0.0}
-
-        def receive(nid: int, msg: AggregateMessage) -> None:
-            buffers.setdefault(nid, []).append(msg)
-            if len(buffers[nid]) < expected[nid]:
-                return
-            agg = (buffers[nid][0] if len(buffers[nid]) == 1
-                   else branch_aggregate(buffers[nid], self.cfg.agg_mode))
-            if nid == group.root:
-                state["finalized"] = True
-                state["root_latency"] = self.sim.now - t0
-                state["root_weight"] = agg.weight
-                self._finalize(agg)
-            else:
-                send_up(nid, agg)
-
-        def send_up(nid: int, msg: AggregateMessage) -> None:
-            parent = group.members[nid].parent
-            self.msg_log.append(TreeMessageRecord(AGG_UP, nid, parent, self.round))
-            self.sim.send(nid, parent, msg.nbytes(), partial(receive, parent, msg),
-                          kind=AGG_UP)
-
+        root_agg: dict[str, float] = {}  # arrival time and weight of the root's aggregate
         for nid, payload in zip(leaves, self._leaf_payloads(leaves)):
             msg = AggregateMessage(self.gid, self.round, payload, 1)
-            self.sim.schedule(0.0, partial(receive if nid == group.root else send_up,
-                                           nid, msg))
+            self.sim.schedule(0.0, partial(self._receive, group, expected, buffers,
+                                           root_agg, nid, msg))
 
         self.sim.run()
-        if not state["finalized"]:
+        if not root_agg:
             raise ProtocolError("aggregation did not reach the root")
 
         mc = self.trees.multicast(self.gid, param_nbytes(self.hidden_dim))
         self.sim.run()
 
-        metrics = self._metrics(CENTRALIZED, leaves, state["root_weight"],
-                                buffers, state["root_latency"], mc.elapsed)
+        metrics = self._metrics(CENTRALIZED, leaves, root_agg["weight"],
+                                root_agg["time"] - t0, mc.elapsed)
         self.round += 1
         return metrics
+
+    def _receive(self, group: GroupState, expected: dict[int, int],
+                 buffers: dict[int, list[AggregateMessage]], root_agg: dict[str, float],
+                 nid: int, msg: AggregateMessage) -> None:
+        """A member takes one message: a child's aggregate, or a leaf's own
+        update. Once it has all it expects, it sends their branch aggregate
+        to its parent, or, at the root, applies it."""
+        buffer = buffers.setdefault(nid, [])
+        buffer.append(msg)
+        if len(buffer) < expected[nid]:
+            return
+        agg = buffer[0] if len(buffer) == 1 else branch_aggregate(buffer, self.cfg.agg_mode)
+        if nid == group.root:
+            root_agg.update(time=self.sim.now, weight=agg.weight)
+            self._finalize(agg)
+            return
+        parent = group.members[nid].parent
+        self.sim.send(nid, parent, agg.nbytes(),
+                      partial(self._receive, group, expected, buffers, root_agg, parent, agg),
+                      kind=AGG_UP)
 
     # -- decentralized protocol -------------------------------------------------
 
@@ -533,8 +519,7 @@ class FederatedSession:
             log, rnd = self.msg_log, self.round
             msgs = []
             for friend, receiver in links:
-                log.append(MessageRecord(AGG_UP, friend, receiver, snapshot[friend],
-                                         leaf_ids, rnd))
+                log.append(MessageRecord(friend, receiver, snapshot[friend], leaf_ids, rnd))
                 msgs.append((friend, receiver, nbytes[friend]))
 
             def merge(i: int) -> None:
@@ -558,7 +543,7 @@ class FederatedSession:
             if nid == root:
                 self.sim.schedule(0.0, partial(at_root, mask))
             else:
-                self._send_routed(nid, root, param_bytes + 16 * mask.bit_count(), AGG_UP,
+                self._send_routed(nid, root, param_bytes + 16 * mask.bit_count(),
                                   mask, leaf_ids, partial(at_root, mask))
         self.sim.run()
         if not root_mask:
@@ -576,7 +561,7 @@ class FederatedSession:
         self.sim.run()
 
         metrics = self._metrics(DECENTRALIZED, leaves, aggregate.weight,
-                                None, root_latency, mc.elapsed)
+                                root_latency, mc.elapsed)
         self.round += 1
         return metrics
 
@@ -597,8 +582,7 @@ class FederatedSession:
 
         Only points whose counts tie get the mass tally: `forward_heads`
         probabilities of every voter on all of x, taken at those points and
-        summed up the tree, child by child. The PREDICT records follow the
-        tree walk in the same order whether or not a point ties.
+        summed up the tree, child by child. The vote sends no message.
 
         Returns (labels, root vote tally of shape (n, 2)).
         """
@@ -612,20 +596,15 @@ class FederatedSession:
         if not leaves:
             raise ProtocolError("no live leaves to vote")
         leaf_set = set(leaves)
+        members = group.members
         voters: list[int] = []  # in tree order, the order the mass tally reads them
-        log, rnd = self.msg_log, self.round
-
-        def walk(nid: int) -> None:
-            """Lists the voters and sends each child's result up, child by
-            child, once the child's own subtree has sent its results."""
+        stack = [group.root]
+        while stack:
+            nid = stack.pop()
             if nid in leaf_set:  # a leaf has no children
                 voters.append(nid)
-                return
-            for child in group.members[nid].children:
-                walk(child)
-                log.append(TreeMessageRecord(PREDICT, child, nid, rnd))
-
-        walk(group.root)
+            else:
+                stack.extend(reversed(members[nid].children))
         heads = [self.personal[v].w_per for v in voters]
         w = np.stack([h.w for h in heads])
         b = np.stack([h.b for h in heads])
@@ -638,18 +617,7 @@ class FederatedSession:
             probs = (p for i in range(0, len(voters), INFER_CHUNK)
                      for p in forward_heads(x, w[i:i + INFER_CHUNK],
                                             b[i:i + INFER_CHUNK])[:, tied])
-
-            def mass_at(nid: int) -> np.ndarray:
-                """Probability mass at the tied points, summed up the tree
-                child by child."""
-                if nid in leaf_set:
-                    return next(probs)
-                mass = np.zeros((tied.size, 2))
-                for child in group.members[nid].children:
-                    mass += mass_at(child)
-                return mass
-
-            mass = mass_at(group.root)
+            mass = _tree_mass(members, group.root, leaf_set, probs, tied.size)
             labels[tied] = mass[:, 1] > mass[:, 0]
         counts = np.stack([len(voters) - ones, ones], axis=1).astype(np.float64)
         return labels, counts
@@ -657,12 +625,9 @@ class FederatedSession:
     # -- bookkeeping ---------------------------------------------------------------
 
     def _metrics(self, mode: str, leaves: list[int], root_weight: int,
-                 buffers, root_latency: float, dissemination: float) -> RoundMetrics:
+                 root_latency: float, dissemination: float) -> RoundMetrics:
         ingress = dict(self.sim.ingress_bytes)
         egress = dict(self.sim.egress_bytes)
-        max_agg = 0
-        if buffers is not None:
-            max_agg = max((len(v) for v in buffers.values()), default=0)
         losses = [pfl_losses([self.data[nid] for nid in chunk], self.global_params,
                              [self.personal[nid] for nid in chunk], self.cfg.penalty)
                   for chunk in (leaves[i:i + INFER_CHUNK]
@@ -674,7 +639,6 @@ class FederatedSession:
             contributors=len(leaves),
             root_weight=root_weight,
             max_ingress_bytes=max(ingress.values(), default=0),
-            max_agg_ingress_msgs=max_agg,
             total_bytes=sum(egress.values()),
             root_latency=root_latency,
             dissemination=dissemination,
@@ -682,3 +646,26 @@ class FederatedSession:
             ingress_bytes=ingress,
             egress_bytes=egress,
         )
+
+
+def _tree_mass(members, root: int, leaf_set: set[int], probs, n: int) -> np.ndarray:
+    """Probability mass at n points, summed up the tree child by child: each
+    member's sum starts at zero and adds its children's in child order, and
+    each voter takes the next of `probs`, in tree order."""
+    if root in leaf_set:
+        return next(probs)
+    # One (running sum, children left) per member on the path from the root.
+    path = [(np.zeros((n, 2)), iter(members[root].children))]
+    while True:
+        mass, children = path[-1]
+        child = next(children, None)
+        if child is None:
+            path.pop()
+            if not path:
+                return mass
+            parent_mass = path[-1][0]
+            parent_mass += mass
+        elif child in leaf_set:
+            mass += next(probs)
+        else:
+            path.append((np.zeros((n, 2)), iter(members[child].children)))

@@ -15,7 +15,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -98,13 +98,13 @@ def generate_topic_data(spec: TopicSpec, node_ids: list[int],
     with every node's stream seeded in one pass."""
     nids = sorted(node_ids)
     rngs = seeded_generators([(seed, spec.topic_id, nid) for nid in nids])
-    return {nid: LocalDataset(*_points(spec, spec.samples_per_node, rng), spec.topic_id)
+    return {nid: LocalDataset(*_points(spec, spec.samples_per_node, rng))
             for nid, rng in zip(nids, rngs)}
 
 
 def generate_testset(spec: TopicSpec, n: int, seed: int) -> LocalDataset:
     rng = next(seeded_generators([(seed, spec.topic_id, _TEST_STREAM)]))
-    return LocalDataset(*_points(spec, n, rng), spec.topic_id)
+    return LocalDataset(*_points(spec, n, rng))
 
 
 def mixed_node_data(topics: list[TopicSpec], node_ids: list[int], seed: int,
@@ -120,7 +120,7 @@ def mixed_node_data(topics: list[TopicSpec], node_ids: list[int], seed: int,
     for nid in nids:
         xs, ys = zip(*(_points(spec, share, next(rngs))
                        for spec, share in zip(topics, shares)))
-        out[nid] = LocalDataset(np.concatenate(xs), np.concatenate(ys), -1)
+        out[nid] = LocalDataset(np.concatenate(xs), np.concatenate(ys))
     return out
 
 
@@ -293,27 +293,21 @@ class ScenarioConfig:
         return cfg
 
 
-_INT_KEYS = {"nodes", "fanout", "tree_count", "rounds", "seed", "topics",
-             "points_per_node", "test_points", "hidden_dim", "steps", "batch",
-             "gossip_k", "bytes_threshold"}
-_FLOAT_KEYS = {"separation", "cov_scale", "lam", "eta", "eta_local", "lat_lo",
-               "lat_hi", "bandwidth", "heartbeat_period", "failure_timeout",
-               "latency_threshold"}
-_BOOL_KEYS = {"intercept"}
+# Field name -> type; a config value is parsed as its field's type.
+_FIELD_TYPES = get_type_hints(ScenarioConfig)
 
 
 def _coerce(key: str, raw: str):
     raw = raw.strip()
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key in _BOOL_KEYS:
+    kind = _FIELD_TYPES[key]
+    if kind is bool:
         if raw.lower() in ("true", "yes", "1", "on"):
             return True
         if raw.lower() in ("false", "no", "0", "off"):
             return False
         raise ValueError(f"bad boolean {raw!r} for {key}")
+    if kind in (int, float):
+        return kind(raw)
     return raw
 
 

@@ -50,10 +50,6 @@ class ModelParams:
         params.w, params.b = w, b
         return params
 
-    @property
-    def dim(self) -> int:
-        return self.w.shape[1]
-
     @classmethod
     def zeros(cls, hidden_dim: int, n_labels: int = N_LABELS) -> "ModelParams":
         return cls(np.zeros((n_labels, hidden_dim)), np.zeros(n_labels))
@@ -92,12 +88,11 @@ class PersonalState:
 
 
 class LocalDataset:
-    """One node's labelled feature vectors, tagged with a topic id."""
+    """One node's labelled feature vectors."""
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, topic_id: int = 0):
+    def __init__(self, x: np.ndarray, y: np.ndarray):
         self.x = np.asarray(x, dtype=np.float64)
         self.y = np.asarray(y, dtype=np.int64)
-        self.topic_id = topic_id
         if self.x.ndim != 2 or self.y.shape != (self.x.shape[0],):
             raise ValueError("x must be (n, H) with matching labels")
         if not np.isfinite(self.x).all():

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import random
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Optional
 
@@ -205,7 +205,6 @@ class Node:
     id: int
     routing_table: RoutingTable
     leaf_set: LeafSet
-    memberships: dict = field(default_factory=dict)  # group id -> TreeMembership
 
 
 @dataclass

@@ -18,7 +18,6 @@ from typing import Callable, Optional
 MULTICAST = "MULTICAST"
 AGG_UP = "AGG_UP"
 HEARTBEAT = "HEARTBEAT"
-PREDICT = "PREDICT"
 
 
 @dataclass
@@ -92,7 +91,6 @@ class Simulator:
         self.dropped = 0
         self.ingress_bytes: dict[int, int] = {}
         self.egress_bytes: dict[int, int] = {}
-        self.ingress_msgs: dict[int, int] = {}
         self.trace: list[tuple[float, str, int, int, int]] = [] if keep_trace else None
 
     def schedule(self, delay: float, action: Callable[[], None]) -> int:
@@ -158,7 +156,7 @@ class Simulator:
     def _drain(self, t_end: float) -> int:
         """Execute events in order while the next one fires at or before t_end."""
         queue, alive, trace = self._queue, self.alive, self.trace
-        ingress_bytes, ingress_msgs = self.ingress_bytes, self.ingress_msgs
+        ingress_bytes = self.ingress_bytes
         heappop, heappush = heapq.heappop, heapq.heappush
         count = 0
         while queue and queue[0][0] <= t_end:
@@ -185,7 +183,6 @@ class Simulator:
                 else:
                     self.delivered += 1
                     ingress_bytes[dst] = ingress_bytes.get(dst, 0) + nbytes
-                    ingress_msgs[dst] = ingress_msgs.get(dst, 0) + 1
                     if trace is not None:
                         trace.append((t, kind, src, dst, nbytes))
                     if batch is None:
@@ -236,7 +233,6 @@ class Simulator:
         self.sent = self.delivered = self.dropped = 0
         self.ingress_bytes.clear()
         self.egress_bytes.clear()
-        self.ingress_msgs.clear()
 
     def trace_hash(self) -> str:
         if self.trace is None:

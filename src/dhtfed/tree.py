@@ -51,7 +51,6 @@ class TreeConfig:
 
 @dataclass(slots=True)
 class TreeMembership:
-    group: int
     parent: Optional[int] = None
     children: list[int] = field(default_factory=list)
     last_parent_heartbeat: float = 0.0
@@ -149,10 +148,9 @@ class TreeManager:
 
     def _add_member(self, group: GroupState, nid: int) -> TreeMembership:
         """Register a live node as a detached member of the group."""
-        mem = TreeMembership(group.gid)
+        mem = TreeMembership()
         group.members[nid] = mem
         group.sizes[nid] = 1
-        self.overlay.node(nid).memberships[group.gid] = mem
         return mem
 
     def _attach(self, group: GroupState, joiner: int) -> None:
@@ -384,9 +382,6 @@ class TreeManager:
             if member in siblings:
                 siblings.remove(member)
                 self._resize_chain(group, mem.parent, -size)
-        node = self.overlay.nodes.get(member)
-        if node is not None:
-            node.memberships.pop(gid, None)
         for child in list(mem.children):
             cm = group.members.get(child)
             if cm is not None and cm.parent == member and self.overlay.is_alive(child):

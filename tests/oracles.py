@@ -294,7 +294,7 @@ def finetune_reference(data, w_start, personal, steps, batch, rng,
     and pfl_grad on a fresh LocalDataset per minibatch, drawing one sorted
     `choice` per step unless the batch is the whole dataset. Returns
     (delta, new personal state); the caller's state is left untouched."""
-    delta, per = ModelParams.zeros(w_start.dim, w_start.w.shape[0]), personal.copy()
+    delta, per = ModelParams.zeros(w_start.w.shape[1], w_start.w.shape[0]), personal.copy()
     for _ in range(steps):
         minibatch = data
         if batch < len(data):
@@ -322,26 +322,20 @@ def draw_reference(ns, sizes, steps, rngs):
 def tree_tally(children, root, leaf_probs, n):
     """The vote tally as plain recursion: a node adds its own one-hot vote
     (if it votes) and then each child's tally, in child order. Returns
-    (counts, mass, edges, voters); edges lists (child, parent) in the order
-    the children's tallies are passed up, voters the voting nodes in the
-    order they are visited."""
-    edges, voters = [], []
+    (counts, mass)."""
 
     def visit(nid):
         counts, mass = np.zeros((n, 2)), np.zeros((n, 2))
         if nid in leaf_probs:
-            voters.append(nid)
             counts[np.arange(n), np.argmax(leaf_probs[nid], axis=1)] += 1.0
             mass += leaf_probs[nid]
         for child in children.get(nid, []):
             c_counts, c_mass = visit(child)
             counts += c_counts
             mass += c_mass
-            edges.append((child, nid))
         return counts, mass
 
-    counts, mass = visit(root)
-    return counts, mass, edges, voters
+    return visit(root)
 
 
 def loss_reference(data, w_cla, personal, penalty="squared"):
@@ -374,7 +368,7 @@ def gossip_reference(session, social, k):
     is its sorted tuple, a merge is `set.update`, and the root sums the
     sorted union. Runs one round on `session`, with the same sends in the
     same order, and returns (metrics, log); log lists every message as
-    (kind, src, dst, contributors, round)."""
+    (src, dst, contributors, round)."""
     from dhtfed.fedagg import DECENTRALIZED, AggregateMessage, branch_aggregate
     from dhtfed.model import param_nbytes
     from dhtfed.simnet import AGG_UP
@@ -397,7 +391,7 @@ def gossip_reference(session, social, k):
         snapshots = {n: tuple(sorted(buffers[n])) for n in gossipers}
         msgs = []
         for friend, receiver in links:
-            log.append((AGG_UP, friend, receiver, snapshots[friend], rnd))
+            log.append((friend, receiver, snapshots[friend], rnd))
             msgs.append((friend, receiver, param_bytes + 16 * len(snapshots[friend])))
 
         def merge(i, snapshots=snapshots):
@@ -412,7 +406,7 @@ def gossip_reference(session, social, k):
     def forward(hops, contribs, nbytes):
         """Send along the remaining route links; the root merges at the end."""
         frm, dst = hops[0]
-        log.append((AGG_UP, frm, dst, contribs, rnd))
+        log.append((frm, dst, contribs, rnd))
         then = (partial(forward, hops[1:], contribs, nbytes) if len(hops) > 1
                 else partial(root_contrib.update, contribs))
         sim.send(frm, dst, nbytes, then, kind=AGG_UP)
@@ -434,7 +428,7 @@ def gossip_reference(session, social, k):
     session._finalize(aggregate)
     mc = session.trees.multicast(session.gid, param_nbytes(session.hidden_dim))
     sim.run()
-    metrics = session._metrics(DECENTRALIZED, leaves, aggregate.weight, None,
+    metrics = session._metrics(DECENTRALIZED, leaves, aggregate.weight,
                                root_latency, mc.elapsed)
     session.round += 1
     return metrics, log
@@ -445,8 +439,7 @@ def vote_reference(session, x):
     every head: the voters' heads go `INFER_CHUNK` at a time through
     `forward_heads`, a head votes 1 where p1 > p0, and the probability mass
     adds up the tree at every node, child by child, to break ties. Returns
-    (labels, counts, edges); edges lists the PREDICT (child, parent) pairs
-    in the order they are sent. The session is left untouched."""
+    (labels, counts). The session is left untouched."""
     from dhtfed.fedagg import INFER_CHUNK
 
     group = session.trees.group(session.gid)
@@ -473,7 +466,6 @@ def vote_reference(session, x):
             yield from probs
 
     probs_in_order = leaf_probs()
-    edges = []
 
     def mass_tally(nid):
         if nid in leaf_set:
@@ -481,7 +473,6 @@ def vote_reference(session, x):
         mass = np.zeros((n, 2))
         for child in group.members[nid].children:
             mass += mass_tally(child)
-            edges.append((child, nid))
         return mass
 
     mass = mass_tally(group.root)
@@ -491,4 +482,4 @@ def vote_reference(session, x):
         np.where(counts[:, 0] > counts[:, 1], 0,
                  np.where(mass[:, 1] > mass[:, 0], 1, 0)),
     )
-    return labels.astype(np.int64), counts, edges
+    return labels.astype(np.int64), counts

@@ -4,8 +4,15 @@ A function, method, class or module constant that only tests call is not
 part of the simulator; it goes, or moves into tests/. References are read
 with `ast` from src/dhtfed and perfbench: a name, an attribute, or a string
 that is exactly the name (perfbench patches functions by attribute name).
+A method or property is only reached through an attribute (or patched by
+its name), so a local variable of the same name does not count for it.
 Imports are not references, so a re-export in `__init__.py` keeps nothing
 alive, and neither does a use inside the name's own definition.
+
+The same holds for state: every field a class in src/dhtfed declares or
+stores on `self` is read, as an attribute, by src/dhtfed or perfbench. A
+store, `+=` included, is not a read. And every module of src/dhtfed uses
+what it imports.
 """
 
 import ast
@@ -21,6 +28,24 @@ TEST_ONLY = {
     "pfl_grad": "the one-leaf gradient that stacked fine-tuning is checked against",
     "trace_hash": "the digest that pins the simulator's event trace",
     "audit_decentralized_privacy": "the audit that tests run on gossip rounds' message logs",
+    "node": "the accessor through which overlay tests read a node's routing table and leaf set",
+    "pending": "the queue length that tests read to see a run drain the queue or stop at its cut-off",
+}
+
+# Fields stored by src/dhtfed and read only by tests, with the reason.
+TEST_READ_FIELDS = {
+    "Simulator.sent": "message total that tests check against deliveries and drops",
+    "Simulator.delivered": "message total that tests check against sends and drops",
+    "Simulator.dropped": "message total that tests read to see messages to dead nodes dropped",
+    "MulticastResult.forwards": "forward total that tests check is one send per tree edge",
+    "TreeStats.depth_histogram": "tree shape that tests compare with known and recounted depth counts",
+    "RouteResult.key": "the looked-up key, part of the route results that tests compare between runs",
+    "MessageRecord.src": "the sender, which tests check link for link against the reference round's log",
+}
+
+# Imports kept though their module does not use them, with the reason.
+UNUSED_IMPORTS = {
+    ("fedagg.py", "pfl_loss"): "perfbench attaches its model.loss span to fedagg.pfl_loss",
 }
 
 
@@ -29,8 +54,9 @@ def _is_dunder(name):
 
 
 def definitions():
-    """(name, file, first line, last line) of every module-level function,
-    class and constant, and every method, in src/dhtfed."""
+    """(name, file, first line, last line, is a method) of every
+    module-level function, class and constant, and every method, in
+    src/dhtfed."""
     out = []
     for path in SRC:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -45,17 +71,18 @@ def definitions():
                 found = [(node.target.id, node)]
             else:
                 continue
-            out += [(name, path.name, d.lineno, d.end_lineno)
+            out += [(name, path.name, d.lineno, d.end_lineno, d is not node)
                     for name, d in found if not _is_dunder(name)]
     return out
 
 
-def references():
-    """name -> [(file, line)] of every use in src/dhtfed and perfbench."""
+def references(attributes_only=False):
+    """name -> [(file, line)] of every use in src/dhtfed and perfbench; with
+    `attributes_only`, of its uses as an attribute or a string."""
     refs = {}
     for path in SRC + PERFBENCH:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not attributes_only:
                 name = node.id
             elif isinstance(node, ast.Attribute):
                 name = node.attr
@@ -69,10 +96,59 @@ def references():
 
 
 def unreferenced():
-    refs = references()
-    return sorted({name for name, path, first, last in definitions()
+    refs, attr_refs = references(), references(attributes_only=True)
+    return sorted({name for name, path, first, last, method in definitions()
                    if not any(f != path or not first <= line <= last
-                              for f, line in refs.get(name, []))})
+                              for f, line in (attr_refs if method else refs).get(name, []))})
+
+
+def stored_fields():
+    """"Class.field" of every dataclass field and every attribute stored on
+    `self` by a method, in src/dhtfed."""
+    out = set()
+    for path in SRC:
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    out.add(f"{cls.name}.{node.target.id}")
+                if isinstance(node, ast.FunctionDef):
+                    out.update(f"{cls.name}.{sub.attr}" for sub in ast.walk(node)
+                               if isinstance(sub, ast.Attribute)
+                               and isinstance(sub.ctx, ast.Store)
+                               and isinstance(sub.value, ast.Name) and sub.value.id == "self")
+    return out
+
+
+def attribute_reads():
+    """Every attribute name read (loaded) in src/dhtfed and perfbench."""
+    return {node.attr for path in SRC + PERFBENCH
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_fields():
+    reads = attribute_reads()
+    return sorted(f for f in stored_fields() if f.split(".")[1] not in reads)
+
+
+def unused_imports():
+    """(file, name) of every name a src/dhtfed module imports and never
+    uses. `__init__.py` imports are the package's exports."""
+    out = []
+    for path in SRC:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                out += [(path.name, name) for alias in node.names
+                        if (name := (alias.asname or alias.name).split(".")[0]) not in used]
+    return out
 
 
 def test_every_src_name_is_used_by_the_program():
@@ -84,3 +160,17 @@ def test_the_test_only_allowlist_is_exact():
     # A listed name that the program has come to use, or that is gone,
     # leaves the list.
     assert sorted(TEST_ONLY) == [n for n in unreferenced() if n in TEST_ONLY]
+
+
+def test_every_stored_field_is_read_by_the_program():
+    unread = set(unread_fields()) - set(TEST_READ_FIELDS)
+    assert not unread, f"stored in src/dhtfed, read only by tests or nowhere: {sorted(unread)}"
+
+
+def test_the_test_read_field_allowlist_is_exact():
+    assert sorted(TEST_READ_FIELDS) == [f for f in unread_fields() if f in TEST_READ_FIELDS]
+
+
+def test_every_import_is_used():
+    assert sorted(set(unused_imports()) - set(UNUSED_IMPORTS)) == []
+    assert sorted(UNUSED_IMPORTS) == sorted(i for i in unused_imports() if i in UNUSED_IMPORTS)

@@ -2,6 +2,8 @@ import json
 import logging
 import os
 
+import pytest
+
 from dhtfed.cli import main
 
 INI = """
@@ -97,6 +99,23 @@ def test_route_check_after_failures_routes_live_to_live(capsys):
     assert "n=300 failed=60 lookups=300 misdelivered=0" in capsys.readouterr().out
     assert main(["route-check", "--nodes", "30", "--fail", "30"]) == 2
     assert "--fail must be in [0, 30)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["route-check", "--lookups", "0"],
+    ["route-check", "--lookups", "-5"],
+    ["route-check", "--nodes", "0"],
+    ["agg-check", "--trials", "0"],
+    ["agg-check", "--trials", "-3"],
+])
+def test_audits_reject_vacuous_counts(argv, capsys):
+    """An audit that checks nothing must not pass: a count below 1 is a
+    usage error that names its flag, before any work."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[1]}: must be a positive integer, got {int(argv[2])}" in err
 
 
 def test_agg_check_passes(capsys):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from dhtfed.fedagg import (CENTRALIZED, DECENTRALIZED, UNWEIGHTED, WEIGHTED,
 from dhtfed import fedagg
 from dhtfed.model import (ModelParams, PersonalState, forward_batch, forward_heads,
                           local_finetune)
-from dhtfed.simnet import AGG_UP, PREDICT
+from dhtfed.simnet import AGG_UP
 
 from conftest import (build_world, complete_graph, gaussian_data, inject_deltas,
                       live_children, round_aggregate)
@@ -195,25 +196,31 @@ def test_star_round_equals_flat_average_oracle():
     assert metrics.mode == CENTRALIZED
 
 
+def agg_ingress(sim):
+    """AGG_UP messages delivered to each node, from the simulator's trace."""
+    return Counter(dst for _t, kind, _src, dst, _nbytes in sim.trace if kind == AGG_UP)
+
+
 def test_bounded_fanout_bounds_per_node_ingress():
-    ids, overlay, sim, trees, gid, root = build_world(300, fanout=8, seed=42)
+    ids, overlay, sim, trees, gid, root = build_world(300, fanout=8, seed=42,
+                                                      keep_trace=True)
     data = gaussian_data(ids, H, seed=3, n_per_node=8)
     cfg = RoundConfig(eta=1.0, steps=1, batch=4, seed=1)
     session = FederatedSession(trees, gid, data, H, cfg)
     metrics = session.centralized_round()
-    assert metrics.max_agg_ingress_msgs <= 8
+    assert max(agg_ingress(sim).values()) == 8
     assert metrics.root_weight == len(session.contributing_leaves())
 
 
 def test_star_round_floods_the_root():
     n = 120
     ids, overlay, sim, trees, gid, root = build_world(
-        n, fanout=n, seed=23, intercept=False)
+        n, fanout=n, seed=23, intercept=False, keep_trace=True)
     data = gaussian_data([i for i in ids if i != root], H, seed=4, n_per_node=8)
     session = FederatedSession(trees, gid, data, H,
                                RoundConfig(steps=1, batch=4, seed=2))
-    metrics = session.centralized_round()
-    assert metrics.max_agg_ingress_msgs == n - 1
+    session.centralized_round()
+    assert agg_ingress(sim) == {root: n - 1}
 
 
 def test_round_log_exposes_per_node_bytes_and_loss(tmp_path):
@@ -269,7 +276,7 @@ def forwarded(session, root):
     here are small enough that every leaf reaches the root in one hop."""
     out = {}
     for r in session.msg_log:
-        if r.kind == AGG_UP and r.dst == root:
+        if r.dst == root:
             assert r.src not in out
             out[r.src] = set(mask_members(r.mask, r.leaf_ids))
     return out
@@ -375,13 +382,14 @@ def test_msg_log_holds_only_the_current_round(mode):
         return list(session.msg_log)
 
     first, second = round_and_vote(), round_and_vote()
-    # Voting runs after the round has advanced the counter, so its PREDICT
-    # records carry the next round's number.
-    assert {(r.kind, r.round) for r in first} == {(AGG_UP, 0), (PREDICT, 1)}
-    assert {(r.kind, r.round) for r in second} == {(AGG_UP, 1), (PREDICT, 2)}
+    if mode == CENTRALIZED:  # tree messages name no contributors: none is logged
+        assert first == second == []
+        return
+    # The vote sends nothing, so only the round's own messages are logged.
+    assert {r.round for r in first} == {0}
+    assert {r.round for r in second} == {1}
     assert len(second) == len(first)  # same tree, same links, same traffic
-    if mode == DECENTRALIZED:
-        assert audit_decentralized_privacy(session.msg_log, social) == []
+    assert audit_decentralized_privacy(session.msg_log, social) == []
 
 
 def test_k0_direct_upload_is_flagged_by_the_audit():
@@ -419,7 +427,7 @@ def test_mask_members_lists_the_set_bits_ids_in_ascending_order():
 
 def test_message_records_decode_their_contributors_when_read():
     """Each gossip record's mask decodes, over its round's leaf ids, to the
-    leaves that contributed; tree records name none."""
+    leaves that contributed; a centralized round and a vote log nothing."""
     ids, overlay, sim, trees, gid, root = build_world(24, fanout=4, seed=37)
     data = gaussian_data(ids, H, seed=7, n_per_node=10)
     session = FederatedSession(trees, gid, data, H,
@@ -439,8 +447,7 @@ def test_message_records_decode_their_contributors_when_read():
 
     session.centralized_round()
     session.ensemble_infer(gaussian_data([1], H, seed=5)[1].x)
-    assert {r.kind for r in session.msg_log} == {AGG_UP, PREDICT}
-    assert all(r.mask == 0 for r in session.msg_log)
+    assert session.msg_log == []
 
 
 @settings(max_examples=40, deadline=None)
@@ -469,7 +476,7 @@ def test_bitmask_gossip_matches_the_set_reference(n, fanout, seed, chords, isola
     for k in ks:
         metrics = session.decentralized_round(social, k_gossip=k)
         ref_metrics, ref_log = gossip_reference(ref_session, social, k)
-        assert [(r.kind, r.src, r.dst, mask_members(r.mask, r.leaf_ids), r.round)
+        assert [(r.src, r.dst, mask_members(r.mask, r.leaf_ids), r.round)
                 for r in session.msg_log] == ref_log
         assert metrics == ref_metrics
     assert sim.trace_hash() == ref_sim.trace_hash()
@@ -557,10 +564,6 @@ def test_root_tally_matches_flat_recount():
     assert np.array_equal(tally.sum(axis=1), np.full(200, float(len(leaves))))
 
 
-def predict_edges(session):
-    return [(r.src, r.dst) for r in session.msg_log if r.kind == PREDICT]
-
-
 def test_vote_across_chunk_boundaries_matches_a_per_leaf_recount():
     ids, overlay, sim, trees, gid, root = build_world(70, fanout=8, seed=31)
     data = gaussian_data(ids, H, seed=14, n_per_node=6)
@@ -572,24 +575,21 @@ def test_vote_across_chunk_boundaries_matches_a_per_leaf_recount():
         session.personal[nid].w_per = ModelParams(rng.normal(size=(2, H)),
                                                   rng.normal(size=2))
     x = rng.normal(size=(300, H))
-    want_labels, want_tally, want_edges = vote_reference(session, x)
+    want_labels, want_tally = vote_reference(session, x)
     labels, tally = session.ensemble_infer(x)
     assert np.array_equal(labels, want_labels)
     assert np.array_equal(tally, want_tally)
-    assert predict_edges(session) == want_edges
 
     probs = {nid: forward_batch(x, session.personal[nid].w_per) for nid in leaves}
     group = trees.group(gid)
     children = {m: list(group.members[m].children) for m in group.members}
-    counts, mass, edges, _voters = tree_tally(children, group.root, probs, len(x))
+    counts, mass = tree_tally(children, group.root, probs, len(x))
     assert np.array_equal(tally, counts)
     votes = np.stack([np.argmax(probs[n], axis=1) for n in leaves])
     assert np.array_equal(labels, flat_majority(votes, np.stack(list(probs.values()))))
     assert np.array_equal(labels, np.where(
         counts[:, 1] > counts[:, 0], 1,
         np.where(counts[:, 0] > counts[:, 1], 0, np.where(mass[:, 1] > mass[:, 0], 1, 0))))
-    # the PREDICT records are the tally's edges, in the order results pass up
-    assert predict_edges(session) == edges
 
 
 @pytest.mark.parametrize("x, match", [
@@ -599,13 +599,16 @@ def test_vote_across_chunk_boundaries_matches_a_per_leaf_recount():
     (np.zeros((2, H + 1)), r"must be \(n, 4\)"),
     (np.zeros(H), r"must be \(n, 4\)"),
 ])
-def test_ensemble_infer_rejects_bad_features_before_any_work(x, match):
+def test_ensemble_infer_rejects_bad_features_before_any_work(x, match, monkeypatch):
     ids, overlay, sim, trees, gid, root = build_world(12, fanout=3, seed=4)
     session = FederatedSession(trees, gid, gaussian_data(ids, H, seed=3), H,
                                RoundConfig(seed=1))
+    counted, count_votes = [], fedagg.count_votes_for_one
+    monkeypatch.setattr(fedagg, "count_votes_for_one",
+                        lambda *args: counted.append(args) or count_votes(*args))
     with pytest.raises(ValueError, match=match):
         session.ensemble_infer(x)
-    assert session.msg_log == []  # rejected before any PREDICT was sent
+    assert counted == []  # rejected before any vote was counted
     labels, tally = session.ensemble_infer(np.zeros((0, H)))
     assert labels.shape == (0,) and labels.dtype == np.int64
     assert tally.shape == (0, 2)
@@ -645,7 +648,7 @@ def vote_head(kind, rng, x, ulps):
        ulps=st.lists(st.integers(-4, 4), min_size=1, max_size=6))
 def test_vote_matches_the_softmax_reference(nodes, fanout, seed, dropped, points,
                                             x_scale, paired, kinds, ulps):
-    """Labels, tally and PREDICT edges equal the vote with a softmax for
+    """Labels and tally equal the vote with a softmax for
     every head, on random trees with non-contributing members, exactly zero
     heads, margins a few ulps from 0 and from 2**-40, negated head pairs
     (which force ties), large |x|, and n of 0 and 1. When no point ties,
@@ -670,7 +673,7 @@ def test_vote_matches_the_softmax_reference(nodes, fanout, seed, dropped, points
         session.personal[nid].w_per = vote_head(kinds[i % len(kinds)], rng, x,
                                                 ulps[i % len(ulps)])
 
-    want_labels, want_tally, want_edges = vote_reference(session, x)
+    want_labels, want_tally = vote_reference(session, x)
     exact_heads = []
 
     def spy(x, w, b):
@@ -682,7 +685,6 @@ def test_vote_matches_the_softmax_reference(nodes, fanout, seed, dropped, points
         labels, tally = session.ensemble_infer(x)
     assert np.array_equal(labels, want_labels)
     assert np.array_equal(tally, want_tally)
-    assert predict_edges(session) == want_edges
     if not (tally[:, 0] == tally[:, 1]).any():
         assert all(w.any() or b.any() for w, b in exact_heads)
 
@@ -709,13 +711,12 @@ def test_forced_ties_are_broken_by_the_mass_tallied_in_tree_order():
     probs = {nid: forward_batch(x, session.personal[nid].w_per) for nid in leaves}
     group = trees.group(gid)
     children = {m: list(group.members[m].children) for m in group.members}
-    counts, mass, edges, _voters = tree_tally(children, group.root, probs, len(x))
+    counts, mass = tree_tally(children, group.root, probs, len(x))
     assert np.array_equal(counts[:, 0], counts[:, 1])  # every point ties
     assert np.array_equal(tally, counts)
     want = np.where(mass[:, 1] > mass[:, 0], 1, 0)
     assert 0 < want.sum() < len(x)  # rounding in the mass sum goes both ways
     assert np.array_equal(labels, want)
-    assert predict_edges(session) == edges
 
 
 @pytest.mark.parametrize("mode", [CENTRALIZED, DECENTRALIZED])

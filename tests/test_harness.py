@@ -1,11 +1,13 @@
+import gc
 import hashlib
 import logging
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dhtfed import model
+from dhtfed import harness, model
 from dhtfed.fedagg import FederatedSession, RoundConfig, write_round_log
 from dhtfed.harness import (MIXED, SINGLE_TOPIC_PER_TREE, DisseminationRow,
                             MetricsRecord, ScenarioConfig, compute_accuracy,
@@ -355,6 +357,36 @@ def test_decentralized_scenario_runs_and_is_deterministic():
     b = run_scenario(cfg)
     assert a.records_blob() == b.records_blob()
     assert all(r.mode == "decentralized" for r in a.records)
+
+
+@pytest.mark.parametrize("mode", ["centralized", "decentralized"])
+def test_a_scenario_is_freed_when_run_scenario_returns(mode, monkeypatch):
+    """No reference cycle keeps a run alive: with the cycle collector off,
+    every session and every dataset it fine-tunes on is freed by reference
+    counting alone once `run_scenario` has returned (rounds and votes
+    included)."""
+    refs = []
+
+    def session(*args, **kwargs):
+        s = FederatedSession(*args, **kwargs)
+        refs.append(weakref.ref(s))
+        refs.extend(weakref.ref(d) for d in s.data.values())
+        return s
+
+    monkeypatch.setattr(harness, "FederatedSession", session)
+    cfg = ScenarioConfig(seed=53, nodes=24, rounds=2, topics=2, tree_count=2,
+                         points_per_node=20, test_points=40, fanout=3, mode=mode,
+                         gossip_k=2, name="freed")
+    gc.collect()
+    gc.disable()
+    try:
+        result = run_scenario(cfg)
+        alive = sum(r() is not None for r in refs)
+    finally:
+        gc.enable()
+    assert len(result.records) == cfg.rounds * cfg.tree_count  # rounds and votes ran
+    assert len(refs) == 2 + cfg.nodes
+    assert alive == 0
 
 
 def test_failure_schedule_is_applied():

@@ -343,7 +343,7 @@ class _Twin:
     def state(self):
         sim = self.sim
         return (sim.trace, sim.sent, sim.delivered, sim.dropped, sim.ingress_bytes,
-                sim.egress_bytes, sim.ingress_msgs, sim.now, self.log, sim.rng.getstate())
+                sim.egress_bytes, sim.now, self.log, sim.rng.getstate())
 
 
 # Senders 0-2 stay alive; receivers 0-5 include node 5, always dead, and
