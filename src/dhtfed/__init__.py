@@ -2,10 +2,10 @@
 
 from .overlay import (Overlay, RouteResult, circular_distance, hex_id,
                       id_from_name, random_ids, shared_prefix_len)
-from .simnet import FailureSchedule, LinkModel, Simulator
+from .simnet import LinkModel, Simulator
 from .tree import TreeConfig, TreeManager, TreeMembership
-from .model import (LocalDataset, ModelParams, PersonalState, forward_batch,
-                    local_finetune, pfl_grad, pfl_loss)
+from .model import (LocalDataset, ModelParams, forward_batch, local_finetune,
+                    pfl_grad, pfl_loss)
 from .fedagg import (AggregateMessage, FederatedSession, ModeSelector,
                      RoundConfig, SocialGraph, branch_aggregate, root_update)
 from .harness import (MetricsRecord, ScenarioConfig, TopicSpec, compute_f1,

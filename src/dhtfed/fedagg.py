@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (PENALTIES, LocalDataset, ModelParams, PersonalState,
-                    forward_heads, local_finetune, param_nbytes, pfl_losses)
+from .model import (PENALTIES, LocalDataset, ModelParams, forward_heads, local_finetune,
+                    param_nbytes, pfl_losses)
 # perfbench/tracing.py attaches its model.loss span to this module's
 # pfl_loss; the round loss itself goes through pfl_losses.
 from .model import pfl_loss  # noqa: F401
@@ -205,7 +205,13 @@ class SocialGraph:
 
 @dataclass
 class RoundConfig:
+    """One session's round settings. `lam` weighs every leaf's proximal pull
+    of its personal head toward the shared head, and `eta_local` is the
+    leaves' fine-tuning step size; `eta` is the root's."""
+
     eta: float = 1.0
+    lam: float = 0.5
+    eta_local: float = 0.1
     steps: int = 10
     batch: int = 32
     upload: str = "delta"  # or "weights"
@@ -215,6 +221,14 @@ class RoundConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not np.isfinite(self.eta):
+            raise ValueError("eta must be finite")
+        if self.lam < 0 or not np.isfinite(self.lam):
+            raise ValueError("lambda must be a finite non-negative real")
+        if not np.isfinite(self.eta_local):
+            raise ValueError("eta_local must be finite")
+        if self.eta_local < 0:
+            raise ValueError("eta_local must be non-negative")
         if self.steps < 1 or self.batch < 1:
             raise ValueError("steps and batch must be positive")
         if self.penalty not in PENALTIES:
@@ -328,15 +342,14 @@ class ModeSelector:
 class FederatedSession:
     """Drives fine-tuning rounds for one group over a tree manager.
 
-    Owns the global head, every contributing leaf's personal state, and the
+    Owns the global head, every contributing leaf's personal head, and the
     per-round message bookkeeping. Leaf fine-tuning draws from a generator
     seeded by (seed, round, leaf id), so both protocols see bit-identical
     local updates for the same round.
     """
 
     def __init__(self, trees: TreeManager, gid: int, data: dict[int, LocalDataset],
-                 hidden_dim: int, cfg: Optional[RoundConfig] = None,
-                 lam: float = 0.5, eta_local: float = 0.1):
+                 hidden_dim: int, cfg: Optional[RoundConfig] = None):
         self.trees = trees
         self.overlay = trees.overlay
         self.sim = trees.sim
@@ -346,10 +359,8 @@ class FederatedSession:
         self.cfg = cfg or RoundConfig()
         self.global_params = ModelParams.zeros(hidden_dim)
         self.round = 0
-        self.personal: dict[int, PersonalState] = {
-            nid: PersonalState(self.global_params.copy(), lam, eta_local)
-            for nid in sorted(data)
-        }
+        self.personal: dict[int, ModelParams] = {nid: self.global_params.copy()
+                                                 for nid in sorted(data)}
         # The decentralized round's gossip and routed messages; a
         # centralized round leaves it empty.
         self.msg_log: list[MessageRecord] = []
@@ -362,17 +373,18 @@ class FederatedSession:
     def _leaf_payloads(self, leaves: list[int]) -> list[ModelParams]:
         """Fine-tune all leaves in one call; each draws its minibatches from
         the stream seeded by (seed, round, leaf id)."""
+        cfg = self.cfg
         datas = [self.data[nid] for nid in leaves]
         results = local_finetune(
-            datas, self.global_params, [self.personal[nid] for nid in leaves],
-            self.cfg.steps, [min(self.cfg.batch, len(d)) for d in datas],
-            [(self.cfg.seed, self.round, nid) for nid in leaves], self.cfg.penalty,
+            datas, self.global_params, [self.personal[nid] for nid in leaves], cfg.lam,
+            cfg.eta_local, cfg.steps, [min(cfg.batch, len(d)) for d in datas],
+            [(cfg.seed, self.round, nid) for nid in leaves], cfg.penalty,
         )
         payloads = []
-        for nid, (delta, new_state) in zip(leaves, results):
-            self.personal[nid] = new_state
+        for nid, (delta, w_per) in zip(leaves, results):
+            self.personal[nid] = w_per
             # "weights" uploads the fine-tuned weights themselves
-            payloads.append(delta if self.cfg.upload == "delta"
+            payloads.append(delta if cfg.upload == "delta"
                             else self.global_params - delta)
         return payloads
 
@@ -424,13 +436,10 @@ class FederatedSession:
 
         # How many messages each member waits for this round: one from each
         # child whose subtree holds a contributing leaf, and its own update
-        # if it is one. Children come after their parent in `order`.
+        # if it is one.
         members = group.members
-        order = [group.root]
-        for nid in order:
-            order.extend(members[nid].children)
         expected: dict[int, int] = {}
-        for nid in reversed(order):
+        for nid in reversed(self.trees.walk(self.gid)):
             expected[nid] = (nid in leaf_set) + sum(
                 1 for c in members[nid].children if expected[c])
 
@@ -475,9 +484,9 @@ class FederatedSession:
 
     # -- decentralized protocol -------------------------------------------------
 
-    def decentralized_round(self, social: SocialGraph, k_gossip: Optional[int] = None) -> RoundMetrics:
-        """Leaves fine-tune, gossip friend-set aggregates for K hops, then
-        forward their buffers to the root over the DHT.
+    def decentralized_round(self, social: SocialGraph) -> RoundMetrics:
+        """Leaves fine-tune, gossip friend-set aggregates for `gossip_k`
+        hops, then forward their buffers to the root over the DHT.
 
         Buffers are contributor bitmasks over the round's sorted leaf ids
         (bit i stands for the i-th smallest), so a merge is an OR and
@@ -486,7 +495,6 @@ class FederatedSession:
         ascending id order: the flat mean over the distinct leaves it sees.
         """
         group = self.trees.group(self.gid)
-        k = self.cfg.gossip_k if k_gossip is None else k_gossip
         leaves = self.contributing_leaves()
         if not leaves:
             raise ProtocolError("no live contributing leaves")
@@ -528,7 +536,7 @@ class FederatedSession:
 
             self.sim.send_many(msgs, merge, AGG_UP)
 
-        for _hop in range(k):
+        for _hop in range(self.cfg.gossip_k):
             run_gossip_hop()
             self.sim.run()  # barrier: the hop completes before the next starts
 
@@ -596,16 +604,9 @@ class FederatedSession:
         if not leaves:
             raise ProtocolError("no live leaves to vote")
         leaf_set = set(leaves)
-        members = group.members
-        voters: list[int] = []  # in tree order, the order the mass tally reads them
-        stack = [group.root]
-        while stack:
-            nid = stack.pop()
-            if nid in leaf_set:  # a leaf has no children
-                voters.append(nid)
-            else:
-                stack.extend(reversed(members[nid].children))
-        heads = [self.personal[v].w_per for v in voters]
+        order = self.trees.walk(self.gid)
+        voters = [nid for nid in order if nid in leaf_set]
+        heads = [self.personal[v] for v in voters]
         w = np.stack([h.w for h in heads])
         b = np.stack([h.b for h in heads])
         ones = count_votes_for_one(x, w, b)
@@ -617,7 +618,7 @@ class FederatedSession:
             probs = (p for i in range(0, len(voters), INFER_CHUNK)
                      for p in forward_heads(x, w[i:i + INFER_CHUNK],
                                             b[i:i + INFER_CHUNK])[:, tied])
-            mass = _tree_mass(members, group.root, leaf_set, probs, tied.size)
+            mass = _tree_mass(group.members, order, dict(zip(voters, probs)), tied.size)
             labels[tied] = mass[:, 1] > mass[:, 0]
         counts = np.stack([len(voters) - ones, ones], axis=1).astype(np.float64)
         return labels, counts
@@ -629,7 +630,8 @@ class FederatedSession:
         ingress = dict(self.sim.ingress_bytes)
         egress = dict(self.sim.egress_bytes)
         losses = [pfl_losses([self.data[nid] for nid in chunk], self.global_params,
-                             [self.personal[nid] for nid in chunk], self.cfg.penalty)
+                             [self.personal[nid] for nid in chunk], self.cfg.lam,
+                             self.cfg.penalty)
                   for chunk in (leaves[i:i + INFER_CHUNK]
                                 for i in range(0, len(leaves), INFER_CHUNK))]
         loss = float(np.mean(np.concatenate(losses)))
@@ -648,24 +650,18 @@ class FederatedSession:
         )
 
 
-def _tree_mass(members, root: int, leaf_set: set[int], probs, n: int) -> np.ndarray:
-    """Probability mass at n points, summed up the tree child by child: each
-    member's sum starts at zero and adds its children's in child order, and
-    each voter takes the next of `probs`, in tree order."""
-    if root in leaf_set:
-        return next(probs)
-    # One (running sum, children left) per member on the path from the root.
-    path = [(np.zeros((n, 2)), iter(members[root].children))]
-    while True:
-        mass, children = path[-1]
-        child = next(children, None)
-        if child is None:
-            path.pop()
-            if not path:
-                return mass
-            parent_mass = path[-1][0]
-            parent_mass += mass
-        elif child in leaf_set:
-            mass += next(probs)
+def _tree_mass(members, order: list[int], leaf_mass: dict[int, np.ndarray],
+               n: int) -> np.ndarray:
+    """Probability mass at n points, summed up the tree from `leaf_mass`,
+    each voter's own: `order` is the tree's walk from the root, and every
+    other member's sum starts at zero and adds its children's in child
+    order."""
+    mass: dict[int, np.ndarray] = {}
+    for nid in reversed(order):
+        if nid in leaf_mass:
+            mass[nid] = leaf_mass[nid]
         else:
-            path.append((np.zeros((n, 2)), iter(members[child].children)))
+            mass[nid] = total = np.zeros((n, 2))
+            for child in members[nid].children:
+                total += mass.pop(child)
+    return mass[order[0]]

@@ -15,16 +15,15 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Optional, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
 from .fedagg import (CENTRALIZED, DECENTRALIZED, FederatedSession, ModeSelector,
                      RoundConfig, RoundMetrics, SocialGraph)
-from .model import (LocalDataset, ModelParams, PersonalState, seeded_generators,
-                    serialize_params)
+from .model import LocalDataset, seeded_generators, serialize_params
 from .overlay import Overlay, random_ids
-from .simnet import FailureSchedule, LinkModel, Simulator
+from .simnet import LinkModel, Simulator
 from .tree import TreeConfig, TreeManager
 
 SINGLE_TOPIC_PER_TREE = "single"
@@ -134,15 +133,15 @@ def compute_accuracy(predictions, labels) -> float:
     return float(np.mean(predictions == labels))
 
 
-def compute_f1(predictions, labels, positive_label: int = 1) -> float:
-    """Binary F1 for the positive class; 0 when precision + recall = 0."""
+def compute_f1(predictions, labels) -> float:
+    """Binary F1 for label 1; 0 when precision + recall = 0."""
     predictions = np.asarray(predictions)
     labels = np.asarray(labels)
     if predictions.shape != labels.shape or predictions.size == 0:
         raise ValueError("predictions and labels must be equal-length, non-empty")
-    tp = int(np.sum((predictions == positive_label) & (labels == positive_label)))
-    fp = int(np.sum((predictions == positive_label) & (labels != positive_label)))
-    fn = int(np.sum((predictions != positive_label) & (labels == positive_label)))
+    tp = int(np.sum((predictions == 1) & (labels == 1)))
+    fp = int(np.sum((predictions == 1) & (labels != 1)))
+    fn = int(np.sum((predictions != 1) & (labels == 1)))
     if tp == 0:
         return 0.0
     precision = tp / (tp + fp)
@@ -215,10 +214,10 @@ class ScenarioConfig:
     failures: list[tuple[float, int, str]] = field(default_factory=list)
 
     def round_config(self) -> RoundConfig:
-        return RoundConfig(eta=self.eta, steps=self.steps, batch=self.batch,
-                           upload=self.upload, agg_mode=self.agg_mode,
-                           penalty=self.penalty, gossip_k=self.gossip_k,
-                           seed=self.seed)
+        return RoundConfig(eta=self.eta, lam=self.lam, eta_local=self.eta_local,
+                           steps=self.steps, batch=self.batch, upload=self.upload,
+                           agg_mode=self.agg_mode, penalty=self.penalty,
+                           gossip_k=self.gossip_k, seed=self.seed)
 
     def link_model(self) -> LinkModel:
         return LinkModel(self.lat_lo, self.lat_hi, self.bandwidth)
@@ -231,8 +230,7 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         """Reject a bad config before anything is built; the model, link and
-        tree settings are checked by building their configs and a personal
-        state."""
+        tree settings are checked by building their configs."""
         if self.nodes < 1 or self.rounds < 1:
             raise ValueError("nodes and rounds must be positive")
         if self.topics < 1 or self.points_per_node < 1 or self.test_points < 1:
@@ -252,11 +250,19 @@ class ScenarioConfig:
         self.round_config()
         self.link_model()
         self.tree_config()
-        PersonalState(ModelParams.zeros(self.hidden_dim), self.lam, self.eta_local)
-        FailureSchedule(self.failures)
         failed: set[int] = set()
+        last = 0.0
         for event in self.failures:
-            _t, idx, action = event
+            t, idx, action = event
+            if not math.isfinite(t):
+                raise ValueError(f"failure event time {t} is not finite")
+            if t < 0:
+                raise ValueError(f"failure event time {t} is negative")
+            if t < last:
+                raise ValueError("failure schedule times must be non-decreasing")
+            last = t
+            if action not in ("fail", "rejoin"):
+                raise ValueError(f"unknown failure action {action!r}")
             if not 0 <= idx < self.nodes:
                 raise ValueError(f"failure event {event}: node index is "
                                  f"outside [0, {self.nodes})")
@@ -376,8 +382,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         else:
             data = mixed_node_data(topics, share, cfg.seed, cfg.points_per_node)
         sessions.append(FederatedSession(trees, gid, data, cfg.hidden_dim,
-                                         cfg.round_config(), lam=cfg.lam,
-                                         eta_local=cfg.eta_local))
+                                         cfg.round_config()))
 
     socials: dict[int, SocialGraph] = {}
     selectors = [ModeSelector(cfg.bytes_threshold, cfg.latency_threshold)
@@ -478,9 +483,8 @@ class DisseminationRow:
 
 
 def measure_dissemination(payload_bytes: list[int], node_counts: list[int],
-                          tree_counts: list[int], seed: int, fanout: int = 16,
-                          link: Optional[LinkModel] = None,
-                          intercept: bool = True) -> list[DisseminationRow]:
+                          tree_counts: list[int], seed: int,
+                          fanout: int = 16) -> list[DisseminationRow]:
     """Simulated time for every member to receive a payload multicast from
     the root(s); one row per (N, tree count, payload size) combination."""
     rows = []
@@ -489,10 +493,8 @@ def measure_dissemination(payload_bytes: list[int], node_counts: list[int],
             for nb in payload_bytes:
                 ids = random_ids(n, seed)
                 overlay = Overlay.build(ids)
-                sim = Simulator(seed=seed, link=link or LinkModel(),
-                                alive=overlay.is_alive)
-                trees = TreeManager(overlay, sim, TreeConfig(
-                    fanout_cap=fanout, intercept_joins=intercept))
+                sim = Simulator(seed=seed, alive=overlay.is_alive)
+                trees = TreeManager(overlay, sim, TreeConfig(fanout_cap=fanout))
                 gids = [gid for gid, _share in _build_trees(
                     trees, ids, [f"disseminate-{n}-{tc}-{k}" for k in range(tc)])]
                 results = [trees.multicast(g, nb) for g in gids]

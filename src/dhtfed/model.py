@@ -69,24 +69,6 @@ class ModelParams:
     __rmul__ = __mul__
 
 
-@dataclass
-class PersonalState:
-    """Per-node personalized head plus the proximal/learning hyperparameters."""
-
-    w_per: ModelParams
-    lam: float = 0.5
-    eta_local: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.lam < 0 or not np.isfinite(self.lam):
-            raise ValueError("lambda must be a finite non-negative real")
-        if self.eta_local < 0:
-            raise ValueError("eta_local must be non-negative")
-
-    def copy(self) -> "PersonalState":
-        return PersonalState(self.w_per.copy(), self.lam, self.eta_local)
-
-
 class LocalDataset:
     """One node's labelled feature vectors."""
 
@@ -144,9 +126,10 @@ def _check_penalty(penalty: str) -> None:
         raise ValueError(f"unknown penalty {penalty!r}")
 
 
-def pfl_losses(datas: list[LocalDataset], w_cla: ModelParams,
-               personals: list[PersonalState], penalty: str = "squared") -> np.ndarray:
-    """pfl_loss of every leaf against the shared head w_cla, in leaf order.
+def pfl_losses(datas: list[LocalDataset], w_cla: ModelParams, w_pers: list[ModelParams],
+               lam: float, penalty: str = "squared") -> np.ndarray:
+    """pfl_loss of every leaf, with personal head w_pers[i], against the
+    shared head w_cla, in leaf order.
 
     Leaves that share a dataset size are scored together. Each leaf's
     logits come from its own matmul into a stacked (B, n, L) array, which is
@@ -156,8 +139,8 @@ def pfl_losses(datas: list[LocalDataset], w_cla: ModelParams,
     by label, in order), so every loss equals the one-leaf call bit for bit.
     """
     _check_penalty(penalty)
-    if len(personals) != len(datas):
-        raise ValueError("need one personal state per dataset")
+    if len(w_pers) != len(datas):
+        raise ValueError("need one personal head per dataset")
     by_size: dict[int, list[int]] = {}
     for i, data in enumerate(datas):
         if len(data) == 0:
@@ -179,21 +162,20 @@ def pfl_losses(datas: list[LocalDataset], w_cla: ModelParams,
         picked = np.where(y == 1, e[1], e[0])  # labels are 0 or 1
         picked /= reduce(np.add, e)
         nll[leaves] = -np.log(picked, out=picked).mean(axis=1)
-    d_w = np.stack([p.w_per.w for p in personals]) - w_cla.w
-    d_b = np.stack([p.w_per.b for p in personals]) - w_cla.b
+    d_w = np.stack([p.w for p in w_pers]) - w_cla.w
+    d_b = np.stack([p.b for p in w_pers]) - w_cla.b
     sq = np.sum(d_w * d_w, axis=(1, 2)) + np.sum(d_b * d_b, axis=1)
-    lam = np.array([p.lam for p in personals])
     return nll + 0.5 * lam * (sq if penalty == "squared" else np.sqrt(sq))
 
 
-def pfl_loss(data: LocalDataset, w_cla: ModelParams, personal: PersonalState,
+def pfl_loss(data: LocalDataset, w_cla: ModelParams, w_per: ModelParams, lam: float,
              penalty: str = "squared") -> float:
     """Mean negative log-likelihood plus the proximal pull on w_per.
 
-    With penalty="squared" the pull is (lambda/2) * ||w_per - w_cla||_F^2
+    With penalty="squared" the pull is (lam/2) * ||w_per - w_cla||_F^2
     over all parameters; penalty="norm" uses the unsquared Frobenius norm.
     """
-    return float(pfl_losses([data], w_cla, [personal], penalty)[0])
+    return float(pfl_losses([data], w_cla, [w_per], lam, penalty)[0])
 
 
 def _one_hot(y: np.ndarray, n_labels: int) -> np.ndarray:
@@ -202,12 +184,12 @@ def _one_hot(y: np.ndarray, n_labels: int) -> np.ndarray:
 
 
 def _grad(x: np.ndarray, onehot: np.ndarray, w: np.ndarray, b: np.ndarray,
-          w_per: np.ndarray, b_per: np.ndarray, lam: np.ndarray, penalty: str):
+          w_per: np.ndarray, b_per: np.ndarray, lam: float, penalty: str):
     """Gradients of pfl_loss for B leaves at once, on raw stacked arrays.
 
     x is (B, n, H) with labels as `_one_hot` rows (B, n, L); w and w_per are
-    (B, L, H), b and b_per (B, L); lam is (B,). Returns (grad_w, grad_b,
-    grad_w_per, grad_b_per). Leaf i's slices equal the B=1 call on leaf i
+    (B, L, H), b and b_per (B, L). Returns (grad_w, grad_b, grad_w_per,
+    grad_b_per). Leaf i's slices equal the B=1 call on leaf i
     alone, bit for bit: every product is a per-leaf matmul and every sum
     runs in the same order as on a single leaf. Subtracting the one-hot
     takes 1 off each label's probability and leaves the others as they are,
@@ -219,44 +201,46 @@ def _grad(x: np.ndarray, onehot: np.ndarray, w: np.ndarray, b: np.ndarray,
     dlogits /= n
     dw, db = w_per - w, b_per - b
     if penalty == "squared":
-        pull = lam
+        pull_w, pull_b = lam * dw, lam * db
     else:
         norm = np.sqrt((dw * dw).sum(axis=(1, 2)) + (db * db).sum(axis=1))
         pull = np.where(norm > 0, 0.5 * lam / np.where(norm > 0, norm, 1.0), 0.0)
-    pull_w, pull_b = pull[:, None, None] * dw, pull[:, None] * db
+        pull_w, pull_b = pull[:, None, None] * dw, pull[:, None] * db
     return (dlogits.transpose(0, 2, 1) @ x - pull_w, dlogits.sum(axis=1) - pull_b,
             pull_w, pull_b)
 
 
-def pfl_grad(data: LocalDataset, w_cla: ModelParams, personal: PersonalState,
+def pfl_grad(data: LocalDataset, w_cla: ModelParams, w_per: ModelParams, lam: float,
              penalty: str = "squared") -> tuple[ModelParams, ModelParams]:
     """Exact analytic gradients of pfl_loss w.r.t. (w_cla, w_per)."""
     if len(data) == 0:
         raise ValueError("dataset is empty")
     _check_penalty(penalty)
     gw, gb, gw_per, gb_per = _grad(data.x[None], _one_hot(data.y[None], w_cla.w.shape[0]),
-                                   w_cla.w[None], w_cla.b[None], personal.w_per.w[None],
-                                   personal.w_per.b[None], np.array([personal.lam]),
-                                   penalty)
+                                   w_cla.w[None], w_cla.b[None], w_per.w[None],
+                                   w_per.b[None], lam, penalty)
     return ModelParams(gw[0], gb[0]), ModelParams(gw_per[0], gb_per[0])
 
 
 def local_finetune(datas: list[LocalDataset], w_start: ModelParams,
-                   personals: list[PersonalState], steps: int, batch,
-                   entropies: Sequence[Sequence[int]], penalty: str = "squared",
-                   ) -> list[tuple[ModelParams, PersonalState]]:
+                   w_pers: list[ModelParams], lam: float, eta_local: float, steps: int,
+                   batch, entropies: Sequence[Sequence[int]], penalty: str = "squared",
+                   ) -> list[tuple[ModelParams, ModelParams]]:
     """Fine-tune every leaf of a round from the shared head w_start.
 
-    Leaf i runs `steps` joint mini-batch gradient steps on datas[i], from
-    personals[i]. `batch` is one size for every leaf or one per leaf, each in
-    [1, len(data)]. `entropies` holds one seed per leaf, in leaf order, each a
-    sequence of non-negative ints: leaf i's minibatches are those of one
+    Leaf i runs `steps` joint mini-batch gradient steps of size eta_local
+    on datas[i], its personal head starting at w_pers[i], every leaf with
+    the proximal weight lam. `batch` is one size for every leaf or one per
+    leaf, each in [1, len(data)]. `entropies` holds one seed per leaf, in
+    leaf order, each a sequence of non-negative ints: leaf i's minibatches
+    are those of one
     sorted `choice(len(data), batch, replace=False)` per step on
     `np.random.default_rng(entropies[i])` (no draw when the batch is the
     whole dataset). `draw_minibatches` computes them without building that
     generator for most leaves; its docstring says when it does. Returns one
-    (delta, new state) per leaf: delta = w_start - w_final is the update the
-    leaf uploads, and the personalized copy advances by the same step rule.
+    (delta, new personal head) per leaf: delta = w_start - w_final is the
+    update the leaf uploads, and the personal head advances by the same step
+    rule.
 
     Leaves that share a batch size step together on stacked (B, batch, H)
     arrays; each leaf's result equals a run on that leaf alone, bit for bit.
@@ -266,8 +250,8 @@ def local_finetune(datas: list[LocalDataset], w_start: ModelParams,
     if steps < 1:
         raise ValueError("steps must be >= 1")
     _check_penalty(penalty)
-    if len(personals) != len(datas):
-        raise ValueError("need one personal state per dataset")
+    if len(w_pers) != len(datas):
+        raise ValueError("need one personal head per dataset")
     batches = np.broadcast_to(batch, (len(datas),))
     for data, size in zip(datas, batches):
         if not 1 <= size <= len(data):
@@ -280,8 +264,8 @@ def local_finetune(datas: list[LocalDataset], w_start: ModelParams,
     out: list = [None] * len(datas)
     for size, leaves in by_batch.items():
         results = _finetune_stack([datas[i] for i in leaves], w_start,
-                                  [personals[i] for i in leaves], steps, size,
-                                  [draws[i] for i in leaves], penalty)
+                                  [w_pers[i] for i in leaves], lam, eta_local, steps,
+                                  size, [draws[i] for i in leaves], penalty)
         for i, res in zip(leaves, results):
             out[i] = res
     return out
@@ -290,7 +274,7 @@ def local_finetune(datas: list[LocalDataset], w_start: ModelParams,
 GATHER_BYTES = 1 << 20  # bound on the minibatch rows gathered for a block of steps
 
 
-def _finetune_stack(datas, w_start, personals, steps, batch, draws, penalty):
+def _finetune_stack(datas, w_start, w_pers, lam, eta, steps, batch, draws, penalty):
     """local_finetune for leaves that share one batch size."""
     nb = len(datas)
     n_labels, dim = w_start.w.shape
@@ -309,13 +293,10 @@ def _finetune_stack(datas, w_start, personals, steps, batch, draws, penalty):
             y[i] = data.y[idx]
     onehot = _one_hot(y, n_labels)
     drawn = [i for i, idx in enumerate(draws) if idx is not None]
-    lam = np.array([p.lam for p in personals])
-    eta = np.array([p.eta_local for p in personals])
-    eta_w, eta_b = eta[:, None, None], eta[:, None]
     d_w = np.zeros((nb,) + w_start.w.shape)
     d_b = np.zeros((nb,) + w_start.b.shape)
-    p_w = np.stack([p.w_per.w for p in personals])
-    p_b = np.stack([p.w_per.b for p in personals])
+    p_w = np.stack([p.w for p in w_pers])
+    p_b = np.stack([p.b for p in w_pers])
     for first in range(0, steps, block):
         last = min(steps, first + block)
         for i in drawn:
@@ -325,13 +306,12 @@ def _finetune_stack(datas, w_start, personals, steps, batch, draws, penalty):
             gw, gb, gw_per, gb_per = _grad(x[:, step - first], onehot[:, step],
                                            w_start.w - d_w, w_start.b - d_b, p_w, p_b,
                                            lam, penalty)
-            d_w, d_b = d_w + eta_w * gw, d_b + eta_b * gb
-            p_w, p_b = p_w - eta_w * gw_per, p_b - eta_b * gb_per
+            d_w, d_b = d_w + eta * gw, d_b + eta * gb
+            p_w, p_b = p_w - eta * gw_per, p_b - eta * gb_per
     if not all(np.isfinite(a).all() for a in (d_w, d_b, p_w, p_b)):
         raise ValueError("parameters must be finite")
-    return [(ModelParams._trusted(d_w[i], d_b[i]),
-             PersonalState(ModelParams._trusted(p_w[i], p_b[i]), p.lam, p.eta_local))
-            for i, p in enumerate(personals)]
+    return [(ModelParams._trusted(d_w[i], d_b[i]), ModelParams._trusted(p_w[i], p_b[i]))
+            for i in range(nb)]
 
 
 # -- seeded streams -------------------------------------------------------------

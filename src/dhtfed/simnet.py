@@ -11,7 +11,7 @@ import hashlib
 import heapq
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 # Message kinds flowing through the simulated network.
@@ -41,26 +41,6 @@ class LinkModel:
             raise ValueError("lat_lo must be <= lat_hi")
         if not (self.bandwidth > 0 and math.isfinite(self.bandwidth)):
             raise ValueError("bandwidth must be positive and finite")
-
-
-@dataclass
-class FailureSchedule:
-    """Timed fail/rejoin actions, applied by the harness."""
-
-    events: list[tuple[float, int, str]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        last = 0.0
-        for t, _node, action in self.events:
-            if not math.isfinite(t):
-                raise ValueError(f"failure event time {t} is not finite")
-            if t < 0:
-                raise ValueError(f"failure event time {t} is negative")
-            if t < last:
-                raise ValueError("failure schedule times must be non-decreasing")
-            if action not in ("fail", "rejoin"):
-                raise ValueError(f"unknown failure action {action!r}")
-            last = t
 
 
 class Simulator:

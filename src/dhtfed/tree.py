@@ -403,6 +403,17 @@ class TreeManager:
             if self.overlay.is_alive(m) and not group.members[m].children
         )
 
+    def walk(self, gid: int) -> list[int]:
+        """The members reachable from the root, depth first: each member
+        before its children, and children in child-list order."""
+        group = self.group(gid)
+        order, stack = [], [group.root]
+        while stack:
+            nid = stack.pop()
+            order.append(nid)
+            stack.extend(reversed(group.members[nid].children))
+        return order
+
     def tree_stats(self, gid: int) -> TreeStats:
         group = self.group(gid)
         hist: dict[int, int] = {}

@@ -288,22 +288,22 @@ def reachable_within(friends, start, hops):
     return ball
 
 
-def finetune_reference(data, w_start, personal, steps, batch, rng,
+def finetune_reference(data, w_start, w_per, lam, eta_local, steps, batch, rng,
                        penalty="squared"):
     """One leaf's fine-tuning, one step at a time: ModelParams arithmetic
     and pfl_grad on a fresh LocalDataset per minibatch, drawing one sorted
     `choice` per step unless the batch is the whole dataset. Returns
-    (delta, new personal state); the caller's state is left untouched."""
-    delta, per = ModelParams.zeros(w_start.w.shape[1], w_start.w.shape[0]), personal.copy()
+    (delta, new personal head)."""
+    delta = ModelParams.zeros(w_start.w.shape[1], w_start.w.shape[0])
     for _ in range(steps):
         minibatch = data
         if batch < len(data):
             idx = np.sort(rng.choice(len(data), size=batch, replace=False))
             minibatch = LocalDataset(data.x[idx], data.y[idx])
-        g_cla, g_per = pfl_grad(minibatch, w_start - delta, per, penalty)
-        delta = delta + per.eta_local * g_cla
-        per.w_per = per.w_per - per.eta_local * g_per
-    return delta, per
+        g_cla, g_per = pfl_grad(minibatch, w_start - delta, w_per, lam, penalty)
+        delta = delta + eta_local * g_cla
+        w_per = w_per - eta_local * g_per
+    return delta, w_per
 
 
 def draw_reference(ns, sizes, steps, rngs):
@@ -338,20 +338,20 @@ def tree_tally(children, root, leaf_probs, n):
     return visit(root)
 
 
-def loss_reference(data, w_cla, personal, penalty="squared"):
+def loss_reference(data, w_cla, w_per, lam, penalty="squared"):
     """One leaf's loss: the mean negative log-likelihood of its labels under
-    forward_batch, plus (lambda/2) times the squared Frobenius distance of
+    forward_batch, plus (lam/2) times the squared Frobenius distance of
     w_per from w_cla, or the unsquared one for penalty="norm", all in
     ModelParams arithmetic."""
     if len(data) == 0:
         raise ValueError("dataset is empty")
     probs = forward_batch(data.x, w_cla)
     nll = -float(np.mean(np.log(probs[np.arange(len(data)), data.y])))
-    diff = personal.w_per - w_cla
+    diff = w_per - w_cla
     sq = float(np.sum(diff.w * diff.w) + np.sum(diff.b * diff.b))
     if penalty == "squared":
-        return nll + 0.5 * personal.lam * sq
-    return nll + 0.5 * personal.lam * np.sqrt(sq)
+        return nll + 0.5 * lam * sq
+    return nll + 0.5 * lam * np.sqrt(sq)
 
 
 def points_reference(spec, n, rng):
@@ -459,7 +459,7 @@ def vote_reference(session, x):
     def leaf_probs():
         nonlocal ones
         for i in range(0, len(voters), INFER_CHUNK):
-            heads = [session.personal[v].w_per for v in voters[i:i + INFER_CHUNK]]
+            heads = [session.personal[v] for v in voters[i:i + INFER_CHUNK]]
             probs = forward_heads(x, np.stack([h.w for h in heads]),
                                   np.stack([h.b for h in heads]))
             ones += np.count_nonzero(probs[..., 1] > probs[..., 0], axis=0)

@@ -12,8 +12,8 @@ import numpy as np
 from dhtfed.fedagg import UNWEIGHTED, WEIGHTED, FederatedSession, RoundConfig
 from dhtfed.harness import (MIXED, SINGLE_TOPIC_PER_TREE, ScenarioConfig,
                             run_scenario, summary_rows, write_records)
-from dhtfed.model import (LocalDataset, ModelParams, PersonalState,
-                          forward_batch, local_finetune, pfl_grad, pfl_loss)
+from dhtfed.model import (LocalDataset, ModelParams, forward_batch, local_finetune,
+                          pfl_grad, pfl_loss)
 from dhtfed.overlay import Overlay, random_ids
 from dhtfed.simnet import LinkModel, Simulator
 from dhtfed.tree import TreeConfig, TreeManager
@@ -150,11 +150,10 @@ def test_criterion_4_root_update_identity():
     leaf = next(nid for nid in ids if nid != root)
     data = gaussian_data([leaf], h, seed=1)
     session = FederatedSession(trees, gid, data, h,
-                               RoundConfig(eta=1.0, steps=6, batch=8, seed=3),
-                               lam=0.4, eta_local=0.1)
+                               RoundConfig(eta=1.0, lam=0.4, eta_local=0.1, steps=6,
+                                           batch=8, seed=3))
     w0 = session.global_params.copy()
-    [(delta, _)] = local_finetune([data[leaf]], w0,
-                                  [PersonalState(w0.copy(), 0.4, 0.1)], 6, 8,
+    [(delta, _)] = local_finetune([data[leaf]], w0, [w0.copy()], 0.4, 0.1, 6, 8,
                                   [(3, 0, leaf)])
     session.centralized_round()
     finetuned = w0 - delta
@@ -172,13 +171,11 @@ def test_criterion_5_gradient_check_and_ce_reduction():
     for _ in range(100):
         data = LocalDataset(rng.normal(size=(10, h)), rng.integers(0, 2, size=10))
         w = ModelParams(rng.normal(size=(2, h)), rng.normal(size=2))
-        personal = PersonalState(
-            ModelParams(rng.normal(size=(2, h)), rng.normal(size=2)),
-            lam=float(rng.uniform(0.1, 2.0)))
-        g_cla, g_per = pfl_grad(data, w, personal)
-        fd = central_difference(lambda: pfl_loss(data, w, personal),
-                                [w.w, w.b, personal.w_per.w, personal.w_per.b],
-                                step=1e-6)
+        w_per = ModelParams(rng.normal(size=(2, h)), rng.normal(size=2))
+        lam = float(rng.uniform(0.1, 2.0))
+        g_cla, g_per = pfl_grad(data, w, w_per, lam)
+        fd = central_difference(lambda: pfl_loss(data, w, w_per, lam),
+                                [w.w, w.b, w_per.w, w_per.b], step=1e-6)
         analytic = np.concatenate([g_cla.w.ravel(), g_cla.b,
                                    g_per.w.ravel(), g_per.b])
         numeric = np.concatenate([fd[0].ravel(), fd[1], fd[2].ravel(), fd[3]])
@@ -188,11 +185,10 @@ def test_criterion_5_gradient_check_and_ce_reduction():
 
     data = LocalDataset(rng.normal(size=(16, h)), rng.integers(0, 2, size=16))
     w = ModelParams(rng.normal(size=(2, h)), rng.normal(size=2))
-    lam0 = PersonalState(ModelParams(rng.normal(size=(2, h)), rng.normal(size=2)),
-                         lam=0.0)
+    w_per = ModelParams(rng.normal(size=(2, h)), rng.normal(size=2))
     probs = forward_batch(data.x, w)
     ce = -float(np.mean(np.log(probs[np.arange(len(data)), data.y])))
-    bitwise = pfl_loss(data, w, lam0) == ce
+    bitwise = pfl_loss(data, w, w_per, 0.0) == ce
 
     ok = worst <= 1e-5 and bitwise
     criterion(5, ok,
@@ -209,15 +205,14 @@ def test_criterion_6_ensemble_recount():
     session = FederatedSession(trees, gid, data, h, RoundConfig(seed=1))
     rng = np.random.default_rng(5)
     for nid in session.contributing_leaves():
-        session.personal[nid].w_per = ModelParams(rng.normal(size=(2, h)),
-                                                  rng.normal(size=2))
+        session.personal[nid] = ModelParams(rng.normal(size=(2, h)), rng.normal(size=2))
     x = rng.normal(size=(1000, h))
     labels, tally = session.ensemble_infer(x)
 
     active = session.contributing_leaves()
-    votes = np.stack([np.argmax(forward_batch(x, session.personal[n].w_per), axis=1)
+    votes = np.stack([np.argmax(forward_batch(x, session.personal[n]), axis=1)
                       for n in active])
-    masses = np.stack([forward_batch(x, session.personal[n].w_per)
+    masses = np.stack([forward_batch(x, session.personal[n])
                        for n in active])
     recount = flat_majority(votes, masses)
     matches = int(np.sum(labels == recount))
@@ -235,13 +230,13 @@ def test_criterion_7_cross_protocol_consistency():
             24, fanout=24, seed=31, intercept=False)
         data = gaussian_data([i for i in ids if i != root], h, seed=6)
         return FederatedSession(trees, gid, data, h,
-                                RoundConfig(eta=1.0, steps=3, batch=8, seed=11),
-                                lam=0.5, eta_local=0.1)
+                                RoundConfig(eta=1.0, lam=0.5, eta_local=0.1, steps=3,
+                                            batch=8, gossip_k=0, seed=11))
 
     s_cent = world()
     s_cent.centralized_round()
     s_dec = world()
-    s_dec.decentralized_round(complete_graph(s_dec.contributing_leaves()), k_gossip=0)
+    s_dec.decentralized_round(complete_graph(s_dec.contributing_leaves()))
     diff = max(float(np.max(np.abs(s_cent.global_params.w - s_dec.global_params.w))),
                float(np.max(np.abs(s_cent.global_params.b - s_dec.global_params.b))))
     ok = diff <= 1e-9

@@ -13,9 +13,18 @@ The same holds for state: every field a class in src/dhtfed declares or
 stores on `self` is read, as an attribute, by src/dhtfed or perfbench. A
 store, `+=` included, is not a read. And every module of src/dhtfed uses
 what it imports.
+
+And for options: every parameter with a default, of a module-level
+function or a method in src/dhtfed, is passed by some call in src/dhtfed or
+perfbench, by keyword or by position; a default that no call overrides is
+a constant. Calls are matched by the called name, and a class's `__init__`
+is called by the class's name or, in its own methods, by `cls`. The
+parameters of nested functions are left out: their defaults bind values of
+the enclosing scope.
 """
 
 import ast
+import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,6 +50,21 @@ TEST_READ_FIELDS = {
     "TreeStats.depth_histogram": "tree shape that tests compare with known and recounted depth counts",
     "RouteResult.key": "the looked-up key, part of the route results that tests compare between runs",
     "MessageRecord.src": "the sender, which tests check link for link against the reference round's log",
+}
+
+# Defaulted parameters that no call in src/dhtfed or perfbench passes, with
+# the reason.
+UNPASSED_DEFAULTS = {
+    "Overlay.build(leaf_side)": "overlay tests build narrow leaf sets to reach the repair and "
+                                "routing corner cases of small rings",
+    "ModelParams.zeros(n_labels)": "the reference fine-tuning in tests/oracles.py builds its zero "
+                                   "delta in the start head's shape",
+    "pfl_loss(penalty)": "the one-leaf loss that tests check the stacked round loss against, "
+                         "under both penalties",
+    "pfl_grad(penalty)": "the one-leaf gradient that tests check stacked fine-tuning against, "
+                         "under both penalties",
+    "main(argv)": "the console script reads sys.argv; tests pass their own argument lists",
+    "Simulator.__init__(keep_trace)": "the event trace that tests pin with trace_hash",
 }
 
 # Imports kept though their module does not use them, with the reason.
@@ -151,6 +175,75 @@ def unused_imports():
     return out
 
 
+def defaulted_parameters():
+    """("qualified name(parameter)", called name, parameter, its position or
+    None if keyword-only, file, first line, last line) of every parameter
+    with a default of a module-level function or method in src/dhtfed. A
+    method's positions skip self or cls."""
+    out = []
+    for path in SRC:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                funcs = [(None, node)]
+            elif isinstance(node, ast.ClassDef):
+                funcs = [(node.name, sub) for sub in node.body if isinstance(sub, ast.FunctionDef)]
+            else:
+                continue
+            for cls, fn in funcs:
+                args = fn.args
+                positional = args.posonlyargs + args.args
+                if cls is not None and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                               for d in fn.decorator_list):
+                    positional = positional[1:]
+                first = len(positional) - len(args.defaults)
+                params = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+                params += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                           if d is not None]
+                qual = fn.name if cls is None else f"{cls}.{fn.name}"
+                called = cls if fn.name == "__init__" else fn.name
+                out += [(f"{qual}({name})", called, name, pos, path.name, fn.lineno,
+                         fn.end_lineno) for name, pos in params]
+    return out
+
+
+def calls():
+    """called name -> [(file, line, positional count, keyword names)] of
+    every call in src/dhtfed and perfbench. A `*args` counts as any number
+    of positionals, and a `**kwargs` as the keyword None; `cls(...)` inside
+    a class is a call of that class."""
+    out = {}
+    for path in SRC + PERFBENCH:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {id(call): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for call in ast.walk(cls) if isinstance(call, ast.Call)
+                 and isinstance(call.func, ast.Name) and call.func.id == "cls"}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                name = owner.get(id(node), node.func.id)
+            elif isinstance(node.func, ast.Attribute):
+                name = node.func.attr
+            else:
+                continue
+            n_pos = (math.inf if any(isinstance(a, ast.Starred) for a in node.args)
+                     else len(node.args))
+            out.setdefault(name, []).append((path.name, node.lineno, n_pos,
+                                             {k.arg for k in node.keywords}))
+    return out
+
+
+def unpassed_defaults():
+    """The defaulted parameters that no call, outside the function's own
+    definition, passes."""
+    found = calls()
+    return sorted(qual for qual, called, name, pos, path, first, last in defaulted_parameters()
+                  if not any((name in keywords or None in keywords
+                              or (pos is not None and n_pos > pos))
+                             and (f != path or not first <= line <= last)
+                             for f, line, n_pos, keywords in found.get(called, [])))
+
+
 def test_every_src_name_is_used_by_the_program():
     unused = set(unreferenced()) - set(TEST_ONLY)
     assert not unused, f"defined in src/dhtfed, used only by tests or nowhere: {sorted(unused)}"
@@ -174,3 +267,12 @@ def test_the_test_read_field_allowlist_is_exact():
 def test_every_import_is_used():
     assert sorted(set(unused_imports()) - set(UNUSED_IMPORTS)) == []
     assert sorted(UNUSED_IMPORTS) == sorted(i for i in unused_imports() if i in UNUSED_IMPORTS)
+
+
+def test_every_defaulted_parameter_is_passed_by_the_program():
+    unpassed = set(unpassed_defaults()) - set(UNPASSED_DEFAULTS)
+    assert not unpassed, f"defaulted, never passed by src/dhtfed or perfbench: {sorted(unpassed)}"
+
+
+def test_the_unpassed_default_allowlist_is_exact():
+    assert sorted(UNPASSED_DEFAULTS) == [p for p in unpassed_defaults() if p in UNPASSED_DEFAULTS]

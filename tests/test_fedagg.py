@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,7 @@ from dhtfed.fedagg import (CENTRALIZED, DECENTRALIZED, UNWEIGHTED, WEIGHTED,
                            audit_decentralized_privacy, branch_aggregate,
                            mask_members, root_update)
 from dhtfed import fedagg
-from dhtfed.model import (ModelParams, PersonalState, forward_batch, forward_heads,
-                          local_finetune)
+from dhtfed.model import ModelParams, forward_batch, forward_heads, local_finetune
 from dhtfed.simnet import AGG_UP
 
 from conftest import (build_world, complete_graph, gaussian_data, inject_deltas,
@@ -157,13 +157,12 @@ def test_single_leaf_eta_one_recovers_finetuned_weights_exactly():
     ids, overlay, sim, trees, gid, root = build_world(2, fanout=1, seed=5)
     leaf = next(nid for nid in ids if nid != root)
     data = gaussian_data([leaf], H, seed=1)
-    cfg = RoundConfig(eta=1.0, steps=4, batch=8, seed=3)
-    session = FederatedSession(trees, gid, data, H, cfg, lam=0.4, eta_local=0.1)
+    cfg = RoundConfig(eta=1.0, lam=0.4, eta_local=0.1, steps=4, batch=8, seed=3)
+    session = FederatedSession(trees, gid, data, H, cfg)
     w0 = session.global_params.copy()
     assert np.array_equal(w0.w, np.zeros((2, H)))
 
-    [(delta, _state)] = local_finetune([data[leaf]], w0,
-                                       [PersonalState(w0.copy(), 0.4, 0.1)], 4, 8,
+    [(delta, _w_per)] = local_finetune([data[leaf]], w0, [w0.copy()], 0.4, 0.1, 4, 8,
                                        [(3, 0, leaf)])
     session.centralized_round()
     expected = w0 - delta  # the leaf's own fine-tuned weights
@@ -178,14 +177,13 @@ def test_star_round_equals_flat_average_oracle():
     ids, overlay, sim, trees, gid, root = build_world(
         n, fanout=n, seed=9, intercept=False)
     data = gaussian_data([i for i in ids if i != root], H, seed=2)
-    cfg = RoundConfig(eta=1.0, steps=3, batch=10, seed=7)
-    session = FederatedSession(trees, gid, data, H, cfg, lam=0.5, eta_local=0.1)
+    cfg = RoundConfig(eta=1.0, lam=0.5, eta_local=0.1, steps=3, batch=10, seed=7)
+    session = FederatedSession(trees, gid, data, H, cfg)
     w0 = session.global_params.copy()
 
     finetuned = []
     for nid in sorted(data):
-        [(delta, _)] = local_finetune([data[nid]], w0,
-                                      [PersonalState(w0.copy(), 0.5, 0.1)], 3, 10,
+        [(delta, _)] = local_finetune([data[nid]], w0, [w0.copy()], 0.5, 0.1, 3, 10,
                                       [(7, 0, nid)])
         finetuned.append((w0 - delta).w)
     oracle = flat_mean(finetuned)
@@ -286,10 +284,9 @@ def test_two_friends_one_hop_share_their_average(monkeypatch):
     trees, gid, root, data = star_of_leaves(2, seed=71)
     a, b = sorted(data)
     inject_deltas(monkeypatch, data, {a: const_params(1.0, H), b: const_params(3.0, H)})
-    session = FederatedSession(trees, gid, data, H, RoundConfig(eta=1.0, seed=1))
+    session = FederatedSession(trees, gid, data, H, RoundConfig(eta=1.0, gossip_k=1, seed=1))
     social = SocialGraph({a: {b}, b: {a}})
-    agg, metrics = round_aggregate(
-        session, lambda: session.decentralized_round(social, k_gossip=1))
+    agg, metrics = round_aggregate(session, lambda: session.decentralized_round(social))
     assert forwarded(session, root) == {a: {a, b}, b: {a, b}}
     assert np.array_equal(agg.w, np.full((2, H), 2.0))
     assert metrics.root_weight == 2
@@ -303,9 +300,8 @@ def test_ring_of_eight_reaches_global_mean_in_diameter_hops(monkeypatch):
     values = {i: ModelParams(rng.normal(size=(2, H)), rng.normal(size=2))
               for i in ids}
     inject_deltas(monkeypatch, data, values)
-    session = FederatedSession(trees, gid, data, H, RoundConfig(eta=1.0, seed=1))
-    agg, _ = round_aggregate(
-        session, lambda: session.decentralized_round(social, k_gossip=8))
+    session = FederatedSession(trees, gid, data, H, RoundConfig(eta=1.0, gossip_k=8, seed=1))
+    agg, _ = round_aggregate(session, lambda: session.decentralized_round(social))
     target = flat_mean([values[i].w for i in ids])
     for i in ids:
         assert reachable_within(social.friends, i, 8) == set(ids)
@@ -320,7 +316,8 @@ def test_gossip_contents_match_reachability_oracle():
     session = FederatedSession(trees, gid, data, H,
                                RoundConfig(steps=1, batch=4, seed=1))
     for k in range(5):
-        metrics = session.decentralized_round(social, k_gossip=k)
+        session.cfg = replace(session.cfg, gossip_k=k)
+        metrics = session.decentralized_round(social)
         assert forwarded(session, root) == {
             i: reachable_within(social.friends, i, k) for i in ids}
         assert metrics.root_weight == len(ids)
@@ -341,8 +338,8 @@ def test_k0_complete_graph_equals_centralized_star():
             20, fanout=20, seed=31, intercept=False)
         data = gaussian_data([i for i in ids if i != root], H, seed=6)
         s = FederatedSession(trees, gid, data, H,
-                             RoundConfig(eta=1.0, steps=2, batch=8, seed=11))
-        s.decentralized_round(complete_graph(sorted(data)), k_gossip=0)
+                             RoundConfig(eta=1.0, steps=2, batch=8, gossip_k=0, seed=11))
+        s.decentralized_round(complete_graph(sorted(data)))
         return s.global_params
 
     wc, wd = centralized(), decentralized()
@@ -396,9 +393,9 @@ def test_k0_direct_upload_is_flagged_by_the_audit():
     ids, overlay, sim, trees, gid, root = build_world(16, fanout=4, seed=41)
     data = gaussian_data(ids, H, seed=8, n_per_node=10)
     session = FederatedSession(trees, gid, data, H,
-                               RoundConfig(steps=1, batch=5, seed=17))
+                               RoundConfig(steps=1, batch=5, gossip_k=0, seed=17))
     social = SocialGraph.ring(session.contributing_leaves())
-    session.decentralized_round(social, k_gossip=0)
+    session.decentralized_round(social)
     assert len(audit_decentralized_privacy(session.msg_log, social)) > 0
 
 
@@ -474,7 +471,8 @@ def test_bitmask_gossip_matches_the_set_reference(n, fanout, seed, chords, isola
     friends.update((nid, set()) for nid in alone)
     social = SocialGraph(friends)
     for k in ks:
-        metrics = session.decentralized_round(social, k_gossip=k)
+        session.cfg = replace(session.cfg, gossip_k=k)
+        metrics = session.decentralized_round(social)
         ref_metrics, ref_log = gossip_reference(ref_session, social, k)
         assert [(r.src, r.dst, mask_members(r.mask, r.leaf_ids), r.round)
                 for r in session.msg_log] == ref_log
@@ -482,6 +480,17 @@ def test_bitmask_gossip_matches_the_set_reference(n, fanout, seed, chords, isola
     assert sim.trace_hash() == ref_sim.trace_hash()
     assert np.array_equal(session.global_params.w, ref_session.global_params.w)
     assert np.array_equal(session.global_params.b, ref_session.global_params.b)
+
+
+@pytest.mark.parametrize("bad, match", [
+    (dict(lam=-0.5), "lambda"), (dict(lam=float("nan")), "lambda"),
+    (dict(eta_local=-0.1), "eta_local must be non-negative"),
+    (dict(eta_local=float("nan")), "eta_local must be finite"),
+    (dict(eta=float("inf")), "^eta must be finite"),
+])
+def test_round_config_rejects_bad_step_sizes_and_lambda(bad, match):
+    with pytest.raises(ValueError, match=match):
+        RoundConfig(**bad)
 
 
 def test_social_graph_validation():
@@ -496,7 +505,7 @@ def test_social_graph_validation():
 def force_vote(session, nid, label):
     """Pin a leaf's personalized head so it always votes `label`."""
     bias = np.array([10.0, -10.0]) if label == 0 else np.array([-10.0, 10.0])
-    session.personal[nid].w_per = ModelParams(np.zeros((2, H)), bias)
+    session.personal[nid] = ModelParams(np.zeros((2, H)), bias)
 
 
 def test_strict_majority_wins():
@@ -530,17 +539,13 @@ def test_tie_breaks_on_probability_mass_then_label_zero():
     leaves = session.contributing_leaves()[:2]
     session.data = {nid: data[nid] for nid in leaves}
     # one confident vote for 1, one lukewarm vote for 0
-    session.personal[leaves[0]].w_per = ModelParams(np.zeros((2, H)),
-                                                    np.array([-8.0, 8.0]))
-    session.personal[leaves[1]].w_per = ModelParams(np.zeros((2, H)),
-                                                    np.array([0.2, 0.0]))
+    session.personal[leaves[0]] = ModelParams(np.zeros((2, H)), np.array([-8.0, 8.0]))
+    session.personal[leaves[1]] = ModelParams(np.zeros((2, H)), np.array([0.2, 0.0]))
     labels, _ = session.ensemble_infer(np.zeros((1, H)))
     assert labels.tolist() == [1]  # mass favors the confident voter
     # exact mass tie goes to label 0
-    session.personal[leaves[0]].w_per = ModelParams(np.zeros((2, H)),
-                                                    np.array([8.0, -8.0]))
-    session.personal[leaves[1]].w_per = ModelParams(np.zeros((2, H)),
-                                                    np.array([-8.0, 8.0]))
+    session.personal[leaves[0]] = ModelParams(np.zeros((2, H)), np.array([8.0, -8.0]))
+    session.personal[leaves[1]] = ModelParams(np.zeros((2, H)), np.array([-8.0, 8.0]))
     labels, _ = session.ensemble_infer(np.zeros((1, H)))
     assert labels.tolist() == [0]
 
@@ -551,15 +556,14 @@ def test_root_tally_matches_flat_recount():
     session = FederatedSession(trees, gid, data, H, RoundConfig(seed=1))
     rng = np.random.default_rng(5)
     for nid in session.contributing_leaves():
-        session.personal[nid].w_per = ModelParams(rng.normal(size=(2, H)),
-                                                  rng.normal(size=2))
+        session.personal[nid] = ModelParams(rng.normal(size=(2, H)), rng.normal(size=2))
     x = rng.normal(size=(200, H))
     labels, tally = session.ensemble_infer(x)
 
     leaves = session.contributing_leaves()
-    votes = np.stack([np.argmax(forward_batch(x, session.personal[n].w_per), axis=1)
+    votes = np.stack([np.argmax(forward_batch(x, session.personal[n]), axis=1)
                       for n in leaves])
-    masses = np.stack([forward_batch(x, session.personal[n].w_per) for n in leaves])
+    masses = np.stack([forward_batch(x, session.personal[n]) for n in leaves])
     assert np.array_equal(labels, flat_majority(votes, masses))
     assert np.array_equal(tally.sum(axis=1), np.full(200, float(len(leaves))))
 
@@ -572,15 +576,14 @@ def test_vote_across_chunk_boundaries_matches_a_per_leaf_recount():
     assert len(leaves) > 2 * fedagg.INFER_CHUNK  # more than two blocks of voters
     rng = np.random.default_rng(6)
     for nid in leaves:
-        session.personal[nid].w_per = ModelParams(rng.normal(size=(2, H)),
-                                                  rng.normal(size=2))
+        session.personal[nid] = ModelParams(rng.normal(size=(2, H)), rng.normal(size=2))
     x = rng.normal(size=(300, H))
     want_labels, want_tally = vote_reference(session, x)
     labels, tally = session.ensemble_infer(x)
     assert np.array_equal(labels, want_labels)
     assert np.array_equal(tally, want_tally)
 
-    probs = {nid: forward_batch(x, session.personal[nid].w_per) for nid in leaves}
+    probs = {nid: forward_batch(x, session.personal[nid]) for nid in leaves}
     group = trees.group(gid)
     children = {m: list(group.members[m].children) for m in group.members}
     counts, mass = tree_tally(children, group.root, probs, len(x))
@@ -668,10 +671,9 @@ def test_vote_matches_the_softmax_reference(nodes, fanout, seed, dropped, points
     half = len(leaves) // 2 if paired else 0
     for a, b in zip(leaves[:half], leaves[half:]):  # ties at every point
         head = vote_head("random", rng, x, 0)
-        session.personal[a].w_per, session.personal[b].w_per = head, head * -1.0
+        session.personal[a], session.personal[b] = head, head * -1.0
     for i, nid in enumerate(leaves[2 * half:]):
-        session.personal[nid].w_per = vote_head(kinds[i % len(kinds)], rng, x,
-                                                ulps[i % len(ulps)])
+        session.personal[nid] = vote_head(kinds[i % len(kinds)], rng, x, ulps[i % len(ulps)])
 
     want_labels, want_tally = vote_reference(session, x)
     exact_heads = []
@@ -703,12 +705,12 @@ def test_forced_ties_are_broken_by_the_mass_tallied_in_tree_order():
     rng = np.random.default_rng(7)
     for a, b in zip(leaves[:half], leaves[half:]):
         head = ModelParams(rng.normal(size=(2, H)), rng.normal(size=2))
-        session.personal[a].w_per = head
-        session.personal[b].w_per = head * -1.0
+        session.personal[a] = head
+        session.personal[b] = head * -1.0
     x = rng.normal(size=(400, H))
     labels, tally = session.ensemble_infer(x)
 
-    probs = {nid: forward_batch(x, session.personal[nid].w_per) for nid in leaves}
+    probs = {nid: forward_batch(x, session.personal[nid]) for nid in leaves}
     group = trees.group(gid)
     children = {m: list(group.members[m].children) for m in group.members}
     counts, mass = tree_tally(children, group.root, probs, len(x))

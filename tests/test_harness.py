@@ -17,7 +17,6 @@ from dhtfed.harness import (MIXED, SINGLE_TOPIC_PER_TREE, DisseminationRow,
                             read_records, run_scenario, summary_rows,
                             write_records)
 from dhtfed.overlay import Overlay, random_ids
-from dhtfed.simnet import LinkModel
 from dhtfed.tree import TreeManager
 
 from conftest import build_world
@@ -238,7 +237,15 @@ def test_config_validation_rules():
                        (dict(batch=0), "batch"),
                        (dict(gossip_k=-1), "gossip_k"),
                        (dict(lam=-0.5), "lambda"),
+                       (dict(lam=float("nan")), "lambda"),
+                       (dict(lam=float("inf")), "lambda"),
                        (dict(eta_local=-0.1), "eta_local"),
+                       (dict(eta_local=float("nan")), "eta_local must be finite"),
+                       (dict(eta_local=float("inf")), "eta_local must be finite"),
+                       (dict(eta_local=-float("inf")), "eta_local must be finite"),
+                       (dict(eta=float("nan")), "^eta must be finite"),
+                       (dict(eta=float("inf")), "^eta must be finite"),
+                       (dict(eta=-float("inf")), "^eta must be finite"),
                        (dict(lat_lo=60.0, lat_hi=50.0), "lat_lo"),
                        (dict(bandwidth=0.0), "bandwidth"),
                        (dict(lat_lo=-60.0), "lat_lo"),
@@ -262,7 +269,8 @@ def test_bad_model_config_fails_before_the_overlay_is_built(monkeypatch):
         raise AssertionError("the overlay was built for a bad config")
 
     monkeypatch.setattr(Overlay, "build", no_build)
-    for bad, match in [(dict(penalty="l1"), "penalty"), (dict(lat_lo=-60.0), "lat_lo")]:
+    for bad, match in [(dict(penalty="l1"), "penalty"), (dict(lat_lo=-60.0), "lat_lo"),
+                       (dict(eta_local=float("inf")), "eta_local")]:
         with pytest.raises(ValueError, match=match):
             run_scenario(ScenarioConfig(seed=1, nodes=12, rounds=1, topics=1,
                                         tree_count=1, **bad))
@@ -294,9 +302,8 @@ def test_single_node_single_round_pipeline():
     data = generate_topic_data(spec, ids, cfg.seed)
     session = FederatedSession(
         trees, gid, data, cfg.hidden_dim,
-        RoundConfig(eta=cfg.eta, steps=cfg.steps, batch=cfg.batch,
-                    seed=cfg.seed),
-        lam=cfg.lam, eta_local=cfg.eta_local)
+        RoundConfig(eta=cfg.eta, lam=cfg.lam, eta_local=cfg.eta_local, steps=cfg.steps,
+                    batch=cfg.batch, seed=cfg.seed))
     session.centralized_round()
     test = generate_testset(spec, cfg.test_points, cfg.seed)
     labels, _ = session.ensemble_infer(test.x)
@@ -490,12 +497,14 @@ def test_record_files_roundtrip(tmp_path):
 # -- dissemination ---------------------------------------------------------------------------
 
 def test_star_completion_matches_closed_form():
-    rows = measure_dissemination(
-        payload_bytes=[4096], node_counts=[12], tree_counts=[1], seed=3,
-        fanout=11, link=LinkModel(8.0, 8.0, 512.0), intercept=False)
-    row = rows[0]
-    assert row.depth == 1
-    assert row.max_ms == pytest.approx(8.0 + 4096 / 512.0)
+    # The multicast that measure_dissemination times, on a star with one
+    # fixed latency: every member is one hop from the root.
+    _ids, _overlay, sim, trees, gid, _root = build_world(
+        12, fanout=11, seed=3, intercept=False, lat=(8.0, 8.0), bandwidth=512.0)
+    result = trees.multicast(gid, 4096)
+    sim.run()
+    assert trees.tree_stats(gid).depth == 1
+    assert result.elapsed == pytest.approx(8.0 + 4096 / 512.0)
 
 
 def test_completion_scales_linearly_in_payload():
@@ -631,6 +640,7 @@ def test_the_demo_pin_covers_votes_broken_by_probability_mass(monkeypatch):
     ([(50000.0, 3, "fail")], r"never fired.*50000.*simulated time"),
     ([(float("nan"), 3, "fail")], "not finite"),
     ([(0.0, 2, "fail"), (float("inf"), 3, "fail")], "not finite"),
+    ([(-float("inf"), 3, "fail")], "not finite"),
 ])
 def test_run_scenario_rejects_bad_failure_schedule(failures, match):
     cfg = ScenarioConfig(seed=1, nodes=12, rounds=2, topics=1, tree_count=1,

@@ -4,10 +4,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from dhtfed import model
 from dhtfed.model import (FLOYD_MAX_N, PENALTIES, LocalDataset, ModelParams,
-                          PersonalState, deserialize_params, draw_minibatches,
-                          forward_batch, forward_heads, local_finetune,
-                          param_nbytes, pfl_grad, pfl_loss, pfl_losses,
-                          serialize_params)
+                          deserialize_params, draw_minibatches, forward_batch,
+                          forward_heads, local_finetune, param_nbytes, pfl_grad,
+                          pfl_loss, pfl_losses, serialize_params)
 from dhtfed.fedagg import INFER_CHUNK
 from dhtfed.harness import TopicSpec, _points
 
@@ -65,25 +64,22 @@ def test_lambda_zero_reduces_to_cross_entropy_bitwise():
     rng = np.random.default_rng(2)
     data = rand_data(rng)
     w = rand_params(rng)
-    personal = PersonalState(rand_params(rng), lam=0.0)
     probs = forward_batch(data.x, w)
     ce = -float(np.mean(np.log(probs[np.arange(len(data)), data.y])))
-    assert pfl_loss(data, w, personal) == ce
+    assert pfl_loss(data, w, rand_params(rng), 0.0) == ce
 
 
 def test_equal_personal_and_global_weights_zero_the_penalty():
     rng = np.random.default_rng(3)
     data = rand_data(rng)
     w = rand_params(rng)
-    same = PersonalState(w.copy(), lam=7.3)
-    none = PersonalState(w.copy(), lam=0.0)
-    assert pfl_loss(data, w, same) == pfl_loss(data, w, none)
+    assert pfl_loss(data, w, w.copy(), 7.3) == pfl_loss(data, w, w.copy(), 0.0)
 
 
 def test_zero_weights_balanced_data_loss_is_ln2():
     rng = np.random.default_rng(4)
     data = LocalDataset(rng.normal(size=(40, H)), np.array([0, 1] * 20))
-    loss = pfl_loss(data, ModelParams.zeros(H), PersonalState(ModelParams.zeros(H)))
+    loss = pfl_loss(data, ModelParams.zeros(H), ModelParams.zeros(H), 0.5)
     assert loss == pytest.approx(np.log(2), abs=1e-15)
 
 
@@ -91,12 +87,12 @@ def test_loss_is_shuffle_invariant():
     rng = np.random.default_rng(5)
     data = rand_data(rng, n=50)
     w = rand_params(rng)
-    personal = PersonalState(rand_params(rng), lam=0.4)
-    base = pfl_loss(data, w, personal)
+    w_per = rand_params(rng)
+    base = pfl_loss(data, w, w_per, 0.4)
     for _ in range(5):
         perm = rng.permutation(len(data))
         shuffled = LocalDataset(data.x[perm], data.y[perm])
-        assert pfl_loss(shuffled, w, personal) == pytest.approx(base, abs=1e-12)
+        assert pfl_loss(shuffled, w, w_per, 0.4) == pytest.approx(base, abs=1e-12)
 
 
 def test_empty_dataset_rejected():
@@ -104,9 +100,9 @@ def test_empty_dataset_rejected():
     empty = LocalDataset(np.zeros((0, H)), np.zeros(0, dtype=int))  # accepted
     assert len(empty) == 0
     with pytest.raises(ValueError):
-        pfl_loss(empty, w, PersonalState(ModelParams.zeros(H)))
+        pfl_loss(empty, w, ModelParams.zeros(H), 0.5)
     with pytest.raises(ValueError):
-        pfl_grad(empty, w, PersonalState(ModelParams.zeros(H)))
+        pfl_grad(empty, w, ModelParams.zeros(H), 0.5)
 
 
 @pytest.mark.parametrize("penalty", ["squared", "norm"])
@@ -116,14 +112,14 @@ def test_stacked_loss_equals_the_per_leaf_formula_bit_for_bit(penalty):
     sizes = [7, 40, 1, 13] * 9  # interleaved, so each size is a stack of its own
     assert len(sizes) > 2 * INFER_CHUNK
     datas = [rand_data(rng, n=n) for n in sizes]
-    personals = [PersonalState(w + rand_params(rng) * rng.uniform(0.1, 3.0),
-                               lam=rng.uniform(0.0, 2.0)) for _ in sizes]
-    personals[5] = PersonalState(w.copy(), lam=1.5)  # zero offset, norm kink
-    losses = pfl_losses(datas, w, personals, penalty)
-    want = [loss_reference(d, w, p, penalty) for d, p in zip(datas, personals)]
-    assert losses.tolist() == want
-    for d, p, expected in zip(datas, personals, want):
-        assert pfl_loss(d, w, p, penalty) == expected
+    heads = [w + rand_params(rng) * rng.uniform(0.1, 3.0) for _ in sizes]
+    heads[5] = w.copy()  # zero offset, norm kink
+    for lam in (0.0, 1.5):
+        losses = pfl_losses(datas, w, heads, lam, penalty)
+        want = [loss_reference(d, w, p, lam, penalty) for d, p in zip(datas, heads)]
+        assert losses.tolist() == want
+        for d, p, expected in zip(datas, heads, want):
+            assert pfl_loss(d, w, p, lam, penalty) == expected
 
 
 # Dataset sizes for the loss property: single points and sizes that repeat,
@@ -135,8 +131,8 @@ _loss_size = st.one_of(st.sampled_from([1, 2, 7]), st.integers(1, 60))
 @given(sizes=st.lists(_loss_size, min_size=1, max_size=12),
        seed=st.integers(0, 2**32 - 1),
        x_scale=st.sampled_from([1.0, 1e-3, 1e50, 1e150]), tied=st.booleans(),
-       penalty=st.sampled_from(PENALTIES))
-def test_round_loss_matches_the_per_leaf_formula(sizes, seed, x_scale, tied, penalty):
+       lam=st.one_of(st.just(0.0), st.floats(0.0, 2.0)), penalty=st.sampled_from(PENALTIES))
+def test_round_loss_matches_the_per_leaf_formula(sizes, seed, x_scale, tied, lam, penalty):
     """pfl_losses equals loss_reference leaf by leaf, bit for bit: n=1,
     mixed sizes, tied logits (equal rows of w_cla) and |x| up to 1e150,
     where a label's probability underflows to 0 and its loss is inf."""
@@ -146,12 +142,11 @@ def test_round_loss_matches_the_per_leaf_formula(sizes, seed, x_scale, tied, pen
         w = ModelParams(w.w[[0, 0]], w.b[[0, 0]])
     datas = [LocalDataset(rng.normal(size=(n, H)) * x_scale, rng.integers(0, 2, size=n))
              for n in sizes]
-    personals = [PersonalState(w + rand_params(rng) * rng.uniform(0.0, 3.0),
-                               lam=rng.uniform(0.0, 2.0)) for _ in sizes]
+    heads = [w + rand_params(rng) * rng.uniform(0.0, 3.0) for _ in sizes]
     with np.errstate(divide="ignore"):  # log(0) where a probability underflows
-        got = pfl_losses(datas, w, personals, penalty)
-        want = np.array([loss_reference(d, w, p, penalty)
-                         for d, p in zip(datas, personals)])
+        got = pfl_losses(datas, w, heads, lam, penalty)
+        want = np.array([loss_reference(d, w, p, lam, penalty)
+                         for d, p in zip(datas, heads)])
     assert got.tobytes() == want.tobytes()
 
 
@@ -159,13 +154,13 @@ def test_stacked_loss_rejects_an_empty_dataset_and_unknown_penalty():
     rng = np.random.default_rng(24)
     w = rand_params(rng)
     datas = [rand_data(rng), LocalDataset(np.zeros((0, H)), np.zeros(0, dtype=int))]
-    personals = [PersonalState(rand_params(rng)) for _ in datas]
+    heads = [rand_params(rng) for _ in datas]
     with pytest.raises(ValueError, match="empty"):
-        pfl_losses(datas, w, personals)
+        pfl_losses(datas, w, heads, 0.5)
     with pytest.raises(ValueError, match="penalty"):
-        pfl_losses(datas[:1], w, personals[:1], "cubic")
-    with pytest.raises(ValueError, match="one personal state"):
-        pfl_losses(datas, w, personals[:1])
+        pfl_losses(datas[:1], w, heads[:1], 0.5, "cubic")
+    with pytest.raises(ValueError, match="one personal head"):
+        pfl_losses(datas, w, heads[:1], 0.5)
 
 
 @pytest.mark.parametrize("labels", [[0, 2], [-1, 1]])
@@ -189,11 +184,11 @@ def _fd_check(penalty, lam, seed, trials=20, tol=1e-5):
     for _ in range(trials):
         data = rand_data(rng)
         w = rand_params(rng)
-        personal = PersonalState(rand_params(rng), lam=lam)
-        g_cla, g_per = pfl_grad(data, w, personal, penalty)
+        w_per = rand_params(rng)
+        g_cla, g_per = pfl_grad(data, w, w_per, lam, penalty)
         fd = central_difference(
-            lambda: pfl_loss(data, w, personal, penalty),
-            [w.w, w.b, personal.w_per.w, personal.w_per.b])
+            lambda: pfl_loss(data, w, w_per, lam, penalty),
+            [w.w, w.b, w_per.w, w_per.b])
         analytic = np.concatenate([g_cla.w.ravel(), g_cla.b,
                                    g_per.w.ravel(), g_per.b])
         numeric = np.concatenate([fd[0].ravel(), fd[1], fd[2].ravel(), fd[3]])
@@ -215,20 +210,17 @@ def test_unsquared_penalty_subgradient_zero_at_kink():
     rng = np.random.default_rng(8)
     data = rand_data(rng)
     w = rand_params(rng)
-    personal = PersonalState(w.copy(), lam=2.0)
-    g_cla, g_per = pfl_grad(data, w, personal, penalty="norm")
+    g_cla, g_per = pfl_grad(data, w, w.copy(), 2.0, penalty="norm")
     assert np.array_equal(g_per.w, np.zeros((2, H)))
     assert np.array_equal(g_per.b, np.zeros(2))
-    lam0 = PersonalState(w.copy(), lam=0.0)
-    g_plain, _ = pfl_grad(data, w, lam0)
+    g_plain, _ = pfl_grad(data, w, w.copy(), 0.0)
     assert np.array_equal(g_cla.w, g_plain.w)
 
 
 def test_lambda_zero_gives_zero_personal_gradient():
     rng = np.random.default_rng(9)
     data = rand_data(rng)
-    _g_cla, g_per = pfl_grad(data, rand_params(rng),
-                             PersonalState(rand_params(rng), lam=0.0))
+    _g_cla, g_per = pfl_grad(data, rand_params(rng), rand_params(rng), 0.0)
     assert np.array_equal(g_per.w, np.zeros((2, H)))
     assert np.array_equal(g_per.b, np.zeros(2))
 
@@ -236,8 +228,7 @@ def test_lambda_zero_gives_zero_personal_gradient():
 def test_bias_gradient_vanishes_at_symmetric_optimum():
     rng = np.random.default_rng(10)
     data = LocalDataset(rng.normal(size=(30, H)), np.array([0, 1] * 15))
-    g_cla, _ = pfl_grad(data, ModelParams.zeros(H),
-                        PersonalState(ModelParams.zeros(H), lam=0.0))
+    g_cla, _ = pfl_grad(data, ModelParams.zeros(H), ModelParams.zeros(H), 0.0)
     assert np.array_equal(g_cla.b, np.zeros(2))
 
 
@@ -247,22 +238,22 @@ def test_zero_step_size_is_a_null_update():
     rng = np.random.default_rng(11)
     data = rand_data(rng)
     w = rand_params(rng)
-    personal = PersonalState(rand_params(rng), lam=0.5, eta_local=0.0)
-    [(delta, state)] = local_finetune([data], w, [personal], steps=5, batch=6,
-                                      entropies=[(0,)])
+    w_per = rand_params(rng)
+    [(delta, new_per)] = local_finetune([data], w, [w_per], 0.5, 0.0, steps=5, batch=6,
+                                        entropies=[(0,)])
     assert np.array_equal(delta.w, np.zeros((2, H)))
     assert np.array_equal(delta.b, np.zeros(2))
-    assert np.array_equal(state.w_per.w, personal.w_per.w)
+    assert np.array_equal(new_per.w, w_per.w)
 
 
 def test_single_full_batch_step_equals_analytic_gradient_exactly():
     rng = np.random.default_rng(12)
     data = rand_data(rng)
     w = rand_params(rng)
-    personal = PersonalState(rand_params(rng), lam=0.3, eta_local=0.05)
-    g_cla, _ = pfl_grad(data, w, personal)
-    [(delta, _)] = local_finetune([data], w, [personal], steps=1, batch=len(data),
-                                  entropies=[(0,)])
+    w_per = rand_params(rng)
+    g_cla, _ = pfl_grad(data, w, w_per, 0.3)
+    [(delta, _)] = local_finetune([data], w, [w_per], 0.3, 0.05, steps=1,
+                                  batch=len(data), entropies=[(0,)])
     assert np.array_equal(delta.w, 0.05 * g_cla.w)
     assert np.array_equal(delta.b, 0.05 * g_cla.b)
 
@@ -274,11 +265,10 @@ def test_training_reduces_loss_on_separable_data():
     x = rng.normal(size=(n, H)) + np.where(y[:, None] == 1, 2.0, -2.0) * np.eye(H)[0]
     data = LocalDataset(x, y)
     w0 = ModelParams.zeros(H)
-    personal = PersonalState(ModelParams.zeros(H), lam=0.1, eta_local=0.2)
-    before = pfl_loss(data, w0, personal)
-    [(delta, state)] = local_finetune([data], w0, [personal], steps=200, batch=32,
-                                      entropies=[(1,)])
-    after = pfl_loss(data, w0 - delta, state)
+    before = pfl_loss(data, w0, ModelParams.zeros(H), 0.1)
+    [(delta, w_per)] = local_finetune([data], w0, [ModelParams.zeros(H)], 0.1, 0.2,
+                                      steps=200, batch=32, entropies=[(1,)])
+    after = pfl_loss(data, w0 - delta, w_per, 0.1)
     assert after < before
 
 
@@ -288,14 +278,14 @@ def test_proximal_pull_decays_geometrically():
     rng = np.random.default_rng(14)
     w = rand_params(rng)
     lam, eta = 0.5, 0.2
-    personal = PersonalState(rand_params(rng), lam=lam, eta_local=eta)
+    w_per = rand_params(rng)
     data = rand_data(rng)
     gaps = []
     for _ in range(10):
-        diff = personal.w_per - w
+        diff = w_per - w
         gaps.append(np.sqrt(np.sum(diff.w * diff.w) + np.sum(diff.b * diff.b)))
-        _g_cla, g_per = pfl_grad(data, w, personal)
-        personal.w_per = personal.w_per - eta * g_per
+        _g_cla, g_per = pfl_grad(data, w, w_per, lam)
+        w_per = w_per - eta * g_per
     ratio = 1.0 - eta * lam
     for before, after in zip(gaps, gaps[1:]):
         assert after == pytest.approx(ratio * before, rel=1e-12)
@@ -305,18 +295,18 @@ def test_finetune_is_deterministic_per_seed():
     rng = np.random.default_rng(15)
     data = rand_data(rng, n=64)
     w = rand_params(rng)
-    personal = PersonalState(rand_params(rng), lam=0.4, eta_local=0.1)
+    w_per = rand_params(rng)
 
     def run(seed):
-        [result] = local_finetune([data], w, [personal], steps=20, batch=16,
+        [result] = local_finetune([data], w, [w_per], 0.4, 0.1, steps=20, batch=16,
                                   entropies=[(seed,)])
         return result
 
-    d1, s1 = run(77)
-    d2, s2 = run(77)
+    d1, p1 = run(77)
+    d2, p2 = run(77)
     d3, _ = run(78)
     assert np.array_equal(d1.w, d2.w) and np.array_equal(d1.b, d2.b)
-    assert np.array_equal(s1.w_per.w, s2.w_per.w)
+    assert np.array_equal(p1.w, p2.w)
     assert not np.array_equal(d1.w, d3.w)
 
 
@@ -324,11 +314,10 @@ def test_finetune_validates_arguments():
     rng = np.random.default_rng(16)
     data = rand_data(rng, n=4)
     w = rand_params(rng)
-    personal = PersonalState(rand_params(rng))
+    head = rand_params(rng)
 
-    def call(datas=(data,), personals=(personal,), steps=1, batch=2,
-             entropies=((0,),), **kw):
-        return local_finetune(list(datas), w, list(personals), steps, batch,
+    def call(datas=(data,), heads=(head,), steps=1, batch=2, entropies=((0,),), **kw):
+        return local_finetune(list(datas), w, list(heads), 0.5, 0.1, steps, batch,
                               list(entropies), **kw)
 
     with pytest.raises(ValueError):
@@ -337,58 +326,53 @@ def test_finetune_validates_arguments():
         call(batch=9)
     with pytest.raises(ValueError, match="penalty"):
         call(penalty="cubic")
-    with pytest.raises(ValueError, match="one personal state"):
+    with pytest.raises(ValueError, match="one personal head"):
         call(datas=(data, data))
     with pytest.raises(ValueError, match="one entropy per leaf"):
-        call(datas=(data, data), personals=(personal, personal))
+        call(datas=(data, data), heads=(head, head))
     with pytest.raises(ValueError, match="batch"):  # one leaf's batch too large
-        call(datas=(data, rand_data(rng, n=2)), personals=(personal, personal),
+        call(datas=(data, rand_data(rng, n=2)), heads=(head, head),
              entropies=[(0,), (1,)], batch=3)
     with pytest.raises(ValueError, match="batch"):
-        call(datas=(data, data), personals=(personal, personal),
+        call(datas=(data, data), heads=(head, head),
              entropies=[(0,), (1,)], batch=[2, 0])
     with pytest.raises(ValueError, match="non-negative"):
-        call(datas=(data, data), personals=(personal, personal),
+        call(datas=(data, data), heads=(head, head),
              entropies=[(0,), (3, -1)])
-    assert call(datas=(), personals=(), entropies=()) == []
+    assert call(datas=(), heads=(), entropies=()) == []
 
 
 def _leaf_round(rng, sizes):
-    """Datasets of the given sizes with a personal state each, every leaf
-    with its own lambda and local step size."""
-    datas = [rand_data(rng, n=n) for n in sizes]
-    personals = [PersonalState(rand_params(rng), lam=float(rng.uniform(0.1, 2.0)),
-                               eta_local=float(rng.uniform(0.01, 0.3)))
-                 for _ in sizes]
-    return datas, personals
+    """Datasets of the given sizes with a personal head each."""
+    return [rand_data(rng, n=n) for n in sizes], [rand_params(rng) for _ in sizes]
 
 
 @pytest.mark.parametrize("penalty", ["squared", "norm"])
 def test_finetune_matches_the_params_level_step_rule_bit_for_bit(penalty):
     # Leaves above, at and below the batch size of 8 share one call, as in
-    # a round: the session caps each leaf's batch at its dataset size.
+    # a round: the session caps each leaf's batch at its dataset size. A
+    # zero proximal weight is a case of its own.
     rng = np.random.default_rng(19)
     sizes = [40, 8, 5, 23, 8, 40, 1, 9]
-    datas, personals = _leaf_round(rng, sizes)
-    personals[4] = PersonalState(rand_params(rng), lam=0.0)
+    datas, heads = _leaf_round(rng, sizes)
     w_start = rand_params(rng)
     batches = [min(8, n) for n in sizes]
-    starts = [p.w_per.copy() for p in personals]
-    got = local_finetune(datas, w_start, personals, 12, batches,
-                         [(5, i) for i in range(len(sizes))], penalty)
-    for i, (data, personal) in enumerate(zip(datas, personals)):
-        want_delta, want_state = finetune_reference(
-            data, w_start, personal, 12, batches[i], np.random.default_rng([5, i]),
-            penalty)
-        delta, state = got[i]
-        assert np.array_equal(delta.w, want_delta.w), i
-        assert np.array_equal(delta.b, want_delta.b), i
-        assert np.array_equal(state.w_per.w, want_state.w_per.w), i
-        assert np.array_equal(state.w_per.b, want_state.w_per.b), i
-        assert (state.lam, state.eta_local) == (personal.lam, personal.eta_local)
-        # the caller's state is untouched
-        assert np.array_equal(personal.w_per.w, starts[i].w)
-        assert np.array_equal(personal.w_per.b, starts[i].b)
+    starts = [p.copy() for p in heads]
+    for lam, eta in [(1.3, 0.07), (0.0, 0.2)]:
+        got = local_finetune(datas, w_start, heads, lam, eta, 12, batches,
+                             [(5, i) for i in range(len(sizes))], penalty)
+        for i, (data, head) in enumerate(zip(datas, heads)):
+            want_delta, want_per = finetune_reference(
+                data, w_start, head, lam, eta, 12, batches[i],
+                np.random.default_rng([5, i]), penalty)
+            delta, w_per = got[i]
+            assert np.array_equal(delta.w, want_delta.w), (lam, i)
+            assert np.array_equal(delta.b, want_delta.b), (lam, i)
+            assert np.array_equal(w_per.w, want_per.w), (lam, i)
+            assert np.array_equal(w_per.b, want_per.b), (lam, i)
+            # the caller's head is untouched
+            assert np.array_equal(head.w, starts[i].w)
+            assert np.array_equal(head.b, starts[i].b)
 
 
 @settings(deadline=None)  # examples from the active profile; CI runs "model-2000"
@@ -407,49 +391,52 @@ def test_finetune_across_gather_blocks_matches_the_reference(seed, batch, big, s
     batches = [min(batch, n) for n in sizes]
     assert steps * 8 * big * batch * hidden > model.GATHER_BYTES  # two blocks or more
     datas = [rand_data(rng, n=n, h=hidden) for n in sizes]
-    personals = [PersonalState(rand_params(rng, hidden), lam=float(rng.uniform(0.0, 2.0)),
-                               eta_local=float(rng.uniform(0.01, 0.3)))
-                 for _ in sizes]
+    heads = [rand_params(rng, hidden) for _ in sizes]
+    lam, eta = float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.01, 0.3))
     w_start = rand_params(rng, hidden)
     entropies = [(seed, i) for i in range(len(sizes))]
-    got = local_finetune(datas, w_start, personals, steps, batches, entropies, penalty)
-    for i, (delta, state) in enumerate(got):
-        want_delta, want_state = finetune_reference(
-            datas[i], w_start, personals[i], steps, batches[i],
+    got = local_finetune(datas, w_start, heads, lam, eta, steps, batches, entropies,
+                         penalty)
+    for i, (delta, w_per) in enumerate(got):
+        want_delta, want_per = finetune_reference(
+            datas[i], w_start, heads[i], lam, eta, steps, batches[i],
             np.random.default_rng(entropies[i]), penalty)
         assert np.array_equal(delta.w, want_delta.w), i
         assert np.array_equal(delta.b, want_delta.b), i
-        assert np.array_equal(state.w_per.w, want_state.w_per.w), i
-        assert np.array_equal(state.w_per.b, want_state.w_per.b), i
+        assert np.array_equal(w_per.w, want_per.w), i
+        assert np.array_equal(w_per.b, want_per.b), i
 
 
 def test_norm_penalty_at_the_kink_stacked_with_other_leaves():
     # A leaf whose personal head equals the shared head has a zero pull
     # (the subgradient at the kink) while its neighbours in the stack pull.
     rng = np.random.default_rng(20)
-    datas, personals = _leaf_round(rng, [12, 12, 12])
+    datas, heads = _leaf_round(rng, [12, 12, 12])
     w_start = rand_params(rng)
-    personals[1] = PersonalState(w_start.copy(), lam=3.0, eta_local=0.1)
-    got = local_finetune(datas, w_start, personals, 1, 12, [(i,) for i in range(3)],
+    heads[1] = w_start.copy()
+    got = local_finetune(datas, w_start, heads, 3.0, 0.1, 1, 12, [(i,) for i in range(3)],
                          "norm")
     for i in range(3):
-        want_delta, want_state = finetune_reference(
-            datas[i], w_start, personals[i], 1, 12, np.random.default_rng(i), "norm")
+        want_delta, want_per = finetune_reference(
+            datas[i], w_start, heads[i], 3.0, 0.1, 1, 12, np.random.default_rng(i), "norm")
         assert np.array_equal(got[i][0].w, want_delta.w)
-        assert np.array_equal(got[i][1].w_per.w, want_state.w_per.w)
+        assert np.array_equal(got[i][1].w, want_per.w)
 
 
 def test_diverging_finetune_raises():
-    # Two batch sizes, so two stacked groups run; the diverging leaf sits in
-    # the first group or in the second.
+    # Two batch sizes, so two stacked groups run; the diverging leaf, whose
+    # features are of order 1e200, sits in the first group or in the second.
+    def run(datas, heads):
+        return local_finetune(datas, ModelParams.zeros(H), heads, 0.5, 0.1, steps=4,
+                              batch=[12, 6, 12, 6], entropies=[(i,) for i in range(4)])
+
+    datas, heads = _leaf_round(np.random.default_rng(3), [12, 12, 12, 12])
+    run(datas, heads)
     for diverging in range(4):
-        rng = np.random.default_rng(3)
-        datas, personals = _leaf_round(rng, [12, 12, 12, 12])
-        personals[diverging] = PersonalState(rand_params(rng), eta_local=1e306)
+        scaled = list(datas)
+        scaled[diverging] = LocalDataset(datas[diverging].x * 1e200, datas[diverging].y)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
-            local_finetune(datas, ModelParams.zeros(H), personals, steps=4,
-                           batch=[12, 6, 12, 6],
-                           entropies=[(i,) for i in range(4)])
+            run(scaled, heads)
 
 
 # -- seeded streams ----------------------------------------------------------------
@@ -586,16 +573,16 @@ def test_draw_resolves_at_most_draw_words_at_a_time(monkeypatch):
 def _fallback_case(rng, leaves, steps, entropies):
     """local_finetune on datasets of the given (rows, batch) equals the
     per-step choice reference on default_rng(entropy)."""
-    datas, personals = _leaf_round(rng, [n for n, _ in leaves])
+    datas, heads = _leaf_round(rng, [n for n, _ in leaves])
     w_start = rand_params(rng)
-    got = local_finetune(datas, w_start, personals, steps, [b for _, b in leaves],
+    got = local_finetune(datas, w_start, heads, 0.5, 0.1, steps, [b for _, b in leaves],
                          entropies)
-    for i, (data, personal) in enumerate(zip(datas, personals)):
-        want_delta, want_state = finetune_reference(
-            data, w_start, personal, steps, leaves[i][1],
+    for i, (data, head) in enumerate(zip(datas, heads)):
+        want_delta, want_per = finetune_reference(
+            data, w_start, head, 0.5, 0.1, steps, leaves[i][1],
             np.random.default_rng(entropies[i]))
         assert np.array_equal(got[i][0].w, want_delta.w), i
-        assert np.array_equal(got[i][1].w_per.b, want_state.w_per.b), i
+        assert np.array_equal(got[i][1].b, want_per.b), i
 
 
 def test_finetune_draws_with_choice_above_floyd_max_n(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dhtfed.overlay import Overlay, random_ids
-from dhtfed.simnet import AGG_UP, HEARTBEAT, FailureSchedule, LinkModel, Simulator
+from dhtfed.simnet import AGG_UP, HEARTBEAT, LinkModel, Simulator
 from dhtfed.tree import TreeConfig, TreeManager
 
 # A message kind no protocol sends; the pinned trace carries it as text.
@@ -224,20 +224,6 @@ def test_non_finite_times_are_rejected_and_change_nothing(bad):
     sim.schedule(5, lambda: fired.append("late"))
     assert sim.run() == 1
     assert fired == ["late"] and sim.now == 5.0
-
-
-def test_failure_schedule_validation():
-    FailureSchedule([(0.0, 1, "fail"), (5.0, 1, "rejoin")])
-    with pytest.raises(ValueError):
-        FailureSchedule([(5.0, 1, "fail"), (0.0, 2, "fail")])
-    with pytest.raises(ValueError):
-        FailureSchedule([(0.0, 1, "explode")])
-    # NaN passes every comparison and inf fires after the last round
-    for t in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="not finite"):
-            FailureSchedule([(0.0, 1, "fail"), (t, 2, "fail")])
-        with pytest.raises(ValueError, match="not finite"):
-            FailureSchedule([(t, 1, "fail")])
 
 
 def test_link_model_validation():

@@ -171,6 +171,22 @@ def test_stats_match_recursive_walk_oracle():
     assert stats.depth_histogram == hist
 
 
+def test_walk_is_the_preorder_in_child_order():
+    _ids, overlay, _sim, trees, gid, root = build_world(100, fanout=3, seed=34)
+    children = children_map(trees, gid)
+
+    def preorder(nid):
+        return [nid] + [m for c in children.get(nid, []) for m in preorder(c)]
+
+    assert trees.walk(gid) == preorder(root)
+    # a failed member and its subtree drop out of the walk until they rejoin
+    victim = children[root][1]
+    overlay.fail(victim)
+    walk = trees.walk(gid)  # syncs the child lists that children_map reads
+    children = children_map(trees, gid)
+    assert walk == preorder(root) and victim not in walk
+
+
 def test_stats_star_and_singleton():
     _ids, _ov, _sim, trees, gid, _root = build_world(
         5, fanout=4, seed=2, intercept=False)
