@@ -359,8 +359,10 @@ class FederatedSession:
         self.cfg = cfg or RoundConfig()
         self.global_params = ModelParams.zeros(hidden_dim)
         self.round = 0
-        self.personal: dict[int, ModelParams] = {nid: self.global_params.copy()
-                                                 for nid in sorted(data)}
+        # Every personal head starts as one shared zero head; a round
+        # replaces a leaf's head and never writes one in place.
+        self.personal: dict[int, ModelParams] = dict.fromkeys(
+            sorted(data), ModelParams.zeros(hidden_dim))
         # The decentralized round's gossip and routed messages; a
         # centralized round leaves it empty.
         self.msg_log: list[MessageRecord] = []

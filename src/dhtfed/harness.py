@@ -15,7 +15,8 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import get_type_hints
+from itertools import accumulate
+from typing import Iterator, get_type_hints
 
 import numpy as np
 
@@ -70,57 +71,87 @@ def make_topics(n_topics: int, hidden_dim: int, seed: int,
     return topics
 
 
-def _points(spec: TopicSpec, n: int,
-            rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Fair-coin labels, then class mean plus Gaussian noise, built in place.
+# Datasets are written in blocks of about BLOCK_BYTES of features, or one
+# dataset if it is larger: below glibc's default 128 KiB mmap threshold, so
+# malloc serves a block from the heap, as it did one small dataset's arrays.
+# A share longer than PART_BYTES of features is scaled and checked in parts,
+# so no temporary exceeds PART_BYTES.
+BLOCK_BYTES = 1 << 16
+PART_BYTES = 1 << 20
 
-    The same bits as `means + cov_scale * rng.normal(size=(n, H))` from the
-    same PCG64 words. `normal` returns 0.0 + 1.0 * z for each standard draw
-    z, that is z + 0.0, which turns a -0.0 draw into +0.0; the draws get the
-    same + 0.0 here. The scale and the means then go in by the same
-    operations with their operands swapped, which changes no finite result,
-    cov_scale 0 included. (Adding 0.0 to the means instead would not do:
-    with cov_scale 0, a -0.0 mean plus a negative draw's -0.0 is -0.0.)
+
+def _write_points(shares: list[tuple[TopicSpec, int]], n: int,
+                  rngs: Iterator[np.random.Generator]) -> list[LocalDataset]:
+    """n datasets whose rows are each share (topic, count) in turn. `rngs`
+    gives one generator per dataset and share, dataset by dataset; a share
+    takes fair-coin labels `integers(0, 2, size=count)` from it, then the
+    class mean plus cov_scale times its standard normal draws, written
+    straight into a block of datasets. Each dataset is views of its rows.
+
+    The arithmetic and the checks run once per share of a block. They give
+    the bits of `means + cov_scale * rng.normal(size=(count, H))`. `normal`
+    returns 0.0 + 1.0 * z for each standard draw z, that is z + 0.0, which
+    turns a -0.0 draw into +0.0; the draws get the same + 0.0 here. The
+    scale and the means then go in by the same operations with their
+    operands swapped, which changes no finite result, cov_scale 0 included.
+    (Adding 0.0 to the means instead would not do: with cov_scale 0, a -0.0
+    mean plus a negative draw's -0.0 is -0.0.)
     """
-    y = rng.integers(0, 2, size=n)
-    x = rng.standard_normal((n, spec.mean0.size))
-    x += 0.0
-    x *= spec.cov_scale
-    x += np.concatenate([spec.mean0, spec.mean1]).reshape(2, -1)[y]
-    return x, y
+    dim = shares[0][0].mean0.size
+    means = [np.stack([spec.mean0, spec.mean1]) for spec, _ in shares]
+    offsets = [0, *accumulate(k for _, k in shares)]
+    per = max(1, BLOCK_BYTES // (8 * dim * max(offsets[-1], 1)))  # datasets per block
+    rows = max(1, PART_BYTES // (8 * dim))
+    out = []
+    for first in range(0, n, per):
+        x = np.empty((min(per, n - first), offsets[-1], dim))
+        y = np.empty(x.shape[:2], dtype=np.int64)
+        for xi, yi in zip(x, y):
+            for (_, k), off in zip(shares, offsets):
+                rng = next(rngs)
+                yi[off:off + k] = rng.integers(0, 2, size=k)
+                rng.standard_normal(out=xi[off:off + k])
+        for (spec, k), off, mean in zip(shares, offsets, means):
+            for lo in range(off, off + k, rows):  # one part unless the block is one dataset
+                hi = min(off + k, lo + rows)
+                xs, ys = x[:, lo:hi], y[:, lo:hi]
+                with np.errstate(over="ignore"):  # the check below reports it
+                    xs += 0.0
+                    xs *= spec.cov_scale
+                    xs += mean[ys]
+                if not np.isfinite(xs).all():
+                    raise ValueError("features must be finite")
+                if not (ys.view(np.uint64) <= 1).all():
+                    raise ValueError("labels must be binary")
+        out += [LocalDataset._trusted(xi, yi) for xi, yi in zip(x, y)]
+    return out
 
 
 def generate_topic_data(spec: TopicSpec, node_ids: list[int],
                         seed: int) -> dict[int, LocalDataset]:
     """Per-node datasets, deterministic per (seed, node id, topic): node
-    nid's points are `_points` drawn from `default_rng([seed, topic, nid])`,
-    with every node's stream seeded in one pass."""
+    nid's points are drawn from `default_rng([seed, topic, nid])`, with
+    every node's stream seeded in one pass (`_write_points`)."""
     nids = sorted(node_ids)
     rngs = seeded_generators([(seed, spec.topic_id, nid) for nid in nids])
-    return {nid: LocalDataset(*_points(spec, spec.samples_per_node, rng))
-            for nid, rng in zip(nids, rngs)}
+    return dict(zip(nids, _write_points([(spec, spec.samples_per_node)], len(nids), rngs)))
 
 
 def generate_testset(spec: TopicSpec, n: int, seed: int) -> LocalDataset:
-    rng = next(seeded_generators([(seed, spec.topic_id, _TEST_STREAM)]))
-    return LocalDataset(*_points(spec, n, rng))
+    rngs = seeded_generators([(seed, spec.topic_id, _TEST_STREAM)])
+    return _write_points([(spec, n)], 1, rngs)[0]
 
 
 def mixed_node_data(topics: list[TopicSpec], node_ids: list[int], seed: int,
                     points_per_node: int) -> dict[int, LocalDataset]:
-    """Each node holds an even split of every topic's data: its share of
-    topic t is `_points` drawn from `default_rng([seed, t, nid])`."""
+    """Each node holds an even split of every topic's data, topic by topic:
+    its share of topic t is drawn from `default_rng([seed, t, nid])`."""
     shares = [points_per_node // len(topics)] * len(topics)
     for i in range(points_per_node - sum(shares)):
         shares[i] += 1
     nids = sorted(node_ids)
     rngs = seeded_generators([(seed, spec.topic_id, nid) for nid in nids for spec in topics])
-    out = {}
-    for nid in nids:
-        xs, ys = zip(*(_points(spec, share, next(rngs))
-                       for spec, share in zip(topics, shares)))
-        out[nid] = LocalDataset(np.concatenate(xs), np.concatenate(ys))
-    return out
+    return dict(zip(nids, _write_points(list(zip(topics, shares)), len(nids), rngs)))
 
 
 # -- metrics -------------------------------------------------------------------
@@ -247,6 +278,10 @@ class ScenarioConfig:
             raise ValueError("mode must be centralized, decentralized or auto")
         if self.hidden_dim < 2:
             raise ValueError("hidden_dim must be >= 2")
+        if not math.isfinite(self.separation) or self.separation == 0:
+            raise ValueError("separation must be finite and non-zero")
+        if not math.isfinite(self.cov_scale) or self.cov_scale < 0:
+            raise ValueError("cov_scale must be finite and >= 0")
         self.round_config()
         self.link_model()
         self.tree_config()

@@ -82,6 +82,15 @@ class LocalDataset:
         if not ((self.y == 0) | (self.y == 1)).all():
             raise ValueError("labels must be binary")
 
+    @classmethod
+    def _trusted(cls, x: np.ndarray, y: np.ndarray) -> "LocalDataset":
+        """Wrap a float64 (n, H) array of finite features and an int64 (n,)
+        array of 0/1 labels that the caller has already checked: no copy,
+        no check."""
+        data = object.__new__(cls)
+        data.x, data.y = x, y
+        return data
+
     def __len__(self) -> int:
         return self.x.shape[0]
 

@@ -355,8 +355,8 @@ def loss_reference(data, w_cla, w_per, lam, penalty="squared"):
 
 
 def points_reference(spec, n, rng):
-    """`harness._points` as a formula: fair-coin labels, each row its class
-    mean plus cov_scale times a `normal` draw."""
+    """One share of `harness._write_points` as a formula: fair-coin labels,
+    each row its class mean plus cov_scale times a `normal` draw."""
     y = rng.integers(0, 2, size=n)
     means = np.where(y[:, None] == 1, spec.mean1, spec.mean0)
     return means + spec.cov_scale * rng.normal(size=(n, spec.mean0.size)), y

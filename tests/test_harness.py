@@ -6,11 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dhtfed import harness, model
 from dhtfed.fedagg import FederatedSession, RoundConfig, write_round_log
 from dhtfed.harness import (MIXED, SINGLE_TOPIC_PER_TREE, DisseminationRow,
-                            MetricsRecord, ScenarioConfig, compute_accuracy,
+                            MetricsRecord, ScenarioConfig, TopicSpec, compute_accuracy,
                             compute_f1, format_table, generate_testset,
                             generate_topic_data, make_topics,
                             measure_dissemination, mixed_node_data,
@@ -112,6 +113,89 @@ def test_node_data_equals_per_node_samples(monkeypatch, fast):
     test = generate_testset(topics[2], 41, seed=5)
     x, y = sample(topics[2], 41, 5, 1 << 130)
     assert np.array_equal(test.x, x) and np.array_equal(test.y, y)
+
+
+_mean_part = st.sampled_from([-0.0, 0.0, -1.5, 2.0, 1e-300])
+
+
+@st.composite
+def _topics(draw):
+    """1 to 3 topics of one dimension, with -0.0 mean components and
+    cov_scale 0 among the cases."""
+    dim = draw(st.integers(2, 4))
+    topics = []
+    for t in range(draw(st.integers(1, 3))):
+        mean0, mean1 = (np.array(draw(st.lists(_mean_part, min_size=dim, max_size=dim)))
+                        for _ in range(2))
+        assume(not np.array_equal(mean0, mean1))
+        cov_scale = draw(st.one_of(st.sampled_from([0.0, 1.0, 5e-324]), st.floats(0.0, 1e3)))
+        topics.append(TopicSpec(t, mean0, mean1, cov_scale, 0))
+    return topics
+
+
+def same_bits(data, x, y):
+    return data.x.tobytes() == x.tobytes() and data.y.tobytes() == y.tobytes()
+
+
+def _spec(topic_id, mean0, mean1, cov_scale):
+    return TopicSpec(topic_id, np.array(mean0), np.array(mean1), cov_scale, 0)
+
+
+@settings(deadline=None)  # examples from the active profile; CI runs "model-2000"
+@given(fast=st.booleans(), topics=_topics(), points=st.integers(1, 25),
+       ids=st.lists(st.integers(0, 2**128 - 1), min_size=1, max_size=12, unique=True),
+       block_rows=st.integers(1, 40), part_rows=st.integers(1, 30),
+       seed=st.integers(0, 2**32 - 1))
+# Shares of 3, 2 and 2 points, one node a block, split into parts of 2 rows;
+# cov_scale 0 beside -0.0 mean components.
+@example(fast=True, topics=[_spec(0, [-0.0, 0.0], [1e-300, -0.0], 0.0),
+                            _spec(1, [-0.0, 2.0], [2.0, -0.0], 1.0),
+                            _spec(2, [2.0, -1.5], [-0.0, -0.0], 0.0)],
+         points=7, ids=[5, 1, 2**127, 9, 3], block_rows=8, part_rows=2, seed=11)
+# Shares of 1, 0 and 0 points, three nodes a block over seven nodes.
+@example(fast=False, topics=[_spec(0, [-0.0, 0.0], [2.0, 0.0], 0.0),
+                             _spec(1, [0.0, 1e-300], [-1.5, 0.0], 5e-324),
+                             _spec(2, [-0.0, -0.0], [0.0, 2.0], 3.0)],
+         points=1, ids=list(range(7)), block_rows=3, part_rows=1, seed=2**32 - 1)
+def test_node_data_matches_per_node_streams(fast, topics, points, ids, block_rows,
+                                            part_rows, seed):
+    # Blocks and parts of a few rows put more nodes in a run than one block
+    # holds, and split a share, mixed shares included, across parts; with
+    # few points, mixed shares have 1 point, an odd count, or none.
+    dim = topics[0].mean0.size
+    single = TopicSpec(topics[0].topic_id, topics[0].mean0, topics[0].mean1,
+                       topics[0].cov_scale, points)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_fast_streams", fast)
+        patch.setattr(harness, "BLOCK_BYTES", 8 * dim * block_rows)
+        patch.setattr(harness, "PART_BYTES", 8 * dim * part_rows)
+        one = generate_topic_data(single, ids, seed)
+        mixed = mixed_node_data(topics, ids, seed, points)
+        test = generate_testset(topics[-1], points, seed)
+    shares = [points // len(topics) + (t < points % len(topics)) for t in range(len(topics))]
+    for nid in ids:
+        assert same_bits(one[nid], *sample(single, points, seed, nid))
+        parts = [sample(spec, share, seed, nid) for spec, share in zip(topics, shares)]
+        assert same_bits(mixed[nid], np.concatenate([x for x, _ in parts]),
+                         np.concatenate([y for _, y in parts]))
+    assert same_bits(test, *sample(topics[-1], points, seed, 1 << 130))
+
+
+def test_overflowing_points_raise_from_every_generator():
+    # cov_scale 1e308 is finite, so validate() lets it through, but scaled
+    # draws overflow; only the second topic overflows, so the check must
+    # reach every share of a block.
+    mean0, mean1 = np.zeros(4), np.ones(4)
+    topics = [TopicSpec(0, mean0, mean1, 1.0, 50), TopicSpec(1, mean0, mean1, 1e308, 50)]
+    with pytest.raises(ValueError, match="features must be finite"):
+        generate_topic_data(topics[1], [3, 5, 8], seed=1)
+    with pytest.raises(ValueError, match="features must be finite"):
+        mixed_node_data(topics, [3, 5, 8], seed=1, points_per_node=50)
+    with pytest.raises(ValueError, match="features must be finite"):
+        generate_testset(topics[1], 50, seed=1)
+    with pytest.raises(ValueError, match="features must be finite"):
+        run_scenario(ScenarioConfig(seed=1, nodes=12, rounds=1, topics=1, tree_count=1,
+                                    cov_scale=1e308))
 
 
 # -- metrics ---------------------------------------------------------------------------
@@ -259,7 +343,15 @@ def test_config_validation_rules():
                        (dict(heartbeat_period=float("nan")), "heartbeat_period"),
                        (dict(heartbeat_period=float("inf")), "heartbeat_period"),
                        (dict(failure_timeout=float("nan")), "failure_timeout"),
-                       (dict(failure_timeout=float("inf")), "failure_timeout")]:
+                       (dict(failure_timeout=float("inf")), "failure_timeout"),
+                       (dict(separation=float("nan")), "separation"),
+                       (dict(separation=float("inf")), "separation"),
+                       (dict(separation=-float("inf")), "separation"),
+                       (dict(separation=0.0), "separation"),
+                       (dict(cov_scale=float("nan")), "cov_scale"),
+                       (dict(cov_scale=float("inf")), "cov_scale"),
+                       (dict(cov_scale=-1.0), "cov_scale"),
+                       (dict(cov_scale=-float("inf")), "cov_scale")]:
         with pytest.raises(ValueError, match=match):
             ScenarioConfig(seed=1, **bad).validate()
 
@@ -270,7 +362,10 @@ def test_bad_model_config_fails_before_the_overlay_is_built(monkeypatch):
 
     monkeypatch.setattr(Overlay, "build", no_build)
     for bad, match in [(dict(penalty="l1"), "penalty"), (dict(lat_lo=-60.0), "lat_lo"),
-                       (dict(eta_local=float("inf")), "eta_local")]:
+                       (dict(eta_local=float("inf")), "eta_local"),
+                       (dict(separation=float("nan")), "separation"),
+                       (dict(cov_scale=float("inf")), "cov_scale"),
+                       (dict(cov_scale=-1.0), "cov_scale")]:
         with pytest.raises(ValueError, match=match):
             run_scenario(ScenarioConfig(seed=1, nodes=12, rounds=1, topics=1,
                                         tree_count=1, **bad))
@@ -577,6 +672,16 @@ PINNED = {
              + [(8000.0, i, "rejoin") for i in (182, 176, 0)]),
         "5c9f6541a9f97bdb4ed43a7b1709846c98c0e3a102928d354a5d169cf3f623ca",
         "46f289f61d3528bbc3626a68d6f81059f8a39ca6b19d5cf999e146c5b85700c6"),
+    # A failure and a rejoin between rounds, on a fanout-2 tree: the
+    # parent-failure JOINs route over an overlay that has failed nodes, so
+    # `next_hop`'s lazy routing-table patches run along each JOIN's whole
+    # path. A JOIN walk that stops at its first adopter skips some of them
+    # and moves both values, while every other test passes (ROADMAP item 6).
+    "join-walk": (
+        dict(seed=363, nodes=308, rounds=3, fanout=2,
+             failures=[(500.0, 20, "fail"), (500.0, 54, "fail"), (4000.0, 20, "rejoin")]),
+        "e50f9f4ff4406fd14473e0623ed5ef230a0caf0efdec8f6ec95c37b7de6b8d88",
+        "a7046875edc9a50c3a772519dc8de3624016d3b38e0adec22dc15e353ed57e59"),
 }
 
 
@@ -626,6 +731,16 @@ def test_the_demo_pin_covers_votes_broken_by_probability_mass(monkeypatch):
     result = run_scenario(ScenarioConfig.from_ini(str(DEMO_INI)))
     assert scenario_digest(result) == PINNED["demo"][1]
     assert any(tied_points)
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="ROADMAP item 1, reroot crash: _reroot's chain passes a dead member")
+def test_two_failures_at_t0_do_not_crash_the_reroot():
+    # A heartbeat tick finds an orphan, `handle_parent_failure` re-attaches
+    # it, and `_attach` reroots through a dead member that has not re-joined:
+    # `list.remove` raises "x not in list" in `TreeManager._reroot`.
+    run_scenario(ScenarioConfig(seed=333, nodes=167, rounds=1, fanout=3,
+                                failures=[(0.0, 45, "fail"), (0.0, 17, "fail")]))
 
 
 @pytest.mark.parametrize("failures, match", [

@@ -8,7 +8,7 @@ from dhtfed.model import (FLOYD_MAX_N, PENALTIES, LocalDataset, ModelParams,
                           forward_heads, local_finetune, param_nbytes, pfl_grad,
                           pfl_loss, pfl_losses, serialize_params)
 from dhtfed.fedagg import INFER_CHUNK
-from dhtfed.harness import TopicSpec, _points
+from dhtfed.harness import TopicSpec, _write_points
 
 from oracles import (central_difference, draw_reference, finetune_reference,
                      loss_reference, points_reference)
@@ -659,16 +659,16 @@ _mean_part = st.sampled_from([-0.0, 0.0, -1.5, 2.0, 1e-300])
        cov_scale=st.one_of(st.sampled_from([0.0, 1.0, 5e-324]), st.floats(0.0, 1e3)),
        seed=st.integers(0, 2**32 - 1))
 def test_points_match_the_former_formula(n, mean0, mean1, cov_scale, seed):
-    """`_points` gives the bits of mean + cov_scale * normal from the same
-    stream, with -0.0 mean components and cov_scale 0 among the cases."""
+    """`_write_points` gives the bits of mean + cov_scale * normal from the
+    same stream, with -0.0 mean components and cov_scale 0 among the cases."""
     dim = min(len(mean0), len(mean1))
     mean0, mean1 = np.array(mean0[:dim]), np.array(mean1[:dim])
     assume(not np.array_equal(mean0, mean1))
     spec = TopicSpec(0, mean0, mean1, cov_scale, n)
-    x, y = _points(spec, n, np.random.default_rng(seed))
+    data, = _write_points([(spec, n)], 1, iter([np.random.default_rng(seed)]))
     want_x, want_y = points_reference(spec, n, np.random.default_rng(seed))
-    assert x.tobytes() == want_x.tobytes()
-    assert np.array_equal(y, want_y)
+    assert data.x.tobytes() == want_x.tobytes()
+    assert data.y.tobytes() == want_y.tobytes()
 
 
 class _FixedDraws:
@@ -681,8 +681,9 @@ class _FixedDraws:
     def integers(self, low, high, size):
         return self.y.copy()
 
-    def standard_normal(self, shape):
-        return self.z.copy()
+    def standard_normal(self, out):
+        out[...] = self.z
+        return out
 
     def normal(self, size):
         return 0.0 + 1.0 * self.z
@@ -698,9 +699,9 @@ def test_points_match_the_former_formula_on_zero_draws(cov_scale):
     y = [0, 0, 0, 1, 1, 1]
     z = [[-0.0, -0.0, -0.0], [0.0, -1e-300, 0.0], [-0.25, 0.5, -2.0],
          [-0.0, 0.5, -2.0], [-1e-300, -0.0, 0.0], [0.0, -0.5, 0.0]]
-    x, _ = _points(spec, 6, _FixedDraws(y, z))
+    data, = _write_points([(spec, 6)], 1, iter([_FixedDraws(y, z)]))
     want_x, _ = points_reference(spec, 6, _FixedDraws(y, z))
-    assert x.tobytes() == want_x.tobytes()
+    assert data.x.tobytes() == want_x.tobytes()
 
 
 # -- serialization -----------------------------------------------------------------------
