@@ -343,9 +343,9 @@ class FederatedSession:
     """Drives fine-tuning rounds for one group over a tree manager.
 
     Owns the global head, every contributing leaf's personal head, and the
-    per-round message bookkeeping. Leaf fine-tuning draws from a generator
-    seeded by (seed, round, leaf id), so both protocols see bit-identical
-    local updates for the same round.
+    per-round message bookkeeping. A leaf's minibatches are a function of
+    (seed, round, leaf id), so both protocols see bit-identical local
+    updates for the same round.
     """
 
     def __init__(self, trees: TreeManager, gid: int, data: dict[int, LocalDataset],
@@ -373,8 +373,8 @@ class FederatedSession:
         return [m for m in self.trees.leaves(self.gid) if m in self.data]
 
     def _leaf_payloads(self, leaves: list[int]) -> list[ModelParams]:
-        """Fine-tune all leaves in one call; each draws its minibatches from
-        the stream seeded by (seed, round, leaf id)."""
+        """Fine-tune all leaves in one call; each leaf's minibatches are a
+        function of its key (seed, round, leaf id)."""
         cfg = self.cfg
         datas = [self.data[nid] for nid in leaves]
         results = local_finetune(

@@ -16,13 +16,13 @@ import logging
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterator, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
 from .fedagg import (CENTRALIZED, DECENTRALIZED, FederatedSession, ModeSelector,
                      RoundConfig, RoundMetrics, SocialGraph)
-from .model import LocalDataset, seeded_generators, serialize_params
+from .model import LocalDataset, serialize_params
 from .overlay import Overlay, random_ids
 from .simnet import LinkModel, Simulator
 from .tree import TreeConfig, TreeManager
@@ -30,7 +30,7 @@ from .tree import TreeConfig, TreeManager
 SINGLE_TOPIC_PER_TREE = "single"
 MIXED = "mixed"
 
-_TEST_STREAM = 1 << 130  # keeps test-set draws disjoint from per-node streams
+_TEST_STREAM = 1 << 130  # keeps test-set draws disjoint from the (seed, topic) node data
 
 log = logging.getLogger(__name__)
 
@@ -81,11 +81,11 @@ PART_BYTES = 1 << 20
 
 
 def _write_points(shares: list[tuple[TopicSpec, int]], n: int,
-                  rngs: Iterator[np.random.Generator]) -> list[LocalDataset]:
-    """n datasets whose rows are each share (topic, count) in turn. `rngs`
-    gives one generator per dataset and share, dataset by dataset; a share
-    takes fair-coin labels `integers(0, 2, size=count)` from it, then the
-    class mean plus cov_scale times its standard normal draws, written
+                  rngs: list[np.random.Generator]) -> list[LocalDataset]:
+    """n datasets whose rows are each share (topic, count) in turn, with
+    one generator per share in `rngs`. Dataset by dataset, a share takes
+    fair-coin labels `integers(0, 2, size=count)` from its generator, then
+    the class mean plus cov_scale times its standard normal draws, written
     straight into a block of datasets. Each dataset is views of its rows.
 
     The arithmetic and the checks run once per share of a block. They give
@@ -107,8 +107,7 @@ def _write_points(shares: list[tuple[TopicSpec, int]], n: int,
         x = np.empty((min(per, n - first), offsets[-1], dim))
         y = np.empty(x.shape[:2], dtype=np.int64)
         for xi, yi in zip(x, y):
-            for (_, k), off in zip(shares, offsets):
-                rng = next(rngs)
+            for (_, k), off, rng in zip(shares, offsets, rngs):
                 yi[off:off + k] = rng.integers(0, 2, size=k)
                 rng.standard_normal(out=xi[off:off + k])
         for (spec, k), off, mean in zip(shares, offsets, means):
@@ -129,28 +128,28 @@ def _write_points(shares: list[tuple[TopicSpec, int]], n: int,
 
 def generate_topic_data(spec: TopicSpec, node_ids: list[int],
                         seed: int) -> dict[int, LocalDataset]:
-    """Per-node datasets, deterministic per (seed, node id, topic): node
-    nid's points are drawn from `default_rng([seed, topic, nid])`, with
-    every node's stream seeded in one pass (`_write_points`)."""
+    """Per-node datasets from one stream per topic: the nodes, in sorted id
+    order, draw their points from `default_rng((seed, topic))` in turn."""
     nids = sorted(node_ids)
-    rngs = seeded_generators([(seed, spec.topic_id, nid) for nid in nids])
+    rngs = [np.random.default_rng((seed, spec.topic_id))]
     return dict(zip(nids, _write_points([(spec, spec.samples_per_node)], len(nids), rngs)))
 
 
 def generate_testset(spec: TopicSpec, n: int, seed: int) -> LocalDataset:
-    rngs = seeded_generators([(seed, spec.topic_id, _TEST_STREAM)])
+    rngs = [np.random.default_rng((seed, spec.topic_id, _TEST_STREAM))]
     return _write_points([(spec, n)], 1, rngs)[0]
 
 
 def mixed_node_data(topics: list[TopicSpec], node_ids: list[int], seed: int,
                     points_per_node: int) -> dict[int, LocalDataset]:
     """Each node holds an even split of every topic's data, topic by topic:
-    its share of topic t is drawn from `default_rng([seed, t, nid])`."""
+    the nodes, in sorted id order, draw their shares of topic t from
+    `default_rng((seed, t))` in turn."""
     shares = [points_per_node // len(topics)] * len(topics)
     for i in range(points_per_node - sum(shares)):
         shares[i] += 1
     nids = sorted(node_ids)
-    rngs = seeded_generators([(seed, spec.topic_id, nid) for nid in nids for spec in topics])
+    rngs = [np.random.default_rng((seed, spec.topic_id)) for spec in topics]
     return dict(zip(nids, _write_points(list(zip(topics, shares)), len(nids), rngs)))
 
 

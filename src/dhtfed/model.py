@@ -14,7 +14,7 @@ import operator
 import struct
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,9 +53,6 @@ class ModelParams:
     @classmethod
     def zeros(cls, hidden_dim: int, n_labels: int = N_LABELS) -> "ModelParams":
         return cls(np.zeros((n_labels, hidden_dim)), np.zeros(n_labels))
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.w.copy(), self.b.copy())
 
     def __add__(self, other: "ModelParams") -> "ModelParams":
         return ModelParams(self.w + other.w, self.b + other.b)
@@ -233,23 +230,20 @@ def pfl_grad(data: LocalDataset, w_cla: ModelParams, w_per: ModelParams, lam: fl
 
 def local_finetune(datas: list[LocalDataset], w_start: ModelParams,
                    w_pers: list[ModelParams], lam: float, eta_local: float, steps: int,
-                   batch, entropies: Sequence[Sequence[int]], penalty: str = "squared",
+                   batch, keys: Sequence[Sequence[int]], penalty: str = "squared",
                    ) -> list[tuple[ModelParams, ModelParams]]:
     """Fine-tune every leaf of a round from the shared head w_start.
 
     Leaf i runs `steps` joint mini-batch gradient steps of size eta_local
     on datas[i], its personal head starting at w_pers[i], every leaf with
     the proximal weight lam. `batch` is one size for every leaf or one per
-    leaf, each in [1, len(data)]. `entropies` holds one seed per leaf, in
-    leaf order, each a sequence of non-negative ints: leaf i's minibatches
-    are those of one
-    sorted `choice(len(data), batch, replace=False)` per step on
-    `np.random.default_rng(entropies[i])` (no draw when the batch is the
-    whole dataset). `draw_minibatches` computes them without building that
-    generator for most leaves; its docstring says when it does. Returns one
-    (delta, new personal head) per leaf: delta = w_start - w_final is the
-    update the leaf uploads, and the personal head advances by the same step
-    rule.
+    leaf, each in [1, len(data)]. `keys` holds one key per leaf, in leaf
+    order, each a sequence of non-negative ints: leaf i's minibatches are
+    `draw_minibatches`' rows for keys[i], a pure function of that key, the
+    step and the dataset and batch sizes (no draw when the batch is the
+    whole dataset). Returns one (delta, new personal head) per leaf: delta =
+    w_start - w_final is the update the leaf uploads, and the personal head
+    advances by the same step rule.
 
     Leaves that share a batch size step together on stacked (B, batch, H)
     arrays; each leaf's result equals a run on that leaf alone, bit for bit.
@@ -265,8 +259,7 @@ def local_finetune(datas: list[LocalDataset], w_start: ModelParams,
     for data, size in zip(datas, batches):
         if not 1 <= size <= len(data):
             raise ValueError("batch must be in [1, len(data)]")
-    draws = draw_minibatches([len(data) for data in datas], batches.tolist(), steps,
-                             entropies)
+    draws = draw_minibatches([len(data) for data in datas], batches.tolist(), steps, keys)
     by_batch: dict[int, list[int]] = {}
     for i, size in enumerate(batches):
         by_batch.setdefault(int(size), []).append(i)
@@ -323,259 +316,107 @@ def _finetune_stack(datas, w_start, w_pers, lam, eta, steps, batch, draws, penal
             for i in range(nb)]
 
 
-# -- seeded streams -------------------------------------------------------------
-#
-# np.random.default_rng(entropy) seeds PCG64 (O'Neill, 2014) through numpy's
-# SeedSequence. The entropy's ints become 32-bit words, each int as its words
-# from the lowest, at least one. The words are hashed into a pool of four
-# (`_pool`), and the pool into four uint64 words v0..v3. PCG64 then takes
-# initstate = v0 << 64 | v1 and inc = (v2 << 64 | v3) << 1 | 1, and starts at
-# state = ((inc + initstate) * _PCG_MULT + inc) mod 2^128. `seed_pcg64` does
-# this for many entropies at once in numpy, one pass per count of words: the
-# hash in uint32 arithmetic, which wraps mod 2^32 as the C code does, and the
-# 128-bit step on 32-bit limbs held in uint64.
-
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32 = (1 << 32) - 1
-_PCG_LIMBS = np.array([_PCG_MULT >> s & _M32 for s in (0, 32, 64, 96)],
-                      dtype=np.uint64)[:, None]
-
-
-def seed_pcg64(entropies: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
-    """The PCG64 `state` and `inc` of `np.random.default_rng(e)` for each
-    entropy e, a sequence of non-negative ints, in order. A negative int
-    raises ValueError, as SeedSequence does."""
-    words, bounds = _entropy_words(entropies)
-    counts = np.diff(bounds)
-    state = np.empty((4, counts.size), dtype=np.uint64)
-    inc = np.empty_like(state)
-    for count in set(counts.tolist()):
-        group = np.flatnonzero(counts == count)
-        pool = _pool(words[bounds[group, None] + np.arange(count)])
-        # generate_state(4, np.uint64) gives v0..v3 as eight words, each v
-        # little end first; below, 128-bit values are four 32-bit limbs,
-        # low first, held in uint64.
-        out = _hashmix(np.concatenate([pool, pool]),
-                       _consts(_INIT_B, _MULT_B, 8)).astype(np.uint64)
-        seq = out[[6, 7, 4, 5]]  # v2 << 64 | v3
-        step = seq << 1 & _M32
-        step[1:] |= seq[:-1] >> 31
-        step[0] |= 1
-        base = _carry(out[[2, 3, 0, 1]] + step)  # (v0 << 64 | v1) + inc
-        acc = np.zeros_like(base)
-        for i in range(4):  # base * _PCG_MULT mod 2^128, limb by limb
-            prod = base[i] * _PCG_LIMBS[:4 - i]
-            acc[i:] += prod & _M32
-            acc[i + 1:] += prod[:3 - i] >> 32
-        state[:, group], inc[:, group] = _carry(acc + step), step
-    return _ints(state), _ints(inc)
-
-
-def _entropy_words(entropies: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """SeedSequence's 32-bit words of every entropy, one after the other, and
-    the bounds of each entropy's words: each int gives its words from the
-    lowest up to its highest nonzero one, at least one."""
-    ints = list(map(operator.index, itertools.chain.from_iterable(entropies)))
-    counts = (np.fromiter(map(int.bit_length, ints), dtype=np.int64, count=len(ints))
-              + 31) // 32
-    width = max(1, int(counts.max(initial=0)))
-    try:
-        blob = b"".join([x.to_bytes(4 * width, "little") for x in ints])
-    except OverflowError:  # to_bytes of a negative int
-        raise ValueError("expected non-negative integer entropy") from None
-    words = np.frombuffer(blob, dtype="<u4").reshape(len(ints), width).astype(np.uint32)
-    counts = np.maximum(counts, 1)
-    lengths = np.fromiter(map(len, entropies), dtype=np.int64, count=len(entropies))
-    ends = np.concatenate([[0], np.cumsum(counts)])
-    return (words[np.arange(width) < counts[:, None]],
-            ends[np.concatenate([[0], np.cumsum(lengths)])])
-
-
-def _carry(limbs: np.ndarray) -> np.ndarray:
-    """(4, G) limbs, each below 2^63, carried into 32-bit limbs mod 2^128."""
-    for k in range(3):
-        limbs[k + 1] += limbs[k] >> 32
-    return limbs & _M32
-
-
-def _ints(limbs: np.ndarray) -> list[int]:
-    return [hi << 64 | lo for hi, lo in zip((limbs[3] << 32 | limbs[2]).tolist(),
-                                             (limbs[1] << 32 | limbs[0]).tolist())]
-
-
-def _consts(init: int, mult: int, count: int) -> np.ndarray:
-    """(count + 1, 1) uint32: init * mult^k mod 2^32 for k = 0..count, the
-    hash constant before each of `count` successive hash calls and after
-    the last."""
-    out = [init]
-    for _ in range(count):
-        out.append(out[-1] * mult & _M32)
-    return np.array(out, dtype=np.uint32)[:, None]
-
-
-def _hashmix(v: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix, one call per row of the result: row k hashes
-    v (or v's row k) with consts[k] and consts[k + 1]."""
-    v = (v ^ consts[:-1]) * consts[1:]
-    return v ^ (v >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return r ^ (r >> 16)
-
-
-def _pool(words: np.ndarray) -> np.ndarray:
-    """SeedSequence's pool of four for each row of (G, W) uint32 entropy
-    words, as (4, G) uint32."""
-    g, w = words.shape
-    consts = _consts(_INIT_A, _MULT_A, 16 + 4 * max(0, w - 4))
-    pool = np.zeros((4, g), dtype=np.uint32)
-    pool[:min(w, 4)] = words[:, :4].T
-    pool = _hashmix(pool, consts[:5])
-    k = 4
-    for src in range(4):
-        hashed = _hashmix(pool[src], consts[k:k + 4])
-        k += 3
-        for dst, h in zip([d for d in range(4) if d != src], hashed):
-            pool[dst] = _mix(pool[dst], h)
-    for src in range(4, w):
-        pool = _mix(pool, _hashmix(words[:, src], consts[k:k + 5]))
-        k += 4
-    return pool
-
-
-def seeded_generators(entropies: Sequence[Sequence[int]]) -> Iterator[np.random.Generator]:
-    """For each entropy, in order, a generator at the start of the stream of
-    `np.random.default_rng(entropy)`. When the probe passes, all entropies
-    are seeded in one pass and each step re-seeds one reused Generator, so
-    finish with one before taking the next; otherwise each is a new
-    `default_rng`."""
-    if fast_streams_enabled():
-        return _reseeded(entropies)
-    return (np.random.default_rng(e) for e in entropies)
-
-
-def _reseeded(entropies) -> Iterator[np.random.Generator]:
-    bits = np.random.PCG64(0)
-    rng = np.random.Generator(bits)
-    for state, inc in zip(*seed_pcg64(entropies)):
-        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
-        yield rng
-
-
 # -- minibatch draws ------------------------------------------------------------
 #
-# For n <= FLOYD_MAX_N, numpy 2.x computes Generator.choice(n, size,
-# replace=False) with Floyd's algorithm (Bentley & Floyd, 1987): for each j in
-# [n - size, n) it draws v uniform on [0, j] and takes v, or j when v is
-# already taken. It then shuffles the picks with size - 1 more draws, on
-# [0, i] for i = size - 1 down to 1. Each draw on [0, r] is Lemire's method
-# (Lemire, 2019): (u * (r + 1)) >> 32 of a 32-bit word u from the bit
-# generator's next_uint32, redrawn while the low 32 bits of the product fall
-# below 2^32 mod (r + 1). PCG64's next_uint32 hands out the low half of a
-# 64-bit output, then buffers the high half for the next call. So, barring a
-# redraw, one step reads 2 * size - 1 words in a fixed layout, and the steps
-# of a leaf are the first words of its stream, which one random_raw call
-# reads (its uint32 view gives that order on a little-endian host; the probe
-# turns the draw off anywhere it does not match).
+# A leaf's minibatch words are a pure function of its key (seed, round, leaf
+# id), the step and the index within the step: a counter-based stream
+# (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011)
+# built from SplitMix64 (Steele, Lea & Flood, OOPSLA 2014). The key's ints
+# fold into one 64-bit SplitMix seed, and the word of step s, index t is
+# output s * 2^32 + t + 1 of the SplitMix64 stream from that seed, computed
+# directly as mix(seed + (s * 2^32 + t + 1) * gamma). Each step's words then
+# make a sorted sample with Floyd's algorithm (Bentley & Floyd, 1987).
 
-FLOYD_MAX_N = 10_000
-DRAW_WORDS = 1 << 15  # words held before a stacked Floyd pass runs
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 _SEEN_BYTES = 1 << 20  # bound on the bitmap of values taken in Floyd's repeats
 
 
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function on a uint64 array, in place."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _fold_keys(keys: Sequence[Sequence[int]]) -> np.ndarray:
+    """One uint64 SplitMix seed per key, a sequence of non-negative ints. Each
+    int gives its 64-bit limbs from the lowest up to its highest nonzero one,
+    at least one, and each limb in turn is folded in as seed = mix((seed ^
+    limb) + gamma), from 0. A negative int raises ValueError."""
+    ints = list(map(operator.index, itertools.chain.from_iterable(keys)))
+    counts = np.maximum((np.fromiter(map(int.bit_length, ints), dtype=np.int64,
+                                     count=len(ints)) + 63) // 64, 1)
+    width = int(counts.max(initial=1))
+    try:
+        blob = b"".join([x.to_bytes(8 * width, "little") for x in ints])
+    except OverflowError:  # to_bytes of a negative int
+        raise ValueError("key parts must be non-negative") from None
+    limbs = np.frombuffer(blob, dtype="<u8").reshape(len(ints), width)
+    limbs = limbs[np.arange(width) < counts[:, None]]
+    lengths = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys))
+    bounds = np.concatenate([[0], np.cumsum(counts)])[np.concatenate([[0], np.cumsum(lengths)])]
+    totals = np.diff(bounds)
+    seeds = np.zeros(len(keys), dtype=np.uint64)
+    for total in set(totals.tolist()):
+        group = np.flatnonzero(totals == total)
+        seed = np.zeros(group.size, dtype=np.uint64)
+        for limb in limbs[bounds[group, None] + np.arange(total)].T:
+            seed = _mix64((seed ^ limb) + _GAMMA)
+        seeds[group] = seed
+    return seeds
+
+
+def _words(seeds: np.ndarray, steps: int, size: int) -> np.ndarray:
+    """(B, steps, size) uint64: the word of step s, index t for each seed."""
+    counter = (np.arange(steps, dtype=np.uint64)[:, None] << np.uint64(32)
+               | np.arange(size, dtype=np.uint64))
+    return _mix64(seeds[:, None, None] + (counter + np.uint64(1)) * _GAMMA)
+
+
 def draw_minibatches(ns: list[int], sizes, steps: int,
-                     entropies: Sequence[Sequence[int]]) -> list:
-    """Each leaf's `steps` sorted minibatches, leaf i drawing from the stream
-    of `np.random.default_rng(entropies[i])`: a (steps, sizes[i]) int64 array
-    of row indices into range(ns[i]), or None when sizes[i] == ns[i] (no
-    draw).
+                     keys: Sequence[Sequence[int]]) -> list:
+    """Each leaf's `steps` sorted minibatches from its key: a (steps,
+    sizes[i]) int64 array of distinct row indices into range(ns[i]), or None
+    when sizes[i] == ns[i] (no draw).
 
-    The rows are exactly those of `steps` calls `rng.choice(n, size,
-    replace=False)` on that generator, each sorted. The streams of all leaves
-    with size < n <= FLOYD_MAX_N are seeded in one pass, and each leaf reads
-    the words those calls would consume with one `random_raw`. The words of
-    leaves that share a size go through Floyd's algorithm together
-    (`_floyd_rows`), once DRAW_WORDS words are held and at the end. A leaf
-    where some word may have been a Lemire rejection builds its
-    `default_rng` and calls `choice`. So does every leaf with n > FLOYD_MAX_N,
-    and every leaf on a numpy where the one-time probe
-    (`fast_streams_enabled`) finds that the seeding or the draw differs.
+    Leaf i's rows depend only on (keys[i], ns[i], sizes[i], steps), not on
+    the other leaves of the call. The words of all leaves that share a size
+    are computed in one pass and go through Floyd's algorithm together.
     """
-    return _draw(ns, sizes, steps, entropies, fast_streams_enabled())
-
-
-def _draw(ns, sizes, steps, entropies, fast: bool) -> list:
-    if not len(ns) == len(sizes) == len(entropies):
-        raise ValueError("need one size and one entropy per leaf")
-    out: list = [None] * len(ns)
-    raw, slow = [], []
+    if not len(ns) == len(sizes) == len(keys):
+        raise ValueError("need one size and one key per leaf")
+    seeds = _fold_keys(keys)
+    by_size: dict[int, list[int]] = {}
     for i, (n, size) in enumerate(zip(ns, sizes)):
         if size < n:
-            (raw if fast and n <= FLOYD_MAX_N else slow).append(i)
-    pending: dict[int, list] = {}  # size -> [(leaf, its raw words)]
-    held = 0
-    for i, rng in zip(raw, _reseeded([entropies[i] for i in raw])):
-        count = steps * (2 * sizes[i] - 1)
-        pending.setdefault(sizes[i], []).append(
-            (i, rng.bit_generator.random_raw((count + 1) // 2)))
-        held += count
-        if held >= DRAW_WORDS:
-            slow += _resolve(pending, ns, steps, out)
-            pending, held = {}, 0
-    slow += _resolve(pending, ns, steps, out)
-    for i in slow:
-        out[i] = _choice_rows(ns[i], sizes[i], steps, np.random.default_rng(entropies[i]))
+            by_size.setdefault(size, []).append(i)
+    out: list = [None] * len(ns)
+    for size, leaves in by_size.items():
+        rows = _floyd_rows(np.array([ns[i] for i in leaves]), size,
+                           _words(seeds[leaves], steps, size) >> np.uint64(32))
+        for i, leaf_rows in zip(leaves, rows):
+            out[i] = leaf_rows
     return out
 
 
-def _choice_rows(n: int, size: int, steps: int, rng) -> np.ndarray:
-    idx = np.empty((steps, size), dtype=np.int64)
-    for step in range(steps):
-        idx[step] = rng.choice(n, size=size, replace=False)
-    idx.sort(axis=-1)
-    return idx
-
-
-def _resolve(pending: dict, ns, steps: int, out: list) -> list[int]:
-    """Write the rows of each pending leaf, from its raw words, into `out`;
-    return the leaves where some word may have been a rejection."""
-    rejected = []
-    for size, group in pending.items():
-        leaves = [i for i, _ in group]
-        per_step = 2 * size - 1
-        words = np.concatenate([raw for _, raw in group]).view(np.uint32)
-        words = words.reshape(len(group), -1)[:, :steps * per_step]
-        rows, suspect = _floyd_rows(np.array([ns[i] for i in leaves]), size,
-                                    words.reshape(len(group), steps, per_step))
-        for i, leaf_rows, bad in zip(leaves, rows, suspect.tolist()):
-            if bad:
-                rejected.append(i)
-            else:
-                out[i] = leaf_rows
-    return rejected
-
-
-def _floyd_rows(ns: np.ndarray, size: int, words: np.ndarray):
-    """Floyd's picks for B leaves of populations ns, from the words `choice`
-    would read: words is (B, steps, 2 * size - 1) uint32, each step's `size`
-    Floyd draws then its `size - 1` shuffle draws. Returns the sorted picks
-    (B, steps, size) and, per leaf, whether some word's low product half is
-    below its bound, so that it may have been a rejection and `choice` may
-    have read further."""
+def _floyd_rows(ns: np.ndarray, size: int, words: np.ndarray) -> np.ndarray:
+    """Floyd's sample of `size` from range(n) for B leaves of populations ns,
+    one per step: for the t-th j in [n - size, n), v = (u * (j + 1)) >> 32 of
+    the step's t-th 32-bit word u, and v is taken unless it already is, then
+    j. words is (B, steps, size) uint64 below 2^32; returns the sorted picks
+    (B, steps, size)."""
     nb, steps = words.shape[:2]
     j = ns[:, None] - size + np.arange(size)
-    bound = np.empty((nb, 1, 2 * size - 1), dtype=np.uint64)
-    bound[:, 0, :size] = j + 1
-    bound[:, 0, size:] = np.arange(size, 1, -1)
-    m = words * bound
-    suspect = ((m & 0xFFFFFFFF) < bound).any(axis=(1, 2))
-    picks = (m[..., :size] >> 32).astype(np.int64).reshape(nb * steps, size)
+    # Lemire's multiply (Lemire, 2019) without its rejection step: of the 2^32
+    # words, floor or ceil of 2^32 / r map to each value of [0, r), r = j + 1,
+    # so each value's probability is off from 1 / r by at most r / 2^32,
+    # relative. The product fits in uint64 while n <= 2^32.
+    m = words * (j + 1).astype(np.uint64)[:, None, :]
+    picks = (m >> np.uint64(32)).astype(np.int64).reshape(nb * steps, size)
     rows = np.sort(picks, axis=1)
     repeats = np.flatnonzero((rows[:, 1:] == rows[:, :-1]).any(axis=1))
     # Only a row with a repeated pick differs from its sorted picks. In such
@@ -595,48 +436,7 @@ def _floyd_rows(ns: np.ndarray, size: int, words: np.ndarray):
             pick[again] = j_sub[again, t]
             seen[pick] = True
         rows[sub] = np.sort(taken - offset, axis=1)
-    return rows.reshape(nb, steps, size), suspect
-
-
-# -- the probe -----------------------------------------------------------------
-
-_fast_streams: bool | None = None  # the probe's verdict, taken once per process
-
-
-def fast_streams_enabled() -> bool:
-    """Whether this numpy's `default_rng` streams and `choice` match the
-    one-pass seeding and the raw-word draw; the first call runs the probe."""
-    global _fast_streams
-    if _fast_streams is None:
-        _fast_streams = _probe()
-    return _fast_streams
-
-
-# The probe seeds entropies of 1, 3, 6 and 8 words, then makes its draw
-# calls: (steps, [(n, size), ...]), leaf i seeded (_PROBE_SEED, i). They cover
-# an even and an odd word count per leaf, leaves whose picks often repeat,
-# n = FLOYD_MAX_N, and (leaf 3 of the first call) a word that takes the
-# rejection fallback.
-_PROBE_SEED = 54673
-_PROBE_ENTROPIES = ((_PROBE_SEED,), (_PROBE_SEED, 0, 7), (_PROBE_SEED, 3, 2**127 + 11),
-                    (2**40 + _PROBE_SEED, 0, 2**96 + 5, 1))
-_PROBE_CALLS = ((10, [(200, 32), (2000, 32), (7, 6), (FLOYD_MAX_N, 300)]),
-                (1, [(32, 8), (2, 1), (200, 31), (FLOYD_MAX_N, 300)]))
-
-
-def _probe() -> bool:
-    for entropy, rng in zip(_PROBE_ENTROPIES, _reseeded(_PROBE_ENTROPIES)):
-        if not np.array_equal(rng.bit_generator.random_raw(4),
-                              np.random.default_rng(entropy).bit_generator.random_raw(4)):
-            return False
-    for steps, leaves in _PROBE_CALLS:
-        entropies = [(_PROBE_SEED, i) for i in range(len(leaves))]
-        got = _draw([n for n, _ in leaves], [s for _, s in leaves], steps, entropies, True)
-        for (n, size), rows, entropy in zip(leaves, got, entropies):
-            if not np.array_equal(rows, _choice_rows(n, size, steps,
-                                                     np.random.default_rng(entropy))):
-                return False
-    return True
+    return rows.reshape(nb, steps, size)
 
 
 # -- wire form ----------------------------------------------------------------

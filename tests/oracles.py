@@ -288,35 +288,32 @@ def reachable_within(friends, start, hops):
     return ball
 
 
-def finetune_reference(data, w_start, w_per, lam, eta_local, steps, batch, rng,
+def finetune_reference(data, w_start, w_per, lam, eta_local, steps, rows,
                        penalty="squared"):
     """One leaf's fine-tuning, one step at a time: ModelParams arithmetic
-    and pfl_grad on a fresh LocalDataset per minibatch, drawing one sorted
-    `choice` per step unless the batch is the whole dataset. Returns
-    (delta, new personal head)."""
+    and pfl_grad on a fresh LocalDataset per minibatch, step s on the rows
+    rows[s], or on the whole dataset when rows is None. Returns (delta, new
+    personal head)."""
     delta = ModelParams.zeros(w_start.w.shape[1], w_start.w.shape[0])
-    for _ in range(steps):
+    for step in range(steps):
         minibatch = data
-        if batch < len(data):
-            idx = np.sort(rng.choice(len(data), size=batch, replace=False))
-            minibatch = LocalDataset(data.x[idx], data.y[idx])
+        if rows is not None:
+            minibatch = LocalDataset(data.x[rows[step]], data.y[rows[step]])
         g_cla, g_per = pfl_grad(minibatch, w_start - delta, w_per, lam, penalty)
         delta = delta + eta_local * g_cla
         w_per = w_per - eta_local * g_per
     return delta, w_per
 
 
-def draw_reference(ns, sizes, steps, rngs):
-    """`model.draw_minibatches` as a loop: per leaf, one sorted
-    `choice(n, size, replace=False)` per step, or None when size == n."""
-    out = []
-    for n, size, rng in zip(ns, sizes, rngs):
-        rows = None
-        if size < n:
-            rows = np.sort([rng.choice(n, size=size, replace=False)
-                            for _ in range(steps)], axis=1)
-        out.append(rows)
-    return out
+def floyd_reference(n, size, words):
+    """Floyd's sample of `size` from range(n) as a loop over one step's
+    32-bit words: the t-th pick is (words[t] * (j + 1)) >> 32 for the t-th j
+    in [n - size, n), or j when that value is already taken. Sorted."""
+    taken = set()
+    for u, j in zip(words, range(n - size, n)):
+        v = (u * (j + 1)) >> 32
+        taken.add(j if v in taken else v)
+    return sorted(taken)
 
 
 def tree_tally(children, root, leaf_probs, n):

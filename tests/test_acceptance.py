@@ -152,9 +152,9 @@ def test_criterion_4_root_update_identity():
     session = FederatedSession(trees, gid, data, h,
                                RoundConfig(eta=1.0, lam=0.4, eta_local=0.1, steps=6,
                                            batch=8, seed=3))
-    w0 = session.global_params.copy()
-    [(delta, _)] = local_finetune([data[leaf]], w0, [w0.copy()], 0.4, 0.1, 6, 8,
-                                  [(3, 0, leaf)])
+    w0 = ModelParams(session.global_params.w.copy(), session.global_params.b.copy())
+    [(delta, _)] = local_finetune([data[leaf]], w0, [ModelParams(w0.w.copy(), w0.b.copy())],
+                                  0.4, 0.1, 6, 8, [(3, 0, leaf)])
     session.centralized_round()
     finetuned = w0 - delta
     ok = (np.array_equal(session.global_params.w, finetuned.w)

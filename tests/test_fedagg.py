@@ -159,11 +159,11 @@ def test_single_leaf_eta_one_recovers_finetuned_weights_exactly():
     data = gaussian_data([leaf], H, seed=1)
     cfg = RoundConfig(eta=1.0, lam=0.4, eta_local=0.1, steps=4, batch=8, seed=3)
     session = FederatedSession(trees, gid, data, H, cfg)
-    w0 = session.global_params.copy()
+    w0 = ModelParams(session.global_params.w.copy(), session.global_params.b.copy())
     assert np.array_equal(w0.w, np.zeros((2, H)))
 
-    [(delta, _w_per)] = local_finetune([data[leaf]], w0, [w0.copy()], 0.4, 0.1, 4, 8,
-                                       [(3, 0, leaf)])
+    [(delta, _w_per)] = local_finetune([data[leaf]], w0, [ModelParams(w0.w.copy(), w0.b.copy())],
+                                       0.4, 0.1, 4, 8, [(3, 0, leaf)])
     session.centralized_round()
     expected = w0 - delta  # the leaf's own fine-tuned weights
     assert np.array_equal(session.global_params.w, expected.w)
@@ -179,12 +179,12 @@ def test_star_round_equals_flat_average_oracle():
     data = gaussian_data([i for i in ids if i != root], H, seed=2)
     cfg = RoundConfig(eta=1.0, lam=0.5, eta_local=0.1, steps=3, batch=10, seed=7)
     session = FederatedSession(trees, gid, data, H, cfg)
-    w0 = session.global_params.copy()
+    w0 = ModelParams(session.global_params.w.copy(), session.global_params.b.copy())
 
     finetuned = []
     for nid in sorted(data):
-        [(delta, _)] = local_finetune([data[nid]], w0, [w0.copy()], 0.5, 0.1, 3, 10,
-                                      [(7, 0, nid)])
+        [(delta, _)] = local_finetune([data[nid]], w0, [ModelParams(w0.w.copy(), w0.b.copy())],
+                                      0.5, 0.1, 3, 10, [(7, 0, nid)])
         finetuned.append((w0 - delta).w)
     oracle = flat_mean(finetuned)
 

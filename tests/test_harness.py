@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from dhtfed import harness, model
+from dhtfed import harness
 from dhtfed.fedagg import FederatedSession, RoundConfig, write_round_log
 from dhtfed.harness import (MIXED, SINGLE_TOPIC_PER_TREE, DisseminationRow,
                             MetricsRecord, ScenarioConfig, TopicSpec, compute_accuracy,
@@ -21,6 +21,7 @@ from dhtfed.overlay import Overlay, random_ids
 from dhtfed.tree import TreeManager
 
 from conftest import build_world
+from oracles import points_reference
 
 DEMO_INI = Path(__file__).resolve().parent.parent / "configs" / "demo.ini"
 
@@ -85,34 +86,37 @@ def test_mixed_data_splits_points_evenly():
     assert all(len(ds) == 100 for ds in data.values())
 
 
-def sample(spec, n, seed, stream):
-    """n points of one topic from default_rng([seed, topic, stream]): fair
-    coin labels, then class mean plus scaled Gaussian noise."""
-    rng = np.random.default_rng([seed, spec.topic_id, stream])
-    y = rng.integers(0, 2, size=n)
-    noise = rng.normal(size=(n, spec.mean0.size))
-    return np.where(y[:, None] == 1, spec.mean1, spec.mean0) + spec.cov_scale * noise, y
+def per_topic_reference(topics, shares, ids, seed):
+    """Node data as a loop: one default_rng((seed, topic)) per topic, and the
+    nodes in sorted id order, each drawing its share of every topic in turn."""
+    rngs = [np.random.default_rng((seed, spec.topic_id)) for spec in topics]
+    out = {}
+    for nid in sorted(ids):
+        parts = [points_reference(spec, share, rng)
+                 for spec, share, rng in zip(topics, shares, rngs)]
+        out[nid] = (np.concatenate([x for x, _ in parts]), np.concatenate([y for _, y in parts]))
+    return out
 
 
-@pytest.mark.parametrize("fast", [True, False])
-def test_node_data_equals_per_node_samples(monkeypatch, fast):
-    # Seeding every node's stream in one pass is only a faster route to the
-    # points of one default_rng per (seed, topic, node). Odd counts leave a
+@pytest.mark.parametrize("shuffled", [True, False])
+def test_node_data_equals_per_node_samples(shuffled):
+    # Each node's points are its slices of the per-topic streams, taken in
+    # sorted id order whatever order the ids come in. Odd counts leave a
     # buffered half-word after the labels.
-    monkeypatch.setattr(model, "_fast_streams", fast)
     topics = make_topics(3, 8, seed=7, samples_per_node=33)
     ids = random_ids(5, 3) + [0, 7]
+    if shuffled:
+        ids = [int(i) for i in np.random.default_rng(3).permutation(ids)]
     single = generate_topic_data(topics[1], ids, seed=2**33 + 1)
     mixed = mixed_node_data(topics, ids, seed=4, points_per_node=50)
+    want_single = per_topic_reference([topics[1]], [33], ids, 2**33 + 1)
+    want_mixed = per_topic_reference(topics, [17, 17, 16], ids, 4)
     for nid in ids:
-        x, y = sample(topics[1], 33, 2**33 + 1, nid)
-        assert np.array_equal(single[nid].x, x) and np.array_equal(single[nid].y, y)
-        parts = [sample(spec, share, 4, nid) for spec, share in zip(topics, [17, 17, 16])]
-        assert np.array_equal(mixed[nid].x, np.concatenate([x for x, _ in parts]))
-        assert np.array_equal(mixed[nid].y, np.concatenate([y for _, y in parts]))
-    test = generate_testset(topics[2], 41, seed=5)
-    x, y = sample(topics[2], 41, 5, 1 << 130)
-    assert np.array_equal(test.x, x) and np.array_equal(test.y, y)
+        assert same_bits(single[nid], *want_single[nid])
+        assert same_bits(mixed[nid], *want_mixed[nid])
+    test_rng = np.random.default_rng((5, topics[2].topic_id, 1 << 130))
+    assert same_bits(generate_testset(topics[2], 41, seed=5),
+                     *points_reference(topics[2], 41, test_rng))
 
 
 _mean_part = st.sampled_from([-0.0, 0.0, -1.5, 2.0, 1e-300])
@@ -142,43 +146,44 @@ def _spec(topic_id, mean0, mean1, cov_scale):
 
 
 @settings(deadline=None)  # examples from the active profile; CI runs "model-2000"
-@given(fast=st.booleans(), topics=_topics(), points=st.integers(1, 25),
+@given(topics=_topics(), points=st.integers(1, 25),
        ids=st.lists(st.integers(0, 2**128 - 1), min_size=1, max_size=12, unique=True),
        block_rows=st.integers(1, 40), part_rows=st.integers(1, 30),
        seed=st.integers(0, 2**32 - 1))
 # Shares of 3, 2 and 2 points, one node a block, split into parts of 2 rows;
 # cov_scale 0 beside -0.0 mean components.
-@example(fast=True, topics=[_spec(0, [-0.0, 0.0], [1e-300, -0.0], 0.0),
-                            _spec(1, [-0.0, 2.0], [2.0, -0.0], 1.0),
-                            _spec(2, [2.0, -1.5], [-0.0, -0.0], 0.0)],
+@example(topics=[_spec(0, [-0.0, 0.0], [1e-300, -0.0], 0.0),
+                 _spec(1, [-0.0, 2.0], [2.0, -0.0], 1.0),
+                 _spec(2, [2.0, -1.5], [-0.0, -0.0], 0.0)],
          points=7, ids=[5, 1, 2**127, 9, 3], block_rows=8, part_rows=2, seed=11)
 # Shares of 1, 0 and 0 points, three nodes a block over seven nodes.
-@example(fast=False, topics=[_spec(0, [-0.0, 0.0], [2.0, 0.0], 0.0),
-                             _spec(1, [0.0, 1e-300], [-1.5, 0.0], 5e-324),
-                             _spec(2, [-0.0, -0.0], [0.0, 2.0], 3.0)],
+@example(topics=[_spec(0, [-0.0, 0.0], [2.0, 0.0], 0.0),
+                 _spec(1, [0.0, 1e-300], [-1.5, 0.0], 5e-324),
+                 _spec(2, [-0.0, -0.0], [0.0, 2.0], 3.0)],
          points=1, ids=list(range(7)), block_rows=3, part_rows=1, seed=2**32 - 1)
-def test_node_data_matches_per_node_streams(fast, topics, points, ids, block_rows,
-                                            part_rows, seed):
+def test_node_data_does_not_depend_on_block_and_part_sizes(topics, points, ids, block_rows,
+                                                           part_rows, seed):
     # Blocks and parts of a few rows put more nodes in a run than one block
     # holds, and split a share, mixed shares included, across parts; with
-    # few points, mixed shares have 1 point, an odd count, or none.
+    # few points, mixed shares have 1 point, an odd count, or none. The
+    # data must still be the per-topic streams drawn node by node.
     dim = topics[0].mean0.size
     single = TopicSpec(topics[0].topic_id, topics[0].mean0, topics[0].mean1,
                        topics[0].cov_scale, points)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(model, "_fast_streams", fast)
         patch.setattr(harness, "BLOCK_BYTES", 8 * dim * block_rows)
         patch.setattr(harness, "PART_BYTES", 8 * dim * part_rows)
         one = generate_topic_data(single, ids, seed)
         mixed = mixed_node_data(topics, ids, seed, points)
         test = generate_testset(topics[-1], points, seed)
     shares = [points // len(topics) + (t < points % len(topics)) for t in range(len(topics))]
+    want_one = per_topic_reference([single], [points], ids, seed)
+    want_mixed = per_topic_reference(topics, shares, ids, seed)
     for nid in ids:
-        assert same_bits(one[nid], *sample(single, points, seed, nid))
-        parts = [sample(spec, share, seed, nid) for spec, share in zip(topics, shares)]
-        assert same_bits(mixed[nid], np.concatenate([x for x, _ in parts]),
-                         np.concatenate([y for _, y in parts]))
-    assert same_bits(test, *sample(topics[-1], points, seed, 1 << 130))
+        assert same_bits(one[nid], *want_one[nid])
+        assert same_bits(mixed[nid], *want_mixed[nid])
+    test_rng = np.random.default_rng((seed, topics[-1].topic_id, 1 << 130))
+    assert same_bits(test, *points_reference(topics[-1], points, test_rng))
 
 
 def test_overflowing_points_raise_from_every_generator():
@@ -643,23 +648,23 @@ def scenario_digest(result) -> str:
 # the training loss and the per-node byte counts.
 PINNED = {
     "demo": (None,
-             "06b6d790de157143238982110dc319e9f94af6a18a8e1c6ae422148ed2c74651",
-             "c6a25bf0867154e210649eb71116a33dcf6af9c86e0e03830bc859e04b20bc44"),
+             "2b7c600e956371e5c839d84819b258d8c36a4dd17ef42c5c979aefd0f56220db",
+             "4b4beb44488b44cb27e6ea997b18dda0cd4657592d540badc170842aa3820037"),
     "decentralized": (
         dict(seed=3, nodes=60, rounds=4, mode="decentralized", topics=1,
              tree_count=1, hidden_dim=8, steps=2, batch=8, points_per_node=32),
-        "9394a0f1469a839aa33b79463458d16877e269bfdc369273589796db74356e55",
-        "80ca25eccf50a361edecb5d7aba5356a1a4083fb736f2ac8c72563d440e4bdbf"),
+        "1cd336618d6a63acf071f5b13fe5e0c297acd9b6e89ffdd55b6027f63565feed",
+        "a3273b39fa98f30302f44e3f89216a1ffe78c4c0392e0475169c435e6ee106c6"),
     "auto-weights-norm": (
         dict(seed=5, nodes=80, rounds=3, mode="auto", upload="weights",
              agg_mode="unweighted", penalty="norm"),
-        "e577cb3f18613890505ed3870e5dcea4291cd22b40a082b1d4aee06ba9b89199",
-        "6f9f0a8b40ab3864e5ccd8cca01bc08f1742abbc3066ed7ef1857e630b13999f"),
+        "96c00a77dcdd4b271be625ec6595982210f509ecdd996ef93d03b13e003969a8",
+        "2e0f18cfa08edb1e5290cffd12bad9e8ee15e058e057c9a01529ecb2b6a551d4"),
     "mixed-churn": (
         dict(seed=9, nodes=60, rounds=3, assignment="mixed", tree_count=1,
              failures=[(0.0, 4, "fail"), (0.0, 7, "fail"), (8000.0, 4, "rejoin")]),
-        "fc500695f91f458346e90413ad2251eee37125fcf53342fc054c798f726cbfd1",
-        "ccab1d67581227dcd37c646f96fdcaa5e61077bd724561b74aa2c51fe2819180"),
+        "2d402965eae2c1c3e4bad595c44ea87095f321e7d6671f965b7433db8b277502",
+        "6d7ac96c1c8939a72040de6ddcac5ba920ddaff60c6bdae92be4ed233d0f43fd"),
     # The perfbench churn shape at N=300: 3 single-topic trees, 2% of the
     # nodes fail at t=0 and half of them rejoin at t=8000, light model. It
     # runs the rejoin storm, repair after a batch of failures, rejoins and
@@ -670,8 +675,8 @@ PINNED = {
              batch=8, points_per_node=32,
              failures=[(0.0, i, "fail") for i in (182, 176, 0, 251, 177, 270)]
              + [(8000.0, i, "rejoin") for i in (182, 176, 0)]),
-        "5c9f6541a9f97bdb4ed43a7b1709846c98c0e3a102928d354a5d169cf3f623ca",
-        "46f289f61d3528bbc3626a68d6f81059f8a39ca6b19d5cf999e146c5b85700c6"),
+        "1493c38d6299875660adbf2dfc1fd92d2b6e4e90d62f167ab34fc2d995c8eadd",
+        "b249b206857c85a3fb7f0275214388d17be5d26145ada97342c65eae9eaa7450"),
     # A failure and a rejoin between rounds, on a fanout-2 tree: the
     # parent-failure JOINs route over an overlay that has failed nodes, so
     # `next_hop`'s lazy routing-table patches run along each JOIN's whole
@@ -680,8 +685,8 @@ PINNED = {
     "join-walk": (
         dict(seed=363, nodes=308, rounds=3, fanout=2,
              failures=[(500.0, 20, "fail"), (500.0, 54, "fail"), (4000.0, 20, "rejoin")]),
-        "e50f9f4ff4406fd14473e0623ed5ef230a0caf0efdec8f6ec95c37b7de6b8d88",
-        "a7046875edc9a50c3a772519dc8de3624016d3b38e0adec22dc15e353ed57e59"),
+        "90ed4c37abf50bdd1f6c03559680b68844817d89e14e8fa8d5645d2aaa5bd4e0",
+        "274b8eccf3b131530d42c6857cb4255d5952701d63280126ce3e1a0a32e5bc0f"),
 }
 
 
@@ -706,14 +711,6 @@ def test_pinned_scenario_digest(name, monkeypatch, tmp_path):
     log = tmp_path / "rounds.jsonl"
     write_round_log(result.round_metrics, str(log))
     assert hashlib.sha256(log.read_bytes()).hexdigest() == want_log
-
-
-def test_demo_digest_with_every_draw_through_choice(monkeypatch):
-    # The one-pass seeding and the raw-word minibatch draw are only a faster
-    # route to the same data and rows.
-    monkeypatch.setattr(model, "_fast_streams", False)
-    result = run_scenario(ScenarioConfig.from_ini(str(DEMO_INI)))
-    assert scenario_digest(result) == PINNED["demo"][1]
 
 
 def test_the_demo_pin_covers_votes_broken_by_probability_mass(monkeypatch):

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from dhtfed import model
-from dhtfed.model import (FLOYD_MAX_N, PENALTIES, LocalDataset, ModelParams,
-                          deserialize_params, draw_minibatches, forward_batch,
-                          forward_heads, local_finetune, param_nbytes, pfl_grad,
-                          pfl_loss, pfl_losses, serialize_params)
+from dhtfed.model import (PENALTIES, LocalDataset, ModelParams, deserialize_params,
+                          draw_minibatches, forward_batch, forward_heads,
+                          local_finetune, param_nbytes, pfl_grad, pfl_loss, pfl_losses,
+                          serialize_params)
 from dhtfed.fedagg import INFER_CHUNK
 from dhtfed.harness import TopicSpec, _write_points
 
-from oracles import (central_difference, draw_reference, finetune_reference,
+from oracles import (central_difference, finetune_reference, floyd_reference,
                      loss_reference, points_reference)
 
 H = 5
@@ -73,7 +73,8 @@ def test_equal_personal_and_global_weights_zero_the_penalty():
     rng = np.random.default_rng(3)
     data = rand_data(rng)
     w = rand_params(rng)
-    assert pfl_loss(data, w, w.copy(), 7.3) == pfl_loss(data, w, w.copy(), 0.0)
+    w_per = ModelParams(w.w.copy(), w.b.copy())
+    assert pfl_loss(data, w, w_per, 7.3) == pfl_loss(data, w, w_per, 0.0)
 
 
 def test_zero_weights_balanced_data_loss_is_ln2():
@@ -113,7 +114,7 @@ def test_stacked_loss_equals_the_per_leaf_formula_bit_for_bit(penalty):
     assert len(sizes) > 2 * INFER_CHUNK
     datas = [rand_data(rng, n=n) for n in sizes]
     heads = [w + rand_params(rng) * rng.uniform(0.1, 3.0) for _ in sizes]
-    heads[5] = w.copy()  # zero offset, norm kink
+    heads[5] = ModelParams(w.w.copy(), w.b.copy())  # zero offset, norm kink
     for lam in (0.0, 1.5):
         losses = pfl_losses(datas, w, heads, lam, penalty)
         want = [loss_reference(d, w, p, lam, penalty) for d, p in zip(datas, heads)]
@@ -210,10 +211,11 @@ def test_unsquared_penalty_subgradient_zero_at_kink():
     rng = np.random.default_rng(8)
     data = rand_data(rng)
     w = rand_params(rng)
-    g_cla, g_per = pfl_grad(data, w, w.copy(), 2.0, penalty="norm")
+    w_per = ModelParams(w.w.copy(), w.b.copy())
+    g_cla, g_per = pfl_grad(data, w, w_per, 2.0, penalty="norm")
     assert np.array_equal(g_per.w, np.zeros((2, H)))
     assert np.array_equal(g_per.b, np.zeros(2))
-    g_plain, _ = pfl_grad(data, w, w.copy(), 0.0)
+    g_plain, _ = pfl_grad(data, w, w_per, 0.0)
     assert np.array_equal(g_cla.w, g_plain.w)
 
 
@@ -240,7 +242,7 @@ def test_zero_step_size_is_a_null_update():
     w = rand_params(rng)
     w_per = rand_params(rng)
     [(delta, new_per)] = local_finetune([data], w, [w_per], 0.5, 0.0, steps=5, batch=6,
-                                        entropies=[(0,)])
+                                        keys=[(0,)])
     assert np.array_equal(delta.w, np.zeros((2, H)))
     assert np.array_equal(delta.b, np.zeros(2))
     assert np.array_equal(new_per.w, w_per.w)
@@ -253,7 +255,7 @@ def test_single_full_batch_step_equals_analytic_gradient_exactly():
     w_per = rand_params(rng)
     g_cla, _ = pfl_grad(data, w, w_per, 0.3)
     [(delta, _)] = local_finetune([data], w, [w_per], 0.3, 0.05, steps=1,
-                                  batch=len(data), entropies=[(0,)])
+                                  batch=len(data), keys=[(0,)])
     assert np.array_equal(delta.w, 0.05 * g_cla.w)
     assert np.array_equal(delta.b, 0.05 * g_cla.b)
 
@@ -267,7 +269,7 @@ def test_training_reduces_loss_on_separable_data():
     w0 = ModelParams.zeros(H)
     before = pfl_loss(data, w0, ModelParams.zeros(H), 0.1)
     [(delta, w_per)] = local_finetune([data], w0, [ModelParams.zeros(H)], 0.1, 0.2,
-                                      steps=200, batch=32, entropies=[(1,)])
+                                      steps=200, batch=32, keys=[(1,)])
     after = pfl_loss(data, w0 - delta, w_per, 0.1)
     assert after < before
 
@@ -299,7 +301,7 @@ def test_finetune_is_deterministic_per_seed():
 
     def run(seed):
         [result] = local_finetune([data], w, [w_per], 0.4, 0.1, steps=20, batch=16,
-                                  entropies=[(seed,)])
+                                  keys=[(seed,)])
         return result
 
     d1, p1 = run(77)
@@ -316,9 +318,9 @@ def test_finetune_validates_arguments():
     w = rand_params(rng)
     head = rand_params(rng)
 
-    def call(datas=(data,), heads=(head,), steps=1, batch=2, entropies=((0,),), **kw):
+    def call(datas=(data,), heads=(head,), steps=1, batch=2, keys=((0,),), **kw):
         return local_finetune(list(datas), w, list(heads), 0.5, 0.1, steps, batch,
-                              list(entropies), **kw)
+                              list(keys), **kw)
 
     with pytest.raises(ValueError):
         call(steps=0)
@@ -328,23 +330,29 @@ def test_finetune_validates_arguments():
         call(penalty="cubic")
     with pytest.raises(ValueError, match="one personal head"):
         call(datas=(data, data))
-    with pytest.raises(ValueError, match="one entropy per leaf"):
+    with pytest.raises(ValueError, match="one key per leaf"):
         call(datas=(data, data), heads=(head, head))
     with pytest.raises(ValueError, match="batch"):  # one leaf's batch too large
         call(datas=(data, rand_data(rng, n=2)), heads=(head, head),
-             entropies=[(0,), (1,)], batch=3)
+             keys=[(0,), (1,)], batch=3)
     with pytest.raises(ValueError, match="batch"):
         call(datas=(data, data), heads=(head, head),
-             entropies=[(0,), (1,)], batch=[2, 0])
+             keys=[(0,), (1,)], batch=[2, 0])
     with pytest.raises(ValueError, match="non-negative"):
-        call(datas=(data, data), heads=(head, head),
-             entropies=[(0,), (3, -1)])
-    assert call(datas=(), heads=(), entropies=()) == []
+        call(datas=(data, data), heads=(head, head), keys=[(0,), (3, -1)])
+    with pytest.raises(ValueError, match="non-negative"):  # a 128-bit negative part
+        call(datas=(data, data), heads=(head, head), keys=[(0,), (3, 0, -(2**70))])
+    assert call(datas=(), heads=(), keys=()) == []
 
 
 def _leaf_round(rng, sizes):
     """Datasets of the given sizes with a personal head each."""
     return [rand_data(rng, n=n) for n in sizes], [rand_params(rng) for _ in sizes]
+
+
+def rows_of(data, batch, steps, key):
+    """The minibatch rows local_finetune draws for one leaf, drawn alone."""
+    return draw_minibatches([len(data)], [batch], steps, [key])[0]
 
 
 @pytest.mark.parametrize("penalty", ["squared", "norm"])
@@ -357,14 +365,14 @@ def test_finetune_matches_the_params_level_step_rule_bit_for_bit(penalty):
     datas, heads = _leaf_round(rng, sizes)
     w_start = rand_params(rng)
     batches = [min(8, n) for n in sizes]
-    starts = [p.copy() for p in heads]
+    starts = [ModelParams(p.w.copy(), p.b.copy()) for p in heads]
     for lam, eta in [(1.3, 0.07), (0.0, 0.2)]:
         got = local_finetune(datas, w_start, heads, lam, eta, 12, batches,
                              [(5, i) for i in range(len(sizes))], penalty)
         for i, (data, head) in enumerate(zip(datas, heads)):
             want_delta, want_per = finetune_reference(
-                data, w_start, head, lam, eta, 12, batches[i],
-                np.random.default_rng([5, i]), penalty)
+                data, w_start, head, lam, eta, 12, rows_of(data, batches[i], 12, (5, i)),
+                penalty)
             delta, w_per = got[i]
             assert np.array_equal(delta.w, want_delta.w), (lam, i)
             assert np.array_equal(delta.b, want_delta.b), (lam, i)
@@ -394,13 +402,12 @@ def test_finetune_across_gather_blocks_matches_the_reference(seed, batch, big, s
     heads = [rand_params(rng, hidden) for _ in sizes]
     lam, eta = float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.01, 0.3))
     w_start = rand_params(rng, hidden)
-    entropies = [(seed, i) for i in range(len(sizes))]
-    got = local_finetune(datas, w_start, heads, lam, eta, steps, batches, entropies,
-                         penalty)
+    keys = [(seed, i) for i in range(len(sizes))]
+    got = local_finetune(datas, w_start, heads, lam, eta, steps, batches, keys, penalty)
     for i, (delta, w_per) in enumerate(got):
         want_delta, want_per = finetune_reference(
-            datas[i], w_start, heads[i], lam, eta, steps, batches[i],
-            np.random.default_rng(entropies[i]), penalty)
+            datas[i], w_start, heads[i], lam, eta, steps,
+            rows_of(datas[i], batches[i], steps, keys[i]), penalty)
         assert np.array_equal(delta.w, want_delta.w), i
         assert np.array_equal(delta.b, want_delta.b), i
         assert np.array_equal(w_per.w, want_per.w), i
@@ -413,12 +420,12 @@ def test_norm_penalty_at_the_kink_stacked_with_other_leaves():
     rng = np.random.default_rng(20)
     datas, heads = _leaf_round(rng, [12, 12, 12])
     w_start = rand_params(rng)
-    heads[1] = w_start.copy()
+    heads[1] = ModelParams(w_start.w.copy(), w_start.b.copy())
     got = local_finetune(datas, w_start, heads, 3.0, 0.1, 1, 12, [(i,) for i in range(3)],
                          "norm")
     for i in range(3):
         want_delta, want_per = finetune_reference(
-            datas[i], w_start, heads[i], 3.0, 0.1, 1, 12, np.random.default_rng(i), "norm")
+            datas[i], w_start, heads[i], 3.0, 0.1, 1, None, "norm")
         assert np.array_equal(got[i][0].w, want_delta.w)
         assert np.array_equal(got[i][1].w, want_per.w)
 
@@ -428,7 +435,7 @@ def test_diverging_finetune_raises():
     # features are of order 1e200, sits in the first group or in the second.
     def run(datas, heads):
         return local_finetune(datas, ModelParams.zeros(H), heads, 0.5, 0.1, steps=4,
-                              batch=[12, 6, 12, 6], entropies=[(i,) for i in range(4)])
+                              batch=[12, 6, 12, 6], keys=[(i,) for i in range(4)])
 
     datas, heads = _leaf_round(np.random.default_rng(3), [12, 12, 12, 12])
     run(datas, heads)
@@ -439,181 +446,144 @@ def test_diverging_finetune_raises():
             run(scaled, heads)
 
 
-# -- seeded streams ----------------------------------------------------------------
+# -- minibatch draws ---------------------------------------------------------------
 
-def _int_of_words(words):
-    """An int whose SeedSequence words are exactly `words` (a top word of 0
-    would be dropped, so it is made 1)."""
-    if len(words) > 1 and words[-1] == 0:
-        words = words[:-1] + [1]
-    return sum(w << (32 * k) for k, w in enumerate(words))
-
-
-# Entropy as (seed, round, id) the way sessions seed leaves and nodes, plus
-# sequences whose ints split into 1 to 8 words in any way, and none.
-_word = st.integers(0, 2**32 - 1)
-_entropy = st.one_of(
-    st.tuples(st.integers(0, 2**64), st.integers(0, 50), st.integers(0, 2**96 - 1)),
-    st.lists(st.lists(_word, min_size=1, max_size=4), max_size=8)
-    .filter(lambda ints: sum(map(len, ints)) <= 8)
-    .map(lambda ints: [_int_of_words(words) for words in ints]),
-)
+def splitmix64(seed, count):
+    """The first `count` outputs of SplitMix64 from `seed`, in Python ints."""
+    out, mask = [], (1 << 64) - 1
+    for _ in range(count):
+        seed = (seed + 0x9E3779B97F4A7C15) & mask
+        z = ((seed ^ (seed >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
 
 
-@settings(max_examples=300, deadline=None)
-@given(entropies=st.lists(_entropy, min_size=1, max_size=12))
-@example(entropies=[(), (0,), (2**32,), (7, 0, 5), (2**32 + 3, 0, 2**96 - 1),
-                    (1, 2, 3, 4, 5, 6, 7, 8), (0, 0, 0, 0, 0)])
-# The test-set stream of harness.generate_testset: a 131-bit stream id.
-@example(entropies=[(5, 2, 1 << 130), (2**33 + 1, 0, 1 << 130)])
-def test_seeding_matches_default_rng(entropies):
-    states, incs = model.seed_pcg64(entropies)
-    for e, state, inc, rng in zip(entropies, states, incs, model._reseeded(entropies),
-                                  strict=True):
-        want = np.random.default_rng(e).bit_generator
-        assert (state, inc) == (want.state["state"]["state"], want.state["state"]["inc"])
-        assert np.array_equal(rng.bit_generator.random_raw(6), want.random_raw(6))
+def test_words_are_splitmix64_outputs():
+    # The empty key folds to seed 0, whose first outputs are the published
+    # SplitMix64 values; step s starts at output s * 2^32 + 1. By hand, key
+    # ()'s first step on n = 10, size 3 takes the words' high halves times
+    # 8, 9 and 10: 7, 3 and 0, the first golden row below.
+    words = model._words(model._fold_keys([()]), 2, 3)
+    assert words[0, 0].tolist() == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
+                                    0x06C45D188009454F]
+    for key in [(), (7,), (7, 0), (5, 3, 2**127 + 11), (2**64, 1)]:
+        seeds = model._fold_keys([key])
+        seed, words = int(seeds[0]), model._words(seeds, 2, 4)
+        assert words[0, 0].tolist() == splitmix64(seed, 4), key
+        step_1 = (seed + 2**32 * 0x9E3779B97F4A7C15) % 2**64
+        assert words[0, 1].tolist() == splitmix64(step_1, 4), key
+
+
+def test_key_folding_matches_a_python_fold():
+    # Each int gives its 64-bit limbs from the lowest up to its highest
+    # nonzero one, at least one; each limb folds as mix((seed ^ limb) + gamma).
+    def fold(key):
+        seed = 0
+        for x in key:
+            for k in range(max(1, -(-x.bit_length() // 64))):
+                seed = splitmix64(seed ^ (x >> (64 * k) & (2**64 - 1)), 1)[0]
+        return seed
+
+    keys = [(), (0,), (0, 0), (7, 3, 2**127 + 5), (2**64,), (1, 2**200 + 9), (5,) * 7]
+    assert model._fold_keys(keys).tolist() == [fold(key) for key in keys]
+    assert len(set(model._fold_keys(keys).tolist())) == len(keys)
 
 
 def test_negative_entropy_raises_as_seed_sequence_does():
+    # Keys are refused where default_rng refuses the same entropy, a
+    # negative part wider than 64 bits included.
     for entropy in ([-1], [3, 0, -(2**70)]):
         with pytest.raises(ValueError, match="non-negative"):
             np.random.default_rng(entropy)
         with pytest.raises(ValueError, match="non-negative"):
-            model.seed_pcg64([(1, 2), entropy])
+            model._fold_keys([(1, 2), entropy])
+        with pytest.raises(ValueError, match="non-negative"):
+            draw_minibatches([5, 5], [2, 2], 1, [(1, 2), entropy])
 
 
-@pytest.mark.parametrize("fast", [True, False])
-def test_seeded_generators_give_default_rng_streams(monkeypatch, fast):
-    monkeypatch.setattr(model, "_fast_streams", fast)
-    entropies = [(9, 0, 2**127 + i) for i in range(5)] + [(9,), ()]
-    for e, rng in zip(entropies, model.seeded_generators(entropies), strict=True):
-        want = np.random.default_rng(e)
-        assert np.array_equal(rng.integers(0, 2, size=7), want.integers(0, 2, size=7))
-        assert np.array_equal(rng.normal(size=5), want.normal(size=5))
+# Rows of draw_minibatches for a few keys, as pinned when the draw was
+# written: (n, size, steps, key) -> rows.
+GOLDEN_ROWS = {
+    (10, 3, 2, ()): [[0, 3, 7], [2, 6, 8]],
+    (10, 3, 2, (7, 0, 2**127 + 5)): [[3, 4, 6], [0, 3, 9]],
+    (7, 6, 1, (1,)): [[0, 1, 2, 3, 4, 5]],
+    (20000, 4, 1, (3, 1, 2**128 - 1)): [[7227, 9544, 14973, 18743]],
+}
 
 
-# -- minibatch draws ---------------------------------------------------------------
-
-# Leaf 0, (n, size) = (10000, 300) over 11 steps from entropy (1274, 0),
-# reads a word that Lemire's method rejects, so it must take the fallback.
-REJECTED = dict(leaves=[(10000, 300), (200, 32), (12000, 300), (7, 6)], steps=11,
-                seed=1274)
+def test_golden_rows():
+    for (n, size, steps, key), want in GOLDEN_ROWS.items():
+        [rows] = draw_minibatches([n], [size], steps, [key])
+        assert rows.dtype == np.int64 and rows.tolist() == want, key
 
 
-def assert_draws_match_choice(leaves, steps, entropies):
-    """draw_minibatches equals the choice loop on default_rng(entropy)."""
-    ns, sizes = [n for n, _ in leaves], [s for _, s in leaves]
-    got = draw_minibatches(ns, sizes, steps, entropies)
-    want = draw_reference(ns, sizes, steps, [np.random.default_rng(e) for e in entropies])
-    for i, (rows, want_rows) in enumerate(zip(got, want, strict=True)):
-        if want_rows is None:
-            assert rows is None, i
-        else:
-            assert rows.dtype == np.int64 and np.array_equal(rows, want_rows), i
-
-
-def count_choice_draws(monkeypatch):
-    """Record (n, size, steps) of every leaf that calls `choice`."""
-    calls = []
-    original = model._choice_rows
-
-    def counted(n, size, steps, rng):
-        calls.append((n, size, steps))
-        return original(n, size, steps, rng)
-
-    monkeypatch.setattr(model, "_choice_rows", counted)
-    return calls
-
-
-def test_the_probe_enables_the_raw_word_draw_on_this_numpy():
-    assert model.fast_streams_enabled()
+def assert_valid_rows(rows, n, size, steps):
+    assert rows.shape == (steps, size) and rows.dtype == np.int64
+    assert (rows[:, 1:] > rows[:, :-1]).all()  # sorted and distinct
+    assert rows.min() >= 0 and rows.max() < n
 
 
 _leaf = st.one_of(st.integers(2, 64), st.integers(2, 12000)).flatmap(
     lambda n: st.tuples(st.just(n), st.integers(1, min(n - 1, 300))))
+_key = st.one_of(st.tuples(st.integers(0, 2**64), st.integers(0, 50),
+                           st.integers(0, 2**128 - 1)),
+                 st.lists(st.integers(0, 2**130), max_size=4).map(tuple))
 
 
-@settings(max_examples=150, deadline=None)
-@given(leaves=st.lists(_leaf, min_size=1, max_size=6), steps=st.integers(1, 11),
-       seed=st.integers(0, 2**32 - 1))
-@example(**REJECTED)
-def test_draw_matches_a_choice_loop_on_twin_generators(leaves, steps, seed):
-    assert_draws_match_choice(leaves, steps, [(seed, i) for i in range(len(leaves))])
+@settings(deadline=None)  # examples from the active profile; CI runs "model-2000"
+@given(leaves=st.lists(st.tuples(_leaf, _key), min_size=1, max_size=8),
+       steps=st.integers(1, 6), data=st.data())
+def test_a_leafs_rows_do_not_depend_on_the_other_leaves(leaves, steps, data):
+    """Rows drawn in one call equal each leaf drawn alone, in any order and
+    with any other leaves beside it; every row is sorted, distinct and in
+    range."""
+    ns = [n for (n, _), _ in leaves]
+    sizes = [size for (_, size), _ in leaves]
+    keys = [key for _, key in leaves]
+    together = draw_minibatches(ns, sizes, steps, keys)
+    order = data.draw(st.permutations(range(len(leaves))))
+    shuffled = draw_minibatches([ns[i] for i in order], [sizes[i] for i in order], steps,
+                                [keys[i] for i in order])
+    for i, rows in enumerate(together):
+        [alone] = draw_minibatches([ns[i]], [sizes[i]], steps, [keys[i]])
+        assert_valid_rows(rows, ns[i], sizes[i], steps)
+        assert np.array_equal(rows, alone), i
+        assert np.array_equal(rows, shuffled[order.index(i)]), i
 
 
-def test_a_rejected_word_takes_the_fallback(monkeypatch):
-    calls = count_choice_draws(monkeypatch)
-    leaves = REJECTED["leaves"]
-    assert_draws_match_choice(leaves, REJECTED["steps"],
-                              [(REJECTED["seed"], i) for i in range(len(leaves))])
-    # leaf 0 has a suspect word; n = 12000 is above FLOYD_MAX_N
-    assert sorted(calls) == [(10000, 300, 11), (12000, 300, 11)]
+@settings(deadline=None)
+@given(leaf=_leaf, key=_key, steps=st.integers(1, 4))
+def test_rows_are_floyds_sample_of_the_words(leaf, key, steps):
+    n, size = leaf
+    [rows] = draw_minibatches([n], [size], steps, [key])
+    words = model._words(model._fold_keys([key]), steps, size)[0] >> np.uint64(32)
+    assert rows.tolist() == [floyd_reference(n, size, step.tolist()) for step in words]
 
 
-def test_draw_resolves_at_most_draw_words_at_a_time(monkeypatch):
-    # Floyd passes start once DRAW_WORDS words are held: each pass holds at
-    # most that many plus one leaf's, and the rows stay those of `choice`,
-    # also for a rejected word held in a later pass.
-    monkeypatch.setattr(model, "DRAW_WORDS", 100)
-    held = []
-    floyd_rows = model._floyd_rows
-
-    def counted(ns, size, words):
-        held.append(words.size)
-        return floyd_rows(ns, size, words)
-
-    monkeypatch.setattr(model, "_floyd_rows", counted)
-    leaves = [(32, 8)] * 9 + [(200, 32), (32, 8), (9, 9), REJECTED["leaves"][0]]
-    entropies = [(1274, i) for i in range(len(leaves) - 1)] + [(1274, 0)]
-    assert_draws_match_choice(leaves, 11, entropies)
-    assert len(held) > 5 and max(held) < 100 + 11 * 599
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, 10_000, 10_001, 25_000])
+def test_rows_are_sorted_distinct_and_in_range(n):
+    sizes = sorted({1, n // 2, n - 1, n} - {0})
+    got = draw_minibatches([n] * len(sizes), sizes, 3, [(n, size) for size in sizes])
+    for size, rows in zip(sizes, got):
+        if size == n:
+            assert rows is None  # the whole dataset: no draw
+        else:
+            assert_valid_rows(rows, n, size, 3)
 
 
-def _fallback_case(rng, leaves, steps, entropies):
-    """local_finetune on datasets of the given (rows, batch) equals the
-    per-step choice reference on default_rng(entropy)."""
-    datas, heads = _leaf_round(rng, [n for n, _ in leaves])
-    w_start = rand_params(rng)
-    got = local_finetune(datas, w_start, heads, 0.5, 0.1, steps, [b for _, b in leaves],
-                         entropies)
-    for i, (data, head) in enumerate(zip(datas, heads)):
-        want_delta, want_per = finetune_reference(
-            data, w_start, head, 0.5, 0.1, steps, leaves[i][1],
-            np.random.default_rng(entropies[i]))
-        assert np.array_equal(got[i][0].w, want_delta.w), i
-        assert np.array_equal(got[i][1].b, want_per.b), i
-
-
-def test_finetune_draws_with_choice_above_floyd_max_n(monkeypatch):
-    calls = count_choice_draws(monkeypatch)
-    _fallback_case(np.random.default_rng(32), [(FLOYD_MAX_N + 1, 16), (FLOYD_MAX_N, 16)],
-                   2, [(32, i) for i in range(2)])
-    assert calls == [(FLOYD_MAX_N + 1, 16, 2)]
-
-
-def test_a_failed_probe_turns_the_raw_word_draw_off(monkeypatch):
-    # A raw-word draw that is off by one in every pick, a seeding with a
-    # wrong SeedSequence constant, or one that drops every entropy word
-    # after the fourth (which the draw's two-word probe entropies never
-    # show), must fail the probe; every leaf then draws with `choice` on its
-    # own default_rng, and data streams are built by default_rng too.
-    floyd_rows, pool = model._floyd_rows, model._pool
-    faults = [("_floyd_rows", lambda *args: (lambda r, s: (r + 1, s))(*floyd_rows(*args))),
-              ("_MULT_B", 0x58F38DED ^ 4),
-              ("_pool", lambda words: pool(words[:, :4]))]
-    for name, fault in faults:
-        with monkeypatch.context() as patch:
-            patch.setattr(model, name, fault)
-            patch.setattr(model, "_fast_streams", None)
-            calls = count_choice_draws(patch)
-            _fallback_case(np.random.default_rng(33), [(40, 8), (200, 32)], 3,
-                           [(33, i) for i in range(2)])
-            assert not model.fast_streams_enabled(), name
-            assert calls[-2:] == [(40, 8, 3), (200, 32, 3)], name
-            first, second = model.seeded_generators([(33, 0), (33, 1)])
-            assert first is not second, name  # one default_rng each
-    assert model.fast_streams_enabled()
+def test_floyd_sample_frequencies():
+    # Floyd's algorithm picks each of the C(6, 2) = 15 pairs with probability
+    # 1/15. Over 60,000 steps of one fixed key, every pair's count lies
+    # within 5 standard deviations of its binomial mean (4000 +- 5 * 61.1),
+    # and so does every value's (20,000 +- 5 * 115.5).
+    steps = 60_000
+    [rows] = draw_minibatches([6], [2], steps, [(2024,)])
+    pairs = np.bincount(rows[:, 0] * 6 + rows[:, 1], minlength=36).reshape(6, 6)
+    counts = pairs[np.triu_indices(6, 1)]
+    assert abs(counts - steps / 15).max() <= 5 * np.sqrt(steps / 15 * 14 / 15)
+    values = np.bincount(rows.ravel(), minlength=6)
+    assert abs(values - steps / 3).max() <= 5 * np.sqrt(steps / 3 * 2 / 3)
 
 
 def test_forward_heads_slices_equal_forward_batch_bit_for_bit():
@@ -665,7 +635,7 @@ def test_points_match_the_former_formula(n, mean0, mean1, cov_scale, seed):
     mean0, mean1 = np.array(mean0[:dim]), np.array(mean1[:dim])
     assume(not np.array_equal(mean0, mean1))
     spec = TopicSpec(0, mean0, mean1, cov_scale, n)
-    data, = _write_points([(spec, n)], 1, iter([np.random.default_rng(seed)]))
+    data, = _write_points([(spec, n)], 1, [np.random.default_rng(seed)])
     want_x, want_y = points_reference(spec, n, np.random.default_rng(seed))
     assert data.x.tobytes() == want_x.tobytes()
     assert data.y.tobytes() == want_y.tobytes()
@@ -699,7 +669,7 @@ def test_points_match_the_former_formula_on_zero_draws(cov_scale):
     y = [0, 0, 0, 1, 1, 1]
     z = [[-0.0, -0.0, -0.0], [0.0, -1e-300, 0.0], [-0.25, 0.5, -2.0],
          [-0.0, 0.5, -2.0], [-1e-300, -0.0, 0.0], [0.0, -0.5, 0.0]]
-    data, = _write_points([(spec, 6)], 1, iter([_FixedDraws(y, z)]))
+    data, = _write_points([(spec, 6)], 1, [_FixedDraws(y, z)])
     want_x, _ = points_reference(spec, 6, _FixedDraws(y, z))
     assert data.x.tobytes() == want_x.tobytes()
 
