@@ -165,7 +165,13 @@ def pfl_losses(datas: list[LocalDataset], w_cla: ModelParams, w_pers: list[Model
         z -= reduce(np.maximum, z)
         e = np.exp(z, out=z)
         y = np.stack([datas[i].y for i in leaves])
-        picked = np.where(y == 1, e[1], e[0])  # labels are 0 or 1
+        # Each point's label's probability, as a bit select on the uint64
+        # views: -y is all ones where the label is 1 and zero where it is 0.
+        u0 = e[0].view(np.uint64)
+        picked = u0 ^ e[1].view(np.uint64)
+        picked &= np.negative(y, out=y).view(np.uint64)
+        picked ^= u0
+        picked = picked.view(np.float64)
         picked /= reduce(np.add, e)
         nll[leaves] = -np.log(picked, out=picked).mean(axis=1)
     d_w = np.stack([p.w for p in w_pers]) - w_cla.w

@@ -10,6 +10,14 @@ peer that keeps the shared prefix and strictly shrinks the numeric distance.
 `Overlay.build` makes converged state by walking prefix blocks of the
 sorted ids (see `_fill_routing_rows`): the ids sharing a prefix form one
 contiguous slice, split by the next digit with bisect.
+
+`Overlay.route` memoizes each next hop it computes, per key and node. Walks
+toward one key share their tails (a Scribe tree is the union of the routes
+toward its group id), so every walk after the first toward a group id reads
+most of its hops. The memo is emptied at every write to routing state: a
+fail, the end of a join, a rebuilding repair and `next_hop`'s patch of a dead
+table cell. Between two writes `next_hop` is a pure function of the node and
+the key, so a memo hit returns what a fresh call would.
 """
 
 from __future__ import annotations
@@ -241,6 +249,10 @@ class Overlay:
         # dead, so `route` (and so `join`) repairs first rather than route
         # through them.
         self._unrepaired = False
+        # The memo of `route`: key -> {node: next_hop(node, key)}. Every
+        # write to leaf sets, routing tables or `_live` replaces it with an
+        # empty one.
+        self._next_hops: dict[int, dict[int, Optional[int]]] = {}
 
     # -- basic accessors ---------------------------------------------------
 
@@ -321,37 +333,36 @@ class Overlay:
         neighbor), which provably contains the joiner's true neighborhood;
         routing rows are copied from the nodes on the join path. If a node
         has failed since the last `repair`, `route` repairs leaf sets first.
+        With no live node to route from, the joiner starts alone.
         """
         if new_id in self.nodes:
             raise ValueError("node id already present")
-        self.liveness_changes.append(new_id)
         node = self._new_node(new_id)
-        if not self.nodes:
-            self.nodes[new_id] = node
-            self._live.add(new_id)
-            return node
+        path: list[int] = []
+        if self._live:
+            res = self.route(min(self._live), new_id)
+            path = [res.source] + res.hops
+            target = self.nodes[res.destination]
 
-        res = self.route(self.live_ids()[0], new_id)
-        path = [res.source] + res.hops
-        target = self.nodes[res.destination]
+            node.leaf_set.add_many(target.leaf_set.members())
+            node.leaf_set.add(target.id)
 
-        node.leaf_set.add_many(target.leaf_set.members())
-        node.leaf_set.add(target.id)
+            # Classic bootstrap: row i from the i-th node on the path, then
+            # the delivery node's full state. consider() recomputes true
+            # placement.
+            for i, pid in enumerate(path):
+                node.routing_table.consider(pid)
+                rows = self.nodes[pid].routing_table.rows  # a missing row is empty
+                row = min(i, N_DIGITS - 1)
+                for cell in rows[row] if row < len(rows) else ():
+                    if cell is not None:
+                        node.routing_table.consider(cell)
+            for cell in target.routing_table.entries():
+                node.routing_table.consider(cell)
+            for m in target.leaf_set.members():
+                node.routing_table.consider(m)
 
-        # Classic bootstrap: row i from the i-th node on the path, then the
-        # delivery node's full state. consider() recomputes true placement.
-        for i, pid in enumerate(path):
-            node.routing_table.consider(pid)
-            rows = self.nodes[pid].routing_table.rows  # a missing row is empty
-            row = min(i, N_DIGITS - 1)
-            for cell in rows[row] if row < len(rows) else ():
-                if cell is not None:
-                    node.routing_table.consider(cell)
-        for cell in target.routing_table.entries():
-            node.routing_table.consider(cell)
-        for m in target.leaf_set.members():
-            node.routing_table.consider(m)
-
+        self.liveness_changes.append(new_id)
         self.nodes[new_id] = node
         self._live.add(new_id)
 
@@ -364,6 +375,7 @@ class Overlay:
             peer = self.nodes[pid]
             peer.leaf_set.add(new_id)
             peer.routing_table.consider(new_id)
+        self._next_hops = {}
         return node
 
     def fail(self, nid: int) -> None:
@@ -371,6 +383,7 @@ class Overlay:
             raise ValueError("cannot fail a node that is not alive")
         self._live.remove(nid)
         self._unrepaired = True
+        self._next_hops = {}
         self.liveness_changes.append(nid)
 
     def rejoin(self, nid: int) -> None:
@@ -399,6 +412,7 @@ class Overlay:
         live = self._live
         nodes = self.nodes
         self._unrepaired = False
+        self._next_hops = {}
         for nid in sorted(live):
             leaf_set = nodes[nid].leaf_set
             members = leaf_set._members
@@ -422,7 +436,8 @@ class Overlay:
 
         Order: leaf-set window, exact routing-table cell, then any known
         peer with a shared prefix at least as long that is strictly closer
-        to the key. Dead table entries are dropped and patched on the way.
+        to the key. Dead table entries are dropped and patched on the way;
+        a patch empties the memo of `route`, which this method never reads.
         """
         node = self.nodes[local_id]
         live = self._live
@@ -445,6 +460,7 @@ class Overlay:
             if cell in live:
                 return cell
             node.routing_table.remove(cell)
+            self._next_hops = {}
             repl = self._find_replacement(node, row, col)
             if repl is not None:
                 node.routing_table.consider(repl)
@@ -487,15 +503,34 @@ class Overlay:
         If a node has failed since the last `repair`, leaf sets are repaired
         first: a set that still lists a dead node can span past the live
         ones and hand a key back and forth.
+
+        Each next hop is read from the memo `_next_hops[key][node]` when it
+        is there, and otherwise computed by `next_hop` and stored once the
+        call returns. The memo is exact. `next_hop(cur, key)` reads only
+        cur's leaf set and routing table and the live set, and the memo is
+        emptied at every write to them: `fail`, the end of `join`, a
+        rebuilding `repair` and `next_hop`'s patch of a dead table cell. A
+        call that patches leaves a state in which a second call returns the
+        same peer without patching: either the replacement now sits in the
+        vacated cell, or the cell stays empty and the fallback is unchanged,
+        since the dead peer never counted there. So a memo hit never skips
+        a patch that a fresh call would make.
         """
         if not self.is_alive(source):
             raise ValueError("route source must be alive")
         if self._unrepaired:
             self.repair()
+        known = self._next_hops.get(key, {})
         cur = source
         hops: list[int] = []
         while True:
-            nxt = self.next_hop(cur, key)
+            if cur in known:
+                nxt = known[cur]
+            else:
+                nxt = self.next_hop(cur, key)
+                # Looked up after the call: a patch in it empties the memo.
+                known = self._next_hops.setdefault(key, {})
+                known[cur] = nxt
             if nxt is None:
                 return RouteResult(source, key, hops, cur)
             hops.append(nxt)

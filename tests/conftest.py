@@ -10,12 +10,14 @@ from dhtfed.simnet import LinkModel, Simulator
 from dhtfed.tree import TreeConfig, TreeManager
 
 
-# `pytest --hypothesis-profile vote-2000` (or `model-2000`) gives every test
-# that leaves max_examples to the profile 2000 examples: the vote-equivalence
-# test in test_fedagg.py, and the model-path equivalence tests in
-# test_model.py. Tier-1 runs keep hypothesis's default of 100.
+# `pytest --hypothesis-profile vote-2000` (or `model-2000`, or `route-2000`)
+# gives every test that leaves max_examples to the profile 2000 examples: the
+# vote-equivalence test in test_fedagg.py, the model-path equivalence tests
+# in test_model.py, and the route-memo twin test in test_overlay.py. Tier-1
+# runs keep hypothesis's default of 100.
 settings.register_profile("vote-2000", max_examples=2000)
 settings.register_profile("model-2000", max_examples=2000)
+settings.register_profile("route-2000", max_examples=2000)
 
 
 def build_world(n, fanout=16, seed=42, intercept=True, group="g",

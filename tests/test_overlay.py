@@ -1,10 +1,11 @@
 import random
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dhtfed.overlay import (ID_SPACE, LEAF_SIDE, MAX_ROUTE_HOPS, LeafSet,
-                            Overlay, RoutingLoopError, RoutingTable,
+                            Overlay, RouteResult, RoutingLoopError, RoutingTable,
                             circular_distance, digit_at, hex_id, id_from_name,
                             random_ids, shared_prefix_len)
 
@@ -363,6 +364,22 @@ def test_rejoin_restores_node():
     assert res.destination == ids[5]
 
 
+def test_rejoin_after_every_node_failed_starts_alone():
+    ov = Overlay.build([10, 20, 30])
+    for nid in (10, 20, 30):
+        ov.fail(nid)
+    version = ov.version
+    ov.rejoin(20)
+    assert ov.live_ids() == [20] and ov.version == version + 1
+    for key in (0, 10, 20, 25, 30, ID_SPACE - 1):
+        res = ov.route(20, key)
+        assert (res.hops, res.destination) == ([], 20)
+    ov.rejoin(10)  # routes its join from 20, the one live node
+    assert ov.live_ids() == [10, 20] and ov.version == version + 2
+    for key in (0, 10, 15, 16, 20, 30, ID_SPACE - 1):
+        assert ov.route(20, key).destination == closest_id([10, 20], key)
+
+
 def test_route_from_dead_node_rejected():
     ids = random_ids(10, 1)
     ov = Overlay.build(ids)
@@ -579,6 +596,103 @@ def test_rejoin_loops_alike_after_an_inexact_repair():
     for overlay in (ov, ref):
         with pytest.raises(RoutingLoopError):
             overlay.rejoin(0)
+
+
+# -- the route memo --------------------------------------------------------------
+
+def walk(ov, source, key):
+    """`Overlay.route` without its memo: repair if a node has failed since
+    the last repair, then one `next_hop` call per hop."""
+    if not ov.is_alive(source):
+        raise ValueError("route source must be alive")
+    ov.repair()  # does nothing unless a node has failed since the last one
+    cur, hops = source, []
+    while True:
+        nxt = ov.next_hop(cur, key)
+        if nxt is None:
+            return RouteResult(source, key, hops, cur)
+        hops.append(nxt)
+        cur = nxt
+        if len(hops) > MAX_ROUTE_HOPS:
+            raise RoutingLoopError(hex_id(key))
+
+
+def memo_free_overlay(ids, leaf_side):
+    """An overlay built from `ids` whose routes, its joins' included, are
+    plain `walk`s."""
+    ov = Overlay.build(ids, leaf_side)
+    ov.route = partial(walk, ov)
+    return ov
+
+
+def route_outcome(ov, source, key):
+    try:
+        res = ov.route(source, key)
+    except RoutingLoopError:
+        return "loop"
+    return res.hops, res.destination
+
+
+def loops(join, nid):
+    """Call `join(nid)`; True iff its route raised RoutingLoopError."""
+    try:
+        join(nid)
+    except RoutingLoopError:
+        return True
+    return False
+
+
+def assert_same_routing_state(ov, ref):
+    assert ov.liveness_changes == ref.liveness_changes
+    assert ov.live_ids() == ref.live_ids() and sorted(ov.nodes) == sorted(ref.nodes)
+    for nid in ov.nodes:
+        assert ov.node(nid).leaf_set.members() == ref.node(nid).leaf_set.members()
+        assert ov.node(nid).routing_table.rows == ref.node(nid).routing_table.rows
+
+
+@settings(deadline=None)  # examples from the active profile; CI runs "route-2000"
+@given(ids=st.sets(_RING_IDS, min_size=1, max_size=24),
+       leaf_side=st.sampled_from([1, 2, 3, LEAF_SIDE]),
+       ops=st.lists(st.tuples(st.sampled_from(["fail", "rejoin", "join", "repair",
+                                               "route", "route"]),
+                              st.integers(0, 1 << 16), _RING_IDS),
+                    max_size=20))
+# Node 0xB << 124 keeps the failed node 1 in its cell (0, 0), and its leaf
+# set [2, 2^128-1] does not cover key 0: the first route toward 0 from it
+# patches the cell with 2, and every later route toward 0 reads the memo.
+@example(ids={1, 2, 0xB << 124, ID_SPACE - 1}, leaf_side=1,
+         ops=[("fail", 0, 0), ("route", 0, 0), ("route", 0, 0)])
+# Every node fails, then one rejoins alone and another joins through it.
+@example(ids={10, 20, 30}, leaf_side=1,
+         ops=[("fail", 0, 0)] * 3 + [("rejoin", 1, 0), ("route", 0, 0),
+                                     ("join", 0, 25), ("route", 2, 15)])
+def test_route_matches_a_memo_free_walk_after_every_op(ids, leaf_side, ops):
+    """Two overlays take the same ops. One routes with `Overlay.route` and
+    its memo; the other walks `next_hop` at every hop, its joins too. Each
+    route op sends a few keys from every live node, so routes share tails
+    and later ops read what earlier ones memoized."""
+    ids = sorted(ids)
+    ov, ref = Overlay.build(ids, leaf_side), memo_free_overlay(ids, leaf_side)
+    for op, pick, value in ops:
+        live = ov.live_ids()
+        dead = sorted(set(ov.nodes) - set(live))
+        if op == "fail" and live:
+            nid = live[pick % len(live)]
+            ov.fail(nid)
+            ref.fail(nid)
+        elif op == "rejoin" and dead:
+            nid = dead[pick % len(dead)]
+            assert loops(ov.rejoin, nid) == loops(ref.rejoin, nid)
+        elif op == "join" and value not in ov.nodes:
+            assert loops(ov.join, value) == loops(ref.join, value)
+        elif op == "repair":
+            assert ov.repair() == ref.repair()
+        elif op == "route":
+            member = ids[pick % len(ids)]
+            for key in (value, member, (member + 1) % ID_SPACE, 0):
+                for src in live:
+                    assert route_outcome(ov, src, key) == route_outcome(ref, src, key)
+        assert_same_routing_state(ov, ref)
 
 
 # -- leaf sets -------------------------------------------------------------------
