@@ -11,6 +11,10 @@ peer that keeps the shared prefix and strictly shrinks the numeric distance.
 sorted ids (see `_fill_routing_rows`): the ids sharing a prefix form one
 contiguous slice, split by the next digit with bisect.
 
+Each leaf set is its node's ring window of the sorted live ids: `build`
+writes every window and `repair` each one that lists a dead node, with the
+same code, and a join enters exactly the windows it belongs to.
+
 `Overlay.route` memoizes each next hop it computes, per key and node. Walks
 toward one key share their tails (a Scribe tree is the union of the routes
 toward its group id), so every walk after the first toward a group id reads
@@ -26,8 +30,7 @@ import hashlib
 import random
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 ID_BITS = 128
 ID_SPACE = 1 << ID_BITS
@@ -304,22 +307,7 @@ class Overlay:
         if n <= 1:
             return ov
 
-        # Exact leaf sets: each node's ring window of the sorted ids.
-        if n - 1 <= 2 * leaf_side:
-            for i, node in enumerate(nodes):
-                node.leaf_set._members = ordered[:i] + ordered[i + 1:]
-                node.leaf_set._trim()
-        else:
-            # ring[i + leaf_side] is ordered[i], with leaf_side ids each side.
-            ring = ordered[-leaf_side:] + ordered + ordered[:leaf_side]
-            for i, node in enumerate(nodes):
-                mid = i + leaf_side
-                window = ring[i:mid] + ring[mid + 1:mid + leaf_side + 1]
-                if not leaf_side <= i < n - leaf_side:  # wraps at 0
-                    window.sort()
-                node.leaf_set._members = window
-                node.leaf_set._trim()
-
+        ov._set_ring_windows(ordered, range(n))
         _fill_routing_rows(ordered, [node.routing_table.rows for node in nodes])
         return ov
 
@@ -394,18 +382,16 @@ class Overlay:
         self.join(nid)
 
     def repair(self) -> int:
-        """Rebuild the leaf sets that list a dead node, in one pass.
+        """Give every live leaf set that lists a dead node its ring window of
+        the live ids, in one pass.
 
-        Each live node whose leaf set lists a dead node, in id order, pools
-        the live ids among its live members (`near`) and their leaf sets,
-        as those stand when its turn comes, and keeps the nearest of them
-        per side. With no live member left it pools the live entries of its
-        routing table instead. Routing tables are repaired lazily on use.
-
-        One pass is exact, in that a second would change nothing: liveness
-        does not change during a repair, every rebuilt set holds only live
-        ids, and a set with no dead member is skipped. Returns the number
-        of passes: 1, or 0 when no node has failed since the last repair.
+        This is the state Pastry's repair converges to, computed directly as
+        `build` computes converged state; routing tables are repaired lazily
+        on use. Invariant: outside the span between a `fail` and the next
+        `repair`, every live leaf set equals the `leaf_side` nearest live ids
+        on each side. So a set with no dead member is skipped. Returns the
+        number of passes: 1, or 0 when no node has failed since the last
+        repair.
         """
         if not self._unrepaired:
             return 0
@@ -413,21 +399,33 @@ class Overlay:
         nodes = self.nodes
         self._unrepaired = False
         self._next_hops = {}
-        for nid in sorted(live):
-            leaf_set = nodes[nid].leaf_set
-            members = leaf_set._members
-            if live.issuperset(members):
-                continue
-            near = live.intersection(members)
-            if near:
-                pool = live.intersection(chain(
-                    near, *[nodes[m].leaf_set._members for m in near]))
-            else:  # no live leaf neighbor at all: fall back to the table
-                pool = live.intersection(nodes[nid].routing_table.entries())
-            pool.discard(nid)
-            leaf_set._members = sorted(pool)
-            leaf_set._trim()
+        ordered = sorted(live)
+        self._set_ring_windows(ordered, [
+            i for i, nid in enumerate(ordered)
+            if not live.issuperset(nodes[nid].leaf_set._members)])
         return 1
+
+    def _set_ring_windows(self, ordered: list[int], indices: Iterable[int]) -> None:
+        """Set the leaf set of the node `ordered[i]`, for each i in `indices`,
+        to its ring window of the sorted ids `ordered`: the `leaf_side`
+        nearest on each side, with wraparound, or all the others when there
+        are at most 2 * leaf_side of them."""
+        nodes = self.nodes
+        side = self.leaf_side
+        n = len(ordered)
+        # ring[i + side] is ordered[i], with side ids each side.
+        ring = ordered[-side:] + ordered + ordered[:side] if n - 1 > 2 * side else None
+        for i in indices:
+            if ring is None:
+                window = ordered[:i] + ordered[i + 1:]
+            else:
+                mid = i + side
+                window = ring[i:mid] + ring[mid + 1:mid + side + 1]
+                if not side <= i < n - side:  # wraps at 0
+                    window.sort()
+            leaf_set = nodes[ordered[i]].leaf_set
+            leaf_set._members = window
+            leaf_set._trim()
 
     # -- routing -----------------------------------------------------------
 
@@ -438,6 +436,10 @@ class Overlay:
         peer with a shared prefix at least as long that is strictly closer
         to the key. Dead table entries are dropped and patched on the way;
         a patch empties the memo of `route`, which this method never reads.
+
+        The leaf-set step reads no liveness: outside the span between a
+        `fail` and the next `repair`, which `route` closes before its first
+        step, every live leaf set is its ring window of the live ids.
         """
         node = self.nodes[local_id]
         live = self._live
@@ -447,7 +449,7 @@ class Overlay:
             return None
 
         if node.leaf_set.covers(key):
-            best = _nearest_on_ring(node.leaf_set._members, key, live)
+            best = _nearest_on_ring(node.leaf_set._members, key)
             if best is None or ((circular_distance(local_id, key), local_id)
                                 < (circular_distance(best, key), best)):
                 return None
@@ -620,11 +622,10 @@ def _top_row(ordered: list[int], s: int, e: int, own: int,
     return row, flips
 
 
-def _nearest_on_ring(sorted_ids: list[int], target: int,
-                     live: Optional[set[int]]) -> Optional[int]:
-    """Member of a sorted id list minimizing circular distance to target.
+def _nearest_on_ring(sorted_ids: list[int], target: int) -> Optional[int]:
+    """Member of a sorted id list minimizing circular distance to target,
+    or None when the list is empty.
 
-    With `live`, only members in that set count, and None means none does.
     The nearest member is always the first one met going up the ring from
     the target's insertion point or the first one met going down from it,
     so only those two are compared. Ties go to the smaller id.
@@ -633,18 +634,7 @@ def _nearest_on_ring(sorted_ids: list[int], target: int,
     if not n:
         return None
     i = bisect_left(sorted_ids, target)
-    k = i
-    up = sorted_ids[k % n]
-    while live is not None and up not in live:
-        k += 1
-        if k == i + n:
-            return None
-        up = sorted_ids[k % n]
-    k = i - 1
-    down = sorted_ids[k % n]
-    while live is not None and down not in live:  # stops at `up` at the latest
-        k -= 1
-        down = sorted_ids[k % n]
+    up, down = sorted_ids[i % n], sorted_ids[i - 1]
     if (circular_distance(up, target), up) < (circular_distance(down, target), down):
         return up
     return down

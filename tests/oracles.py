@@ -9,8 +9,7 @@ paths against one leaf at a time. `loss_reference` is the per-leaf loss
 formula as it stood before the loss was stacked, `points_reference` the
 point generator's formula as it stood before it drew in place,
 `gossip_reference` the decentralized round as it stood with set-valued
-contributor buffers, `repair_reference` the leaf-set repair as it stood
-with repeated sweeps, and `vote_reference` the ensemble vote as it stood
+contributor buffers, and `vote_reference` the ensemble vote as it stood
 with a softmax for every head.
 """
 
@@ -144,41 +143,6 @@ def build_reference(ids, leaf_side=LEAF_SIDE):
                 node.routing_table.rows[row][col] = min(
                     up, down, key=lambda m: (circ_dist(m, nid), m))
     return ov
-
-
-def repair_reference(ov):
-    """`Overlay.repair` as it stood with sweeps to fixpoint: each sweep
-    visits the live nodes in id order; one whose leaf set lists a dead node
-    pools the live ids among its live members and their leaf sets (or, with
-    no live member, its routing table), empties the set and offers the pool
-    back through `add_many`. Sweeps repeat until one changes no set.
-    Returns the number of sweeps (0 with no failure since the last repair).
-    """
-    if not ov._unrepaired:
-        return 0
-    live = ov._live
-    ov._unrepaired = False
-    sweeps = 0
-    changed = True
-    while changed:
-        changed = False
-        sweeps += 1
-        for nid in sorted(live):
-            node = ov.nodes[nid]
-            members = node.leaf_set._members
-            if live.issuperset(members):
-                continue
-            pool = live.intersection(members)
-            for m in list(pool):
-                pool.update(live.intersection(ov.nodes[m].leaf_set._members))
-            if not pool:
-                pool = live.intersection(node.routing_table.entries())
-            before = set(members)
-            node.leaf_set._members = []
-            node.leaf_set.add_many(sorted(pool))
-            if set(node.leaf_set.members()) != before:
-                changed = True
-    return sweeps
 
 
 def subtree_size(children, alive, nid):

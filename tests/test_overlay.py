@@ -10,7 +10,7 @@ from dhtfed.overlay import (ID_SPACE, LEAF_SIDE, MAX_ROUTE_HOPS, LeafSet,
                             random_ids, shared_prefix_len)
 
 from oracles import (build_reference, closest_id, leaf_covers, leaf_set_next_hop,
-                     leaf_sides, prefix_digits, repair_reference, ring_neighbors)
+                     leaf_sides, prefix_digits, ring_neighbors)
 
 
 # -- identifiers ---------------------------------------------------------------
@@ -467,6 +467,11 @@ _RING_IDS = st.one_of(st.integers(0, 1 << 12),
 @example(ids={0, 1, ID_SPACE - 4096}, leaf_side=1,
          ops=[("fail", 0, 1, ID_SPACE - 1)])
 @example(ids={50, 100, 150, 200}, leaf_side=1, ops=[("fail", 2, 1, 190)])
+# One leaf per side and node 0 fails: the former repair gave 2942 the down
+# neighbour 2^128-2941, not 2^128-2940, and rejoin(0)'s route to key 0 cycled
+# through 2942, 2^128-2941 and 2943.
+@example(ids={0, 2942, 2943, ID_SPACE - 2941, ID_SPACE - 2940}, leaf_side=1,
+         ops=[("fail", 0, 0, 0), ("rejoin", 0, 0, 0)])
 def test_route_matches_the_leaf_set_oracle_hop_for_hop(ids, leaf_side, ops):
     ids = sorted(ids)
     ov = Overlay.build(ids, leaf_side)
@@ -490,29 +495,20 @@ def test_route_matches_the_leaf_set_oracle_hop_for_hop(ids, leaf_side, ops):
         member = ids[pick % len(ids)]
         gap = (ids[(pick + 1) % len(ids)] - member) % ID_SPACE
         midway = (member + gap // 2) % ID_SPACE  # a tie when the gap is even
-        exact = None
         for key in (member, (member + 1) % ID_SPACE, (member - 1) % ID_SPACE,
                     midway, 0, ID_SPACE - 1, far):
-            try:
-                res = ov.route(src, key)  # repairs first after a fail
-            except RoutingLoopError:
-                # Unrepaired leaf sets can bounce a key between two nodes;
-                # the oracle rule must loop the same way.
-                with pytest.raises(RoutingLoopError):
-                    oracle_route(ov, src, key)
-                continue
+            res = ov.route(src, key)  # repairs first after a fail
             assert oracle_route(ov, src, key) == (res.hops, res.destination)
-            if exact is None:
-                # route repaired any set that listed a dead node. A repair
-                # can leave a set inexact when one side lost all its live
-                # members; where none is, delivery is exact.
-                assert all(live.issuperset(ov.node(nid).leaf_set.members())
-                           for nid in live)
-                exact = all(set(ov.node(nid).leaf_set.members())
-                            == ring_neighbors(sorted(live), nid, leaf_side)
-                            for nid in live)
-            if exact:
-                assert res.destination == closest_id(live, key)
+            assert res.destination == closest_id(live, key)
+        assert_ring_windows(ov)
+
+
+def assert_ring_windows(ov):
+    """Every live leaf set is its node's ring window of the live ids."""
+    live = ov.live_ids()
+    for nid in live:
+        assert (ov.node(nid).leaf_set.members()
+                == sorted(ring_neighbors(live, nid, ov.leaf_side)))
 
 
 def assert_window_matches_the_oracle(leaf, keys):
@@ -538,14 +534,17 @@ def assert_windows_match_the_oracle(ov, keys):
                                   st.lists(st.integers(0, 1 << 16), max_size=3)),
                         min_size=1, max_size=4),
        keys=st.lists(st.integers(0, ID_SPACE - 1), max_size=6))
-# One side of node 1's set loses its only live member: both repairs leave it
-# inexact, as [2, 3], in the same way.
+# One side of node 1's set loses its only live member: the former repair left
+# it as [2, 3]; its ring window is [2, 2^128-4096].
 @example(ids={0, 1, 2, 3, ID_SPACE - 4096}, leaf_side=1, batches=[([0], [])],
          keys=[ID_SPACE - 1])
-def test_repair_matches_the_former_repair_member_for_member(ids, leaf_side,
-                                                           batches, keys):
+def test_repair_gives_every_live_leaf_set_its_ring_window(ids, leaf_side,
+                                                          batches, keys):
+    """After each batch of fails, one repair pass leaves every live leaf set
+    exact, and each rejoin then routes without a loop (RoutingLoopError
+    fails the test) and keeps every set exact."""
     ids = sorted(ids)
-    ov, ref = Overlay.build(ids, leaf_side), Overlay.build(ids, leaf_side)
+    ov = Overlay.build(ids, leaf_side)
     assert_windows_match_the_oracle(ov, keys)
     for fails, rejoins in batches:
         failed = False
@@ -553,49 +552,35 @@ def test_repair_matches_the_former_repair_member_for_member(ids, leaf_side,
             live = ov.live_ids()
             if len(live) > 1:
                 ov.fail(live[pick % len(live)])
-                ref.fail(live[pick % len(live)])
                 failed = True
         assert ov.repair() == int(failed)  # one pass
-        repair_reference(ref)
-        assert ov.live_ids() == ref.live_ids()
-        for nid in ov.live_ids():
-            assert ov.node(nid).leaf_set.members() == ref.node(nid).leaf_set.members()
+        assert_ring_windows(ov)
         assert_windows_match_the_oracle(ov, keys)
         for pick in rejoins:
             dead = sorted(set(ids) - set(ov.live_ids()))
             if dead:
-                nid = dead[pick % len(dead)]
-                try:
-                    ov.rejoin(nid)
-                except RoutingLoopError:
-                    # A set left inexact (one side lost all its live
-                    # members) can bounce the join's route; the former
-                    # repair leaves the same sets and loops the same way.
-                    with pytest.raises(RoutingLoopError):
-                        ref.rejoin(nid)
-                    assert_windows_match_the_oracle(ov, keys)
-                    return
-                ref.rejoin(nid)
+                ov.rejoin(dead[pick % len(dead)])
+                assert_ring_windows(ov)
         assert_windows_match_the_oracle(ov, keys)
 
 
-def test_rejoin_loops_alike_after_an_inexact_repair():
-    # Three adjacent failures with one leaf per side: node 422 keeps
-    # 2^128-421 below it but not 2^128-420, so the route to key 0 bounces
-    # between 422 and 2^128-421, after either repair.
+def test_rejoin_after_three_adjacent_failures_routes_exactly():
+    # Three adjacent failures with one leaf per side. The former repair kept
+    # 2^128-421 below node 422, not 2^128-420, so rejoin(0)'s route to key 0
+    # bounced between 422 and 2^128-421.
     ids = sorted({0, 1, 2, 422, 423, ID_SPACE - 421, ID_SPACE - 420})
-    ov, ref = Overlay.build(ids, 1), Overlay.build(ids, 1)
+    ov = Overlay.build(ids, 1)
     for nid in (0, 1, 2):
         ov.fail(nid)
-        ref.fail(nid)
     ov.repair()
-    repair_reference(ref)
-    for nid in ov.live_ids():
-        assert ov.node(nid).leaf_set.members() == ref.node(nid).leaf_set.members()
-    assert ov.node(422).leaf_set.members() == [423, ID_SPACE - 421]
-    for overlay in (ov, ref):
-        with pytest.raises(RoutingLoopError):
-            overlay.rejoin(0)
+    assert ov.node(422).leaf_set.members() == [423, ID_SPACE - 420]
+    ov.rejoin(0)
+    live = ov.live_ids()
+    assert live == [0, 422, 423, ID_SPACE - 421, ID_SPACE - 420]
+    assert_ring_windows(ov)
+    for src in live:
+        for key in (0, 1, 2, 211, 212, 422, ID_SPACE - 421, ID_SPACE - 1):
+            assert ov.route(src, key).destination == closest_id(live, key)
 
 
 # -- the route memo --------------------------------------------------------------
