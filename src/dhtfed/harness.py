@@ -427,7 +427,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     records: list[MetricsRecord] = []
     all_round_metrics: list[RoundMetrics] = []
     for rnd in range(cfg.rounds):
-        _apply_due_failures(failures, sim, overlay, trees, sorted_ids, cfg)
+        _apply_due_failures(failures, sim, overlay, trees, sorted_ids)
         for k, session in enumerate(sessions):
             mode = cfg.mode if cfg.mode != "auto" else selectors[k].mode
             if mode == DECENTRALIZED:
@@ -471,7 +471,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(cfg, records, all_round_metrics, final_weights, stats)
 
 
-def _apply_due_failures(failures, sim, overlay, trees, sorted_ids, cfg) -> None:
+def _apply_due_failures(failures, sim, overlay, trees, sorted_ids) -> None:
     """Fail/rejoin actions whose time has come, then heal overlay and trees."""
     due = [f for f in failures if f[0] <= sim.now]
     if not due:
@@ -493,12 +493,7 @@ def _apply_due_failures(failures, sim, overlay, trees, sorted_ids, cfg) -> None:
                 trees.join_group(nid, gid)
     overlay.repair()
     for gid in list(trees.groups):
-        depth = max(trees.tree_stats(gid).depth, 1)
-        trees.enable_heartbeats(gid)
-        sim.run_until(sim.now + cfg.failure_timeout
-                      + (depth + 1) * cfg.heartbeat_period)
-        trees.disable_heartbeats(gid)
-        sim.run()
+        trees.heal(gid)
 
 
 # -- dissemination study -------------------------------------------------------------

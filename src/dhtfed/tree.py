@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from .overlay import Overlay, id_from_name, hex_id
@@ -109,7 +110,6 @@ class TreeManager:
         self.sim = sim
         self.config = config or TreeConfig()
         self.groups: dict[int, GroupState] = {}
-        self._heartbeats_on: set[int] = set()
 
     # -- group lifecycle ---------------------------------------------------
 
@@ -312,21 +312,25 @@ class TreeManager:
 
     # -- heartbeats and self-healing ------------------------------------------
 
-    def enable_heartbeats(self, gid: int) -> None:
-        group = self.group(gid)
-        if gid in self._heartbeats_on:
-            return
-        self._heartbeats_on.add(gid)
-        self.sim.schedule(self.config.heartbeat_period, lambda: self._tick(group))
+    def heal(self, gid: int) -> None:
+        """Run the group's heartbeats for one healing window, then drain.
 
-    def disable_heartbeats(self, gid: int) -> None:
-        self._heartbeats_on.discard(gid)
+        Ticks start one period from now and stop after
+        `now + failure_timeout + (max(depth, 1) + 1) * heartbeat_period`:
+        long enough for every orphan to time out and re-join, even one whose
+        new parent is orphaned in turn.
+        """
+        cfg = self.config
+        depth = max(self.tree_stats(gid).depth, 1)
+        end = self.sim.now + cfg.failure_timeout + (depth + 1) * cfg.heartbeat_period
+        self.sim.schedule(cfg.heartbeat_period, partial(self._tick, gid, end))
+        self.sim.run()
 
-    def _tick(self, group: GroupState) -> None:
-        if group.gid not in self._heartbeats_on:
+    def _tick(self, gid: int, end: float) -> None:
+        if self.sim.now > end:
             return
-        self.heartbeat_tick(group.gid, self.sim.now)
-        self.sim.schedule(self.config.heartbeat_period, lambda: self._tick(group))
+        self.heartbeat_tick(gid, self.sim.now)
+        self.sim.schedule(self.config.heartbeat_period, partial(self._tick, gid, end))
 
     def heartbeat_tick(self, gid: int, now: float) -> None:
         """One maintenance round: detect dead parents, emit existence messages."""

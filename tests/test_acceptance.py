@@ -66,20 +66,23 @@ def test_criterion_2_tree_churn_invariants_and_multicast():
     rng = random.Random(5)
     victims = rng.sample(interior, max(1, len(interior) // 10))
 
-    trees.enable_heartbeats(gid)
-    sim.run_until(1500.0)
-    for v in victims:
-        overlay.fail(v)
-    overlay.repair()
-    depth = trees.tree_stats(gid).depth
-    window = 3000.0 + depth * 1000.0  # failure_timeout + depth * heartbeat
-    sim.run_until(sim.now + window / 2)
-    transient_fanout_ok = all(
-        len(group.members[nid].children) <= 16
-        for nid in trees.live_members(gid))
-    sim.run_until(sim.now + window / 2)
-    trees.disable_heartbeats(gid)
-    sim.run()
+    seen = {}
+
+    def check_fanout():
+        seen["fanout_ok"] = all(len(group.members[nid].children) <= 16
+                                for nid in trees.live_members(gid))
+
+    def fail_victims():
+        for v in victims:
+            overlay.fail(v)
+        overlay.repair()
+        depth = trees.tree_stats(gid).depth
+        seen["window"] = 3000.0 + depth * 1000.0  # failure_timeout + depth * heartbeat
+        sim.schedule(seen["window"] / 2, check_fanout)  # mid-healing
+
+    sim.schedule(1500.0, fail_victims)
+    trees.heal(gid)
+    window, transient_fanout_ok = seen["window"], seen["fanout_ok"]
 
     problems = trees.validate(gid)
     survivors = set(ids) - set(victims)

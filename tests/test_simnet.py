@@ -109,10 +109,10 @@ def test_identical_seed_and_schedule_gives_identical_trace_hash():
     assert drive(4) != drive(5)
 
 
-# The sha256 of the event trace below, measured before messages became queue
-# entries of their own. Any change to latency draws, event order, drops or
-# byte counts moves it.
-PINNED_TRACE = "9244fee9e3f7d93a4143214d8f036ec066a482a74407ff16aa0f07a64d89c13d"
+# The sha256 of the event trace below, whose heartbeats run for one `heal`
+# window. Any change to latency draws, event order, drops, byte counts or
+# the window's length moves it.
+PINNED_TRACE = "c1406164755c64e184f6b581b844c0f596bfc67bb2b752f3f2a5e78a0bf52f5c"
 
 
 def test_event_trace_is_pinned():
@@ -155,14 +155,11 @@ def test_event_trace_is_pinned():
     interior = sorted(n for n, m in group.members.items()
                       if m.children and n != root and overlay.is_alive(n))[0]
     overlay.fail(interior)
-    trees.enable_heartbeats(gid)
-    sim.run_until(sim.now + 700.0)
-    trees.disable_heartbeats(gid)
-    sim.run()
+    trees.heal(gid)
 
     assert sim.dropped == 1 and group.rejoins > 0
     assert any(kind == HEARTBEAT for _t, kind, *_rest in sim.trace)
-    assert len(sim.trace) == 370
+    assert len(sim.trace) == 407
     assert sim.trace_hash() == PINNED_TRACE
 
 

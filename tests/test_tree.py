@@ -361,10 +361,7 @@ def snapshot(trees, gid):
 def test_heartbeats_leave_a_healthy_tree_unchanged():
     ids, overlay, sim, trees, gid, root = build_world(50, fanout=4, seed=3)
     before = snapshot(trees, gid)
-    trees.enable_heartbeats(gid)
-    sim.run_until(10_000)
-    trees.disable_heartbeats(gid)
-    sim.run()
+    trees.heal(gid)
     assert snapshot(trees, gid) == before
     assert trees.groups[gid].rejoins == 0
 
@@ -374,14 +371,8 @@ def test_killing_an_interior_node_triggers_exactly_child_count_rejoins():
     group = trees.groups[gid]
     victim = next(nid for nid in sorted(group.members)
                   if nid != root and len(group.members[nid].children) == 3)
-    trees.enable_heartbeats(gid)
-    sim.run_until(1500)
-    overlay.fail(victim)
-    depth = trees.tree_stats(gid).depth
-    window = 3000.0 + max(depth, 1) * 1000.0 + 1000.0
-    sim.run_until(sim.now + window)
-    trees.disable_heartbeats(gid)
-    sim.run()
+    sim.schedule(1500, lambda: overlay.fail(victim))
+    trees.heal(gid)
     assert group.rejoins == 3
     assert trees.validate(gid) == []
     assert set(trees.live_members(gid)) == set(ids) - {victim}
@@ -389,13 +380,8 @@ def test_killing_an_interior_node_triggers_exactly_child_count_rejoins():
 
 def test_killing_the_root_elects_the_closest_live_node():
     ids, overlay, sim, trees, gid, root = build_world(50, fanout=4, seed=12)
-    trees.enable_heartbeats(gid)
-    sim.run_until(500)
-    overlay.fail(root)
-    depth = trees.tree_stats(gid).depth
-    sim.run_until(sim.now + 3000.0 + (depth + 2) * 1000.0)
-    trees.disable_heartbeats(gid)
-    sim.run()
+    sim.schedule(500, lambda: overlay.fail(root))
+    trees.heal(gid)
     live = [x for x in ids if x != root]
     assert trees.groups[gid].root == closest_id(live, gid)
     assert trees.validate(gid) == []
@@ -433,15 +419,14 @@ def test_mass_interior_failure_heals_within_window():
                 if m != root and group.members[m].children]
     rng = random.Random(5)
     victims = rng.sample(interior, len(interior) // 5)
-    trees.enable_heartbeats(gid)
-    sim.run_until(1200)
-    for v in victims:
-        overlay.fail(v)
-    overlay.repair()
-    depth = trees.tree_stats(gid).depth
-    sim.run_until(sim.now + 3000.0 + max(depth, 1) * 1000.0)
-    trees.disable_heartbeats(gid)
-    sim.run()
+
+    def fail_victims():
+        for v in victims:
+            overlay.fail(v)
+        overlay.repair()
+
+    sim.schedule(1200, fail_victims)
+    trees.heal(gid)
     assert trees.validate(gid) == []
     survivors = set(ids) - set(victims)
     assert set(trees.live_members(gid)) == survivors
