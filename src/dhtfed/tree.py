@@ -315,14 +315,19 @@ class TreeManager:
     def heal(self, gid: int) -> None:
         """Run the group's heartbeats for one healing window, then drain.
 
-        Ticks start one period from now and stop after
+        No beats are simulated between windows, so a live parent's beats
+        count as heard up to the window's start: every member's stamp is set
+        to now, and only a member whose parent died times out. Ticks start
+        one period from now and stop after
         `now + failure_timeout + (max(depth, 1) + 1) * heartbeat_period`:
         long enough for every orphan to time out and re-join, even one whose
         new parent is orphaned in turn.
         """
-        cfg = self.config
+        cfg, now = self.config, self.sim.now
+        for mem in self.group(gid).members.values():
+            mem.last_parent_heartbeat = now
         depth = max(self.tree_stats(gid).depth, 1)
-        end = self.sim.now + cfg.failure_timeout + (depth + 1) * cfg.heartbeat_period
+        end = now + cfg.failure_timeout + (depth + 1) * cfg.heartbeat_period
         self.sim.schedule(cfg.heartbeat_period, partial(self._tick, gid, end))
         self.sim.run()
 

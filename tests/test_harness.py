@@ -545,10 +545,9 @@ def test_tree_stats_export_rejoins_and_the_dead_parent_share(monkeypatch):
         assert stats.rejoins == groups[name].rejoins
         assert stats.dead_parent_rejoins == dead_parent.get(groups[name].gid, 0)
         assert stats.dead_parent_rejoins <= stats.rejoins
-    # The rejoin storm: most parent-failure rejoins had a live parent.
+    # No rejoin storm: every parent-failure rejoin had a dead parent.
     stats = result.tree_stats["storm-tree-1"]
-    assert 0 < stats.dead_parent_rejoins
-    assert 2 * stats.dead_parent_rejoins < stats.rejoins
+    assert 0 < stats.dead_parent_rejoins == stats.rejoins
 
 
 @pytest.mark.parametrize("mode", ["centralized", "decentralized"])
@@ -667,26 +666,24 @@ PINNED = {
         "6d7ac96c1c8939a72040de6ddcac5ba920ddaff60c6bdae92be4ed233d0f43fd"),
     # The perfbench churn shape at N=300: 3 single-topic trees, 2% of the
     # nodes fail at t=0 and half of them rejoin at t=8000, light model. It
-    # runs the rejoin storm, repair after a batch of failures, rejoins and
-    # tree recounts over several groups at once.
+    # runs repair after a batch of failures, parent-failure rejoins, rejoins
+    # and tree recounts over several groups at once.
     "perfbench-churn": (
         dict(seed=23, nodes=300, rounds=2, mode="centralized", topics=3,
              tree_count=3, assignment="single", hidden_dim=8, steps=1,
              batch=8, points_per_node=32,
              failures=[(0.0, i, "fail") for i in (182, 176, 0, 251, 177, 270)]
              + [(8000.0, i, "rejoin") for i in (182, 176, 0)]),
-        "1493c38d6299875660adbf2dfc1fd92d2b6e4e90d62f167ab34fc2d995c8eadd",
-        "b249b206857c85a3fb7f0275214388d17be5d26145ada97342c65eae9eaa7450"),
-    # A failure and a rejoin between rounds, on a fanout-2 tree: the
+        "0911835bd6cf2533bfead7009803f06946eb34aa4351601d5300bc09d44d1513",
+        "1dc90b9382f3fa6c831a40facd189ec243b29eafe87fb84923a9dd49984fecd9"),
+    # Failures and a rejoin between rounds, on a fanout-2 tree: the
     # parent-failure JOINs route over an overlay that has failed nodes, so
-    # `next_hop`'s lazy routing-table patches run along each JOIN's whole
-    # path. A JOIN walk that stops at its first adopter skips some of them
-    # and moves both values, while every other test passes (ROADMAP item 6).
+    # `next_hop`'s lazy routing-table patches run along each JOIN's path.
     "join-walk": (
         dict(seed=363, nodes=308, rounds=3, fanout=2,
              failures=[(500.0, 20, "fail"), (500.0, 54, "fail"), (4000.0, 20, "rejoin")]),
-        "90ed4c37abf50bdd1f6c03559680b68844817d89e14e8fa8d5645d2aaa5bd4e0",
-        "274b8eccf3b131530d42c6857cb4255d5952701d63280126ce3e1a0a32e5bc0f"),
+        "de665161c63b849ffa8d0233254144684451f26087743ca5c6345c0019d5530e",
+        "fe48243b8c0795149dee5cc47bc6f92631b4efa9728a2f71c3a6c952b836c0ee"),
 }
 
 

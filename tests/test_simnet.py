@@ -112,7 +112,7 @@ def test_identical_seed_and_schedule_gives_identical_trace_hash():
 # The sha256 of the event trace below, whose heartbeats run for one `heal`
 # window. Any change to latency draws, event order, drops, byte counts or
 # the window's length moves it.
-PINNED_TRACE = "c1406164755c64e184f6b581b844c0f596bfc67bb2b752f3f2a5e78a0bf52f5c"
+PINNED_TRACE = "99d0e647e5745b59f0a8ae3ed742c980527f735e593a6c7e553c77af5550260d"
 
 
 def test_event_trace_is_pinned():
@@ -159,7 +159,7 @@ def test_event_trace_is_pinned():
 
     assert sim.dropped == 1 and group.rejoins > 0
     assert any(kind == HEARTBEAT for _t, kind, *_rest in sim.trace)
-    assert len(sim.trace) == 407
+    assert len(sim.trace) == 399
     assert sim.trace_hash() == PINNED_TRACE
 
 
