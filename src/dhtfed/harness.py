@@ -418,7 +418,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         sessions.append(FederatedSession(trees, gid, data, cfg.hidden_dim,
                                          cfg.round_config()))
 
-    socials: dict[int, SocialGraph] = {}
+    socials: dict[int, tuple[list[int], SocialGraph]] = {}
     selectors = [ModeSelector(cfg.bytes_threshold, cfg.latency_threshold)
                  for _ in sessions]
     failures = list(cfg.failures)
@@ -427,15 +427,16 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     records: list[MetricsRecord] = []
     all_round_metrics: list[RoundMetrics] = []
     for rnd in range(cfg.rounds):
-        _apply_due_failures(failures, sim, overlay, trees, sorted_ids)
+        _apply_due_failures(failures, sim, overlay, trees, sessions, sorted_ids)
         for k, session in enumerate(sessions):
             mode = cfg.mode if cfg.mode != "auto" else selectors[k].mode
             if mode == DECENTRALIZED:
-                if k not in socials:
-                    leaves = session.contributing_leaves()
-                    socials[k] = SocialGraph.ring_with_chords(
-                        leaves, chords=len(leaves) // 2, seed=cfg.seed * 1000 + k)
-                metrics = session.decentralized_round(socials[k])
+                # Churn changes the leaves; the graph must cover them all.
+                leaves = session.contributing_leaves()
+                if k not in socials or socials[k][0] != leaves:
+                    socials[k] = (leaves, SocialGraph.ring_with_chords(
+                        leaves, chords=len(leaves) // 2, seed=cfg.seed * 1000 + k))
+                metrics = session.decentralized_round(socials[k][1])
             else:
                 metrics = session.centralized_round()
             if cfg.mode == "auto":
@@ -471,8 +472,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(cfg, records, all_round_metrics, final_weights, stats)
 
 
-def _apply_due_failures(failures, sim, overlay, trees, sorted_ids) -> None:
-    """Fail/rejoin actions whose time has come, then heal overlay and trees."""
+def _apply_due_failures(failures, sim, overlay, trees, sessions, sorted_ids) -> None:
+    """Fail/rejoin actions whose time has come, then heal every tree. The
+    overlay repairs its leaf sets itself, in the first route after a fail."""
     due = [f for f in failures if f[0] <= sim.now]
     if not due:
         return
@@ -482,16 +484,16 @@ def _apply_due_failures(failures, sim, overlay, trees, sorted_ids) -> None:
         if action == "fail":
             overlay.fail(nid)
         else:
-            # Removing the member re-attaches its orphans by routing, so the
-            # leaf sets must not list a node failed earlier in this batch.
-            overlay.repair()
-            stale = [gid for gid, g in trees.groups.items() if nid in g.members]
-            for gid in stale:
-                trees.remove_member(gid, nid)
+            for gid, group in trees.groups.items():
+                if nid in group.members:
+                    trees.remove_member(gid, nid)
             overlay.rejoin(nid)
-            for gid in stale:
-                trees.join_group(nid, gid)
-    overlay.repair()
+            # It joins back only the trees it holds data for: one it relayed
+            # for without data, as a root not in its share, would take it
+            # back as a leaf with nothing to contribute.
+            for session in sessions:
+                if nid in session.data:
+                    trees.join_group(nid, session.gid)
     for gid in list(trees.groups):
         trees.heal(gid)
 

@@ -266,10 +266,16 @@ class TreeManager:
             self._adopt(group, child, parent)
 
     def _in_subtree(self, group: GroupState, node: int, top: int) -> bool:
-        """True iff `top` is on `node`'s parent chain (or equal)."""
+        """True iff `top` is on `node`'s live parent chain (or equal).
+
+        The walk stops at a dead member: its parent link is stale, and its
+        old parent's child list no longer holds it, so `_reroot` must never
+        follow the chain through it.
+        """
+        alive = self.overlay.is_alive
         seen = 0
         cur: Optional[int] = node
-        while cur is not None:
+        while cur is not None and alive(cur):
             if cur == top:
                 return True
             cur = group.members[cur].parent if cur in group.members else None
@@ -384,6 +390,7 @@ class TreeManager:
         mem = group.members.pop(member, None)
         if mem is None:
             return
+        dead = not self.overlay.is_alive(member)
         # Only a live member is counted, in its own and its ancestors' sizes.
         size = group.sizes.pop(member, 0)
         if mem.parent is not None and mem.parent in group.members:
@@ -396,6 +403,7 @@ class TreeManager:
             if cm is not None and cm.parent == member and self.overlay.is_alive(child):
                 cm.parent = None
                 group.rejoins += 1
+                group.dead_parent_rejoins += dead
                 self._attach(group, child)
 
     # -- inspection ------------------------------------------------------------

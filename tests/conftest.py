@@ -13,11 +13,13 @@ from dhtfed.tree import TreeConfig, TreeManager
 # `pytest --hypothesis-profile vote-2000` (or `model-2000`, or `route-2000`)
 # gives every test that leaves max_examples to the profile 2000 examples: the
 # vote-equivalence test in test_fedagg.py, the model-path equivalence tests
-# in test_model.py, and the route-memo twin test in test_overlay.py. Tier-1
-# runs keep hypothesis's default of 100.
+# in test_model.py, and the route-memo twin test in test_overlay.py.
+# `churn-1000` gives 1000 to the churn property tests in test_harness.py and
+# test_tree.py. Tier-1 runs keep hypothesis's default of 100.
 settings.register_profile("vote-2000", max_examples=2000)
 settings.register_profile("model-2000", max_examples=2000)
 settings.register_profile("route-2000", max_examples=2000)
+settings.register_profile("churn-1000", max_examples=1000)
 
 
 def build_world(n, fanout=16, seed=42, intercept=True, group="g",

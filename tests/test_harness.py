@@ -552,9 +552,9 @@ def test_tree_stats_export_rejoins_and_the_dead_parent_share(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["centralized", "decentralized"])
 def test_fail_and_rejoin_in_one_batch_join_on_repaired_leaf_sets(mode, monkeypatch):
-    # The rejoin is due in the batch that fails the same node: the harness
+    # The rejoin is due in the batch that fails the same node: the overlay
     # repairs before the rejoin's tree removal routes orphans anew, and so
-    # before its overlay join.
+    # before its overlay join, since `route` repairs first after a fail.
     calls = []
     for attr in ("fail", "repair", "join", "route"):
         original = getattr(Overlay, attr)
@@ -575,7 +575,7 @@ def test_fail_and_rejoin_in_one_batch_join_on_repaired_leaf_sets(mode, monkeypat
         assert not (unrepaired and call == "route")
         unrepaired = call == "fail" or (unrepaired and call != "repair")
     calls = [call for call in calls if call != "route"]
-    assert calls == ["fail", "repair", "join", "repair"]
+    assert calls == ["fail", "repair", "join"]
     assert result.tree_stats["same-batch-tree-0"].members == 40
     assert all(m.root_weight == m.contributors for m in result.round_metrics)
     assert run_scenario(cfg).records_blob() == result.records_blob()
@@ -591,6 +591,78 @@ def test_record_files_roundtrip(tmp_path):
     assert back == result.records
     table = format_table(summary_rows(back))
     assert "accuracy" in table and "io" in table
+
+
+def test_the_social_graph_follows_the_leaves_through_churn():
+    # Nine consecutive nodes fail after the first decentralized round, so
+    # the leaves change; a graph built once from the first round's leaves
+    # raised "social graph does not cover leaf" for 24 of these 26 starts.
+    for start in range(0, 52, 2):
+        cfg = ScenarioConfig.from_ini(str(DEMO_INI))
+        cfg.mode, cfg.rounds = "decentralized", 6
+        cfg.failures = [(1.0, i, "fail") for i in range(start, start + 9)]
+        result = run_scenario(cfg)
+        assert all(m.root_weight == m.contributors for m in result.round_metrics)
+
+
+@st.composite
+def churn_scenarios(draw):
+    """A small light-model scenario with a random fail/rejoin schedule.
+
+    The schedule is a list of non-empty batches. Batch k is due at round
+    k (or k + 1), at a time each earlier batch's healing windows are sure
+    to pass, since each of them lasts at least `failure_timeout + 2 *
+    heartbeat_period`; so every event fires. Within a batch an event fails
+    a live node, up to a fifth of them at once, and rejoins a failed one.
+    """
+    nodes = draw(st.integers(20, 40))
+    trees = draw(st.integers(1, 3))
+    rounds = draw(st.integers(2, 4))
+    first = draw(st.integers(0, 1))
+    batches = draw(st.lists(st.lists(st.integers(0, nodes - 1), min_size=1, max_size=4),
+                            max_size=rounds - first))
+    cfg = ScenarioConfig(seed=draw(st.integers(0, 1 << 16)), nodes=nodes, rounds=rounds,
+                         topics=trees, tree_count=trees, fanout=draw(st.integers(1, 4)),
+                         hidden_dim=8, steps=1, batch=8, points_per_node=16,
+                         test_points=40, gossip_k=2, name="churn-prop",
+                         mode=draw(st.sampled_from(["centralized", "decentralized", "auto"])))
+    spacing = cfg.failure_timeout + 2 * cfg.heartbeat_period
+    failed: set[int] = set()
+    for k, batch in enumerate(batches, start=first):
+        t = 0.0 if k == 0 else 1.0 + (k - 1) * spacing
+        for idx in batch:
+            if idx in failed:
+                failed.remove(idx)
+                cfg.failures.append((t, idx, "rejoin"))
+            elif len(failed) < nodes // 5:
+                failed.add(idx)
+                cfg.failures.append((t, idx, "fail"))
+    return cfg
+
+
+@settings(deadline=None)
+@given(cfg=churn_scenarios())
+def test_trees_stay_valid_and_rejoin_only_orphans_under_random_churn(cfg):
+    managers = []
+    init = TreeManager.__init__
+
+    def init_logged(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        managers.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TreeManager, "__init__", init_logged)
+        result = run_scenario(cfg)
+    (trees,) = managers
+    for gid in trees.groups:
+        assert trees.validate(gid) == []
+    assert all(m.root_weight == m.contributors for m in result.round_metrics)
+    # Every rejoin had a dead parent: no member times out on a live one.
+    for stats in result.tree_stats.values():
+        assert stats.rejoins == stats.dead_parent_rejoins
+    again = run_scenario(cfg)
+    assert scenario_digest(again) == scenario_digest(result)
+    assert again.tree_stats == result.tree_stats
 
 
 # -- dissemination ---------------------------------------------------------------------------
@@ -727,14 +799,16 @@ def test_the_demo_pin_covers_votes_broken_by_probability_mass(monkeypatch):
     assert any(tied_points)
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError,
-                   reason="ROADMAP item 1, reroot crash: _reroot's chain passes a dead member")
 def test_two_failures_at_t0_do_not_crash_the_reroot():
     # A heartbeat tick finds an orphan, `handle_parent_failure` re-attaches
-    # it, and `_attach` reroots through a dead member that has not re-joined:
-    # `list.remove` raises "x not in list" in `TreeManager._reroot`.
-    run_scenario(ScenarioConfig(seed=333, nodes=167, rounds=1, fanout=3,
-                                failures=[(0.0, 45, "fail"), (0.0, 17, "fail")]))
+    # it, and `_attach` reroots. A parent chain followed through a dead
+    # member that has not re-joined made `list.remove` raise "x not in list"
+    # in `TreeManager._reroot`; `_in_subtree` now stops at a dead member.
+    result = run_scenario(ScenarioConfig(seed=333, nodes=167, rounds=1, fanout=3,
+                                         failures=[(0.0, 45, "fail"), (0.0, 17, "fail")]))
+    assert sum(s.rejoins for s in result.tree_stats.values()) > 0
+    assert all(s.rejoins == s.dead_parent_rejoins for s in result.tree_stats.values())
+    assert all(m.root_weight == m.contributors for m in result.round_metrics)
 
 
 @pytest.mark.parametrize("failures, match", [

@@ -440,3 +440,40 @@ def test_heartbeat_config_validation():
         TreeConfig(fanout_cap=0)
     with pytest.raises(ValueError):
         TreeConfig(heartbeat_period=1000, failure_timeout=1500)
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 1 << 16), n=st.integers(30, 200), fanout=st.integers(1, 3),
+       extra=st.integers(0, 5), way=st.sampled_from(["remove", "reattach"]),
+       order=st.integers(0, 1 << 16))
+@example(seed=38004, n=34, fanout=3, extra=3, way="remove", order=55727)
+@example(seed=47695, n=31, fanout=1, extra=4, way="reattach", order=27997)
+def test_healing_after_the_root_and_others_fail_never_crosses_the_dead(
+        seed, n, fanout, extra, way, order):
+    # The root and up to 5 other members fail at once. Then either every
+    # dead member is removed, or every orphan plus about a tenth of the
+    # members with a live parent re-issue their JOIN, in random order. A
+    # reroot whose chain ran through a dead member that has not re-joined
+    # made `list.remove` raise in `TreeManager._reroot`.
+    ids, overlay, sim, trees, gid, root = build_world(n, fanout=fanout, seed=seed)
+    group = trees.groups[gid]
+    rng = random.Random(order)
+    dead = [root] + rng.sample(sorted(m for m in group.members if m != root), extra)
+    for nid in dead:
+        overlay.fail(nid)
+    overlay.repair()
+    if way == "remove":
+        rng.shuffle(dead)
+        for nid in dead:
+            trees.remove_member(gid, nid)
+    else:
+        alive = overlay.is_alive
+        attached = [m for m in sorted(group.members)
+                    if alive(m) and group.members[m].parent is not None]
+        orphans = [m for m in attached if not alive(group.members[m].parent)]
+        rest = [m for m in attached if alive(group.members[m].parent)]
+        picks = orphans + rng.sample(rest, len(rest) // 10)
+        rng.shuffle(picks)
+        for nid in picks:
+            trees.handle_parent_failure(gid, nid)
+    assert trees.validate(gid) == []
