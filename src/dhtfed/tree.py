@@ -373,12 +373,7 @@ class TreeManager:
         group = self.group(gid)
         mem = group.members[member]
         old_parent = mem.parent
-        if old_parent is not None and old_parent in group.members:
-            pc = group.members[old_parent].children
-            if member in pc:
-                pc.remove(member)
-                self._resize_chain(group, old_parent, -group.sizes.get(member, 0))
-        mem.parent = None
+        self._detach(group, member, mem)
         group.rejoins += 1
         if old_parent is not None and not self.overlay.is_alive(old_parent):
             group.dead_parent_rejoins += 1
@@ -391,13 +386,8 @@ class TreeManager:
         if mem is None:
             return
         dead = not self.overlay.is_alive(member)
-        # Only a live member is counted, in its own and its ancestors' sizes.
-        size = group.sizes.pop(member, 0)
-        if mem.parent is not None and mem.parent in group.members:
-            siblings = group.members[mem.parent].children
-            if member in siblings:
-                siblings.remove(member)
-                self._resize_chain(group, mem.parent, -size)
+        self._detach(group, member, mem)
+        group.sizes.pop(member, None)
         for child in list(mem.children):
             cm = group.members.get(child)
             if cm is not None and cm.parent == member and self.overlay.is_alive(child):
@@ -405,6 +395,34 @@ class TreeManager:
                 group.rejoins += 1
                 group.dead_parent_rejoins += dead
                 self._attach(group, child)
+        # No orphan's JOIN found the root gone (none was live, or each was
+        # intercepted), so the group would have no root to walk from.
+        if group.root == member:
+            self._hand_on_root(group)
+
+    def _detach(self, group: GroupState, nid: int, mem: TreeMembership) -> None:
+        """Cut nid from its parent; its subtree stays under it. Only a live
+        member is counted, in its own and its ancestors' sizes."""
+        parent = mem.parent
+        if parent is not None and parent in group.members:
+            siblings = group.members[parent].children
+            if nid in siblings:
+                siblings.remove(nid)
+                self._resize_chain(group, parent, -group.sizes.get(nid, 0))
+        mem.parent = None
+
+    def _hand_on_root(self, group: GroupState) -> None:
+        """Make the live node closest to the group id the root, as a JOIN
+        that finds the root gone would; a member is cut from its parent."""
+        live = self.overlay.live_ids()
+        if not live:
+            return
+        z = self.overlay.route(live[0], group.gid).destination
+        if z in group.members:
+            self._detach(group, z, group.members[z])
+        else:
+            self._add_member(group, z)
+        group.root = z
 
     # -- inspection ------------------------------------------------------------
 

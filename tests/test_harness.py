@@ -605,6 +605,14 @@ def test_the_social_graph_follows_the_leaves_through_churn():
         assert all(m.root_weight == m.contributors for m in result.round_metrics)
 
 
+def light_churn_config(seed, nodes, trees, fanout, rounds, mode, failures=()):
+    """A small light-model scenario, one topic per tree."""
+    return ScenarioConfig(seed=seed, nodes=nodes, rounds=rounds, topics=trees,
+                          tree_count=trees, fanout=fanout, hidden_dim=8, steps=1,
+                          batch=8, points_per_node=16, test_points=40, gossip_k=2,
+                          name="churn-prop", mode=mode, failures=list(failures))
+
+
 @st.composite
 def churn_scenarios(draw):
     """A small light-model scenario with a random fail/rejoin schedule.
@@ -621,15 +629,15 @@ def churn_scenarios(draw):
     first = draw(st.integers(0, 1))
     batches = draw(st.lists(st.lists(st.integers(0, nodes - 1), min_size=1, max_size=4),
                             max_size=rounds - first))
-    cfg = ScenarioConfig(seed=draw(st.integers(0, 1 << 16)), nodes=nodes, rounds=rounds,
-                         topics=trees, tree_count=trees, fanout=draw(st.integers(1, 4)),
-                         hidden_dim=8, steps=1, batch=8, points_per_node=16,
-                         test_points=40, gossip_k=2, name="churn-prop",
-                         mode=draw(st.sampled_from(["centralized", "decentralized", "auto"])))
+    cfg = light_churn_config(
+        draw(st.integers(0, 1 << 16)), nodes, trees, draw(st.integers(1, 4)), rounds,
+        draw(st.sampled_from(["centralized", "decentralized", "auto"])))
     spacing = cfg.failure_timeout + 2 * cfg.heartbeat_period
     failed: set[int] = set()
-    for k, batch in enumerate(batches, start=first):
+    k = first
+    for batch in batches:
         t = 0.0 if k == 0 else 1.0 + (k - 1) * spacing
+        before = len(cfg.failures)
         for idx in batch:
             if idx in failed:
                 failed.remove(idx)
@@ -637,11 +645,20 @@ def churn_scenarios(draw):
             elif len(failed) < nodes // 5:
                 failed.add(idx)
                 cfg.failures.append((t, idx, "fail"))
+        k += len(cfg.failures) > before  # a batch left empty heals nothing
     return cfg
 
 
 @settings(deadline=None)
 @given(cfg=churn_scenarios())
+# Node 2 was tree 1's root but holds tree 0's data. Joined back to tree 1,
+# it became the only leaf of its chain: no leaf contributed.
+@example(cfg=light_churn_config(2, 20, 2, 1, 2, "centralized",
+                                [(0.0, 2, "fail"), (0.0, 2, "rejoin")]))
+# Node 7 was tree 0's root without its data, and its only child failed:
+# removing it left tree 0 with no root to walk from.
+@example(cfg=light_churn_config(0, 20, 2, 1, 2, "centralized",
+                                [(0.0, 0, "fail"), (0.0, 7, "fail"), (0.0, 7, "rejoin")]))
 def test_trees_stay_valid_and_rejoin_only_orphans_under_random_churn(cfg):
     managers = []
     init = TreeManager.__init__
