@@ -321,7 +321,9 @@ class TreeManager:
     def heal(self, gid: int) -> None:
         """Run the group's heartbeats for one healing window, then drain.
 
-        No beats are simulated between windows, so a live parent's beats
+        A root removed with no JOIN since is first handed on to the live
+        node closest to the group id. No beats are simulated between
+        windows, so a live parent's beats
         count as heard up to the window's start: every member's stamp is set
         to now, and only a member whose parent died times out. Ticks start
         one period from now and stop after
@@ -330,7 +332,14 @@ class TreeManager:
         new parent is orphaned in turn.
         """
         cfg, now = self.config, self.sim.now
-        for mem in self.group(gid).members.values():
+        group = self.group(gid)
+        if group.root not in group.members:
+            # The root was removed and no JOIN since found it gone.
+            live = self.overlay.live_ids()
+            if not live:
+                return  # no node is up: nothing to heal, nor to walk from
+            self._hand_on_root(group, live[0])
+        for mem in group.members.values():
             mem.last_parent_heartbeat = now
         depth = max(self.tree_stats(gid).depth, 1)
         end = now + cfg.failure_timeout + (depth + 1) * cfg.heartbeat_period
@@ -395,10 +404,6 @@ class TreeManager:
                 group.rejoins += 1
                 group.dead_parent_rejoins += dead
                 self._attach(group, child)
-        # No orphan's JOIN found the root gone (none was live, or each was
-        # intercepted), so the group would have no root to walk from.
-        if group.root == member:
-            self._hand_on_root(group)
 
     def _detach(self, group: GroupState, nid: int, mem: TreeMembership) -> None:
         """Cut nid from its parent; its subtree stays under it. Only a live
@@ -411,13 +416,11 @@ class TreeManager:
                 self._resize_chain(group, parent, -group.sizes.get(nid, 0))
         mem.parent = None
 
-    def _hand_on_root(self, group: GroupState) -> None:
+    def _hand_on_root(self, group: GroupState, source: int) -> None:
         """Make the live node closest to the group id the root, as a JOIN
-        that finds the root gone would; a member is cut from its parent."""
-        live = self.overlay.live_ids()
-        if not live:
-            return
-        z = self.overlay.route(live[0], group.gid).destination
+        from `source` that finds the root gone would; a member is cut from
+        its parent."""
+        z = self.overlay.route(source, group.gid).destination
         if z in group.members:
             self._detach(group, z, group.members[z])
         else:

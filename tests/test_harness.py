@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from dhtfed import harness
-from dhtfed.fedagg import FederatedSession, RoundConfig, write_round_log
+from dhtfed.fedagg import FederatedSession, ProtocolError, RoundConfig, write_round_log
 from dhtfed.harness import (MIXED, SINGLE_TOPIC_PER_TREE, DisseminationRow,
                             MetricsRecord, ScenarioConfig, TopicSpec, compute_accuracy,
                             compute_f1, format_table, generate_testset,
@@ -611,6 +611,19 @@ def light_churn_config(seed, nodes, trees, fanout, rounds, mode, failures=()):
                           tree_count=trees, fanout=fanout, hidden_dim=8, steps=1,
                           batch=8, points_per_node=16, test_points=40, gossip_k=2,
                           name="churn-prop", mode=mode, failures=list(failures))
+
+
+@pytest.mark.parametrize("tail", [[(0.0, 0, "rejoin")], [(0.0, 0, "rejoin"), (0.0, 0, "fail")]])
+def test_a_root_removed_with_no_node_up_ends_in_the_protocol_error(tail):
+    # Node 0 is tree 1's root but holds tree 0's data. Every node fails,
+    # and its rejoin removes it from tree 1 with no live orphan to take the
+    # root over. Healing tree 1 must not walk from the removed root (a
+    # KeyError), nor route from a live node when none is up (an
+    # IndexError once node 0 failed again): the round's own error stands.
+    cfg = light_churn_config(3, 4, 2, 16, 1, "centralized",
+                             [(0.0, i, "fail") for i in range(4)] + tail)
+    with pytest.raises(ProtocolError, match="no live contributing leaves"):
+        run_scenario(cfg)
 
 
 @st.composite
