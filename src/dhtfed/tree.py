@@ -323,11 +323,10 @@ class TreeManager:
 
         A root removed with no JOIN since is first handed on to the live
         node closest to the group id. No beats are simulated between
-        windows, so a live parent's beats
-        count as heard up to the window's start: every member's stamp is set
-        to now, and only a member whose parent died times out. Ticks start
-        one period from now and stop after
-        `now + failure_timeout + (max(depth, 1) + 1) * heartbeat_period`:
+        windows, so a live parent's beats count as heard up to the window's
+        start: every member's stamp is set to now, and only a member whose
+        parent died times out. Ticks start one period from now and stop
+        after `now + failure_timeout + (max(depth, 1) + 1) * heartbeat_period`:
         long enough for every orphan to time out and re-join, even one whose
         new parent is orphaned in turn.
         """
