@@ -8,7 +8,7 @@ from .model import (LocalDataset, ModelParams, forward_batch, local_finetune,
                     pfl_grad, pfl_loss)
 from .fedagg import (AggregateMessage, FederatedSession, ModeSelector,
                      RoundConfig, SocialGraph, branch_aggregate, root_update)
-from .harness import (MetricsRecord, ScenarioConfig, TopicSpec, compute_f1,
+from .harness import (MetricsRecord, Scenario, ScenarioConfig, TopicSpec, compute_f1,
                       generate_topic_data, measure_dissemination, run_scenario)
 
 __version__ = "0.1.0"

@@ -11,8 +11,9 @@ import sys
 
 import numpy as np
 
-from .fedagg import CENTRALIZED, DECENTRALIZED, write_round_log
-from .harness import (MIXED, SINGLE_TOPIC_PER_TREE, ScenarioConfig,
+from .fedagg import (CENTRALIZED, DECENTRALIZED, audit_decentralized_privacy,
+                     write_round_log)
+from .harness import (MIXED, SINGLE_TOPIC_PER_TREE, Scenario, ScenarioConfig,
                       format_table, measure_dissemination, read_records,
                       run_scenario, summary_rows, write_csv, write_records)
 from .model import deserialize_params
@@ -160,9 +161,14 @@ def cmd_agg_check(args) -> int:
     gossip, the decentralized root averages each distinct leaf's update once,
     flat, so the centralized final weights must match its own; and every
     round's root weight must equal its contributors.
+
+    The decentralized round's messages are audited for privacy, too: none
+    may carry one leaf's raw update outside its friend set. A trial with 0
+    gossip hops uploads directly by design, so it is excused and counted.
     """
     rng = np.random.default_rng(args.seed)
     worst = 0.0
+    audited = excused = 0
     for trial in range(args.trials):
         base = dict(seed=int(rng.integers(1, 1 << 31)),
                     nodes=int(rng.integers(5, 40)), fanout=int(rng.integers(1, 5)),
@@ -170,16 +176,31 @@ def cmd_agg_check(args) -> int:
                     tree_count=1, **_AGG_CHECK_MODEL)
         finals = []
         for mode in (CENTRALIZED, DECENTRALIZED):
-            result = run_scenario(ScenarioConfig(mode=mode, **base))
+            scenario = Scenario(ScenarioConfig(mode=mode, **base))
+            scenario.step()  # the trial's one round
+            result = scenario.result()
             if any(m.root_weight != m.contributors for m in result.round_metrics):
                 print(f"agg-check: weight conservation failed on trial {trial} ({mode})")
                 return 1
+            if mode == DECENTRALIZED and base["gossip_k"] == 0:
+                excused += 1
+            elif mode == DECENTRALIZED:
+                [session] = scenario.sessions
+                [(_leaves, social)] = scenario.socials.values()
+                audited += len(session.msg_log)
+                leaks = audit_decentralized_privacy(session.msg_log, social)
+                if leaks:
+                    print(f"agg-check: privacy audit failed on trial {trial}: "
+                          f"{len(leaks)} of {len(session.msg_log)} messages expose "
+                          f"a leaf's update outside its friend set")
+                    return 1
             [blob] = result.final_weights.values()
             finals.append(deserialize_params(blob))
         tree, flat = finals
         worst = max(worst, float(np.max(np.abs(tree.w - flat.w))),
                     float(np.max(np.abs(tree.b - flat.b))))
-    print(f"agg-check: trials={args.trials} worst_flat_mean_error={worst:.2e}")
+    print(f"agg-check: trials={args.trials} worst_flat_mean_error={worst:.2e} "
+          f"privacy_audited_messages={audited} excused_k0_trials={excused}")
     return 0 if worst <= 1e-9 else 1
 
 

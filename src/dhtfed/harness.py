@@ -311,21 +311,31 @@ class ScenarioConfig:
 
     @classmethod
     def from_ini(cls, path: str) -> "ScenarioConfig":
-        """Parse the key/value config format; unknown sections or keys fail."""
+        """Parse the key/value config format; unknown sections or keys fail,
+        and so does a file configparser cannot read, with a ValueError that
+        names the file."""
         parser = configparser.ConfigParser()
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                parser.read_file(fh)
+            if parser.defaults():  # they would be copied into every section
+                raise ValueError(f"unknown config section [{parser.default_section}]")
+            sections = {name: dict(parser[name]) for name in parser.sections()}
+        except configparser.InterpolationError as exc:  # a stray '%'
+            raise ValueError(f"{path}: [{exc.section}] {exc.option}: {exc.message}") from None
+        except configparser.Error as exc:  # its message names the file and line
+            raise ValueError(" ".join(str(exc).split())) from None
         kwargs = {}
-        for section in parser.sections():
+        for section, values in sections.items():
             if section not in _CONFIG_SECTIONS:
                 raise ValueError(f"unknown config section [{section}]")
-            for key in parser[section]:
+            for key, raw in values.items():
                 if key not in _CONFIG_SECTIONS[section]:
                     raise ValueError(f"unknown config key {key!r} in [{section}]")
                 if section == "failures":
-                    kwargs["failures"] = _parse_failures(parser[section][key])
+                    kwargs["failures"] = _parse_failures(raw)
                 else:
-                    kwargs[key] = _coerce(key, parser[section][key])
+                    kwargs[key] = _coerce(key, raw)
         if "seed" not in kwargs:
             raise ValueError("config must set scenario.seed")
         cfg = cls(**kwargs)
@@ -347,7 +357,10 @@ def _coerce(key: str, raw: str):
             return False
         raise ValueError(f"bad boolean {raw!r} for {key}")
     if kind in (int, float):
-        return kind(raw)
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ValueError(f"bad {kind.__name__} {raw!r} for {key}") from None
     return raw
 
 
@@ -358,7 +371,11 @@ def _parse_failures(raw: str) -> list[tuple[float, int, str]]:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"failure event needs 'time node_index action': {line!r}")
-        events.append((float(parts[0]), int(parts[1]), parts[2]))
+        try:
+            events.append((float(parts[0]), int(parts[1]), parts[2]))
+        except ValueError:
+            raise ValueError(f"failure event needs a number time and an integer "
+                             f"node_index: {line!r}") from None
     return events
 
 
@@ -379,10 +396,11 @@ class ScenarioResult:
 def _build_trees(trees: TreeManager, ids: list[int],
                  names: list[str]) -> list[tuple[int, list[int]]]:
     """One group per name, in order; group k is joined by its share
-    `sorted(ids)[k::len(names)]`. Returns (group id, share) per group."""
-    ordered, out = sorted(ids), []
+    `ids[k::len(names)]` of the ids, which come sorted as `random_ids`
+    returns them. Returns (group id, share) per group."""
+    out = []
     for k, name in enumerate(names):
-        share = ordered[k::len(names)]
+        share = ids[k::len(names)]
         gid, _root = trees.create_group(name)
         for nid in share:
             if nid not in trees.groups[gid].members:
@@ -391,111 +409,152 @@ def _build_trees(trees: TreeManager, ids: list[int],
     return out
 
 
-def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
-    """Build the overlay and trees, distribute data, run T federated rounds
-    interleaved with ensemble inference on held-out per-topic test sets.
+class Scenario:
+    """One run's world: the overlay, the simulator, the trees with one
+    session and mode selector each, the test sets each tree votes on, and
+    the failure events still to come.
 
-    Logs one progress line per round and tree at INFO on "dhtfed.harness".
+    `step()` runs one round and `result()` ends the run; `run_scenario`
+    does both. Nothing the scenario builds refers back to it, so a finished
+    run is freed by reference counting alone.
     """
-    cfg.validate()
-    ids = random_ids(cfg.nodes, cfg.seed)
-    overlay = Overlay.build(ids)
-    sim = Simulator(seed=cfg.seed, link=cfg.link_model(), alive=overlay.is_alive)
-    trees = TreeManager(overlay, sim, cfg.tree_config())
 
-    topics = make_topics(cfg.topics, cfg.hidden_dim, cfg.seed,
-                         cfg.separation, cfg.cov_scale, cfg.points_per_node)
-    testsets = {t.topic_id: generate_testset(t, cfg.test_points, cfg.seed)
-                for t in topics}
+    def __init__(self, cfg: ScenarioConfig):
+        cfg.validate()
+        self.cfg = cfg
+        self.ids = random_ids(cfg.nodes, cfg.seed)  # sorted: failure events index them
+        self.overlay = Overlay.build(self.ids)
+        self.sim = Simulator(seed=cfg.seed, link=cfg.link_model(),
+                             alive=self.overlay.is_alive)
+        self.trees = TreeManager(self.overlay, self.sim, cfg.tree_config())
 
-    tree_names = [f"{cfg.name}-tree-{k}" for k in range(cfg.tree_count)]
-    sessions: list[FederatedSession] = []
-    for k, (gid, share) in enumerate(_build_trees(trees, ids, tree_names)):
-        if cfg.assignment == SINGLE_TOPIC_PER_TREE:
-            data = generate_topic_data(topics[k], share, cfg.seed)
-        else:
-            data = mixed_node_data(topics, share, cfg.seed, cfg.points_per_node)
-        sessions.append(FederatedSession(trees, gid, data, cfg.hidden_dim,
-                                         cfg.round_config()))
+        topics = make_topics(cfg.topics, cfg.hidden_dim, cfg.seed,
+                             cfg.separation, cfg.cov_scale, cfg.points_per_node)
+        testsets = {t.topic_id: generate_testset(t, cfg.test_points, cfg.seed)
+                    for t in topics}
 
-    socials: dict[int, tuple[list[int], SocialGraph]] = {}
-    selectors = [ModeSelector(cfg.bytes_threshold, cfg.latency_threshold)
-                 for _ in sessions]
-    failures = list(cfg.failures)
-    sorted_ids = sorted(ids)
+        self.names = [f"{cfg.name}-tree-{k}" for k in range(cfg.tree_count)]
+        self.sessions: list[FederatedSession] = []
+        # Per tree, the (topic, test set) pairs its vote is scored on.
+        self.testsets: list[list[tuple[int, LocalDataset]]] = []
+        for k, (gid, share) in enumerate(_build_trees(self.trees, self.ids, self.names)):
+            if cfg.assignment == SINGLE_TOPIC_PER_TREE:
+                data = generate_topic_data(topics[k], share, cfg.seed)
+                tid = topics[k].topic_id
+                self.testsets.append([(tid, testsets[tid])])
+            else:
+                data = mixed_node_data(topics, share, cfg.seed, cfg.points_per_node)
+                self.testsets.append(sorted(testsets.items()))
+            self.sessions.append(FederatedSession(self.trees, gid, data, cfg.hidden_dim,
+                                                  cfg.round_config()))
 
-    records: list[MetricsRecord] = []
-    all_round_metrics: list[RoundMetrics] = []
-    for rnd in range(cfg.rounds):
-        _apply_due_failures(failures, sim, overlay, trees, sessions, sorted_ids)
-        for k, session in enumerate(sessions):
-            mode = cfg.mode if cfg.mode != "auto" else selectors[k].mode
+        self.selectors = [ModeSelector(cfg.bytes_threshold, cfg.latency_threshold)
+                          for _ in self.sessions]
+        # Per tree, the social graph of the last decentralized round and the
+        # contributing leaves it was built over.
+        self.socials: dict[int, tuple[list[int], SocialGraph]] = {}
+        self.failures = list(cfg.failures)
+        self.round = 0
+        self.records: list[MetricsRecord] = []
+        self.round_metrics: list[RoundMetrics] = []
+
+    def step(self) -> list[MetricsRecord]:
+        """Run the next round: the failure events due by now and every
+        tree's healing, then each tree's round and its vote. Returns the
+        round's records, and logs one progress line per tree at INFO on
+        "dhtfed.harness"."""
+        cfg, rnd = self.cfg, self.round
+        if rnd >= cfg.rounds:
+            raise ValueError(f"all {cfg.rounds} rounds have run")
+        self.round += 1
+        self._apply_due_failures()
+        first = len(self.records)
+        for k, session in enumerate(self.sessions):
+            mode = cfg.mode if cfg.mode != "auto" else self.selectors[k].mode
             if mode == DECENTRALIZED:
-                # Churn changes the leaves; the graph must cover them all.
-                leaves = session.contributing_leaves()
-                if k not in socials or socials[k][0] != leaves:
-                    socials[k] = (leaves, SocialGraph.ring_with_chords(
-                        leaves, chords=len(leaves) // 2, seed=cfg.seed * 1000 + k))
-                metrics = session.decentralized_round(socials[k][1])
+                metrics = session.decentralized_round(self._social_graph(k))
             else:
                 metrics = session.centralized_round()
             if cfg.mode == "auto":
-                selectors[k].update(metrics.max_ingress_bytes, metrics.root_latency)
-            all_round_metrics.append(metrics)
+                self.selectors[k].update(metrics.max_ingress_bytes, metrics.root_latency)
+            self.round_metrics.append(metrics)
 
-            topic_ids = ([topics[k].topic_id]
-                         if cfg.assignment == SINGLE_TOPIC_PER_TREE
-                         else sorted(testsets))
-            for tid in topic_ids:
-                test = testsets[tid]
+            own = []
+            for tid, test in self.testsets[k]:
                 labels, _counts = session.ensemble_infer(test.x)
-                records.append(MetricsRecord(
+                own.append(MetricsRecord(
                     scenario=cfg.name, round=rnd, topic=tid,
                     accuracy=compute_accuracy(labels, test.y),
                     f1=compute_f1(labels, test.y),
                     dissemination=metrics.dissemination,
                     max_ingress_bytes=metrics.max_ingress_bytes,
                     mode=metrics.mode))
-            if log.isEnabledFor(logging.INFO):
-                last = [r for r in records if r.round == rnd]
-                acc = sum(r.accuracy for r in last) / len(last)
-                log.info("round %3d tree %d mode=%s acc=%.4f lat=%.0fms", rnd, k,
-                         metrics.mode, acc, metrics.root_latency)
-    if failures:
-        raise ValueError(f"failure events never fired: {failures}; the run "
-                         f"ended at simulated time {sim.now:.1f} ms")
+            self.records += own
+            log.info("round %3d tree %d mode=%s acc=%.4f lat=%.0fms", rnd, k, metrics.mode,
+                     sum(r.accuracy for r in own) / len(own), metrics.root_latency)
+        return self.records[first:]
 
-    final_weights = {name: serialize_params(s.global_params)
-                     for name, s in zip(tree_names, sessions)}
-    stats = {name: trees.tree_stats(s.gid)
-             for name, s in zip(tree_names, sessions)}
-    return ScenarioResult(cfg, records, all_round_metrics, final_weights, stats)
+    def result(self) -> ScenarioResult:
+        """The run's records, round metrics, final weights and tree stats,
+        once every round has run. Failure events that never fired raise."""
+        cfg = self.cfg
+        if self.round < cfg.rounds:
+            raise ValueError(f"{self.round} of {cfg.rounds} rounds have run")
+        if self.failures:
+            raise ValueError(f"failure events never fired: {self.failures}; the run "
+                             f"ended at simulated time {self.sim.now:.1f} ms")
+        final_weights = {name: serialize_params(s.global_params)
+                         for name, s in zip(self.names, self.sessions)}
+        stats = {name: self.trees.tree_stats(s.gid)
+                 for name, s in zip(self.names, self.sessions)}
+        return ScenarioResult(cfg, self.records, self.round_metrics, final_weights, stats)
+
+    def _social_graph(self, k: int) -> SocialGraph:
+        """Tree k's social graph, built anew whenever churn has changed the
+        contributing leaves, since it must cover them all."""
+        leaves = self.sessions[k].contributing_leaves()
+        if k not in self.socials or self.socials[k][0] != leaves:
+            self.socials[k] = (leaves, SocialGraph.ring_with_chords(
+                leaves, chords=len(leaves) // 2, seed=self.cfg.seed * 1000 + k))
+        return self.socials[k][1]
+
+    def _apply_due_failures(self) -> None:
+        """Fail/rejoin actions whose time has come, then heal every tree. The
+        overlay repairs its leaf sets itself, in the first route after a fail."""
+        due = [f for f in self.failures if f[0] <= self.sim.now]
+        if not due:
+            return
+        del self.failures[: len(due)]
+        trees = self.trees
+        for _t, idx, action in due:
+            nid = self.ids[idx]
+            if action == "fail":
+                self.overlay.fail(nid)
+            else:
+                for gid, group in trees.groups.items():
+                    if nid in group.members:
+                        trees.remove_member(gid, nid)
+                self.overlay.rejoin(nid)
+                # It joins back only the trees it holds data for: one it relayed
+                # for without data, as a root not in its share, would take it
+                # back as a leaf with nothing to contribute.
+                for session in self.sessions:
+                    if nid in session.data:
+                        trees.join_group(nid, session.gid)
+        for gid in list(trees.groups):
+            trees.heal(gid)
 
 
-def _apply_due_failures(failures, sim, overlay, trees, sessions, sorted_ids) -> None:
-    """Fail/rejoin actions whose time has come, then heal every tree. The
-    overlay repairs its leaf sets itself, in the first route after a fail."""
-    due = [f for f in failures if f[0] <= sim.now]
-    if not due:
-        return
-    del failures[: len(due)]
-    for _t, idx, action in due:
-        nid = sorted_ids[idx]
-        if action == "fail":
-            overlay.fail(nid)
-        else:
-            for gid, group in trees.groups.items():
-                if nid in group.members:
-                    trees.remove_member(gid, nid)
-            overlay.rejoin(nid)
-            # It joins back only the trees it holds data for: one it relayed
-            # for without data, as a root not in its share, would take it
-            # back as a leaf with nothing to contribute.
-            for session in sessions:
-                if nid in session.data:
-                    trees.join_group(nid, session.gid)
-    for gid in list(trees.groups):
-        trees.heal(gid)
+def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
+    """Build the overlay and trees, distribute data, run T federated rounds
+    interleaved with ensemble inference on held-out per-topic test sets.
+
+    Logs one progress line per round and tree at INFO on "dhtfed.harness".
+    """
+    scenario = Scenario(cfg)
+    for _ in range(cfg.rounds):
+        scenario.step()
+    return scenario.result()
 
 
 # -- dissemination study -------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import os
@@ -5,6 +6,7 @@ import os
 import pytest
 
 from dhtfed.cli import main
+from dhtfed.harness import ScenarioConfig
 
 INI = """
 [scenario]
@@ -73,6 +75,29 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("nodes = 3\n[scenario]\nseed = 1\n", "File contains no section headers. file: '{}', line: 1"),
+    ("[scenario]\nseed = 1\nseed = 2\n",
+     "While reading from '{}' [line 3]: option 'seed' in section 'scenario' already exists"),
+    ("[scenario]\nseed = 1\n[scenario]\nnodes = 3\n",
+     "While reading from '{}' [line 3]: section 'scenario' already exists"),
+    ("[scenario]\nseed = 1\nname = 50%\n", "{}: [scenario] name: '%' must be followed by"),
+    ("[scenario]\nseed = 1\ngarbage\n", "Source contains parsing errors: '{}' [line 3]"),
+    ("[DEFAULT]\nseed = 1\n[data]\ntopics = 3\n", "unknown config section [DEFAULT]"),
+    ("[scenario]\nseed = 1\nnodes = sixty\n", "bad int 'sixty' for nodes"),
+    ("[scenario]\nseed = 1\n[data]\nseparation = far\n", "bad float 'far' for separation"),
+    ("[scenario]\nseed = 1\n[failures]\nevents = 0 x fail\n",
+     "failure event needs a number time and an integer node_index: '0 x fail'"),
+])
+def test_run_rejects_a_malformed_config_file(text, message, tmp_path, capsys):
+    """A file configparser cannot read, or a value that is not a number,
+    is a usage error that names the file or the key, not a traceback."""
+    path = write_cfg(tmp_path, text, "bad.ini")
+    rc = main(["run", path, "--out", str(tmp_path / "r"), "--quiet"])
+    assert rc == 2
+    assert f"error: {message.format(path)}" in capsys.readouterr().err
+
+
 def test_run_rejects_bad_overrides_before_any_output(tmp_path, capsys):
     out = tmp_path / "r"
     for flag, value, message in (("--nodes", "0", "nodes and rounds must be positive"),
@@ -121,7 +146,20 @@ def test_audits_reject_vacuous_counts(argv, capsys):
 def test_agg_check_passes(capsys):
     rc = main(["agg-check", "--trials", "25", "--seed", "3"])
     assert rc == 0
-    assert "worst_flat_mean_error" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "worst_flat_mean_error" in out
+    assert int(out.split("privacy_audited_messages=")[1].split()[0]) > 0
+
+
+def test_agg_check_fails_when_leaves_upload_raw_updates(monkeypatch, capsys):
+    # Every session uploads as with 0 gossip hops, whatever hops the trial
+    # drew: a leaf's raw update then reaches the root outside its friends.
+    round_config = ScenarioConfig.round_config
+    monkeypatch.setattr(ScenarioConfig, "round_config",
+                        lambda self: dataclasses.replace(round_config(self), gossip_k=0))
+    rc = main(["agg-check", "--trials", "25", "--seed", "3"])
+    assert rc == 1
+    assert "agg-check: privacy audit failed on trial" in capsys.readouterr().out
 
 
 def test_report_aggregates_results(tmp_path, capsys):

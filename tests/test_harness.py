@@ -11,8 +11,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from dhtfed import harness
 from dhtfed.fedagg import FederatedSession, ProtocolError, RoundConfig, write_round_log
 from dhtfed.harness import (MIXED, SINGLE_TOPIC_PER_TREE, DisseminationRow,
-                            MetricsRecord, ScenarioConfig, TopicSpec, compute_accuracy,
-                            compute_f1, format_table, generate_testset,
+                            MetricsRecord, Scenario, ScenarioConfig, TopicSpec,
+                            compute_accuracy, compute_f1, format_table, generate_testset,
                             generate_topic_data, make_topics,
                             measure_dissemination, mixed_node_data,
                             read_records, run_scenario, summary_rows,
@@ -440,11 +440,30 @@ def test_progress_is_logged_once_per_round_and_tree(caplog):
     run_scenario(cfg)
     assert caplog.records == []
     caplog.set_level(logging.INFO, logger="dhtfed.harness")
-    run_scenario(cfg)
+    result = run_scenario(cfg)
     lines = [r.getMessage() for r in caplog.records if r.name == "dhtfed.harness"]
     assert [line.split(" mode=")[0] for line in lines] == [
         f"round {rnd:3d} tree {k}" for rnd in range(3) for k in range(2)]
     assert all(r.levelno == logging.INFO for r in caplog.records)
+    # Each line shows its own tree's accuracy, not the mean over trees 0..k.
+    assert [line.split("acc=")[1].split()[0] for line in lines] == [
+        f"{r.accuracy:.4f}" for r in result.records]
+
+
+def test_a_scenario_steps_round_by_round():
+    cfg = ScenarioConfig(seed=31, nodes=20, rounds=3, topics=2, tree_count=2,
+                         points_per_node=80, fanout=4, name="stepped")
+    scenario = Scenario(cfg)
+    steps = [scenario.step()]
+    with pytest.raises(ValueError, match="1 of 3 rounds have run"):
+        scenario.result()
+    steps += [scenario.step() for _ in range(cfg.rounds - 1)]
+    with pytest.raises(ValueError, match="all 3 rounds have run"):
+        scenario.step()
+    result = scenario.result()
+    assert [{r.round for r in records} for records in steps] == [{0}, {1}, {2}]
+    assert [r for records in steps for r in records] == result.records
+    assert scenario_digest(result) == scenario_digest(run_scenario(cfg))
 
 
 def test_scenario_rerun_is_bit_identical():
@@ -519,12 +538,8 @@ def test_fail_then_rejoin_restores_membership():
 
 
 def test_tree_stats_export_rejoins_and_the_dead_parent_share(monkeypatch):
-    managers, dead_parent = [], {}
-    init, handle = TreeManager.__init__, TreeManager.handle_parent_failure
-
-    def init_logged(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        managers.append(self)
+    dead_parent = {}
+    handle = TreeManager.handle_parent_failure
 
     def handle_logged(self, gid, member):
         parent = self.groups[gid].members[member].parent
@@ -532,14 +547,15 @@ def test_tree_stats_export_rejoins_and_the_dead_parent_share(monkeypatch):
             dead_parent[gid] = dead_parent.get(gid, 0) + 1
         handle(self, gid, member)
 
-    monkeypatch.setattr(TreeManager, "__init__", init_logged)
     monkeypatch.setattr(TreeManager, "handle_parent_failure", handle_logged)
     cfg = ScenarioConfig(seed=41, nodes=30, rounds=3, topics=2, tree_count=2,
                          points_per_node=20, fanout=4, name="storm",
                          failures=[(0.0, 5, "fail")])
-    result = run_scenario(cfg)
-    (trees,) = managers
-    groups = {g.name: g for g in trees.groups.values()}
+    scenario = Scenario(cfg)
+    for _ in range(cfg.rounds):
+        scenario.step()
+    result = scenario.result()
+    groups = {g.name: g for g in scenario.trees.groups.values()}
     assert set(result.tree_stats) == set(groups)
     for name, stats in result.tree_stats.items():
         assert stats.rejoins == groups[name].rejoins
@@ -673,19 +689,13 @@ def churn_scenarios(draw):
 @example(cfg=light_churn_config(0, 20, 2, 1, 2, "centralized",
                                 [(0.0, 0, "fail"), (0.0, 7, "fail"), (0.0, 7, "rejoin")]))
 def test_trees_stay_valid_and_rejoin_only_orphans_under_random_churn(cfg):
-    managers = []
-    init = TreeManager.__init__
-
-    def init_logged(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        managers.append(self)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(TreeManager, "__init__", init_logged)
-        result = run_scenario(cfg)
-    (trees,) = managers
-    for gid in trees.groups:
-        assert trees.validate(gid) == []
+    scenario = Scenario(cfg)
+    trees = scenario.trees
+    for _ in range(cfg.rounds):  # the last pass checks the trees the run ends with
+        scenario.step()
+        for gid in trees.groups:
+            assert trees.validate(gid) == []
+    result = scenario.result()
     assert all(m.root_weight == m.contributors for m in result.round_metrics)
     # Every rejoin had a dead parent: no member times out on a live one.
     for stats in result.tree_stats.values():
