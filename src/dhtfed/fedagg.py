@@ -1,10 +1,12 @@
 """Federated fine-tuning over aggregation trees, plus ensemble inference.
 
-Two round protocols share the leaf-side fine-tuning step and the root
-update rule. The centralized protocol averages updates branch by branch up
-the tree; the decentralized one lets leaves gossip over social links first
-and only then forward friend-set aggregates to the root. A status checker
-picks between them from per-round link measurements.
+Two round protocols share the leaf-side fine-tuning step, whose deltas are
+the updates they carry, and the root's close of the round: the update, the
+multicast down the tree and the round's metrics. They differ in how the
+deltas reach the root. The centralized protocol averages them branch by
+branch up the tree; the decentralized one lets leaves gossip over social
+links first and only then forward friend-set aggregates to the root. A
+status checker picks between them from per-round link measurements.
 """
 
 from __future__ import annotations
@@ -214,7 +216,6 @@ class RoundConfig:
     eta_local: float = 0.1
     steps: int = 10
     batch: int = 32
-    upload: str = "delta"  # or "weights"
     agg_mode: str = WEIGHTED
     penalty: str = "squared"
     gossip_k: int = 3
@@ -233,8 +234,6 @@ class RoundConfig:
             raise ValueError("steps and batch must be positive")
         if self.penalty not in PENALTIES:
             raise ValueError(f"penalty must be one of {PENALTIES}")
-        if self.upload not in ("delta", "weights"):
-            raise ValueError("upload must be 'delta' or 'weights'")
         if self.agg_mode not in (UNWEIGHTED, WEIGHTED):
             raise ValueError("agg_mode must be 'unweighted' or 'weighted'")
         if self.gossip_k < 0:
@@ -320,6 +319,10 @@ class ModeSelector:
     """Root-side policy choosing the fine-tuning protocol from link stats."""
 
     def __init__(self, bytes_threshold: int = 1 << 20, latency_threshold: float = 2000.0):
+        if bytes_threshold < 0:
+            raise ValueError("bytes_threshold must be >= 0")
+        if not latency_threshold >= 0:  # NaN as well: it would never switch
+            raise ValueError("latency_threshold must be >= 0")
         self.bytes_threshold = bytes_threshold
         self.latency_threshold = latency_threshold
         self.mode = CENTRALIZED
@@ -373,8 +376,8 @@ class FederatedSession:
         return [m for m in self.trees.leaves(self.gid) if m in self.data]
 
     def _leaf_payloads(self, leaves: list[int]) -> list[ModelParams]:
-        """Fine-tune all leaves in one call; each leaf's minibatches are a
-        function of its key (seed, round, leaf id)."""
+        """Fine-tune all leaves in one call and return their deltas; each
+        leaf's minibatches are a function of its key (seed, round, leaf id)."""
         cfg = self.cfg
         datas = [self.data[nid] for nid in leaves]
         results = local_finetune(
@@ -382,25 +385,33 @@ class FederatedSession:
             cfg.eta_local, cfg.steps, [min(cfg.batch, len(d)) for d in datas],
             [(cfg.seed, self.round, nid) for nid in leaves], cfg.penalty,
         )
-        payloads = []
-        for nid, (delta, w_per) in zip(leaves, results):
+        for nid, (_delta, w_per) in zip(leaves, results):
             self.personal[nid] = w_per
-            # "weights" uploads the fine-tuned weights themselves
-            payloads.append(delta if cfg.upload == "delta"
-                            else self.global_params - delta)
-        return payloads
+        return [delta for delta, _w_per in results]
 
-    def _finalize(self, aggregate: AggregateMessage) -> None:
-        if self.cfg.upload == "weights":
-            effective = AggregateMessage(
-                aggregate.group, aggregate.round,
-                self.global_params - aggregate.payload, aggregate.weight,
-            )
-        else:
-            effective = aggregate
-        self.global_params = root_update(
-            self.global_params, effective, self.cfg.eta, expected_round=self.round
-        )
+    def _open_round(self) -> tuple[GroupState, list[int], float]:
+        """Start a round: (group, contributing leaves, start time), with the
+        message log and the simulator's counters cleared."""
+        group = self.trees.group(self.gid)
+        leaves = self.contributing_leaves()
+        if not leaves:
+            raise ProtocolError("no live contributing leaves")
+        self.msg_log = []
+        self.sim.reset_counters()
+        return group, leaves, self.sim.now
+
+    def _close_round(self, mode: str, leaves: list[int], aggregate: AggregateMessage,
+                     root_latency: float) -> RoundMetrics:
+        """End a round at the root, the same in both protocols: apply the
+        aggregate, multicast the new head down the tree and drain, then
+        measure the round and count it."""
+        self.global_params = root_update(self.global_params, aggregate, self.cfg.eta,
+                                         expected_round=self.round)
+        mc = self.trees.multicast(self.gid, param_nbytes(self.hidden_dim))
+        self.sim.run()
+        metrics = self._metrics(mode, leaves, aggregate.weight, root_latency, mc.elapsed)
+        self.round += 1
+        return metrics
 
     def _send_routed(self, src: int, key: int, nbytes: int, mask: int,
                      leaf_ids: tuple[int, ...], on_deliver) -> None:
@@ -427,13 +438,7 @@ class FederatedSession:
     def centralized_round(self) -> RoundMetrics:
         """One round: leaves fine-tune, deltas average up the tree, root
         updates and multicasts the new head back down."""
-        group = self.trees.group(self.gid)
-        leaves = self.contributing_leaves()
-        if not leaves:
-            raise ProtocolError("no live contributing leaves")
-        self.msg_log = []
-        self.sim.reset_counters()
-        t0 = self.sim.now
+        group, leaves, t0 = self._open_round()
         leaf_set = set(leaves)
 
         # How many messages each member waits for this round: one from each
@@ -446,7 +451,7 @@ class FederatedSession:
                 1 for c in members[nid].children if expected[c])
 
         buffers: dict[int, list[AggregateMessage]] = {}
-        root_agg: dict[str, float] = {}  # arrival time and weight of the root's aggregate
+        root_agg: dict = {}  # the root's aggregate and its arrival time
         for nid, payload in zip(leaves, self._leaf_payloads(leaves)):
             msg = AggregateMessage(self.gid, self.round, payload, 1)
             self.sim.schedule(0.0, partial(self._receive, group, expected, buffers,
@@ -455,29 +460,21 @@ class FederatedSession:
         self.sim.run()
         if not root_agg:
             raise ProtocolError("aggregation did not reach the root")
-
-        mc = self.trees.multicast(self.gid, param_nbytes(self.hidden_dim))
-        self.sim.run()
-
-        metrics = self._metrics(CENTRALIZED, leaves, root_agg["weight"],
-                                root_agg["time"] - t0, mc.elapsed)
-        self.round += 1
-        return metrics
+        return self._close_round(CENTRALIZED, leaves, root_agg["agg"], root_agg["time"] - t0)
 
     def _receive(self, group: GroupState, expected: dict[int, int],
-                 buffers: dict[int, list[AggregateMessage]], root_agg: dict[str, float],
+                 buffers: dict[int, list[AggregateMessage]], root_agg: dict,
                  nid: int, msg: AggregateMessage) -> None:
         """A member takes one message: a child's aggregate, or a leaf's own
         update. Once it has all it expects, it sends their branch aggregate
-        to its parent, or, at the root, applies it."""
+        to its parent, or, at the root, keeps it for the round's close."""
         buffer = buffers.setdefault(nid, [])
         buffer.append(msg)
         if len(buffer) < expected[nid]:
             return
         agg = buffer[0] if len(buffer) == 1 else branch_aggregate(buffer, self.cfg.agg_mode)
         if nid == group.root:
-            root_agg.update(time=self.sim.now, weight=agg.weight)
-            self._finalize(agg)
+            root_agg.update(agg=agg, time=self.sim.now)
             return
         parent = group.members[nid].parent
         self.sim.send(nid, parent, agg.nbytes(),
@@ -496,17 +493,11 @@ class FederatedSession:
         reaches it into one mask and averages its set bits' updates in
         ascending id order: the flat mean over the distinct leaves it sees.
         """
-        group = self.trees.group(self.gid)
-        leaves = self.contributing_leaves()
-        if not leaves:
-            raise ProtocolError("no live contributing leaves")
-        for nid in leaves:
-            if nid != group.root and nid not in social.friends:
-                raise ProtocolError(f"social graph does not cover leaf {hex_id(nid)}")
-        self.msg_log = []
-        self.sim.reset_counters()
-        t0 = self.sim.now
+        group, leaves, t0 = self._open_round()
         root = group.root
+        for nid in leaves:
+            if nid != root and nid not in social.friends:
+                raise ProtocolError(f"social graph does not cover leaf {hex_id(nid)}")
 
         payloads = dict(zip(leaves, self._leaf_payloads(leaves)))
         leaf_ids = tuple(sorted(leaves))
@@ -564,16 +555,7 @@ class FederatedSession:
         aggregate = branch_aggregate(
             [AggregateMessage(self.gid, self.round, payloads[cid], 1)
              for cid in mask_members(root_mask, leaf_ids)], self.cfg.agg_mode)
-        root_latency = self.sim.now - t0
-        self._finalize(aggregate)
-
-        mc = self.trees.multicast(self.gid, param_nbytes(self.hidden_dim))
-        self.sim.run()
-
-        metrics = self._metrics(DECENTRALIZED, leaves, aggregate.weight,
-                                root_latency, mc.elapsed)
-        self.round += 1
-        return metrics
+        return self._close_round(DECENTRALIZED, leaves, aggregate, self.sim.now - t0)
 
     # -- ensemble inference ------------------------------------------------------
 

@@ -194,13 +194,17 @@ class MetricsRecord:
         return json.dumps(self.__dict__, sort_keys=True)
 
 
+# Field name -> type; `read_records` checks each value against it.
+_RECORD_TYPES = get_type_hints(MetricsRecord)
+
+
 # -- scenario configuration ------------------------------------------------------
 
 _CONFIG_SECTIONS = {
     "scenario": ["name", "nodes", "fanout", "tree_count", "assignment", "rounds", "seed"],
     "data": ["topics", "points_per_node", "test_points", "separation", "cov_scale"],
     "model": ["hidden_dim", "lam", "eta", "eta_local", "steps", "batch",
-              "upload", "agg_mode", "penalty"],
+              "agg_mode", "penalty"],
     "link": ["lat_lo", "lat_hi", "bandwidth"],
     "tree": ["heartbeat_period", "failure_timeout", "intercept"],
     "fed": ["mode", "gossip_k", "bytes_threshold", "latency_threshold"],
@@ -228,7 +232,6 @@ class ScenarioConfig:
     eta_local: float = 0.1
     steps: int = 10
     batch: int = 32
-    upload: str = "delta"
     agg_mode: str = "weighted"
     penalty: str = "squared"
     lat_lo: float = 10.0
@@ -245,9 +248,8 @@ class ScenarioConfig:
 
     def round_config(self) -> RoundConfig:
         return RoundConfig(eta=self.eta, lam=self.lam, eta_local=self.eta_local,
-                           steps=self.steps, batch=self.batch, upload=self.upload,
-                           agg_mode=self.agg_mode, penalty=self.penalty,
-                           gossip_k=self.gossip_k, seed=self.seed)
+                           steps=self.steps, batch=self.batch, agg_mode=self.agg_mode,
+                           penalty=self.penalty, gossip_k=self.gossip_k, seed=self.seed)
 
     def link_model(self) -> LinkModel:
         return LinkModel(self.lat_lo, self.lat_hi, self.bandwidth)
@@ -259,8 +261,8 @@ class ScenarioConfig:
                           intercept_joins=self.intercept)
 
     def validate(self) -> None:
-        """Reject a bad config before anything is built; the model, link and
-        tree settings are checked by building their configs."""
+        """Reject a bad config before anything is built; the model, link,
+        tree and mode-switch settings are checked by building their configs."""
         if self.nodes < 1 or self.rounds < 1:
             raise ValueError("nodes and rounds must be positive")
         if self.topics < 1 or self.points_per_node < 1 or self.test_points < 1:
@@ -284,6 +286,7 @@ class ScenarioConfig:
         self.round_config()
         self.link_model()
         self.tree_config()
+        ModeSelector(self.bytes_threshold, self.latency_threshold)
         failed: set[int] = set()
         last = 0.0
         for event in self.failures:
@@ -604,11 +607,24 @@ def write_records(records: list[MetricsRecord], path: str) -> None:
 
 
 def read_records(path: str) -> list[MetricsRecord]:
+    """The records of a file `write_records` wrote. A line that is not one
+    record's JSON object, with every field of its type, raises ValueError
+    naming the file and line."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                out.append(MetricsRecord(**json.loads(line)))
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = MetricsRecord(**json.loads(line))
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"{path}:{lineno}: not a metrics record: {exc}") from None
+            for name, kind in _RECORD_TYPES.items():
+                value = getattr(rec, name)
+                if isinstance(value, bool) or not isinstance(
+                        value, (int, float) if kind is float else kind):
+                    raise ValueError(f"{path}:{lineno}: {name} is not of type {kind.__name__}")
+            out.append(rec)
     return out
 
 

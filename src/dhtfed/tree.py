@@ -116,12 +116,13 @@ class TreeManager:
     def create_group(self, name: str) -> tuple[int, int]:
         """Route a CREATE from the smallest live id toward the hashed name;
         the delivery node is root."""
-        if not self.overlay.nodes:
-            raise ValueError("overlay is empty")
+        live = self.overlay.live_ids()
+        if not live:
+            raise ValueError("no live node to create the group from")
         gid = id_from_name(name)
         if gid in self.groups:
             raise ValueError(f"group {name!r} already exists")
-        root = self.overlay.route(self.overlay.live_ids()[0], gid).destination
+        root = self.overlay.route(live[0], gid).destination
         group = GroupState(gid, name, root, self.overlay.version)
         self._add_member(group, root)
         self.groups[gid] = group
@@ -388,21 +389,18 @@ class TreeManager:
         self._attach(group, member)
 
     def remove_member(self, gid: int, member: int) -> None:
-        """Forget a membership entirely; orphaned children re-attach now."""
+        """Forget a membership entirely; each live orphan re-attaches now,
+        through `handle_parent_failure`."""
         group = self.group(gid)
         mem = group.members.pop(member, None)
         if mem is None:
             return
-        dead = not self.overlay.is_alive(member)
         self._detach(group, member, mem)
         group.sizes.pop(member, None)
         for child in list(mem.children):
             cm = group.members.get(child)
             if cm is not None and cm.parent == member and self.overlay.is_alive(child):
-                cm.parent = None
-                group.rejoins += 1
-                group.dead_parent_rejoins += dead
-                self._attach(group, child)
+                self.handle_parent_failure(gid, child)
 
     def _detach(self, group: GroupState, nid: int, mem: TreeMembership) -> None:
         """Cut nid from its parent; its subtree stays under it. Only a live

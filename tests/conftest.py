@@ -68,10 +68,9 @@ def inject_deltas(monkeypatch, data, deltas):
 
 
 def round_aggregate(session, run_round):
-    """(root aggregate, round metrics) of one round. With eta=1, delta
-    uploads and a zero head, the round leaves exactly minus the aggregate
-    as the new head."""
-    assert session.cfg.eta == 1.0 and session.cfg.upload == "delta"
+    """(root aggregate, round metrics) of one round. With eta=1 and a zero
+    head, the round leaves exactly minus the aggregate as the new head."""
+    assert session.cfg.eta == 1.0
     session.global_params = ModelParams.zeros(session.hidden_dim)
     metrics = run_round()
     return ModelParams.zeros(session.hidden_dim) - session.global_params, metrics

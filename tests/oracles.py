@@ -330,7 +330,7 @@ def gossip_reference(session, social, k):
     sorted union. Runs one round on `session`, with the same sends in the
     same order, and returns (metrics, log); log lists every message as
     (src, dst, contributors, round)."""
-    from dhtfed.fedagg import DECENTRALIZED, AggregateMessage, branch_aggregate
+    from dhtfed.fedagg import DECENTRALIZED, AggregateMessage, branch_aggregate, root_update
     from dhtfed.model import param_nbytes
     from dhtfed.simnet import AGG_UP
 
@@ -386,7 +386,8 @@ def gossip_reference(session, social, k):
         [AggregateMessage(session.gid, rnd, payloads[cid], 1)
          for cid in sorted(root_contrib)], session.cfg.agg_mode)
     root_latency = sim.now - t0
-    session._finalize(aggregate)
+    session.global_params = root_update(session.global_params, aggregate,
+                                        session.cfg.eta, expected_round=rnd)
     mc = session.trees.multicast(session.gid, param_nbytes(session.hidden_dim))
     sim.run()
     metrics = session._metrics(DECENTRALIZED, leaves, aggregate.weight,

@@ -163,7 +163,7 @@ def test_criterion_4_root_update_identity():
     ok = (np.array_equal(session.global_params.w, finetuned.w)
           and np.array_equal(session.global_params.b, finetuned.b))
     criterion(4, ok,
-              "single leaf, eta=1, upload=delta: global weights equal the "
+              "single leaf, eta=1: global weights equal the "
               f"leaf's fine-tuned weights exactly ({ok})")
 
 

@@ -176,6 +176,26 @@ def test_report_with_no_results_fails(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("line, match", [
+    ('{"scenario": "s", "round": 1}', "not a metrics record"),
+    ("[1, 2]", "not a metrics record"),
+    ("{not json", "not a metrics record"),
+    ('{"scenario": "s", "round": "1", "topic": 0, "accuracy": 0.5, "f1": 0.5, '
+     '"dissemination": 1.0, "max_ingress_bytes": 0, "mode": "centralized"}',
+     "round is not of type int"),
+])
+def test_report_rejects_a_malformed_record(tmp_path, capsys, line, match):
+    out = tmp_path / "results"
+    out.mkdir()
+    good = ('{"accuracy": 0.5, "dissemination": 1.0, "f1": 0.5, "max_ingress_bytes": 0, '
+            '"mode": "centralized", "round": 0, "scenario": "s", "topic": 0}')
+    (out / "s.jsonl").write_text(f"{good}\n{line}\n")
+    rc = main(["report", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "s.jsonl:2: " in err and match in err
+
+
 def test_sweep_grid(tmp_path):
     out = str(tmp_path / "sweep")
     rc = main(["sweep", "--nodes", "12", "--points", "40,80", "--seeds", "1",

@@ -253,7 +253,6 @@ eta = 0.9
 eta_local = 0.15
 steps = 4
 batch = 16
-upload = delta
 agg_mode = weighted
 penalty = squared
 
@@ -299,6 +298,11 @@ def test_unknown_section_and_key_rejected(tmp_path):
     bad2.write_text("[scenario]\nseed = 1\nwarp = 9\n")
     with pytest.raises(ValueError, match="unknown config key"):
         ScenarioConfig.from_ini(str(bad2))
+    # Leaves upload their deltas; there is no other update format to pick.
+    bad3 = tmp_path / "bad3.ini"
+    bad3.write_text("[scenario]\nseed = 1\n\n[model]\nupload = delta\n")
+    with pytest.raises(ValueError, match=r"^unknown config key 'upload' in \[model\]$"):
+        ScenarioConfig.from_ini(str(bad3))
 
 
 def test_seed_is_mandatory(tmp_path):
@@ -318,9 +322,9 @@ def test_config_validation_rules():
         ScenarioConfig(seed=1, mode="telepathy").validate()
     with pytest.raises(ValueError):
         ScenarioConfig(seed=1, nodes=2, tree_count=3).validate()
-    # model, link and tree settings fail here, not after the overlay build
+    # model, link, tree and mode-switch settings fail here, not after the
+    # overlay build
     for bad, match in [(dict(penalty="l1"), "penalty"),
-                       (dict(upload="x"), "upload"),
                        (dict(agg_mode="median"), "agg_mode"),
                        (dict(steps=0), "steps"),
                        (dict(batch=0), "batch"),
@@ -356,7 +360,10 @@ def test_config_validation_rules():
                        (dict(cov_scale=float("nan")), "cov_scale"),
                        (dict(cov_scale=float("inf")), "cov_scale"),
                        (dict(cov_scale=-1.0), "cov_scale"),
-                       (dict(cov_scale=-float("inf")), "cov_scale")]:
+                       (dict(cov_scale=-float("inf")), "cov_scale"),
+                       (dict(latency_threshold=float("nan")), "latency_threshold"),
+                       (dict(latency_threshold=-1.0), "latency_threshold"),
+                       (dict(bytes_threshold=-5), "bytes_threshold")]:
         with pytest.raises(ValueError, match=match):
             ScenarioConfig(seed=1, **bad).validate()
 
@@ -370,7 +377,8 @@ def test_bad_model_config_fails_before_the_overlay_is_built(monkeypatch):
                        (dict(eta_local=float("inf")), "eta_local"),
                        (dict(separation=float("nan")), "separation"),
                        (dict(cov_scale=float("inf")), "cov_scale"),
-                       (dict(cov_scale=-1.0), "cov_scale")]:
+                       (dict(cov_scale=-1.0), "cov_scale"),
+                       (dict(latency_threshold=float("nan")), "latency_threshold")]:
         with pytest.raises(ValueError, match=match):
             run_scenario(ScenarioConfig(seed=1, nodes=12, rounds=1, topics=1,
                                         tree_count=1, **bad))
@@ -766,11 +774,11 @@ PINNED = {
              tree_count=1, hidden_dim=8, steps=2, batch=8, points_per_node=32),
         "1cd336618d6a63acf071f5b13fe5e0c297acd9b6e89ffdd55b6027f63565feed",
         "a3273b39fa98f30302f44e3f89216a1ffe78c4c0392e0475169c435e6ee106c6"),
-    "auto-weights-norm": (
-        dict(seed=5, nodes=80, rounds=3, mode="auto", upload="weights",
-             agg_mode="unweighted", penalty="norm"),
-        "96c00a77dcdd4b271be625ec6595982210f509ecdd996ef93d03b13e003969a8",
-        "2e0f18cfa08edb1e5290cffd12bad9e8ee15e058e057c9a01529ecb2b6a551d4"),
+    "auto-unweighted-norm": (
+        dict(seed=5, nodes=80, rounds=3, mode="auto", agg_mode="unweighted",
+             penalty="norm"),
+        "33d88581b08df1dc3406262b6260885b0539d7baad3d34a59504a0596392ea5e",
+        "c2db20a3a372119bae0dde7aeb2b2dfac02b36872367ed05b0244a4d89ad9a69"),
     "mixed-churn": (
         dict(seed=9, nodes=60, rounds=3, assignment="mixed", tree_count=1,
              failures=[(0.0, 4, "fail"), (0.0, 7, "fail"), (8000.0, 4, "rejoin")]),

@@ -60,8 +60,16 @@ def test_duplicate_group_rejected():
 
 def test_create_on_empty_overlay_rejected():
     trees = TreeManager(Overlay(), Simulator(seed=0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no live node"):
         trees.create_group("empty")
+    # Every node failed: no live node to route the CREATE from.
+    ids = random_ids(3, 3)
+    overlay = Overlay.build(ids)
+    for nid in ids:
+        overlay.fail(nid)
+    trees = TreeManager(overlay, Simulator(seed=0, alive=overlay.is_alive))
+    with pytest.raises(ValueError, match="no live node"):
+        trees.create_group("all-failed")
 
 
 # -- joining ------------------------------------------------------------------------
