@@ -198,6 +198,15 @@ class MetricsRecord:
 _RECORD_TYPES = get_type_hints(MetricsRecord)
 
 
+def _has_type(value, kind: type) -> bool:
+    """The type rule of config and record fields: a bool field takes a bool,
+    an int field an int but not a bool, a float field an int or a float but
+    not a bool, and a str field a str."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 # -- scenario configuration ------------------------------------------------------
 
 _CONFIG_SECTIONS = {
@@ -263,6 +272,11 @@ class ScenarioConfig:
     def validate(self) -> None:
         """Reject a bad config before anything is built; the model, link,
         tree and mode-switch settings are checked by building their configs."""
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if name != "failures" and not _has_type(value, kind):
+                raise ValueError(f"{name} must be of type {kind.__name__}, "
+                                 f"not {type(value).__name__}")
         if self.nodes < 1 or self.rounds < 1:
             raise ValueError("nodes and rounds must be positive")
         if self.topics < 1 or self.points_per_node < 1 or self.test_points < 1:
@@ -291,8 +305,8 @@ class ScenarioConfig:
         last = 0.0
         for event in self.failures:
             t, idx, action = event
-            if not math.isfinite(t):
-                raise ValueError(f"failure event time {t} is not finite")
+            if not _has_type(t, float) or not math.isfinite(t):
+                raise ValueError(f"failure event time {t!r} is not a number, or not finite")
             if t < 0:
                 raise ValueError(f"failure event time {t} is negative")
             if t < last:
@@ -300,9 +314,9 @@ class ScenarioConfig:
             last = t
             if action not in ("fail", "rejoin"):
                 raise ValueError(f"unknown failure action {action!r}")
-            if not 0 <= idx < self.nodes:
-                raise ValueError(f"failure event {event}: node index is "
-                                 f"outside [0, {self.nodes})")
+            if not _has_type(idx, int) or not 0 <= idx < self.nodes:
+                raise ValueError(f"failure event {event}: node index is not an int, "
+                                 f"or outside [0, {self.nodes})")
             if action == "fail":
                 if idx in failed:
                     raise ValueError(f"failure event {event}: node is already failed")
@@ -620,9 +634,7 @@ def read_records(path: str) -> list[MetricsRecord]:
             except (ValueError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: not a metrics record: {exc}") from None
             for name, kind in _RECORD_TYPES.items():
-                value = getattr(rec, name)
-                if isinstance(value, bool) or not isinstance(
-                        value, (int, float) if kind is float else kind):
+                if not _has_type(getattr(rec, name), kind):
                     raise ValueError(f"{path}:{lineno}: {name} is not of type {kind.__name__}")
             out.append(rec)
     return out

@@ -2,8 +2,9 @@
 
 Ids live on a circular space [0, 2^128). Each node keeps a routing table of
 up to 32x16 cells (row = shared hex-prefix length, column = next digit),
-holding only the rows up to the deepest one written, and a leaf set of the
-12 numerically closest ids per side (with wraparound). Lookups are greedy:
+holding only the rows up to the deepest one written. Its leaf set, the 12
+numerically closest live ids per side (with wraparound), is its window of
+one sorted ring of the live ids (`Overlay.leaf_set`). Lookups are greedy:
 leaf-set window first, then the exact routing-table cell, then any known
 peer that keeps the shared prefix and strictly shrinks the numeric distance.
 
@@ -11,26 +12,27 @@ peer that keeps the shared prefix and strictly shrinks the numeric distance.
 sorted ids (see `_fill_routing_rows`): the ids sharing a prefix form one
 contiguous slice, split by the next digit with bisect.
 
-Each leaf set is its node's ring window of the sorted live ids: `build`
-writes every window and `repair` each one that lists a dead node, with the
-same code, and a join enters exactly the windows it belongs to.
+The leaf sets are the converged view, as `build`'s tables are: `build`
+sorts the ids into the ring, a join inserts its id, and `repair` drops the
+dead in one pass. A failed id stays on the ring until that repair, which
+`route` makes before its first step.
 
 `Overlay.route` memoizes each next hop it computes, per key and node. Walks
 toward one key share their tails (a Scribe tree is the union of the routes
 toward its group id), so every walk after the first toward a group id reads
 most of its hops. The memo is emptied at every write to routing state: a
-fail, the end of a join, a rebuilding repair and `next_hop`'s patch of a dead
-table cell. Between two writes `next_hop` is a pure function of the node and
-the key, so a memo hit returns what a fresh call would.
+fail, the end of a join, a repair and `next_hop`'s patch of a dead table
+cell. Between two writes `next_hop` is a pure function of the node and the
+key, so a memo hit returns what a fresh call would.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 ID_BITS = 128
 ID_SPACE = 1 << ID_BITS
@@ -137,85 +139,10 @@ class RoutingTable:
                     yield cell
 
 
-class LeafSet:
-    """The up-to-12 numerically closest live ids per side, wrapping at 0.
-
-    Offers are cheap: anything can be proposed via add(); the set trims
-    itself back to the true 12-nearest per side among everything offered.
-    Every write ends in `_trim`, which also notes the farthest kept member
-    on each side, so `covers` reads the window without a search.
-    """
-
-    __slots__ = ("owner", "per_side", "_members", "_up_end", "_down_end")
-
-    def __init__(self, owner: int, per_side: int = LEAF_SIDE):
-        self.owner = owner
-        self.per_side = per_side
-        self._members: list[int] = []  # sorted by id
-        # The farthest kept member going up and going down the ring (None
-        # when the set is empty): ids already held in `_members`.
-        self._up_end: Optional[int] = None
-        self._down_end: Optional[int] = None
-
-    def __contains__(self, nid: int) -> bool:
-        i = bisect_left(self._members, nid)
-        return i < len(self._members) and self._members[i] == nid
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def members(self) -> list[int]:
-        return list(self._members)
-
-    def add(self, nid: int) -> None:
-        if nid == self.owner or nid in self:
-            return
-        insort(self._members, nid)
-        self._trim()
-
-    def add_many(self, ids) -> None:
-        for nid in ids:
-            if nid != self.owner and nid not in self:
-                insort(self._members, nid)
-        self._trim()
-
-    # The members are sorted by id, so with i = bisect_right(members, owner)
-    # the k-th nearest member upward is members[(i + k - 1) % n] and the
-    # k-th nearest downward is members[(i - k) % n]: no sort by offset.
-
-    def _trim(self) -> None:
-        """Keep the per_side nearest members each way, and note the farthest
-        kept one on each side. Every write to `_members` ends here."""
-        m = self._members
-        n = len(m)
-        if not n:
-            self._up_end = self._down_end = None
-            return
-        k = min(self.per_side, n)
-        i = bisect_right(m, self.owner)
-        lo = (i - k) % n
-        self._up_end = m[(i + k - 1) % n]
-        self._down_end = m[lo]
-        if n > 2 * k:
-            hi = (i + k) % n
-            # A contiguous ring window; when it wraps, its low ids come first.
-            self._members = m[lo:hi] if lo < hi else m[:hi] + m[lo:]
-
-    def covers(self, key: int) -> bool:
-        """True iff key falls inside the circular window spanned by the set."""
-        up = self._up_end
-        if up is None:
-            return True  # alone: everything is local
-        owner = self.owner
-        return ((key - owner) % ID_SPACE <= (up - owner) % ID_SPACE
-                or (owner - key) % ID_SPACE <= (owner - self._down_end) % ID_SPACE)
-
-
 @dataclass(slots=True)
 class Node:
     id: int
     routing_table: RoutingTable
-    leaf_set: LeafSet
 
 
 @dataclass
@@ -233,9 +160,10 @@ class RouteResult:
 class Overlay:
     """All nodes of one simulated overlay, plus join/fail/repair machinery.
 
-    Routing only ever reads the local state of the node doing the hop; the
-    global node map exists so the simulator can dispatch messages and so
-    build() can construct converged state directly.
+    Routing reads the routing table of the node doing the hop and its leaf
+    set, which is not stored: it is the converged view, the node's window
+    of the ring of live ids, as `build`'s tables are converged state. The
+    global node map exists so the simulator can dispatch messages.
     """
 
     def __init__(self, leaf_side: int = LEAF_SIDE):
@@ -245,15 +173,17 @@ class Overlay:
         # `is_alive` is bound to it, and so is every holder of that method.
         self._live: set[int] = set()
         self.is_alive = self._live.__contains__
+        # The live ids in ascending order; every leaf set is read from it.
+        # From a `fail` to the next `repair` it still lists the dead.
+        self._ring: list[int] = []
         # The id of every liveness change (join, fail, rejoin), oldest
         # first; see `version`.
         self.liveness_changes: list[int] = []
-        # Set by `fail`, cleared by `repair`: leaf sets may still list the
-        # dead, so `route` (and so `join`) repairs first rather than route
-        # through them.
+        # Set by `fail`, cleared by `repair`: the ring may still list the
+        # dead, so `route` and `join` repair first rather than read it.
         self._unrepaired = False
         # The memo of `route`: key -> {node: next_hop(node, key)}. Every
-        # write to leaf sets, routing tables or `_live` replaces it with an
+        # write to the ring, routing tables or `_live` replaces it with an
         # empty one.
         self._next_hops: dict[int, dict[int, Optional[int]]] = {}
 
@@ -282,10 +212,23 @@ class Overlay:
     def live_ids(self) -> list[int]:
         return sorted(self._live)
 
-    # -- construction ------------------------------------------------------
+    def leaf_set(self, nid: int) -> list[int]:
+        """nid's leaf set in ascending order: the `leaf_side` nearest ids on
+        each side of it on the ring, with wraparound, or all the others when
+        there are at most 2 * leaf_side of them."""
+        ring, side = self._ring, self.leaf_side
+        n = len(ring)
+        i = bisect_left(ring, nid)
+        if i == n or ring[i] != nid:
+            raise ValueError("no node on the ring has this id")
+        if n - 1 <= 2 * side:
+            return ring[:i] + ring[i + 1:]
+        lo, hi = i - side, i + side + 1
+        if lo < 0 or hi > n:  # wraps at 0
+            return sorted(ring[(i + d) % n] for d in range(-side, side + 1) if d)
+        return ring[lo:i] + ring[i + 1:hi]
 
-    def _new_node(self, nid: int) -> Node:
-        return Node(nid, RoutingTable(nid), LeafSet(nid, self.leaf_side))
+    # -- construction ------------------------------------------------------
 
     @classmethod
     def build(cls, ids: list[int], leaf_side: int = LEAF_SIDE) -> "Overlay":
@@ -296,19 +239,20 @@ class Overlay:
         the canonical seeded overlay used by experiments; incremental
         join() below builds the same structures protocol-style.
         """
-        ov = cls(leaf_side)
+        if not all(type(nid) is int for nid in ids):
+            raise ValueError("node ids must be ints (a bool is not one)")
         ordered = sorted(ids)
+        if ordered and not (0 <= ordered[0] and ordered[-1] < ID_SPACE):
+            raise ValueError(f"node ids must lie in [0, 2^{ID_BITS})")
         if len(set(ordered)) != len(ordered):
             raise ValueError("duplicate node ids")
-        nodes = [ov._new_node(nid) for nid in ordered]
+        ov = cls(leaf_side)
+        nodes = [Node(nid, RoutingTable(nid)) for nid in ordered]
         ov.nodes = {node.id: node for node in nodes}
         ov._live.update(ordered)
-        n = len(ordered)
-        if n <= 1:
-            return ov
-
-        ov._set_ring_windows(ordered, range(n))
-        _fill_routing_rows(ordered, [node.routing_table.rows for node in nodes])
+        ov._ring = ordered
+        if len(ordered) > 1:
+            _fill_routing_rows(ordered, [node.routing_table.rows for node in nodes])
         return ov
 
     # -- membership changes ------------------------------------------------
@@ -317,23 +261,23 @@ class Overlay:
         """Protocol-level join: route from the smallest live id toward the
         new id, copy state, announce.
 
-        The new node's leaf set comes from the delivery node (its ring
-        neighbor), which provably contains the joiner's true neighborhood;
-        routing rows are copied from the nodes on the join path. If a node
-        has failed since the last `repair`, `route` repairs leaf sets first.
-        With no live node to route from, the joiner starts alone.
+        Routing rows are copied from the nodes on the join path, then from
+        the delivery node's table and leaf set. The new id then enters the
+        ring, and its leaf set and path fold it into their tables. The ring
+        is repaired first, even when no node is live to route from.
         """
+        if type(new_id) is not int or not 0 <= new_id < ID_SPACE:
+            raise ValueError(f"node id {new_id!r} is not an int in [0, 2^{ID_BITS})")
         if new_id in self.nodes:
             raise ValueError("node id already present")
-        node = self._new_node(new_id)
+        if self._unrepaired:
+            self.repair()
+        node = Node(new_id, RoutingTable(new_id))
         path: list[int] = []
-        if self._live:
-            res = self.route(min(self._live), new_id)
+        if self._ring:
+            res = self.route(self._ring[0], new_id)
             path = [res.source] + res.hops
             target = self.nodes[res.destination]
-
-            node.leaf_set.add_many(target.leaf_set.members())
-            node.leaf_set.add(target.id)
 
             # Classic bootstrap: row i from the i-th node on the path, then
             # the delivery node's full state. consider() recomputes true
@@ -347,22 +291,17 @@ class Overlay:
                         node.routing_table.consider(cell)
             for cell in target.routing_table.entries():
                 node.routing_table.consider(cell)
-            for m in target.leaf_set.members():
+            for m in self.leaf_set(target.id):
                 node.routing_table.consider(m)
 
         self.liveness_changes.append(new_id)
         self.nodes[new_id] = node
         self._live.add(new_id)
+        insort(self._ring, new_id)
 
-        # Announce: neighbors fold the joiner into their own state.
-        for m in node.leaf_set.members():
-            peer = self.nodes[m]
-            peer.leaf_set.add(new_id)
-            peer.routing_table.consider(new_id)
-        for pid in path:
-            peer = self.nodes[pid]
-            peer.leaf_set.add(new_id)
-            peer.routing_table.consider(new_id)
+        # Announce: the joiner's leaf set and path fold it into their tables.
+        for pid in self.leaf_set(new_id) + path:
+            self.nodes[pid].routing_table.consider(new_id)
         self._next_hops = {}
         return node
 
@@ -382,50 +321,20 @@ class Overlay:
         self.join(nid)
 
     def repair(self) -> int:
-        """Give every live leaf set that lists a dead node its ring window of
-        the live ids, in one pass.
+        """Drop the dead from the ring, in one pass.
 
-        This is the state Pastry's repair converges to, computed directly as
-        `build` computes converged state; routing tables are repaired lazily
-        on use. Invariant: outside the span between a `fail` and the next
-        `repair`, every live leaf set equals the `leaf_side` nearest live ids
-        on each side. So a set with no dead member is skipped. Returns the
-        number of passes: 1, or 0 when no node has failed since the last
-        repair.
+        Every live leaf set is then its ring window of the live ids: the
+        state Pastry's leaf-set repair converges to, reached directly as
+        `build` reaches converged state. Routing tables are repaired lazily
+        on use. Returns the number of passes: 1, or 0 when no node has
+        failed since the last repair.
         """
         if not self._unrepaired:
             return 0
-        live = self._live
-        nodes = self.nodes
         self._unrepaired = False
         self._next_hops = {}
-        ordered = sorted(live)
-        self._set_ring_windows(ordered, [
-            i for i, nid in enumerate(ordered)
-            if not live.issuperset(nodes[nid].leaf_set._members)])
+        self._ring = [nid for nid in self._ring if nid in self._live]
         return 1
-
-    def _set_ring_windows(self, ordered: list[int], indices: Iterable[int]) -> None:
-        """Set the leaf set of the node `ordered[i]`, for each i in `indices`,
-        to its ring window of the sorted ids `ordered`: the `leaf_side`
-        nearest on each side, with wraparound, or all the others when there
-        are at most 2 * leaf_side of them."""
-        nodes = self.nodes
-        side = self.leaf_side
-        n = len(ordered)
-        # ring[i + side] is ordered[i], with side ids each side.
-        ring = ordered[-side:] + ordered + ordered[:side] if n - 1 > 2 * side else None
-        for i in indices:
-            if ring is None:
-                window = ordered[:i] + ordered[i + 1:]
-            else:
-                mid = i + side
-                window = ring[i:mid] + ring[mid + 1:mid + side + 1]
-                if not side <= i < n - side:  # wraps at 0
-                    window.sort()
-            leaf_set = nodes[ordered[i]].leaf_set
-            leaf_set._members = window
-            leaf_set._trim()
 
     # -- routing -----------------------------------------------------------
 
@@ -439,7 +348,9 @@ class Overlay:
 
         The leaf-set step reads no liveness: outside the span between a
         `fail` and the next `repair`, which `route` closes before its first
-        step, every live leaf set is its ring window of the live ids.
+        step, the ring holds exactly the live ids. The ids nearest a key
+        inside the window lie in it, so the nearest id on the whole ring is
+        the nearest of the window and the node itself.
         """
         node = self.nodes[local_id]
         live = self._live
@@ -448,12 +359,9 @@ class Overlay:
         if key == local_id:
             return None
 
-        if node.leaf_set.covers(key):
-            best = _nearest_on_ring(node.leaf_set._members, key)
-            if best is None or ((circular_distance(local_id, key), local_id)
-                                < (circular_distance(best, key), best)):
-                return None
-            return best
+        if self._covers(local_id, key):
+            best = _nearest_on_ring(self._ring, key)
+            return None if best == local_id else best
 
         row = shared_prefix_len(local_id, key)
         col = digit_at(key, row)
@@ -486,8 +394,21 @@ class Overlay:
                 best = peer
         return best
 
+    def _covers(self, nid: int, key: int) -> bool:
+        """True iff key lies in nid's leaf-set window: the arc of the ring
+        from the k-th id below nid to the k-th above, k = min(leaf_side, n - 1)."""
+        ring = self._ring
+        n = len(ring)
+        k = min(self.leaf_side, n - 1)
+        if not k:
+            return True  # alone: every key is local
+        i = bisect_left(ring, nid)
+        up, down = ring[(i + k) % n], ring[(i - k) % n]
+        return ((key - nid) % ID_SPACE <= (up - nid) % ID_SPACE
+                or (nid - key) % ID_SPACE <= (nid - down) % ID_SPACE)
+
     def _known_peers(self, node: Node) -> Iterator[int]:
-        yield from node.leaf_set.members()
+        yield from self.leaf_set(node.id)
         yield from node.routing_table.entries()
 
     def _find_replacement(self, node: Node, row: int, col: int) -> Optional[int]:
@@ -502,21 +423,21 @@ class Overlay:
     def route(self, source: int, key: int) -> RouteResult:
         """Apply next_hop until delivery, recording every hop.
 
-        If a node has failed since the last `repair`, leaf sets are repaired
-        first: a set that still lists a dead node can span past the live
-        ones and hand a key back and forth.
+        If a node has failed since the last `repair`, the ring is repaired
+        first: a window read from a ring that still lists a dead node can
+        span past the live ones and hand a key back and forth.
 
         Each next hop is read from the memo `_next_hops[key][node]` when it
         is there, and otherwise computed by `next_hop` and stored once the
         call returns. The memo is exact. `next_hop(cur, key)` reads only
-        cur's leaf set and routing table and the live set, and the memo is
+        cur's routing table, the ring and the live set, and the memo is
         emptied at every write to them: `fail`, the end of `join`, a
-        rebuilding `repair` and `next_hop`'s patch of a dead table cell. A
-        call that patches leaves a state in which a second call returns the
-        same peer without patching: either the replacement now sits in the
-        vacated cell, or the cell stays empty and the fallback is unchanged,
-        since the dead peer never counted there. So a memo hit never skips
-        a patch that a fresh call would make.
+        `repair` and `next_hop`'s patch of a dead table cell. A call that
+        patches leaves a state in which a second call returns the same peer
+        without patching: either the replacement now sits in the vacated
+        cell, or the cell stays empty and the fallback is unchanged, since
+        the dead peer never counted there. So a memo hit never skips a patch
+        that a fresh call would make.
         """
         if not self.is_alive(source):
             raise ValueError("route source must be alive")
@@ -622,17 +543,15 @@ def _top_row(ordered: list[int], s: int, e: int, own: int,
     return row, flips
 
 
-def _nearest_on_ring(sorted_ids: list[int], target: int) -> Optional[int]:
-    """Member of a sorted id list minimizing circular distance to target,
-    or None when the list is empty.
+def _nearest_on_ring(sorted_ids: list[int], target: int) -> int:
+    """Member of a non-empty sorted id list minimizing circular distance to
+    target.
 
     The nearest member is always the first one met going up the ring from
     the target's insertion point or the first one met going down from it,
     so only those two are compared. Ties go to the smaller id.
     """
     n = len(sorted_ids)
-    if not n:
-        return None
     i = bisect_left(sorted_ids, target)
     up, down = sorted_ids[i % n], sorted_ids[i - 1]
     if (circular_distance(up, target), up) < (circular_distance(down, target), down):

@@ -20,7 +20,7 @@ import numpy as np
 
 from dhtfed.model import (LocalDataset, ModelParams, forward_batch, forward_heads,
                           pfl_grad)
-from dhtfed.overlay import LEAF_SIDE, Overlay
+from dhtfed.overlay import LEAF_SIDE, Node, Overlay, RoutingTable
 
 ID_SPACE = 1 << 128
 
@@ -92,28 +92,20 @@ def leaf_set_next_hop(owner, members, alive, key):
 
 
 def build_reference(ids, leaf_side=LEAF_SIDE):
-    """The converged overlay as first built: leaf sets from each id's ring
-    neighbours offered through `LeafSet.add_many`, and dense 32x16 routing
-    rows whose cells come from hex-string prefix buckets, one nearest-on-
-    the-ring search per cell (ties to the smaller id)."""
+    """The converged overlay as first built: dense 32x16 routing rows whose
+    cells come from hex-string prefix buckets, one nearest-on-the-ring
+    search per cell (ties to the smaller id), and the sorted ids as the
+    ring that leaf sets are read from."""
     ov = Overlay(leaf_side)
     ordered = sorted(ids)
     for nid in ordered:
-        node = ov.nodes[nid] = ov._new_node(nid)
+        node = ov.nodes[nid] = Node(nid, RoutingTable(nid))
         node.routing_table.rows = [[None] * 16 for _ in range(32)]
     ov._live.update(ordered)
+    ov._ring = ordered
     n = len(ordered)
     if n <= 1:
         return ov
-
-    for i, nid in enumerate(ordered):
-        node = ov.nodes[nid]
-        if n - 1 <= 2 * leaf_side:
-            node.leaf_set.add_many(x for x in ordered if x != nid)
-        else:
-            neigh = [ordered[(i + k) % n] for k in range(1, leaf_side + 1)]
-            neigh += [ordered[(i - k) % n] for k in range(1, leaf_side + 1)]
-            node.leaf_set.add_many(neigh)
 
     # Prefix buckets deep enough to cover the longest shared prefix.
     max_shared = max(

@@ -363,9 +363,26 @@ def test_config_validation_rules():
                        (dict(cov_scale=-float("inf")), "cov_scale"),
                        (dict(latency_threshold=float("nan")), "latency_threshold"),
                        (dict(latency_threshold=-1.0), "latency_threshold"),
-                       (dict(bytes_threshold=-5), "bytes_threshold")]:
+                       (dict(bytes_threshold=-5), "bytes_threshold"),
+                       # every field against its type, in code-built configs
+                       (dict(nodes=12.5), "^nodes must be of type int"),
+                       (dict(fanout=2.5), "^fanout must be of type int"),
+                       (dict(rounds=1.5), "^rounds must be of type int"),
+                       (dict(steps=2.5), "^steps must be of type int"),
+                       (dict(tree_count=1.0), "^tree_count must be of type int"),
+                       (dict(separation=True), "^separation must be of type float"),
+                       (dict(lam="0.5"), "^lam must be of type float"),
+                       (dict(intercept=1), "^intercept must be of type bool"),
+                       (dict(name=5), "^name must be of type str"),
+                       (dict(failures=[(0.0, True, "fail")]), "node index is not an int"),
+                       (dict(failures=[(0.0, 1.5, "fail")]), "node index is not an int"),
+                       (dict(failures=[("0", 1, "fail")]), "time '0' is not a number")]:
         with pytest.raises(ValueError, match=match):
             ScenarioConfig(seed=1, **bad).validate()
+    with pytest.raises(ValueError, match="^seed must be of type int, not bool"):
+        ScenarioConfig(seed=True).validate()
+    # an int passes as a float, in a field and as a failure time
+    ScenarioConfig(seed=1, separation=4, failures=[(0, 1, "fail")]).validate()
 
 
 def test_bad_model_config_fails_before_the_overlay_is_built(monkeypatch):

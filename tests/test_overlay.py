@@ -4,8 +4,8 @@ from functools import partial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dhtfed.overlay import (ID_SPACE, LEAF_SIDE, MAX_ROUTE_HOPS, LeafSet,
-                            Overlay, RouteResult, RoutingLoopError, RoutingTable,
+from dhtfed.overlay import (ID_SPACE, LEAF_SIDE, MAX_ROUTE_HOPS, Overlay,
+                            RouteResult, RoutingLoopError, RoutingTable,
                             circular_distance, digit_at, hex_id, id_from_name,
                             random_ids, shared_prefix_len)
 
@@ -175,7 +175,7 @@ def test_join_into_empty_overlay_routes_to_itself():
     ov = Overlay()
     nid = id_from_name("first")
     node = ov.join(nid)
-    assert not node.leaf_set.members()
+    assert not ov.leaf_set(nid)
     assert not list(node.routing_table.entries())
     assert ov.route(nid, 12345).destination == nid
 
@@ -196,7 +196,7 @@ def test_sequential_joins_build_exact_leaf_sets():
         ov.join(nid)
     for nid in ids:
         want = ring_neighbors(ids, nid, LEAF_SIDE)
-        assert set(ov.nodes[nid].leaf_set.members()) == want
+        assert set(ov.leaf_set(nid)) == want
 
 
 def test_joins_respect_routing_table_placement():
@@ -258,7 +258,7 @@ def test_build_matches_the_reference_build_cell_for_cell(ids, leaf_side):
     ov, ref = Overlay.build(ids, leaf_side), build_reference(ids, leaf_side)
     assert list(ov.nodes) == list(ref.nodes)
     for nid, node in ov.nodes.items():
-        assert node.leaf_set.members() == ref.nodes[nid].leaf_set.members()
+        assert ov.leaf_set(nid) == sorted(ring_neighbors(sorted(ids), nid, leaf_side))
         assert dense_cells(node.routing_table) == ref.nodes[nid].routing_table.rows
 
 
@@ -307,8 +307,8 @@ def test_three_node_fail_and_repair():
     ov.fail(ids[1])
     ov.repair()
     a, c = ids[0], ids[2]
-    assert ov.nodes[a].leaf_set.members() == [c]
-    assert ov.nodes[c].leaf_set.members() == [a]
+    assert ov.leaf_set(a) == [c]
+    assert ov.leaf_set(c) == [a]
 
 
 def test_fail_twice_rejected():
@@ -348,7 +348,7 @@ def test_repair_restores_exact_live_leaf_sets():
     live = sorted(set(ids) - dead)
     for nid in live:
         want = ring_neighbors(live, nid, LEAF_SIDE)
-        assert set(ov.nodes[nid].leaf_set.members()) == want
+        assert set(ov.leaf_set(nid)) == want
 
 
 def test_rejoin_restores_node():
@@ -430,11 +430,11 @@ def oracle_route(ov, source, key):
     and every other step by `Overlay.next_hop`."""
     cur, hops = source, []
     while True:
-        leaf_set = ov.node(cur).leaf_set
+        members = ov.leaf_set(cur)
         if key == cur:
             nxt = None
-        elif leaf_set.covers(key):
-            nxt = leaf_set_next_hop(cur, leaf_set.members(), ov.is_alive, key)
+        elif leaf_covers(cur, members, ov.leaf_side, key):
+            nxt = leaf_set_next_hop(cur, members, ov.is_alive, key)
         else:
             nxt = ov.next_hop(cur, key)
         if nxt is None:
@@ -507,23 +507,22 @@ def assert_ring_windows(ov):
     """Every live leaf set is its node's ring window of the live ids."""
     live = ov.live_ids()
     for nid in live:
-        assert (ov.node(nid).leaf_set.members()
-                == sorted(ring_neighbors(live, nid, ov.leaf_side)))
+        assert ov.leaf_set(nid) == sorted(ring_neighbors(live, nid, ov.leaf_side))
 
 
-def assert_window_matches_the_oracle(leaf, keys):
-    """The leaf set's cached window covers exactly what a sort of its members
-    by offset says, for `keys`, the owner, and each member and its
-    neighbours on the ring."""
-    members = leaf.members()
+def assert_window_matches_the_oracle(ov, nid, keys):
+    """nid's leaf-set window covers exactly what a sort of its leaf set by
+    offset says, for `keys`, nid, and each member and its neighbours on the
+    ring."""
+    members = ov.leaf_set(nid)
     near = [(m + d) % ID_SPACE for m in members for d in (-1, 0, 1)]
-    for key in [*keys, leaf.owner, *near]:
-        assert leaf.covers(key) == leaf_covers(leaf.owner, members, leaf.per_side, key)
+    for key in [*keys, nid, *near]:
+        assert ov._covers(nid, key) == leaf_covers(nid, members, ov.leaf_side, key)
 
 
 def assert_windows_match_the_oracle(ov, keys):
     for nid in ov.live_ids():
-        assert_window_matches_the_oracle(ov.node(nid).leaf_set, keys)
+        assert_window_matches_the_oracle(ov, nid, keys)
 
 
 @settings(max_examples=100, deadline=None)
@@ -573,7 +572,7 @@ def test_rejoin_after_three_adjacent_failures_routes_exactly():
     for nid in (0, 1, 2):
         ov.fail(nid)
     ov.repair()
-    assert ov.node(422).leaf_set.members() == [423, ID_SPACE - 420]
+    assert ov.leaf_set(422) == [423, ID_SPACE - 420]
     ov.rejoin(0)
     live = ov.live_ids()
     assert live == [0, 422, 423, ID_SPACE - 421, ID_SPACE - 420]
@@ -630,8 +629,9 @@ def loops(join, nid):
 def assert_same_routing_state(ov, ref):
     assert ov.liveness_changes == ref.liveness_changes
     assert ov.live_ids() == ref.live_ids() and sorted(ov.nodes) == sorted(ref.nodes)
+    for nid in ov.live_ids():
+        assert ov.leaf_set(nid) == ref.leaf_set(nid)
     for nid in ov.nodes:
-        assert ov.node(nid).leaf_set.members() == ref.node(nid).leaf_set.members()
         assert ov.node(nid).routing_table.rows == ref.node(nid).routing_table.rows
 
 
@@ -690,6 +690,19 @@ _OWNERS = st.one_of(st.integers(0, 40), st.integers(ID_SPACE - 40, ID_SPACE - 1)
 _ANYWHERE = st.integers(0, ID_SPACE - 1)
 
 
+def join_each(ov, offered, check=lambda: None):
+    """Join (or rejoin, if dead) each id of `offered` not live yet, in
+    order, calling `check` after each."""
+    for nid in offered:
+        if nid not in ov:
+            ov.join(nid)
+        elif not ov.is_alive(nid):
+            ov.rejoin(nid)
+        else:
+            continue
+        check()
+
+
 @settings(max_examples=300, deadline=None)
 @given(owner=_OWNERS, near=st.lists(_NEAR, max_size=40),
        far=st.lists(_ANYWHERE, max_size=6), per_side=st.integers(1, 6),
@@ -697,19 +710,21 @@ _ANYWHERE = st.integers(0, ID_SPACE - 1)
        one_by_one=st.booleans())
 def test_leaf_set_window_matches_sorted_definition(owner, near, far, per_side,
                                                    key_near, key_far, one_by_one):
+    """The owner's leaf set is its per_side nearest ids each way, found by a
+    sort by offset, whether the ids are built at once or join one by one."""
     offered = [(owner + d) % ID_SPACE for d in near] + far
-    leaf = LeafSet(owner, per_side)
     if one_by_one:
-        for nid in offered:
-            leaf.add(nid)
+        ov = Overlay.build([owner], per_side)
+        join_each(ov, offered)
     else:
-        leaf.add_many(offered)
+        ov = Overlay.build(set(offered) | {owner}, per_side)
     candidates = sorted(set(offered) - {owner})
     up, down = leaf_sides(owner, candidates, per_side)
-    assert leaf.members() == sorted(set(up) | set(down))
+    assert ov.leaf_set(owner) == sorted(set(up) | set(down))
     keys = [(owner + d) % ID_SPACE for d in key_near] + key_far + candidates
     for key in keys:
-        assert leaf.covers(key) == leaf_covers(owner, leaf.members(), per_side, key)
+        assert ov._covers(owner, key) == leaf_covers(owner, ov.leaf_set(owner),
+                                                     per_side, key)
 
 
 @settings(max_examples=300, deadline=None)
@@ -717,17 +732,38 @@ def test_leaf_set_window_matches_sorted_definition(owner, near, far, per_side,
        ops=st.lists(st.tuples(st.booleans(), st.lists(_NEAR, max_size=8), _ANYWHERE),
                     max_size=20),
        key_near=st.lists(_NEAR, max_size=8), key_far=st.lists(_ANYWHERE, max_size=4))
-def test_cached_window_matches_the_oracle_after_every_write(owner, per_side, ops,
-                                                           key_near, key_far):
-    leaf = LeafSet(owner, per_side)
+def test_window_matches_the_oracle_after_every_write(owner, per_side, ops,
+                                                     key_near, key_far):
+    """Each op either joins its ids one by one, or fails those of them that
+    are live (the owner aside) and repairs once; after every write the
+    owner's window covers what the oracle says."""
+    ov = Overlay.build([owner], per_side)
     keys = [(owner + d) % ID_SPACE for d in key_near] + key_far
-    assert_window_matches_the_oracle(leaf, keys)
-    for one_by_one, near, far in ops:
+    check = partial(assert_window_matches_the_oracle, ov, owner, keys)
+    check()
+    for grow, near, far in ops:
         offered = [(owner + d) % ID_SPACE for d in near] + [far]
-        if one_by_one:
-            for nid in offered:
-                leaf.add(nid)
-                assert_window_matches_the_oracle(leaf, keys)
+        if grow:
+            join_each(ov, offered, check)
         else:
-            leaf.add_many(offered)
-            assert_window_matches_the_oracle(leaf, keys)
+            for nid in sorted(set(offered) - {owner}):
+                if ov.is_alive(nid):
+                    ov.fail(nid)
+            ov.repair()
+            check()
+
+
+# -- the id space ----------------------------------------------------------------
+
+def test_ids_outside_the_id_space_are_rejected():
+    for ids in ([0, 5, ID_SPACE], [-1, 5], [True, 7, 9], [7, 9.0], ["7", 9]):
+        with pytest.raises(ValueError, match="node ids must"):
+            Overlay.build(ids)
+    edge = Overlay.build([0, ID_SPACE - 1])  # the ends of the id space are ids
+    for ov in (Overlay(), edge):
+        for nid in (-1, ID_SPACE, ID_SPACE + 5, True, 5.0, "5"):
+            with pytest.raises(ValueError, match="is not an int in"):
+                ov.join(nid)
+        assert ov.version == 0 and len(ov) == len(ov.live_ids())
+    edge.join(1)
+    assert edge.live_ids() == [0, 1, ID_SPACE - 1]
