@@ -413,19 +413,10 @@ class FederatedSession:
         self.round += 1
         return metrics
 
-    def _send_routed(self, src: int, key: int, nbytes: int, mask: int,
-                     leaf_ids: tuple[int, ...], on_deliver) -> None:
-        """Forward an AGG_UP along the DHT route, hop by hop, logging every
-        message with its contributor mask over `leaf_ids`."""
-        path = self.overlay.route(src, key).hops
-        if not path:
-            self.sim.schedule(0.0, on_deliver)
-            return
-        self._hop([src] + path, 0, nbytes, mask, leaf_ids, on_deliver)
-
     def _hop(self, nodes: list[int], i: int, nbytes: int, mask: int,
              leaf_ids: tuple[int, ...], on_deliver) -> None:
-        """Send the route's link from nodes[i] to nodes[i + 1]. Its delivery
+        """Send an AGG_UP over the route's link from nodes[i] to nodes[i + 1],
+        logging it with its contributor mask over `leaf_ids`. Its delivery
         sends the next link; the last link's delivery calls `on_deliver`."""
         frm, dst = nodes[i], nodes[i + 1]
         self.msg_log.append(MessageRecord(frm, dst, mask, leaf_ids, self.round))
@@ -453,9 +444,8 @@ class FederatedSession:
         buffers: dict[int, list[AggregateMessage]] = {}
         root_agg: dict = {}  # the root's aggregate and its arrival time
         for nid, payload in zip(leaves, self._leaf_payloads(leaves)):
-            msg = AggregateMessage(self.gid, self.round, payload, 1)
-            self.sim.schedule(0.0, partial(self._receive, group, expected, buffers,
-                                           root_agg, nid, msg))
+            self._receive(group, expected, buffers, root_agg, nid,
+                          AggregateMessage(self.gid, self.round, payload, 1))
 
         self.sim.run()
         if not root_agg:
@@ -533,19 +523,20 @@ class FederatedSession:
             run_gossip_hop()
             self.sim.run()  # barrier: the hop completes before the next starts
 
-        root_mask = 0
+        root_mask = buffers.get(root, 0)
 
         def at_root(mask: int) -> None:
             nonlocal root_mask
             root_mask |= mask
 
+        # Each upload goes hop by hop along the DHT route to the root's id;
+        # routing is exact, so a live leaf other than the root has a hop.
         for nid in leaf_ids:
-            mask = buffers[nid]
-            if nid == root:
-                self.sim.schedule(0.0, partial(at_root, mask))
-            else:
-                self._send_routed(nid, root, param_bytes + 16 * mask.bit_count(),
-                                  mask, leaf_ids, partial(at_root, mask))
+            if nid != root:
+                mask = buffers[nid]
+                self._hop([nid] + self.overlay.route(nid, root).hops, 0,
+                          param_bytes + 16 * mask.bit_count(), mask, leaf_ids,
+                          partial(at_root, mask))
         self.sim.run()
         if not root_mask:
             raise ProtocolError("no contributions reached the root")

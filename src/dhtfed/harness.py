@@ -301,9 +301,15 @@ class ScenarioConfig:
         self.link_model()
         self.tree_config()
         ModeSelector(self.bytes_threshold, self.latency_threshold)
+        if not isinstance(self.failures, list):
+            raise ValueError(f"failures must be a list of (time, node index, action) "
+                             f"events, not {type(self.failures).__name__}")
         failed: set[int] = set()
         last = 0.0
         for event in self.failures:
+            if not isinstance(event, (tuple, list)) or len(event) != 3:
+                raise ValueError(f"failure event {event!r} is not a (time, node index, "
+                                 f"action) triple")
             t, idx, action = event
             if not _has_type(t, float) or not math.isfinite(t):
                 raise ValueError(f"failure event time {t!r} is not a number, or not finite")

@@ -1,12 +1,13 @@
 """Structured P2P overlay: 128-bit id space, prefix routing, churn repair.
 
-Ids live on a circular space [0, 2^128). Each node keeps a routing table of
-up to 32x16 cells (row = shared hex-prefix length, column = next digit),
-holding only the rows up to the deepest one written. Its leaf set, the 12
-numerically closest live ids per side (with wraparound), is its window of
-one sorted ring of the live ids (`Overlay.leaf_set`). Lookups are greedy:
-leaf-set window first, then the exact routing-table cell, then any known
-peer that keeps the shared prefix and strictly shrinks the numeric distance.
+Ids live on a circular space [0, 2^128). A node's state is its routing
+table of up to 32x16 cells (row = shared hex-prefix length, column = next
+digit), holding only the rows up to the deepest one written. Its leaf set,
+the 12 numerically closest live ids per side (with wraparound), is its
+window of one sorted ring of the live ids (`Overlay.leaf_set`). Lookups are
+greedy: leaf-set window first, then the exact routing-table cell, then any
+known peer that keeps the shared prefix and strictly shrinks the numeric
+distance. A dead cell met on the way is patched from the leaf set alone.
 
 `Overlay.build` makes converged state by walking prefix blocks of the
 sorted ids (see `_fill_routing_rows`): the ids sharing a prefix form one
@@ -32,6 +33,7 @@ import hashlib
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Optional
 
 ID_BITS = 128
@@ -110,14 +112,6 @@ class RoutingTable:
         rows = self.rows
         return rows[row][col] if row < len(rows) else None
 
-    def remove(self, peer: int) -> None:
-        row = shared_prefix_len(self.owner, peer)
-        if row >= len(self.rows):
-            return
-        col = digit_at(peer, row)
-        if self.rows[row][col] == peer:
-            self.rows[row][col] = None
-
     def consider(self, peer: int) -> bool:
         """Place a peer in its (row, col) cell if that cell is empty."""
         if peer == self.owner:
@@ -139,12 +133,6 @@ class RoutingTable:
                     yield cell
 
 
-@dataclass(slots=True)
-class Node:
-    id: int
-    routing_table: RoutingTable
-
-
 @dataclass
 class RouteResult:
     source: int
@@ -160,14 +148,14 @@ class RouteResult:
 class Overlay:
     """All nodes of one simulated overlay, plus join/fail/repair machinery.
 
-    Routing reads the routing table of the node doing the hop and its leaf
-    set, which is not stored: it is the converged view, the node's window
-    of the ring of live ids, as `build`'s tables are converged state. The
-    global node map exists so the simulator can dispatch messages.
+    `nodes` maps each id to its routing table, a node's only stored state.
+    Routing reads the table of the node doing the hop and its leaf set,
+    which is not stored: it is the converged view, the node's window of the
+    ring of live ids, as `build`'s tables are converged state.
     """
 
     def __init__(self, leaf_side: int = LEAF_SIDE):
-        self.nodes: dict[int, Node] = {}
+        self.nodes: dict[int, RoutingTable] = {}
         self.leaf_side = leaf_side
         # The ids of the live nodes. The set is only ever changed in place:
         # `is_alive` is bound to it, and so is every holder of that method.
@@ -205,9 +193,6 @@ class Overlay:
 
     def __contains__(self, nid: int) -> bool:
         return nid in self.nodes
-
-    def node(self, nid: int) -> Node:
-        return self.nodes[nid]
 
     def live_ids(self) -> list[int]:
         return sorted(self._live)
@@ -247,19 +232,19 @@ class Overlay:
         if len(set(ordered)) != len(ordered):
             raise ValueError("duplicate node ids")
         ov = cls(leaf_side)
-        nodes = [Node(nid, RoutingTable(nid)) for nid in ordered]
-        ov.nodes = {node.id: node for node in nodes}
+        tables = [RoutingTable(nid) for nid in ordered]
+        ov.nodes = dict(zip(ordered, tables))
         ov._live.update(ordered)
         ov._ring = ordered
         if len(ordered) > 1:
-            _fill_routing_rows(ordered, [node.routing_table.rows for node in nodes])
+            _fill_routing_rows(ordered, [table.rows for table in tables])
         return ov
 
     # -- membership changes ------------------------------------------------
 
-    def join(self, new_id: int) -> Node:
+    def join(self, new_id: int) -> RoutingTable:
         """Protocol-level join: route from the smallest live id toward the
-        new id, copy state, announce.
+        new id, copy state, announce. Returns the joiner's routing table.
 
         Routing rows are copied from the nodes on the join path, then from
         the delivery node's table and leaf set. The new id then enters the
@@ -272,38 +257,37 @@ class Overlay:
             raise ValueError("node id already present")
         if self._unrepaired:
             self.repair()
-        node = Node(new_id, RoutingTable(new_id))
+        table = RoutingTable(new_id)
         path: list[int] = []
         if self._ring:
             res = self.route(self._ring[0], new_id)
             path = [res.source] + res.hops
-            target = self.nodes[res.destination]
 
             # Classic bootstrap: row i from the i-th node on the path, then
             # the delivery node's full state. consider() recomputes true
             # placement.
             for i, pid in enumerate(path):
-                node.routing_table.consider(pid)
-                rows = self.nodes[pid].routing_table.rows  # a missing row is empty
+                table.consider(pid)
+                rows = self.nodes[pid].rows  # a missing row is empty
                 row = min(i, N_DIGITS - 1)
                 for cell in rows[row] if row < len(rows) else ():
                     if cell is not None:
-                        node.routing_table.consider(cell)
-            for cell in target.routing_table.entries():
-                node.routing_table.consider(cell)
-            for m in self.leaf_set(target.id):
-                node.routing_table.consider(m)
+                        table.consider(cell)
+            for cell in self.nodes[res.destination].entries():
+                table.consider(cell)
+            for m in self.leaf_set(res.destination):
+                table.consider(m)
 
         self.liveness_changes.append(new_id)
-        self.nodes[new_id] = node
+        self.nodes[new_id] = table
         self._live.add(new_id)
         insort(self._ring, new_id)
 
         # Announce: the joiner's leaf set and path fold it into their tables.
         for pid in self.leaf_set(new_id) + path:
-            self.nodes[pid].routing_table.consider(new_id)
+            self.nodes[pid].consider(new_id)
         self._next_hops = {}
-        return node
+        return table
 
     def fail(self, nid: int) -> None:
         if nid not in self._live:
@@ -343,8 +327,10 @@ class Overlay:
 
         Order: leaf-set window, exact routing-table cell, then any known
         peer with a shared prefix at least as long that is strictly closer
-        to the key. Dead table entries are dropped and patched on the way;
-        a patch empties the memo of `route`, which this method never reads.
+        to the key. A dead cell is patched on the way: it gets the first
+        live leaf-set member, in ascending order, that fits it, or None. A
+        peer's cell is fixed by its id, so no other table entry fits it. A
+        patch empties the memo of `route`, which this method never reads.
 
         The leaf-set step reads no liveness: outside the span between a
         `fail` and the next `repair`, which `route` closes before its first
@@ -352,7 +338,7 @@ class Overlay:
         inside the window lie in it, so the nearest id on the whole ring is
         the nearest of the window and the node itself.
         """
-        node = self.nodes[local_id]
+        table = self.nodes[local_id]
         live = self._live
         if local_id not in live:
             raise ValueError("routing at a dead node")
@@ -365,21 +351,22 @@ class Overlay:
 
         row = shared_prefix_len(local_id, key)
         col = digit_at(key, row)
-        cell = node.routing_table.get(row, col)
+        cell = table.get(row, col)
         if cell is not None:
             if cell in live:
                 return cell
-            node.routing_table.remove(cell)
+            repl = next((m for m in self.leaf_set(local_id) if m in live
+                         and shared_prefix_len(local_id, m) == row
+                         and digit_at(m, row) == col), None)
+            table.rows[row][col] = repl
             self._next_hops = {}
-            repl = self._find_replacement(node, row, col)
             if repl is not None:
-                node.routing_table.consider(repl)
                 return repl
 
         best = None
         best_rank = None
         own_dist = circular_distance(local_id, key)
-        for peer in self._known_peers(node):
+        for peer in chain(self.leaf_set(local_id), table.entries()):
             if peer not in live:
                 continue
             p = shared_prefix_len(peer, key)
@@ -406,19 +393,6 @@ class Overlay:
         up, down = ring[(i + k) % n], ring[(i - k) % n]
         return ((key - nid) % ID_SPACE <= (up - nid) % ID_SPACE
                 or (nid - key) % ID_SPACE <= (nid - down) % ID_SPACE)
-
-    def _known_peers(self, node: Node) -> Iterator[int]:
-        yield from self.leaf_set(node.id)
-        yield from node.routing_table.entries()
-
-    def _find_replacement(self, node: Node, row: int, col: int) -> Optional[int]:
-        """A live known peer satisfying a vacated cell's prefix constraint."""
-        for peer in sorted(set(self._known_peers(node))):
-            if not self.is_alive(peer):
-                continue
-            if shared_prefix_len(node.id, peer) == row and digit_at(peer, row) == col:
-                return peer
-        return None
 
     def route(self, source: int, key: int) -> RouteResult:
         """Apply next_hop until delivery, recording every hop.

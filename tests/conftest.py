@@ -13,7 +13,8 @@ from dhtfed.tree import TreeConfig, TreeManager
 # `pytest --hypothesis-profile vote-2000` (or `model-2000`, or `route-2000`)
 # gives every test that leaves max_examples to the profile 2000 examples: the
 # vote-equivalence test in test_fedagg.py, the model-path equivalence tests
-# in test_model.py, and the route-memo twin test in test_overlay.py.
+# in test_model.py, and the route-memo twin and patch-rule tests in
+# test_overlay.py.
 # `churn-1000` gives 1000 to the churn property tests in test_harness.py and
 # test_tree.py. Tier-1 runs keep hypothesis's default of 100.
 settings.register_profile("vote-2000", max_examples=2000)

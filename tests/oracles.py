@@ -8,9 +8,11 @@ calls (`pfl_grad`, `forward_batch`), so they check the stacked multi-leaf
 paths against one leaf at a time. `loss_reference` is the per-leaf loss
 formula as it stood before the loss was stacked, `points_reference` the
 point generator's formula as it stood before it drew in place,
-`gossip_reference` the decentralized round as it stood with set-valued
-contributor buffers, and `vote_reference` the ensemble vote as it stood
-with a softmax for every head.
+`patch_reference` the patch of a dead routing cell as it stood when it
+searched the table as well as the leaf set, `gossip_reference` the
+decentralized round as it stood with set-valued contributor buffers, and
+`vote_reference` the ensemble vote as it stood with a softmax for every
+head.
 """
 
 from bisect import bisect_left
@@ -20,7 +22,7 @@ import numpy as np
 
 from dhtfed.model import (LocalDataset, ModelParams, forward_batch, forward_heads,
                           pfl_grad)
-from dhtfed.overlay import LEAF_SIDE, Node, Overlay, RoutingTable
+from dhtfed.overlay import LEAF_SIDE, Overlay, RoutingTable
 
 ID_SPACE = 1 << 128
 
@@ -91,6 +93,17 @@ def leaf_set_next_hop(owner, members, alive, key):
     return None if best == owner else best
 
 
+def patch_reference(owner, row, col, members, entries, alive):
+    """The peer that a vacated routing cell (row, col) of owner's table gets,
+    by the rule as it stood when a patch searched every known peer: the
+    smallest live one among the leaf set `members` and the table's
+    `entries` that shares exactly `row` digits with owner and has digit
+    `col` next, or None."""
+    return min((p for p in set(members) | set(entries)
+                if alive(p) and prefix_digits(owner, p) == row
+                and int(format(p, "032x")[row], 16) == col), default=None)
+
+
 def build_reference(ids, leaf_side=LEAF_SIDE):
     """The converged overlay as first built: dense 32x16 routing rows whose
     cells come from hex-string prefix buckets, one nearest-on-the-ring
@@ -99,8 +112,8 @@ def build_reference(ids, leaf_side=LEAF_SIDE):
     ov = Overlay(leaf_side)
     ordered = sorted(ids)
     for nid in ordered:
-        node = ov.nodes[nid] = Node(nid, RoutingTable(nid))
-        node.routing_table.rows = [[None] * 16 for _ in range(32)]
+        table = ov.nodes[nid] = RoutingTable(nid)
+        table.rows = [[None] * 16 for _ in range(32)]
     ov._live.update(ordered)
     ov._ring = ordered
     n = len(ordered)
@@ -119,7 +132,7 @@ def build_reference(ids, leaf_side=LEAF_SIDE):
 
     hexdigits = "0123456789abcdef"
     for nid in ordered:
-        node = ov.nodes[nid]
+        rows = ov.nodes[nid].rows
         h = format(nid, "032x")
         for row in range(max_shared + 1):
             for col, cd in enumerate(hexdigits):
@@ -132,7 +145,7 @@ def build_reference(ids, leaf_side=LEAF_SIDE):
                 # from nid's insertion point or going down from it.
                 i = bisect_left(bucket, nid)
                 up, down = bucket[i % len(bucket)], bucket[i - 1]
-                node.routing_table.rows[row][col] = min(
+                rows[row][col] = min(
                     up, down, key=lambda m: (circ_dist(m, nid), m))
     return ov
 

@@ -36,7 +36,6 @@ TEST_ONLY = {
     "forward_batch": "the one-head softmax that forward_heads and the vote are checked against",
     "pfl_grad": "the one-leaf gradient that stacked fine-tuning is checked against",
     "trace_hash": "the digest that pins the simulator's event trace",
-    "node": "the accessor through which overlay tests read a node's routing table",
     "pending": "the queue length that tests read to see a run drain the queue or stop at its cut-off",
 }
 

@@ -376,7 +376,13 @@ def test_config_validation_rules():
                        (dict(name=5), "^name must be of type str"),
                        (dict(failures=[(0.0, True, "fail")]), "node index is not an int"),
                        (dict(failures=[(0.0, 1.5, "fail")]), "node index is not an int"),
-                       (dict(failures=[("0", 1, "fail")]), "time '0' is not a number")]:
+                       (dict(failures=[("0", 1, "fail")]), "time '0' is not a number"),
+                       # a malformed schedule
+                       (dict(failures=None), "^failures must be a list"),
+                       (dict(failures=(0.0, 1, "fail")), "^failures must be a list"),
+                       (dict(failures=[(0.0, 1)]), r"failure event \(0\.0, 1\) is not a"),
+                       (dict(failures=[(0.0, 1, "fail", 2)]), "is not a .* triple"),
+                       (dict(failures=[7]), "failure event 7 is not a")]:
         with pytest.raises(ValueError, match=match):
             ScenarioConfig(seed=1, **bad).validate()
     with pytest.raises(ValueError, match="^seed must be of type int, not bool"):

@@ -10,7 +10,7 @@ from dhtfed.overlay import (ID_SPACE, LEAF_SIDE, MAX_ROUTE_HOPS, Overlay,
                             random_ids, shared_prefix_len)
 
 from oracles import (build_reference, closest_id, leaf_covers, leaf_set_next_hop,
-                     leaf_sides, prefix_digits, ring_neighbors)
+                     leaf_sides, patch_reference, prefix_digits, ring_neighbors)
 
 
 # -- identifiers ---------------------------------------------------------------
@@ -174,9 +174,10 @@ def test_route_is_deterministic():
 def test_join_into_empty_overlay_routes_to_itself():
     ov = Overlay()
     nid = id_from_name("first")
-    node = ov.join(nid)
+    table = ov.join(nid)
+    assert table is ov.nodes[nid] and table.owner == nid
     assert not ov.leaf_set(nid)
-    assert not list(node.routing_table.entries())
+    assert not list(table.entries())
     assert ov.route(nid, 12345).destination == nid
 
 
@@ -206,8 +207,8 @@ def test_joins_respect_routing_table_placement():
     ov = Overlay()
     for nid in shuffled:
         ov.join(nid)
-    for nid, node in ov.nodes.items():
-        for row_idx, row in enumerate(node.routing_table.rows):
+    for nid, table in ov.nodes.items():
+        for row_idx, row in enumerate(table.rows):
             for col_idx, cell in enumerate(row):
                 if cell is None:
                     continue
@@ -219,8 +220,8 @@ def test_joins_respect_routing_table_placement():
 def test_built_overlay_placement_invariants():
     ids = random_ids(300, 23)
     ov = Overlay.build(ids)
-    for nid, node in ov.nodes.items():
-        for row_idx, row in enumerate(node.routing_table.rows):
+    for nid, table in ov.nodes.items():
+        for row_idx, row in enumerate(table.rows):
             for col_idx, cell in enumerate(row):
                 if cell is not None:
                     assert shared_prefix_len(nid, cell) == row_idx
@@ -257,9 +258,9 @@ def _overlay_ids(draw):
 def test_build_matches_the_reference_build_cell_for_cell(ids, leaf_side):
     ov, ref = Overlay.build(ids, leaf_side), build_reference(ids, leaf_side)
     assert list(ov.nodes) == list(ref.nodes)
-    for nid, node in ov.nodes.items():
+    for nid, table in ov.nodes.items():
         assert ov.leaf_set(nid) == sorted(ring_neighbors(sorted(ids), nid, leaf_side))
-        assert dense_cells(node.routing_table) == ref.nodes[nid].routing_table.rows
+        assert dense_cells(table) == ref.nodes[nid].rows
 
 
 def test_unwritten_rows_read_as_empty():
@@ -267,7 +268,6 @@ def test_unwritten_rows_read_as_empty():
     table = RoutingTable(owner)
     assert table.rows == []
     assert table.get(0, 3) is None and table.get(31, 15) is None
-    table.remove(owner | 0x7 << 112)  # row 3, never written
     assert table.rows == []
 
 
@@ -281,8 +281,6 @@ def test_consider_grows_rows_only_to_the_row_it_fills():
     assert table.consider(0x1 << 124)  # row 0 exists already
     assert not table.consider(owner)
     assert len(table.rows) == 4
-    table.remove(deep)
-    assert table.get(3, 7) is None and len(table.rows) == 4
 
 
 def test_join_copies_nothing_from_rows_a_path_peer_never_wrote():
@@ -291,12 +289,11 @@ def test_join_copies_nothing_from_rows_a_path_peer_never_wrote():
     new_id = 0x1 << 124 | 1 << 100
     ov, ref = Overlay.build(ids), build_reference(ids)
     path = [ids[0]] + ov.route(ids[0], new_id).hops
-    assert len(path) > len(ov.node(path[-1]).routing_table.rows) == 1
+    assert len(path) > len(ov.nodes[path[-1]].rows) == 1
     ov.join(new_id)
     ref.join(new_id)
     for nid in ids + [new_id]:
-        assert (dense_cells(ov.node(nid).routing_table)
-                == dense_cells(ref.node(nid).routing_table))
+        assert dense_cells(ov.nodes[nid]) == dense_cells(ref.nodes[nid])
 
 
 # -- churn -----------------------------------------------------------------------
@@ -631,8 +628,8 @@ def assert_same_routing_state(ov, ref):
     assert ov.live_ids() == ref.live_ids() and sorted(ov.nodes) == sorted(ref.nodes)
     for nid in ov.live_ids():
         assert ov.leaf_set(nid) == ref.leaf_set(nid)
-    for nid in ov.nodes:
-        assert ov.node(nid).routing_table.rows == ref.node(nid).routing_table.rows
+    for nid, table in ov.nodes.items():
+        assert table.rows == ref.nodes[nid].rows
 
 
 @settings(deadline=None)  # examples from the active profile; CI runs "route-2000"
@@ -678,6 +675,75 @@ def test_route_matches_a_memo_free_walk_after_every_op(ids, leaf_side, ops):
                 for src in live:
                     assert route_outcome(ov, src, key) == route_outcome(ref, src, key)
         assert_same_routing_state(ov, ref)
+
+
+# -- patching dead cells ---------------------------------------------------------
+
+def checked_next_hop(ov, next_hop, patches, local_id, key):
+    """`next_hop(local_id, key)`, checking the table cell it reads. If that
+    cell holds a dead peer and the key lies outside local_id's leaf-set
+    window, the call must leave in it what `patch_reference` picks, and
+    return that peer if there is one; the pick is appended to `patches`.
+    Any other call must leave the cell as it was."""
+    if key == local_id:
+        return next_hop(local_id, key)
+    row = prefix_digits(local_id, key)
+    col = int(hex_id(key)[row], 16)
+    table, members = ov.nodes[local_id], ov.leaf_set(local_id)
+    want = cell = table.get(row, col)
+    dead = (cell is not None and not ov.is_alive(cell)
+            and not leaf_covers(local_id, members, ov.leaf_side, key))
+    if dead:
+        want = patch_reference(local_id, row, col, members, table.entries(),
+                               ov.is_alive)
+    nxt = next_hop(local_id, key)
+    assert table.get(row, col) == want
+    if dead:
+        patches.append(want)
+        assert want is None or nxt == want
+    return nxt
+
+
+@settings(deadline=None)  # examples from the active profile; CI runs "route-2000"
+@given(ids=st.sets(_RING_IDS, min_size=1, max_size=24),
+       leaf_side=st.sampled_from([1, 2, 3, LEAF_SIDE]),
+       ops=st.lists(st.tuples(st.sampled_from(["fail", "fail", "rejoin", "repair",
+                                               "route", "route"]),
+                              st.integers(0, 1 << 16), _RING_IDS),
+                    max_size=20))
+# Node 0xB << 124 keeps the failed node 1 in its cell (0, 0), and the key
+# 0x04 << 120 lies outside its leaf set [2, 3, 0x08 << 120, 0x0C << 120],
+# all of whose members fit the cell: the route toward the key refills it
+# with the smallest, 2.
+@example(ids={1, 2, 3, 0x04 << 120, 0x08 << 120, 0x0C << 120, 0xB << 124},
+         leaf_side=2, ops=[("fail", 0, 0), ("route", 3, 0x04 << 120)])
+# Node 0xB << 124 keeps the failed node 1 in its cell (0, 0), but no member
+# of its leaf set [0x5 << 124, 0xC << 124] has top digit 0: the route
+# toward key 0 leaves the cell empty.
+@example(ids={1, 0x5 << 124, 0xB << 124, 0xC << 124, 0xD << 124}, leaf_side=1,
+         ops=[("fail", 0, 0), ("route", 0, 0)])
+def test_a_patched_cell_holds_what_the_former_rule_picks(ids, leaf_side, ops):
+    """Every dead cell that `next_hop` patches, on the routes of the route
+    ops and of the joins that rejoins make, gets the smallest live peer of
+    the leaf set and the table that fits it, or stays empty."""
+    ids = sorted(ids)
+    ov = Overlay.build(ids, leaf_side)
+    patches = []
+    ov.next_hop = partial(checked_next_hop, ov, ov.next_hop, patches)
+    for op, pick, value in ops:
+        live = ov.live_ids()
+        dead = sorted(set(ids) - set(live))
+        if op == "fail" and live:
+            ov.fail(live[pick % len(live)])
+        elif op == "rejoin" and dead:
+            ov.rejoin(dead[pick % len(dead)])
+        elif op == "repair":
+            ov.repair()
+        elif op == "route":
+            member = ids[pick % len(ids)]
+            for key in (value, member, 0):
+                for src in live:
+                    ov.route(src, key)
 
 
 # -- leaf sets -------------------------------------------------------------------
