@@ -58,13 +58,20 @@ def cmd_run(args) -> int:
     if args.mode is not None:
         cfg.mode = args.mode
     _log_progress(args.quiet)
-    result = run_scenario(cfg)
+    # run_scenario, plus each tree's round loss after each round: only the
+    # round log reads it, so no round computes it by itself.
+    scenario = Scenario(cfg)
+    losses = []
+    for _ in range(cfg.rounds):
+        scenario.step()
+        losses += [session.round_loss() for session in scenario.sessions]
+    result = scenario.result()
     out = _ensure_out(args.out)
     write_records(result.records, os.path.join(out, f"{cfg.name}.jsonl"))
     by_round: dict[int, list[float]] = {}
     for rec in result.records:
         by_round.setdefault(rec.round, []).append(rec.accuracy)
-    write_round_log(result.round_metrics,
+    write_round_log(result.round_metrics, losses,
                     os.path.join(out, f"{cfg.name}-rounds.jsonl"),
                     accuracy={r: sum(v) / len(v) for r, v in by_round.items()})
     rows = summary_rows(result.records)

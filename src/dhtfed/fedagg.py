@@ -250,21 +250,32 @@ class RoundMetrics:
     total_bytes: int
     root_latency: float
     dissemination: float
-    loss: float = 0.0
     ingress_bytes: dict[int, int] = field(default_factory=dict)
     egress_bytes: dict[int, int] = field(default_factory=dict)
 
 
-def write_round_log(metrics: list[RoundMetrics], path: str,
+def write_round_log(metrics: list[RoundMetrics], losses: list[float], path: str,
                     accuracy: Optional[dict[int, float]] = None) -> None:
     """Line-delimited round records: round, mode, per-node ingress/egress
-    bytes (hex node ids), training loss, accuracy where supplied."""
+    bytes (hex node ids), training loss, accuracy where supplied.
+
+    `losses[i]` is the `FederatedSession.round_loss()` of the round that
+    `metrics[i]` records; no round computes it by itself. A missing loss,
+    or one that is not a float, raises before the file is opened, so no
+    record is written with a loss nobody computed.
+    """
+    if len(losses) != len(metrics):
+        raise ValueError(f"{len(losses)} losses for {len(metrics)} round records: "
+                         f"take each round's loss with FederatedSession.round_loss()")
+    for m, loss in zip(metrics, losses):
+        if not isinstance(loss, float):
+            raise ValueError(f"round {m.round}: loss {loss!r} was not computed")
     with open(path, "w", encoding="utf-8") as fh:
-        for m in metrics:
+        for m, loss in zip(metrics, losses):
             rec = {
                 "round": m.round,
                 "mode": m.mode,
-                "loss": m.loss,
+                "loss": loss,
                 "accuracy": None if accuracy is None else accuracy.get(m.round),
                 "ingress_bytes": {hex_id(n): v
                                   for n, v in sorted(m.ingress_bytes.items())},
@@ -369,6 +380,8 @@ class FederatedSession:
         # The decentralized round's gossip and routed messages; a
         # centralized round leaves it empty.
         self.msg_log: list[MessageRecord] = []
+        # The last round's contributing leaves, which `round_loss` scores.
+        self.last_leaves: Optional[list[int]] = None
 
     # -- shared pieces -------------------------------------------------------
 
@@ -410,6 +423,7 @@ class FederatedSession:
         mc = self.trees.multicast(self.gid, param_nbytes(self.hidden_dim))
         self.sim.run()
         metrics = self._metrics(mode, leaves, aggregate.weight, root_latency, mc.elapsed)
+        self.last_leaves = leaves
         self.round += 1
         return metrics
 
@@ -600,16 +614,30 @@ class FederatedSession:
 
     # -- bookkeeping ---------------------------------------------------------------
 
-    def _metrics(self, mode: str, leaves: list[int], root_weight: int,
-                 root_latency: float, dissemination: float) -> RoundMetrics:
-        ingress = dict(self.sim.ingress_bytes)
-        egress = dict(self.sim.egress_bytes)
+    def round_loss(self) -> float:
+        """The last round's training loss: the `pfl_losses` objective of
+        each of its contributing leaves over all the leaf's points, at the
+        shared head and the leaf's personal head, averaged over the leaves.
+        It scores `INFER_CHUNK` leaves per call.
+
+        A round replaces heads and never writes one in place, so until the
+        next round starts this is the loss at the round's close. No round
+        computes it: only the round log reads it.
+        """
+        leaves = self.last_leaves
+        if leaves is None:
+            raise ProtocolError("no round has run yet: round_loss scores the last round")
         losses = [pfl_losses([self.data[nid] for nid in chunk], self.global_params,
                              [self.personal[nid] for nid in chunk], self.cfg.lam,
                              self.cfg.penalty)
                   for chunk in (leaves[i:i + INFER_CHUNK]
                                 for i in range(0, len(leaves), INFER_CHUNK))]
-        loss = float(np.mean(np.concatenate(losses)))
+        return float(np.mean(np.concatenate(losses)))
+
+    def _metrics(self, mode: str, leaves: list[int], root_weight: int,
+                 root_latency: float, dissemination: float) -> RoundMetrics:
+        ingress = dict(self.sim.ingress_bytes)
+        egress = dict(self.sim.egress_bytes)
         return RoundMetrics(
             round=self.round,
             mode=mode,
@@ -619,7 +647,6 @@ class FederatedSession:
             total_bytes=sum(egress.values()),
             root_latency=root_latency,
             dissemination=dissemination,
-            loss=loss,
             ingress_bytes=ingress,
             egress_bytes=egress,
         )

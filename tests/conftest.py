@@ -1,3 +1,7 @@
+import ctypes
+import glob
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -21,6 +25,34 @@ settings.register_profile("vote-2000", max_examples=2000)
 settings.register_profile("model-2000", max_examples=2000)
 settings.register_profile("route-2000", max_examples=2000)
 settings.register_profile("churn-1000", max_examples=1000)
+
+
+def numeric_platform() -> str:
+    """The numeric kernels this process runs, which the last bits of the
+    pinned digests depend on: OpenBLAS's core name, read through ctypes from
+    numpy's bundled library, then numpy's baseline and the dispatch targets
+    active here."""
+    from numpy._core._multiarray_umath import (__cpu_baseline__, __cpu_dispatch__,
+                                               __cpu_features__)
+    core = "unknown"
+    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                                  "numpy.libs", "libscipy_openblas64_*.so"))
+    if libs:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    active = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    return f"OpenBLAS {core}; numpy {' '.join(__cpu_baseline__)} + {' '.join(active)}"
+
+
+# The platform every digest, round-log hash and records pin was measured on.
+PINNED_PLATFORM = "OpenBLAS SkylakeX; numpy X86_V2 + X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def platforms() -> str:
+    """A failed pin's message: the pins' platform and this one."""
+    return f"pinned on {PINNED_PLATFORM}; running on {numeric_platform()}"
 
 
 def build_world(n, fanout=16, seed=42, intercept=True, group="g",

@@ -1,12 +1,16 @@
 import dataclasses
+import hashlib
 import json
 import logging
 import os
+from pathlib import Path
 
 import pytest
 
 from dhtfed.cli import main
 from dhtfed.harness import ScenarioConfig
+
+from conftest import platforms
 
 INI = """
 [scenario]
@@ -42,6 +46,18 @@ def test_run_writes_records_and_summaries(tmp_path, capsys):
         first = json.loads(fh.readline())
     assert first["scenario"] == "clidemo"
     assert 0.0 <= first["accuracy"] <= 1.0
+
+
+# sha256 of the round log `dhtfed run configs/demo.ini` writes: each
+# tree-round's loss, accuracy and per-node bytes, as the CLI computes them.
+DEMO_ROUND_LOG = "c89f9d6c53002678e467e09dfa472d5d52f276ad573231a846e27ccc0cb2ea7a"
+
+
+def test_run_writes_the_pinned_demo_round_log(tmp_path):
+    demo = Path(__file__).resolve().parent.parent / "configs" / "demo.ini"
+    assert main(["run", str(demo), "--out", str(tmp_path), "--quiet"]) == 0
+    log = (tmp_path / "demo-rounds.jsonl").read_bytes()
+    assert hashlib.sha256(log).hexdigest() == DEMO_ROUND_LOG, platforms()
 
 
 def test_run_flag_overrides(tmp_path):

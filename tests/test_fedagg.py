@@ -10,7 +10,7 @@ from dhtfed.fedagg import (CENTRALIZED, DECENTRALIZED, UNWEIGHTED, WEIGHTED,
                            AggregateMessage, FederatedSession, ModeSelector,
                            ProtocolError, RoundConfig, SocialGraph,
                            audit_decentralized_privacy, branch_aggregate,
-                           mask_members, root_update)
+                           mask_members, root_update, write_round_log)
 from dhtfed import fedagg
 from dhtfed.model import ModelParams, forward_batch, forward_heads, local_finetune
 from dhtfed.simnet import AGG_UP
@@ -224,24 +224,50 @@ def test_star_round_floods_the_root():
 def test_round_log_exposes_per_node_bytes_and_loss(tmp_path):
     import json
 
-    from dhtfed.fedagg import write_round_log
-
     ids, overlay, sim, trees, gid, root = build_world(20, fanout=4, seed=51)
     data = gaussian_data(ids, H, seed=14)
     session = FederatedSession(trees, gid, data, H,
                                RoundConfig(steps=5, batch=8, seed=3))
-    history = [session.centralized_round() for _ in range(3)]
-    assert all(np.isfinite(m.loss) for m in history)
-    assert history[-1].loss < history[0].loss  # separable data: training helps
+    history, losses = [], []
+    for _ in range(3):
+        history.append(session.centralized_round())
+        losses.append(session.round_loss())
+    assert all(np.isfinite(losses))
+    assert losses[-1] < losses[0]  # separable data: training helps
 
     path = tmp_path / "rounds.jsonl"
-    write_round_log(history, str(path), accuracy={0: 0.5, 1: 0.75, 2: 0.9})
+    write_round_log(history, losses, str(path), accuracy={0: 0.5, 1: 0.75, 2: 0.9})
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert len(lines) == 3
+    assert [line["loss"] for line in lines] == losses
     assert lines[0]["mode"] == CENTRALIZED
     assert lines[2]["accuracy"] == 0.9
     assert lines[0]["ingress_bytes"]  # hex-keyed per-node byte counts
     assert all(len(k) == 32 for k in lines[0]["ingress_bytes"])
+
+
+def test_round_loss_needs_a_round(small_world):
+    ids, overlay, sim, trees, gid, root = small_world
+    session = FederatedSession(trees, gid, gaussian_data(ids, H, seed=2), H,
+                               RoundConfig(steps=1, batch=8, seed=1))
+    with pytest.raises(ProtocolError, match="no round has run"):
+        session.round_loss()
+
+
+@pytest.mark.parametrize("losses, match", [
+    ([], "0 losses for 1 round records"),
+    ([0.5, 0.25], "2 losses for 1 round records"),
+    ([None], "round 0: loss None was not computed"),
+])
+def test_round_log_refuses_a_loss_nobody_computed(small_world, tmp_path, losses, match):
+    ids, overlay, sim, trees, gid, root = small_world
+    session = FederatedSession(trees, gid, gaussian_data(ids, H, seed=2), H,
+                               RoundConfig(steps=1, batch=8, seed=1))
+    metrics = [session.centralized_round()]
+    path = tmp_path / "rounds.jsonl"
+    with pytest.raises(ValueError, match=match):
+        write_round_log(metrics, losses, str(path))
+    assert not path.exists()  # refused before the file is opened
 
 
 def test_rounds_are_deterministic_bit_for_bit():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from dhtfed import harness
+from dhtfed import fedagg, harness
 from dhtfed.fedagg import FederatedSession, ProtocolError, RoundConfig, write_round_log
 from dhtfed.harness import (MIXED, SINGLE_TOPIC_PER_TREE, DisseminationRow,
                             MetricsRecord, Scenario, ScenarioConfig, TopicSpec,
@@ -20,7 +20,7 @@ from dhtfed.harness import (MIXED, SINGLE_TOPIC_PER_TREE, DisseminationRow,
 from dhtfed.overlay import Overlay, random_ids
 from dhtfed.tree import TreeManager
 
-from conftest import build_world
+from conftest import build_world, platforms
 from oracles import points_reference
 
 DEMO_INI = Path(__file__).resolve().parent.parent / "configs" / "demo.ini"
@@ -784,10 +784,14 @@ def scenario_digest(result) -> str:
     return h.hexdigest()
 
 
-# Measured on Python 3.11.7 with numpy 2.4.6. A change that moves one of these
-# digests changes the program's outputs and must say why. The second value
-# is the sha256 of the scenario's `write_round_log` file, which also covers
-# the training loss and the per-node byte counts.
+# Measured on Python 3.11.7 with numpy 2.4.6, on the numeric platform
+# "OpenBLAS SkylakeX; numpy X86_V2 + X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+# (`conftest.PINNED_PLATFORM`): OpenBLAS's SkylakeX kernels and numpy's
+# AVX-512 loops. Other kernels give other last bits, so a pin that fails
+# names both platforms. A change that moves one of these digests changes
+# the program's outputs and must say why. The second value is the sha256 of
+# the scenario's `write_round_log` file, which also covers the training loss
+# and the per-node byte counts.
 PINNED = {
     "demo": (None,
              "2b7c600e956371e5c839d84819b258d8c36a4dd17ef42c5c979aefd0f56220db",
@@ -844,13 +848,20 @@ def test_pinned_scenario_digest(name, monkeypatch, tmp_path):
             return _original(self, nid)
 
         monkeypatch.setattr(Overlay, action, counted)
-    result = run_scenario(cfg)
+    # run_scenario, with each tree's round loss taken after each round, as
+    # `dhtfed run` takes it for its round log.
+    scenario = Scenario(cfg)
+    losses = []
+    for _ in range(cfg.rounds):
+        scenario.step()
+        losses += [session.round_loss() for session in scenario.sessions]
+    result = scenario.result()
     fired = {a: sum(1 for e in cfg.failures if e[2] == a) for a in calls}
     assert calls == fired  # every scheduled fail and rejoin took effect
-    assert scenario_digest(result) == want
+    assert scenario_digest(result) == want, platforms()
     log = tmp_path / "rounds.jsonl"
-    write_round_log(result.round_metrics, str(log))
-    assert hashlib.sha256(log.read_bytes()).hexdigest() == want_log
+    write_round_log(result.round_metrics, losses, str(log))
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == want_log, platforms()
 
 
 def test_the_demo_pin_covers_votes_broken_by_probability_mass(monkeypatch):
@@ -866,8 +877,22 @@ def test_the_demo_pin_covers_votes_broken_by_probability_mass(monkeypatch):
 
     monkeypatch.setattr(FederatedSession, "ensemble_infer", counted)
     result = run_scenario(ScenarioConfig.from_ini(str(DEMO_INI)))
-    assert scenario_digest(result) == PINNED["demo"][1]
+    assert scenario_digest(result) == PINNED["demo"][1], platforms()
     assert any(tied_points)
+
+
+@pytest.mark.parametrize("mode", ["centralized", "decentralized"])
+def test_no_round_computes_the_round_loss(mode, monkeypatch):
+    # Only `dhtfed run`'s round log reads the loss, through round_loss();
+    # a run that writes no round log must never score it.
+    def refuse(*_args):
+        raise AssertionError("the round loss was computed in a round")
+
+    monkeypatch.setattr(fedagg, "pfl_losses", refuse)
+    result = run_scenario(ScenarioConfig(seed=4, nodes=24, rounds=2, mode=mode,
+                                         topics=2, tree_count=2, hidden_dim=8,
+                                         steps=2, batch=8, points_per_node=32))
+    assert len(result.round_metrics) == 2 * 2
 
 
 def test_two_failures_at_t0_do_not_crash_the_reroot():

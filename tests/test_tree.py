@@ -269,6 +269,8 @@ def test_spurious_rejoins_keep_sizes_without_a_recount():
         assert group.sizes_version == overlay.version  # updated, not recounted
     assert_sizes_match_oracle(trees, gid)
     assert trees.validate(gid) == []
+    # Every parent was alive: none of the rejoins had a dead parent.
+    assert (group.rejoins, group.dead_parent_rejoins) == (40, 0)
 
 
 def test_a_harness_rejoin_and_a_live_removal_recount_nothing():
@@ -443,11 +445,48 @@ def test_mass_interior_failure_heals_within_window():
         assert len(group.members[nid].children) <= 8
 
 
+def break_cycle_through_root(group, root, leaf, other):
+    group.members[leaf].children.append(root)
+
+
+def break_unreachable_cycle(group, root, leaf, other):
+    # Two leaves leave their parents and hang off each other: each link is
+    # consistent, but the walk from the root reaches neither.
+    for a in (leaf, other):
+        group.members[group.members[a].parent].children.remove(a)
+    for a, b in ((leaf, other), (other, leaf)):
+        group.members[a].parent = b
+        group.members[a].children.append(b)
+
+
+def break_parent_link(group, root, leaf, other):
+    # The leaf stays in its parent's child list but names another parent.
+    group.members[leaf].parent = other
+
+
+@pytest.mark.parametrize("breakage, found", [
+    (break_cycle_through_root, ["cycle through"]),
+    (break_unreachable_cycle, ["tree covers 18 of 20 live members"]),
+    (break_parent_link, ["parent/child mismatch at", "child not registered at parent of"]),
+])
+def test_validate_reports_a_hand_broken_tree(breakage, found):
+    ids, overlay, sim, trees, gid, root = build_world(20, fanout=4, seed=7)
+    assert trees.validate(gid) == []
+    group = trees.groups[gid]
+    leaf, other = [m for m in sorted(group.members)
+                   if m != root and not group.members[m].children][:2]
+    breakage(group, root, leaf, other)
+    problems = trees.validate(gid)
+    for text in found:
+        assert any(p.startswith(text) for p in problems), (text, problems)
+
+
 def test_heartbeat_config_validation():
     with pytest.raises(ValueError):
         TreeConfig(fanout_cap=0)
     with pytest.raises(ValueError):
         TreeConfig(heartbeat_period=1000, failure_timeout=1500)
+    TreeConfig(heartbeat_period=1000, failure_timeout=2000)  # the bound itself holds
 
 
 @settings(deadline=None)
