@@ -20,10 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .model import (PENALTIES, LocalDataset, ModelParams, forward_heads, local_finetune,
-                    param_nbytes, pfl_losses)
-# perfbench/tracing.py attaches its model.loss span to this module's
-# pfl_loss; the round loss itself goes through pfl_losses.
-from .model import pfl_loss  # noqa: F401
+                    param_nbytes, pfl_loss)
 from .overlay import hex_id
 from .simnet import AGG_UP
 from .tree import GroupState, TreeManager
@@ -34,8 +31,8 @@ DECENTRALIZED = "decentralized"
 UNWEIGHTED = "unweighted"
 WEIGHTED = "weighted"
 
-# Heads that one vote product (`count_votes_for_one`) or one stacked loss
-# or softmax pass takes at a time; it bounds the (n, INFER_CHUNK) blocks.
+# Heads that one vote product (`count_votes_for_one`) or one softmax pass
+# (`forward_heads`) takes at a time; it bounds the (n, INFER_CHUNK) blocks.
 INFER_CHUNK = 16
 
 # Simulated bytes an aggregate carries ahead of its parameters: a 16-byte
@@ -615,10 +612,9 @@ class FederatedSession:
     # -- bookkeeping ---------------------------------------------------------------
 
     def round_loss(self) -> float:
-        """The last round's training loss: the `pfl_losses` objective of
-        each of its contributing leaves over all the leaf's points, at the
-        shared head and the leaf's personal head, averaged over the leaves.
-        It scores `INFER_CHUNK` leaves per call.
+        """The last round's training loss: the `pfl_loss` of each of its
+        contributing leaves over all the leaf's points, at the shared head
+        and the leaf's personal head, averaged over the leaves.
 
         A round replaces heads and never writes one in place, so until the
         next round starts this is the loss at the round's close. No round
@@ -627,12 +623,8 @@ class FederatedSession:
         leaves = self.last_leaves
         if leaves is None:
             raise ProtocolError("no round has run yet: round_loss scores the last round")
-        losses = [pfl_losses([self.data[nid] for nid in chunk], self.global_params,
-                             [self.personal[nid] for nid in chunk], self.cfg.lam,
-                             self.cfg.penalty)
-                  for chunk in (leaves[i:i + INFER_CHUNK]
-                                for i in range(0, len(leaves), INFER_CHUNK))]
-        return float(np.mean(np.concatenate(losses)))
+        return float(np.mean([pfl_loss(self.data[nid], self.global_params, self.personal[nid],
+                                       self.cfg.lam, self.cfg.penalty) for nid in leaves]))
 
     def _metrics(self, mode: str, leaves: list[int], root_weight: int,
                  root_latency: float, dissemination: float) -> RoundMetrics:

@@ -132,62 +132,22 @@ def _check_penalty(penalty: str) -> None:
         raise ValueError(f"unknown penalty {penalty!r}")
 
 
-def pfl_losses(datas: list[LocalDataset], w_cla: ModelParams, w_pers: list[ModelParams],
-               lam: float, penalty: str = "squared") -> np.ndarray:
-    """pfl_loss of every leaf, with personal head w_pers[i], against the
-    shared head w_cla, in leaf order.
-
-    Leaves that share a dataset size are scored together. Each leaf's
-    logits come from its own matmul into a stacked (B, n, L) array, which is
-    copied once to label-major (L, B, n); the softmax, the pick of each
-    point's label, the `log` and the row mean then run on contiguous rows.
-    Per element that is the arithmetic of `_softmax` (maximum and sum label
-    by label, in order), so every loss equals the one-leaf call bit for bit.
-    """
-    _check_penalty(penalty)
-    if len(w_pers) != len(datas):
-        raise ValueError("need one personal head per dataset")
-    by_size: dict[int, list[int]] = {}
-    for i, data in enumerate(datas):
-        if len(data) == 0:
-            raise ValueError("dataset is empty")
-        by_size.setdefault(len(data), []).append(i)
-    w_t = w_cla.w.T
-    nll = np.empty(len(datas))
-    for n, leaves in by_size.items():
-        logits = np.empty((len(leaves), n, w_t.shape[1]))
-        for j, i in enumerate(leaves):
-            # the one-leaf product, as it is: BLAS may sum another layout's
-            # product (w @ x.T, or into label-major rows) in another order
-            np.matmul(datas[i].x, w_t, out=logits[j])
-        z = logits.transpose(2, 0, 1).copy()
-        z += w_cla.b[:, None, None]
-        z -= reduce(np.maximum, z)
-        e = np.exp(z, out=z)
-        y = np.stack([datas[i].y for i in leaves])
-        # Each point's label's probability, as a bit select on the uint64
-        # views: -y is all ones where the label is 1 and zero where it is 0.
-        u0 = e[0].view(np.uint64)
-        picked = u0 ^ e[1].view(np.uint64)
-        picked &= np.negative(y, out=y).view(np.uint64)
-        picked ^= u0
-        picked = picked.view(np.float64)
-        picked /= reduce(np.add, e)
-        nll[leaves] = -np.log(picked, out=picked).mean(axis=1)
-    d_w = np.stack([p.w for p in w_pers]) - w_cla.w
-    d_b = np.stack([p.b for p in w_pers]) - w_cla.b
-    sq = np.sum(d_w * d_w, axis=(1, 2)) + np.sum(d_b * d_b, axis=1)
-    return nll + 0.5 * lam * (sq if penalty == "squared" else np.sqrt(sq))
-
-
 def pfl_loss(data: LocalDataset, w_cla: ModelParams, w_per: ModelParams, lam: float,
              penalty: str = "squared") -> float:
-    """Mean negative log-likelihood plus the proximal pull on w_per.
+    """Mean negative log-likelihood of data's labels under w_cla's
+    `forward_batch` probabilities, plus the proximal pull on w_per.
 
     With penalty="squared" the pull is (lam/2) * ||w_per - w_cla||_F^2
     over all parameters; penalty="norm" uses the unsquared Frobenius norm.
     """
-    return float(pfl_losses([data], w_cla, [w_per], lam, penalty)[0])
+    if len(data) == 0:
+        raise ValueError("dataset is empty")
+    _check_penalty(penalty)
+    probs = forward_batch(data.x, w_cla)
+    nll = -float(np.mean(np.log(probs[np.arange(len(data)), data.y])))
+    diff = w_per - w_cla
+    sq = float(np.sum(diff.w * diff.w) + np.sum(diff.b * diff.b))
+    return float(nll + 0.5 * lam * (sq if penalty == "squared" else np.sqrt(sq)))
 
 
 def _one_hot(y: np.ndarray, n_labels: int) -> np.ndarray:

@@ -1,11 +1,17 @@
 """Group management: aggregation trees built by routing JOINs toward a group id.
 
-A group's root is the live node closest to the group id. Joins route toward
-the group id and are adopted by the first on-path member (interception) or
-by the root; full adopters delegate to the child with the fewest live
-descendants (ties to the smaller id), so trees stay balanced under the
-fanout cap. Parents emit existence messages; a member that stops hearing
-from its parent re-issues the JOIN, carrying its whole subtree with it.
+A group's root is the live node closest to the group id when the group is
+created. Once the root is gone, a JOIN that finds it gone, or `heal`, hands
+the role to the live node closest to the group id at that moment (a JOIN's
+destination that still has a parent only adopts the joiner). A live root
+keeps the role even when a closer node joins or comes back, so under churn
+the root need not be the closest live node (ROADMAP.md, "Tree roles as
+Scribe has them"). Joins route toward the group id and are adopted by the
+first on-path member (interception) or by the root; full adopters delegate
+to the child with the fewest live descendants (ties to the smaller id), so
+trees stay balanced under the fanout cap. Parents emit existence messages; a
+member that stops hearing from its parent re-issues the JOIN, carrying its
+whole subtree with it.
 
 Child lists hold only live ids, and each group keeps a count of live
 descendants per live member. Attaching a subtree adds its count along the
@@ -397,10 +403,9 @@ class TreeManager:
             return
         self._detach(group, member, mem)
         group.sizes.pop(member, None)
+        # `group` has synced the child lists: each child is live, under `member`.
         for child in list(mem.children):
-            cm = group.members.get(child)
-            if cm is not None and cm.parent == member and self.overlay.is_alive(child):
-                self.handle_parent_failure(gid, child)
+            self.handle_parent_failure(gid, child)
 
     def _detach(self, group: GroupState, nid: int, mem: TreeMembership) -> None:
         """Cut nid from its parent; its subtree stays under it. Only a live

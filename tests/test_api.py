@@ -33,7 +33,6 @@ PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 # Names kept for tests to use as references or audits, with the reason.
 TEST_ONLY = {
-    "forward_batch": "the one-head softmax that forward_heads and the vote are checked against",
     "pfl_grad": "the one-leaf gradient that stacked fine-tuning is checked against",
     "trace_hash": "the digest that pins the simulator's event trace",
     "pending": "the queue length that tests read to see a run drain the queue or stop at its cut-off",
@@ -57,8 +56,6 @@ UNPASSED_DEFAULTS = {
                                 "routing corner cases of small rings",
     "ModelParams.zeros(n_labels)": "the reference fine-tuning in tests/oracles.py builds its zero "
                                    "delta in the start head's shape",
-    "pfl_loss(penalty)": "the one-leaf loss that tests check the stacked round loss against, "
-                         "under both penalties",
     "pfl_grad(penalty)": "the one-leaf gradient that tests check stacked fine-tuning against, "
                          "under both penalties",
     "main(argv)": "the console script reads sys.argv; tests pass their own argument lists",
@@ -66,9 +63,7 @@ UNPASSED_DEFAULTS = {
 }
 
 # Imports kept though their module does not use them, with the reason.
-UNUSED_IMPORTS = {
-    ("fedagg.py", "pfl_loss"): "perfbench attaches its model.loss span to fedagg.pfl_loss",
-}
+UNUSED_IMPORTS = {}
 
 
 def _is_dunder(name):

@@ -18,8 +18,8 @@ from dhtfed.simnet import AGG_UP
 from conftest import (build_world, complete_graph, gaussian_data, inject_deltas,
                       live_children, round_aggregate)
 from oracles import (branch_aggregate_reference, flat_majority, flat_mean,
-                     gossip_reference, reachable_within, recursive_average,
-                     tree_tally, vote_reference)
+                     gossip_reference, loss_reference, reachable_within,
+                     recursive_average, tree_tally, vote_reference)
 
 H = 4
 
@@ -252,6 +252,26 @@ def test_round_loss_needs_a_round(small_world):
                                RoundConfig(steps=1, batch=8, seed=1))
     with pytest.raises(ProtocolError, match="no round has run"):
         session.round_loss()
+
+
+@pytest.mark.parametrize("penalty", ["squared", "norm"])
+def test_round_loss_is_the_mean_of_the_per_leaf_formula(penalty, monkeypatch):
+    ids, overlay, sim, trees, gid, root = build_world(70, fanout=8, seed=31)
+    data = gaussian_data(ids, H, seed=14, n_per_node=6)
+    session = FederatedSession(trees, gid, data, H, RoundConfig(
+        steps=2, batch=4, lam=1.5, penalty=penalty, seed=1))
+    session.centralized_round()
+    leaves = session.last_leaves
+    assert leaves == session.contributing_leaves()
+    assert len(leaves) > 2 * fedagg.INFER_CHUNK  # crosses two INFER_CHUNK block boundaries
+    want = np.mean([loss_reference(data[nid], session.global_params, session.personal[nid],
+                                   1.5, penalty) for nid in leaves])
+    # Through fedagg's own pfl_loss, which perfbench times as model.loss.
+    scored = []
+    loss = fedagg.pfl_loss
+    monkeypatch.setattr(fedagg, "pfl_loss", lambda d, *rest: scored.append(d) or loss(d, *rest))
+    assert np.float64(session.round_loss()).tobytes() == want.tobytes()
+    assert scored == [data[nid] for nid in leaves]
 
 
 @pytest.mark.parametrize("losses, match", [

@@ -888,7 +888,7 @@ def test_no_round_computes_the_round_loss(mode, monkeypatch):
     def refuse(*_args):
         raise AssertionError("the round loss was computed in a round")
 
-    monkeypatch.setattr(fedagg, "pfl_losses", refuse)
+    monkeypatch.setattr(fedagg, "pfl_loss", refuse)
     result = run_scenario(ScenarioConfig(seed=4, nodes=24, rounds=2, mode=mode,
                                          topics=2, tree_count=2, hidden_dim=8,
                                          steps=2, batch=8, points_per_node=32))

@@ -5,9 +5,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from dhtfed import model
 from dhtfed.model import (PENALTIES, LocalDataset, ModelParams, deserialize_params,
                           draw_minibatches, forward_batch, forward_heads,
-                          local_finetune, param_nbytes, pfl_grad, pfl_loss, pfl_losses,
-                          serialize_params)
-from dhtfed.fedagg import INFER_CHUNK
+                          local_finetune, param_nbytes, pfl_grad, pfl_loss, serialize_params)
 from dhtfed.harness import TopicSpec, _write_points
 
 from oracles import (central_difference, finetune_reference, floyd_reference,
@@ -106,62 +104,36 @@ def test_empty_dataset_rejected():
         pfl_grad(empty, w, ModelParams.zeros(H), 0.5)
 
 
-@pytest.mark.parametrize("penalty", ["squared", "norm"])
-def test_stacked_loss_equals_the_per_leaf_formula_bit_for_bit(penalty):
-    rng = np.random.default_rng(23)
-    w = rand_params(rng)
-    sizes = [7, 40, 1, 13] * 9  # interleaved, so each size is a stack of its own
-    assert len(sizes) > 2 * INFER_CHUNK
-    datas = [rand_data(rng, n=n) for n in sizes]
-    heads = [w + rand_params(rng) * rng.uniform(0.1, 3.0) for _ in sizes]
-    heads[5] = ModelParams(w.w.copy(), w.b.copy())  # zero offset, norm kink
-    for lam in (0.0, 1.5):
-        losses = pfl_losses(datas, w, heads, lam, penalty)
-        want = [loss_reference(d, w, p, lam, penalty) for d, p in zip(datas, heads)]
-        assert losses.tolist() == want
-        for d, p, expected in zip(datas, heads, want):
-            assert pfl_loss(d, w, p, lam, penalty) == expected
-
-
-# Dataset sizes for the loss property: single points and sizes that repeat,
-# so that one call stacks several leaves of a size beside leaves of others.
-_loss_size = st.one_of(st.sampled_from([1, 2, 7]), st.integers(1, 60))
+def test_loss_rejects_an_unknown_penalty():
+    rng = np.random.default_rng(24)
+    with pytest.raises(ValueError, match="unknown penalty 'cubic'"):
+        pfl_loss(rand_data(rng), rand_params(rng), rand_params(rng), 0.5, "cubic")
 
 
 @settings(deadline=None)  # examples from the active profile; CI runs "model-2000"
-@given(sizes=st.lists(_loss_size, min_size=1, max_size=12),
+@given(n=st.one_of(st.sampled_from([1, 2, 7]), st.integers(1, 60)),
        seed=st.integers(0, 2**32 - 1),
        x_scale=st.sampled_from([1.0, 1e-3, 1e50, 1e150]), tied=st.booleans(),
+       zero_pull=st.booleans(),
        lam=st.one_of(st.just(0.0), st.floats(0.0, 2.0)), penalty=st.sampled_from(PENALTIES))
-def test_round_loss_matches_the_per_leaf_formula(sizes, seed, x_scale, tied, lam, penalty):
-    """pfl_losses equals loss_reference leaf by leaf, bit for bit: n=1,
-    mixed sizes, tied logits (equal rows of w_cla) and |x| up to 1e150,
-    where a label's probability underflows to 0 and its loss is inf."""
+def test_round_loss_matches_the_per_leaf_formula(n, seed, x_scale, tied, zero_pull, lam,
+                                                 penalty):
+    """pfl_loss, which the round loss averages over the leaves, equals
+    loss_reference bit for bit: n=1, tied logits (equal rows of w_cla), a
+    personal head equal to w_cla (the norm's kink) and |x| up to 1e150,
+    where a label's probability underflows to 0 and the loss is inf."""
     rng = np.random.default_rng(seed)
     w = rand_params(rng)
     if tied:
         w = ModelParams(w.w[[0, 0]], w.b[[0, 0]])
-    datas = [LocalDataset(rng.normal(size=(n, H)) * x_scale, rng.integers(0, 2, size=n))
-             for n in sizes]
-    heads = [w + rand_params(rng) * rng.uniform(0.0, 3.0) for _ in sizes]
+    data = LocalDataset(rng.normal(size=(n, H)) * x_scale, rng.integers(0, 2, size=n))
+    head = w + rand_params(rng) * rng.uniform(0.0, 3.0)
+    if zero_pull:
+        head = ModelParams(w.w.copy(), w.b.copy())
     with np.errstate(divide="ignore"):  # log(0) where a probability underflows
-        got = pfl_losses(datas, w, heads, lam, penalty)
-        want = np.array([loss_reference(d, w, p, lam, penalty)
-                         for d, p in zip(datas, heads)])
-    assert got.tobytes() == want.tobytes()
-
-
-def test_stacked_loss_rejects_an_empty_dataset_and_unknown_penalty():
-    rng = np.random.default_rng(24)
-    w = rand_params(rng)
-    datas = [rand_data(rng), LocalDataset(np.zeros((0, H)), np.zeros(0, dtype=int))]
-    heads = [rand_params(rng) for _ in datas]
-    with pytest.raises(ValueError, match="empty"):
-        pfl_losses(datas, w, heads, 0.5)
-    with pytest.raises(ValueError, match="penalty"):
-        pfl_losses(datas[:1], w, heads[:1], 0.5, "cubic")
-    with pytest.raises(ValueError, match="one personal head"):
-        pfl_losses(datas, w, heads[:1], 0.5)
+        got = pfl_loss(data, w, head, lam, penalty)
+        want = loss_reference(data, w, head, lam, penalty)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 @pytest.mark.parametrize("labels", [[0, 2], [-1, 1]])

@@ -481,6 +481,24 @@ def test_validate_reports_a_hand_broken_tree(breakage, found):
         assert any(p.startswith(text) for p in problems), (text, problems)
 
 
+def test_in_subtree_walks_a_whole_chain_and_refuses_a_parent_cycle():
+    ids, overlay, sim, trees, gid, root = build_world(20, fanout=1, seed=7)
+    group = trees.group(gid)
+    bottom = next(m for m in group.members if not group.members[m].children)
+    assert depth_of(trees, gid, bottom) == len(group.members) - 1  # one chain
+    # A walk over every member that does not find its top is no cycle,
+    assert not trees._in_subtree(group, bottom, -1)
+    assert trees._in_subtree(group, bottom, root)
+    # nor is one that then takes a stale link to a live node outside the group.
+    above = group.members.pop(bottom).parent
+    group.members[above].children.remove(bottom)
+    group.members[root].parent = bottom
+    assert not trees._in_subtree(group, above, -1)
+    group.members[root].parent = above
+    with pytest.raises(RuntimeError, match="cycle in tree parent chain"):
+        trees._in_subtree(group, above, -1)
+
+
 def test_heartbeat_config_validation():
     with pytest.raises(ValueError):
         TreeConfig(fanout_cap=0)
