@@ -1,8 +1,10 @@
 """Federated fine-tuning over aggregation trees, plus ensemble inference.
 
-Two round protocols share the leaf-side fine-tuning step, whose deltas are
-the updates they carry, and the root's close of the round: the update, the
-multicast down the tree and the round's metrics. They differ in how the
+A session holds its nodes' data and personal heads as stacked arrays, one
+row per node, and fine-tunes a round's leaves by their rows. Two round
+protocols share that leaf-side step, whose deltas are the updates they
+carry, and the root's close of the round: the update, the multicast down
+the tree and the round's metrics. They differ in how the
 deltas reach the root. The centralized protocol averages them branch by
 branch up the tree; the decentralized one lets leaves gossip over social
 links first and only then forward friend-set aggregates to the root. A
@@ -19,8 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (PENALTIES, LocalDataset, ModelParams, forward_heads, local_finetune,
-                    param_nbytes, pfl_loss)
+from .model import (PENALTIES, ModelParams, NodeData, fold_limbs, forward_heads, int_limbs,
+                    local_finetune, param_nbytes, pfl_loss)
 from .overlay import hex_id
 from .simnet import AGG_UP
 from .tree import GroupState, TreeManager
@@ -350,16 +352,51 @@ class ModeSelector:
         return self.mode
 
 
+class PersonalHeads:
+    """Every data-holding node's personal head, stacked in the rows of the
+    session's `NodeData`: w is (N, L, H) and b (N, L).
+
+    heads[nid] reads a `ModelParams` copy of nid's head. heads[nid] =
+    params writes one, after checking its shape and finiteness; a node
+    without data has no head, and naming one raises KeyError.
+    """
+
+    def __init__(self, row: dict[int, int], n_labels: int, hidden_dim: int):
+        self.row = row
+        self.w = np.zeros((len(row), n_labels, hidden_dim))
+        self.b = np.zeros((len(row), n_labels))
+
+    def _row(self, nid: int) -> int:
+        try:
+            return self.row[nid]
+        except KeyError:
+            raise KeyError(f"node {hex_id(nid)} holds no data, so it has no "
+                           f"personal head") from None
+
+    def __getitem__(self, nid: int) -> ModelParams:
+        r = self._row(nid)
+        return ModelParams._trusted(self.w[r].copy(), self.b[r].copy())
+
+    def __setitem__(self, nid: int, params: ModelParams) -> None:
+        r = self._row(nid)
+        if params.w.shape != self.w.shape[1:] or params.b.shape != self.b.shape[1:]:
+            raise ValueError(f"a personal head must have w of shape {self.w.shape[1:]} "
+                             f"and b of shape {self.b.shape[1:]}")
+        if not (np.isfinite(params.w).all() and np.isfinite(params.b).all()):
+            raise ValueError("parameters must be finite")
+        self.w[r], self.b[r] = params.w, params.b
+
+
 class FederatedSession:
     """Drives fine-tuning rounds for one group over a tree manager.
 
-    Owns the global head, every contributing leaf's personal head, and the
-    per-round message bookkeeping. A leaf's minibatches are a function of
-    (seed, round, leaf id), so both protocols see bit-identical local
-    updates for the same round.
+    Owns the global head, every data-holding node's personal head as one
+    stacked `PersonalHeads`, and the per-round message bookkeeping. A
+    leaf's minibatches are a function of (seed, round, leaf id), so both
+    protocols see bit-identical local updates for the same round.
     """
 
-    def __init__(self, trees: TreeManager, gid: int, data: dict[int, LocalDataset],
+    def __init__(self, trees: TreeManager, gid: int, data: NodeData,
                  hidden_dim: int, cfg: Optional[RoundConfig] = None):
         self.trees = trees
         self.overlay = trees.overlay
@@ -370,10 +407,10 @@ class FederatedSession:
         self.cfg = cfg or RoundConfig()
         self.global_params = ModelParams.zeros(hidden_dim)
         self.round = 0
-        # Every personal head starts as one shared zero head; a round
-        # replaces a leaf's head and never writes one in place.
-        self.personal: dict[int, ModelParams] = dict.fromkeys(
-            sorted(data), ModelParams.zeros(hidden_dim))
+        # Every personal head starts at zero, in the data's rows.
+        self.personal = PersonalHeads(data.row, self.global_params.w.shape[0], hidden_dim)
+        # Each row's id as 64-bit limbs, which every round's seeds fold in.
+        self.id_limbs = int_limbs(data.ids)
         # The decentralized round's gossip and routed messages; a
         # centralized round leaves it empty.
         self.msg_log: list[MessageRecord] = []
@@ -385,19 +422,23 @@ class FederatedSession:
     def contributing_leaves(self) -> list[int]:
         return [m for m in self.trees.leaves(self.gid) if m in self.data]
 
+    def _leaf_seeds(self, rows: np.ndarray) -> np.ndarray:
+        """The SplitMix seeds of the leaves at `rows` this round: the fold
+        of their keys (seed, round, leaf id), with (seed, round) folded
+        once and each id's limbs folded in as arrays."""
+        limbs, counts = self.id_limbs
+        return fold_limbs((self.cfg.seed, self.round), limbs[rows], counts[rows])
+
     def _leaf_payloads(self, leaves: list[int]) -> list[ModelParams]:
-        """Fine-tune all leaves in one call and return their deltas; each
-        leaf's minibatches are a function of its key (seed, round, leaf id)."""
-        cfg = self.cfg
-        datas = [self.data[nid] for nid in leaves]
-        results = local_finetune(
-            datas, self.global_params, [self.personal[nid] for nid in leaves], cfg.lam,
-            cfg.eta_local, cfg.steps, [min(cfg.batch, len(d)) for d in datas],
-            [(cfg.seed, self.round, nid) for nid in leaves], cfg.penalty,
-        )
-        for nid, (_delta, w_per) in zip(leaves, results):
-            self.personal[nid] = w_per
-        return [delta for delta, _w_per in results]
+        """Fine-tune all leaves in one call by their rows, store their new
+        personal heads and return their deltas."""
+        cfg, data, heads = self.cfg, self.data, self.personal
+        rows = np.fromiter(map(data.row.__getitem__, leaves), dtype=np.intp, count=len(leaves))
+        d_w, d_b, heads.w[rows], heads.b[rows] = local_finetune(
+            data.x, data.y, rows, self.global_params, heads.w, heads.b, cfg.lam,
+            cfg.eta_local, cfg.steps, min(cfg.batch, data.x.shape[1]), self._leaf_seeds(rows),
+            cfg.penalty)
+        return [ModelParams._trusted(w, b) for w, b in zip(d_w, d_b)]
 
     def _open_round(self) -> tuple[GroupState, list[int], float]:
         """Start a round: (group, contributing leaves, start time), with the
@@ -592,9 +633,9 @@ class FederatedSession:
         leaf_set = set(leaves)
         order = self.trees.walk(self.gid)
         voters = [nid for nid in order if nid in leaf_set]
-        heads = [self.personal[v] for v in voters]
-        w = np.stack([h.w for h in heads])
-        b = np.stack([h.b for h in heads])
+        rows = np.fromiter(map(self.personal.row.__getitem__, voters), dtype=np.intp,
+                           count=len(voters))
+        w, b = self.personal.w[rows], self.personal.b[rows]
         ones = count_votes_for_one(x, w, b)
         labels = (2 * ones > len(voters)).astype(np.int64)
         tied = np.flatnonzero(2 * ones == len(voters))
@@ -616,9 +657,9 @@ class FederatedSession:
         contributing leaves over all the leaf's points, at the shared head
         and the leaf's personal head, averaged over the leaves.
 
-        A round replaces heads and never writes one in place, so until the
-        next round starts this is the loss at the round's close. No round
-        computes it: only the round log reads it.
+        Only a round writes the heads, so until the next round starts this
+        is the loss at the round's close. No round computes it: only the
+        round log reads it.
         """
         leaves = self.last_leaves
         if leaves is None:

@@ -4,7 +4,9 @@ Topics are Gaussian class pairs in a shared 2-D informative subspace with
 their class directions spread at equal angles, so one linear head can fit
 any single topic cleanly but no single head fits all topics at once. That
 preserves the single-vs-mixed-topic contrast the experiments measure
-without any text pipeline.
+without any text pipeline. Each tree's node data is written as one stacked
+`NodeData`, one row per node, which its session fine-tunes by row with no
+copy.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .fedagg import (CENTRALIZED, DECENTRALIZED, FederatedSession, ModeSelector,
                      RoundConfig, RoundMetrics, SocialGraph)
-from .model import LocalDataset, serialize_params
+from .model import LocalDataset, NodeData, serialize_params
 from .overlay import Overlay, random_ids
 from .simnet import LinkModel, Simulator
 from .tree import TreeConfig, TreeManager
@@ -71,49 +73,46 @@ def make_topics(n_topics: int, hidden_dim: int, seed: int,
     return topics
 
 
-# Datasets are written in blocks of about BLOCK_BYTES of features, or one
-# dataset if it is larger: below glibc's default 128 KiB mmap threshold, so
-# malloc serves a block from the heap, as it did one small dataset's arrays.
-# A share longer than PART_BYTES of features is scaled and checked in parts,
-# so no temporary exceeds PART_BYTES.
-BLOCK_BYTES = 1 << 16
+# The writer scales and checks a share in parts of at most PART_BYTES of
+# features: as many nodes as fit, or one node's share in pieces where that
+# is longer, so no temporary exceeds PART_BYTES.
 PART_BYTES = 1 << 20
 
 
 def _write_points(shares: list[tuple[TopicSpec, int]], n: int,
-                  rngs: list[np.random.Generator]) -> list[LocalDataset]:
-    """n datasets whose rows are each share (topic, count) in turn, with
-    one generator per share in `rngs`. Dataset by dataset, a share takes
-    fair-coin labels `integers(0, 2, size=count)` from its generator, then
-    the class mean plus cov_scale times its standard normal draws, written
-    straight into a block of datasets. Each dataset is views of its rows.
+                  rngs: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+    """(n, points, H) features and (n, points) labels of n datasets, whose
+    rows are each share (topic, count) in turn, with one generator per share
+    in `rngs`. Dataset by dataset, a share takes fair-coin labels
+    `integers(0, 2, size=count)` from its generator, then the class mean
+    plus cov_scale times its standard normal draws, written straight into
+    the one array of the call.
 
-    The arithmetic and the checks run once per share of a block. They give
-    the bits of `means + cov_scale * rng.normal(size=(count, H))`. `normal`
-    returns 0.0 + 1.0 * z for each standard draw z, that is z + 0.0, which
-    turns a -0.0 draw into +0.0; the draws get the same + 0.0 here. The
-    scale and the means then go in by the same operations with their
-    operands swapped, which changes no finite result, cov_scale 0 included.
-    (Adding 0.0 to the means instead would not do: with cov_scale 0, a -0.0
-    mean plus a negative draw's -0.0 is -0.0.)
+    The arithmetic and the checks run once per share over the nodes of a
+    part. They give the bits of `means + cov_scale * rng.normal(size=(count,
+    H))`. `normal` returns 0.0 + 1.0 * z for each standard draw z, that is
+    z + 0.0, which turns a -0.0 draw into +0.0; the draws get the same + 0.0
+    here. The scale and the means then go in by the same operations with
+    their operands swapped, which changes no finite result, cov_scale 0
+    included. (Adding 0.0 to the means instead would not do: with cov_scale
+    0, a -0.0 mean plus a negative draw's -0.0 is -0.0.)
     """
     dim = shares[0][0].mean0.size
-    means = [np.stack([spec.mean0, spec.mean1]) for spec, _ in shares]
     offsets = [0, *accumulate(k for _, k in shares)]
-    per = max(1, BLOCK_BYTES // (8 * dim * max(offsets[-1], 1)))  # datasets per block
-    rows = max(1, PART_BYTES // (8 * dim))
-    out = []
-    for first in range(0, n, per):
-        x = np.empty((min(per, n - first), offsets[-1], dim))
-        y = np.empty(x.shape[:2], dtype=np.int64)
-        for xi, yi in zip(x, y):
-            for (_, k), off, rng in zip(shares, offsets, rngs):
-                yi[off:off + k] = rng.integers(0, 2, size=k)
-                rng.standard_normal(out=xi[off:off + k])
-        for (spec, k), off, mean in zip(shares, offsets, means):
-            for lo in range(off, off + k, rows):  # one part unless the block is one dataset
+    x = np.empty((n, offsets[-1], dim))
+    y = np.empty(x.shape[:2], dtype=np.int64)
+    for xi, yi in zip(x, y):
+        for (_, k), off, rng in zip(shares, offsets, rngs):
+            yi[off:off + k] = rng.integers(0, 2, size=k)
+            rng.standard_normal(out=xi[off:off + k])
+    rows = max(1, PART_BYTES // (8 * dim))  # feature rows of a part
+    for (spec, k), off in zip(shares, offsets):
+        mean = np.stack([spec.mean0, spec.mean1])
+        per = max(1, rows // max(k, 1))  # nodes of a part; one if a share is longer
+        for first in range(0, n, per):
+            for lo in range(off, off + k, rows):
                 hi = min(off + k, lo + rows)
-                xs, ys = x[:, lo:hi], y[:, lo:hi]
+                xs, ys = x[first:first + per, lo:hi], y[first:first + per, lo:hi]
                 with np.errstate(over="ignore"):  # the check below reports it
                     xs += 0.0
                     xs *= spec.cov_scale
@@ -122,26 +121,26 @@ def _write_points(shares: list[tuple[TopicSpec, int]], n: int,
                     raise ValueError("features must be finite")
                 if not (ys.view(np.uint64) <= 1).all():
                     raise ValueError("labels must be binary")
-        out += [LocalDataset._trusted(xi, yi) for xi, yi in zip(x, y)]
-    return out
+    return x, y
 
 
-def generate_topic_data(spec: TopicSpec, node_ids: list[int],
-                        seed: int) -> dict[int, LocalDataset]:
+def generate_topic_data(spec: TopicSpec, node_ids: list[int], seed: int) -> NodeData:
     """Per-node datasets from one stream per topic: the nodes, in sorted id
     order, draw their points from `default_rng((seed, topic))` in turn."""
     nids = sorted(node_ids)
     rngs = [np.random.default_rng((seed, spec.topic_id))]
-    return dict(zip(nids, _write_points([(spec, spec.samples_per_node)], len(nids), rngs)))
+    return NodeData._trusted(nids, *_write_points([(spec, spec.samples_per_node)],
+                                                  len(nids), rngs))
 
 
 def generate_testset(spec: TopicSpec, n: int, seed: int) -> LocalDataset:
     rngs = [np.random.default_rng((seed, spec.topic_id, _TEST_STREAM))]
-    return _write_points([(spec, n)], 1, rngs)[0]
+    x, y = _write_points([(spec, n)], 1, rngs)
+    return LocalDataset._trusted(x[0], y[0])
 
 
 def mixed_node_data(topics: list[TopicSpec], node_ids: list[int], seed: int,
-                    points_per_node: int) -> dict[int, LocalDataset]:
+                    points_per_node: int) -> NodeData:
     """Each node holds an even split of every topic's data, topic by topic:
     the nodes, in sorted id order, draw their shares of topic t from
     `default_rng((seed, t))` in turn."""
@@ -150,7 +149,7 @@ def mixed_node_data(topics: list[TopicSpec], node_ids: list[int], seed: int,
         shares[i] += 1
     nids = sorted(node_ids)
     rngs = [np.random.default_rng((seed, spec.topic_id)) for spec in topics]
-    return dict(zip(nids, _write_points(list(zip(topics, shares)), len(nids), rngs)))
+    return NodeData._trusted(nids, *_write_points(list(zip(topics, shares)), len(nids), rngs))
 
 
 # -- metrics -------------------------------------------------------------------

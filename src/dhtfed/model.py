@@ -4,14 +4,15 @@ Features are precomputed H-dimensional vectors standing in for a sequence
 encoder's output; the trainable state is the 2xH weight matrix plus bias.
 Each node additionally keeps a personalized copy pulled toward the shared
 head by a proximal penalty, and local fine-tuning runs joint mini-batch
-gradient descent on both.
+gradient descent on both. Node data and personal heads are stacked arrays,
+one row per node, and a round fine-tunes its leaves by their rows.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
@@ -26,9 +27,9 @@ class ModelParams:
     """Weights of the classification head: w is (L, H), bias is (L,).
 
     The constructor and the operators check shapes and finiteness. Inside a
-    round, `_finetune_stack` checks its stacked results once and wraps each
-    leaf's slices with `_trusted`, and `fedagg.branch_aggregate` sums raw
-    arrays and checks only its result.
+    round, `local_finetune` checks its stacked results once, the session
+    wraps each leaf's delta with `_trusted`, and `fedagg.branch_aggregate`
+    sums raw arrays and checks only its result.
     """
 
     w: np.ndarray
@@ -90,6 +91,51 @@ class LocalDataset:
 
     def __len__(self) -> int:
         return self.x.shape[0]
+
+
+class NodeData(Mapping):
+    """Every node's dataset, all of one size, stacked in the order of the
+    nodes' increasing ids: x is (N, n, H) features, y (N, n) labels, and
+    row[nid] is nid's index into them. It reads like a dict of datasets:
+    data[nid] is a `LocalDataset` of views of nid's row, and `nid in data`
+    tells whether nid holds data."""
+
+    def __init__(self, ids: Sequence[int], x: np.ndarray, y: np.ndarray):
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        y = np.ascontiguousarray(y, dtype=np.int64)
+        if x.ndim != 3 or y.shape != x.shape[:2] or len(ids) != len(x):
+            raise ValueError("x must be (N, n, H), with (N, n) labels and one id per dataset")
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            raise ValueError("ids must be strictly increasing")
+        if not np.isfinite(x).all():
+            raise ValueError("features must be finite")
+        if not ((y == 0) | (y == 1)).all():
+            raise ValueError("labels must be binary")
+        self.ids, self.x, self.y = list(ids), x, y
+        self.row = {nid: i for i, nid in enumerate(self.ids)}
+
+    @classmethod
+    def _trusted(cls, ids: list[int], x: np.ndarray, y: np.ndarray) -> "NodeData":
+        """Wrap increasing ids, a C-contiguous float64 (N, n, H) array of
+        finite features and an int64 (N, n) array of 0/1 labels that the
+        caller has already checked: no copy, no check."""
+        data = object.__new__(cls)
+        data.ids, data.x, data.y = ids, x, y
+        data.row = {nid: i for i, nid in enumerate(ids)}
+        return data
+
+    def __getitem__(self, nid: int) -> LocalDataset:
+        r = self.row[nid]
+        return LocalDataset._trusted(self.x[r], self.y[r])
+
+    def __contains__(self, nid) -> bool:
+        return nid in self.row
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -194,92 +240,71 @@ def pfl_grad(data: LocalDataset, w_cla: ModelParams, w_per: ModelParams, lam: fl
     return ModelParams(gw[0], gb[0]), ModelParams(gw_per[0], gb_per[0])
 
 
-def local_finetune(datas: list[LocalDataset], w_start: ModelParams,
-                   w_pers: list[ModelParams], lam: float, eta_local: float, steps: int,
-                   batch, keys: Sequence[Sequence[int]], penalty: str = "squared",
-                   ) -> list[tuple[ModelParams, ModelParams]]:
-    """Fine-tune every leaf of a round from the shared head w_start.
+def local_finetune(x: np.ndarray, y: np.ndarray, rows: np.ndarray, w_start: ModelParams,
+                   w_per: np.ndarray, b_per: np.ndarray, lam: float, eta_local: float,
+                   steps: int, batch: int, seeds: np.ndarray, penalty: str = "squared",
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Fine-tune the leaves at `rows` of one stacked state from the shared
+    head w_start.
 
-    Leaf i runs `steps` joint mini-batch gradient steps of size eta_local
-    on datas[i], its personal head starting at w_pers[i], every leaf with
-    the proximal weight lam. `batch` is one size for every leaf or one per
-    leaf, each in [1, len(data)]. `keys` holds one key per leaf, in leaf
-    order, each a sequence of non-negative ints: leaf i's minibatches are
-    `draw_minibatches`' rows for keys[i], a pure function of that key, the
-    step and the dataset and batch sizes (no draw when the batch is the
-    whole dataset). Returns one (delta, new personal head) per leaf: delta =
-    w_start - w_final is the update the leaf uploads, and the personal head
-    advances by the same step rule.
+    x (N, n, H) and y (N, n) hold every node's dataset, all of one size n,
+    and w_per (N, L, H) and b_per (N, L) every node's personal head; rows is
+    a (B,) array of the leaves' indices into them, and seeds (B,) uint64
+    their SplitMix seeds, one per leaf. Leaf i runs `steps` joint mini-batch
+    gradient steps of size eta_local on its dataset, its personal head
+    starting at its row of (w_per, b_per), every leaf with the proximal
+    weight lam; its minibatches are `draw_minibatches`' rows for seeds[i] (no
+    draw when `batch` == n). Returns (delta_w, delta_b, new w_per, new b_per)
+    stacked over the B leaves, in the order of rows: delta = w_start -
+    w_final is the update a leaf uploads, and the personal head advances by
+    the same step rule. The inputs are left as they are.
 
-    Leaves that share a batch size step together on stacked (B, batch, H)
-    arrays; each leaf's result equals a run on that leaf alone, bit for bit.
-    The arguments are checked once per call, and the stacked results of each
-    batch size once for finiteness, so a diverging leaf raises ValueError.
+    The leaves step together on stacked (B, batch, H) arrays; each leaf's
+    result equals a run on that leaf alone, bit for bit. The arguments are
+    checked once per call and the results once for finiteness, so a
+    diverging leaf raises ValueError.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     _check_penalty(penalty)
-    if len(w_pers) != len(datas):
-        raise ValueError("need one personal head per dataset")
-    batches = np.broadcast_to(batch, (len(datas),))
-    for data, size in zip(datas, batches):
-        if not 1 <= size <= len(data):
-            raise ValueError("batch must be in [1, len(data)]")
-    draws = draw_minibatches([len(data) for data in datas], batches.tolist(), steps, keys)
-    by_batch: dict[int, list[int]] = {}
-    for i, size in enumerate(batches):
-        by_batch.setdefault(int(size), []).append(i)
-    out: list = [None] * len(datas)
-    for size, leaves in by_batch.items():
-        results = _finetune_stack([datas[i] for i in leaves], w_start,
-                                  [w_pers[i] for i in leaves], lam, eta_local, steps,
-                                  size, [draws[i] for i in leaves], penalty)
-        for i, res in zip(leaves, results):
-            out[i] = res
-    return out
+    n_nodes, n, dim = x.shape
+    if not 1 <= batch <= n:
+        raise ValueError("batch must be in [1, len(data)]")
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.ndim != 1 or seeds.shape != rows.shape:
+        raise ValueError("need one seed per leaf")
+    if rows.size and not 0 <= rows.min() <= rows.max() < n_nodes:
+        raise ValueError(f"leaf rows must be in [0, {n_nodes})")
+    if y.shape != (n_nodes, n) or w_per.shape[0] != n_nodes or b_per.shape[0] != n_nodes:
+        raise ValueError("need one label row and one personal head per dataset")
+    nb = rows.size
+    # Each step's minibatch rows as indices into the (N * n, H) feature
+    # rows, step-major: flat[s, i] holds leaf i's rows for step s.
+    flat = draw_minibatches(n, batch, steps, seeds).transpose(1, 0, 2) + (rows * n)[:, None]
+    onehot = _one_hot(np.take(y.reshape(-1), flat), w_start.w.shape[0])
+    # The rows of a block of steps come from one gather, written in place
+    # (mode="clip" takes no buffer; the rows are in range).
+    block = max(1, min(steps, GATHER_BYTES // (8 * max(1, nb * batch * dim))))
+    xb = np.empty((block, nb, batch, dim))
+    features = x.reshape(-1, dim)
+    d_w = np.zeros((nb,) + w_start.w.shape)
+    d_b = np.zeros((nb,) + w_start.b.shape)
+    p_w, p_b = w_per[rows], b_per[rows]
+    for first in range(0, steps, block):
+        last = min(steps, first + block)
+        np.take(features, flat[first:last], axis=0, out=xb[:last - first], mode="clip")
+        for step in range(first, last):
+            gw, gb, gw_per, gb_per = _grad(xb[step - first], onehot[step],
+                                           w_start.w - d_w, w_start.b - d_b, p_w, p_b,
+                                           lam, penalty)
+            d_w, d_b = d_w + eta_local * gw, d_b + eta_local * gb
+            p_w, p_b = p_w - eta_local * gw_per, p_b - eta_local * gb_per
+    if not all(np.isfinite(a).all() for a in (d_w, d_b, p_w, p_b)):
+        raise ValueError("parameters must be finite")
+    return d_w, d_b, p_w, p_b
 
 
 GATHER_BYTES = 1 << 20  # bound on the minibatch rows gathered for a block of steps
-
-
-def _finetune_stack(datas, w_start, w_pers, lam, eta, steps, batch, draws, penalty):
-    """local_finetune for leaves that share one batch size."""
-    nb = len(datas)
-    n_labels, dim = w_start.w.shape
-    # The minibatch rows of every leaf for a block of steps: x[i, s] holds
-    # leaf i's rows for step s of the block. A drawn leaf's rows for a block
-    # come from one gather, written in place (mode="clip" takes no buffer;
-    # the rows are in range); a leaf whose batch is its whole dataset is
-    # written once.
-    block = max(1, min(steps, GATHER_BYTES // (8 * nb * batch * dim)))
-    x = np.empty((nb, block, batch, dim))
-    y = np.empty((nb, steps, batch), dtype=np.int64)
-    for i, (data, idx) in enumerate(zip(datas, draws)):
-        if idx is None:
-            x[i], y[i] = data.x, data.y
-        else:
-            y[i] = data.y[idx]
-    onehot = _one_hot(y, n_labels)
-    drawn = [i for i, idx in enumerate(draws) if idx is not None]
-    d_w = np.zeros((nb,) + w_start.w.shape)
-    d_b = np.zeros((nb,) + w_start.b.shape)
-    p_w = np.stack([p.w for p in w_pers])
-    p_b = np.stack([p.b for p in w_pers])
-    for first in range(0, steps, block):
-        last = min(steps, first + block)
-        for i in drawn:
-            np.take(datas[i].x, draws[i][first:last], axis=0, out=x[i, :last - first],
-                    mode="clip")
-        for step in range(first, last):
-            gw, gb, gw_per, gb_per = _grad(x[:, step - first], onehot[:, step],
-                                           w_start.w - d_w, w_start.b - d_b, p_w, p_b,
-                                           lam, penalty)
-            d_w, d_b = d_w + eta * gw, d_b + eta * gb
-            p_w, p_b = p_w - eta * gw_per, p_b - eta * gb_per
-    if not all(np.isfinite(a).all() for a in (d_w, d_b, p_w, p_b)):
-        raise ValueError("parameters must be finite")
-    return [(ModelParams._trusted(d_w[i], d_b[i]), ModelParams._trusted(p_w[i], p_b[i]))
-            for i in range(nb)]
 
 
 # -- minibatch draws ------------------------------------------------------------
@@ -308,32 +333,45 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _fold_keys(keys: Sequence[Sequence[int]]) -> np.ndarray:
-    """One uint64 SplitMix seed per key, a sequence of non-negative ints. Each
-    int gives its 64-bit limbs from the lowest up to its highest nonzero one,
-    at least one, and each limb in turn is folded in as seed = mix((seed ^
-    limb) + gamma), from 0. A negative int raises ValueError."""
-    ints = list(map(operator.index, itertools.chain.from_iterable(keys)))
+def int_limbs(ints: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(M, width) uint64 limbs of M non-negative ints, lowest first, and how
+    many of each int's limbs count: those up to its highest nonzero one, at
+    least one. A negative int raises ValueError."""
+    ints = list(map(operator.index, ints))
     counts = np.maximum((np.fromiter(map(int.bit_length, ints), dtype=np.int64,
                                      count=len(ints)) + 63) // 64, 1)
     width = int(counts.max(initial=1))
     try:
-        blob = b"".join([x.to_bytes(8 * width, "little") for x in ints])
+        blob = b"".join([i.to_bytes(8 * width, "little") for i in ints])
     except OverflowError:  # to_bytes of a negative int
         raise ValueError("key parts must be non-negative") from None
-    limbs = np.frombuffer(blob, dtype="<u8").reshape(len(ints), width)
-    limbs = limbs[np.arange(width) < counts[:, None]]
-    lengths = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys))
-    bounds = np.concatenate([[0], np.cumsum(counts)])[np.concatenate([[0], np.cumsum(lengths)])]
-    totals = np.diff(bounds)
-    seeds = np.zeros(len(keys), dtype=np.uint64)
-    for total in set(totals.tolist()):
-        group = np.flatnonzero(totals == total)
-        seed = np.zeros(group.size, dtype=np.uint64)
-        for limb in limbs[bounds[group, None] + np.arange(total)].T:
-            seed = _mix64((seed ^ limb) + _GAMMA)
-        seeds[group] = seed
+    return np.frombuffer(blob, dtype="<u8").reshape(len(ints), width), counts
+
+
+def _fold(seeds: np.ndarray, limbs: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each seed with the first counts[i] limbs of limbs[i] folded in, one
+    at a time, as seed = mix((seed ^ limb) + gamma)."""
+    for k, limb in enumerate(limbs.T):
+        seeds = np.where(counts > k, _mix64((seeds ^ limb) + _GAMMA), seeds)
     return seeds
+
+
+def _fold_keys(keys: Sequence[Sequence[int]]) -> np.ndarray:
+    """One uint64 SplitMix seed per key, a sequence of non-negative ints:
+    from 0, each int of the key in turn folds in its `int_limbs`. A negative
+    int raises ValueError."""
+    seeds = np.zeros(len(keys), dtype=np.uint64)
+    for part in range(max(map(len, keys), default=0)):
+        has = [i for i, key in enumerate(keys) if len(key) > part]
+        seeds[has] = _fold(seeds[has], *int_limbs([keys[i][part] for i in has]))
+    return seeds
+
+
+def fold_limbs(key: Sequence[int], limbs: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The seeds of the keys (*key, i) for B ints i given as `int_limbs`
+    (limbs, counts): key is folded once, then each i's limbs as arrays. Each
+    seed equals `_fold_keys` of its key."""
+    return _fold(np.repeat(_fold_keys([key]), len(counts)), limbs, counts)
 
 
 def _words(seeds: np.ndarray, steps: int, size: int) -> np.ndarray:
@@ -343,59 +381,41 @@ def _words(seeds: np.ndarray, steps: int, size: int) -> np.ndarray:
     return _mix64(seeds[:, None, None] + (counter + np.uint64(1)) * _GAMMA)
 
 
-def draw_minibatches(ns: list[int], sizes, steps: int,
-                     keys: Sequence[Sequence[int]]) -> list:
-    """Each leaf's `steps` sorted minibatches from its key: a (steps,
-    sizes[i]) int64 array of distinct row indices into range(ns[i]), or None
-    when sizes[i] == ns[i] (no draw).
-
-    Leaf i's rows depend only on (keys[i], ns[i], sizes[i], steps), not on
-    the other leaves of the call. The words of all leaves that share a size
-    are computed in one pass and go through Floyd's algorithm together.
-    """
-    if not len(ns) == len(sizes) == len(keys):
-        raise ValueError("need one size and one key per leaf")
-    seeds = _fold_keys(keys)
-    by_size: dict[int, list[int]] = {}
-    for i, (n, size) in enumerate(zip(ns, sizes)):
-        if size < n:
-            by_size.setdefault(size, []).append(i)
-    out: list = [None] * len(ns)
-    for size, leaves in by_size.items():
-        rows = _floyd_rows(np.array([ns[i] for i in leaves]), size,
-                           _words(seeds[leaves], steps, size) >> np.uint64(32))
-        for i, leaf_rows in zip(leaves, rows):
-            out[i] = leaf_rows
-    return out
+def draw_minibatches(n: int, size: int, steps: int, seeds: np.ndarray) -> np.ndarray:
+    """(B, steps, size) int64: each seed's `steps` sorted minibatches of
+    distinct row indices into range(n). A leaf's rows depend only on (its
+    seed, n, size, steps), not on the other seeds of the call. When size ==
+    n, every minibatch is the whole range, with no draw."""
+    if size == n:
+        return np.broadcast_to(np.arange(n), (len(seeds), steps, n))
+    return _floyd_rows(n, size, _words(seeds, steps, size) >> np.uint64(32))
 
 
-def _floyd_rows(ns: np.ndarray, size: int, words: np.ndarray) -> np.ndarray:
-    """Floyd's sample of `size` from range(n) for B leaves of populations ns,
-    one per step: for the t-th j in [n - size, n), v = (u * (j + 1)) >> 32 of
-    the step's t-th 32-bit word u, and v is taken unless it already is, then
-    j. words is (B, steps, size) uint64 below 2^32; returns the sorted picks
-    (B, steps, size)."""
+def _floyd_rows(n: int, size: int, words: np.ndarray) -> np.ndarray:
+    """Floyd's sample of `size` from range(n) for B leaves, one per step: for
+    the t-th j in [n - size, n), v = (u * (j + 1)) >> 32 of the step's t-th
+    32-bit word u, and v is taken unless it already is, then j. words is
+    (B, steps, size) uint64 below 2^32; returns the sorted picks (B, steps,
+    size)."""
     nb, steps = words.shape[:2]
-    j = ns[:, None] - size + np.arange(size)
+    j = np.arange(n - size, n)
     # Lemire's multiply (Lemire, 2019) without its rejection step: of the 2^32
     # words, floor or ceil of 2^32 / r map to each value of [0, r), r = j + 1,
     # so each value's probability is off from 1 / r by at most r / 2^32,
     # relative. The product fits in uint64 while n <= 2^32.
-    m = words * (j + 1).astype(np.uint64)[:, None, :]
+    m = words * (j + 1).astype(np.uint64)
     picks = (m >> np.uint64(32)).astype(np.int64).reshape(nb * steps, size)
     rows = np.sort(picks, axis=1)
     repeats = np.flatnonzero((rows[:, 1:] == rows[:, :-1]).any(axis=1))
     # Only a row with a repeated pick differs from its sorted picks. In such
     # rows a pick already taken takes j instead, position by position; a
     # block of rows marks its taken values in one flat (rows * n) bitmap.
-    n_max = int(ns.max())
-    block = max(1, _SEEN_BYTES // n_max)
-    j_rows = np.repeat(j, steps, axis=0)
+    block = max(1, _SEEN_BYTES // n)
     for lo in range(0, repeats.size, block):
         sub = repeats[lo:lo + block]
-        offset = np.arange(sub.size)[:, None] * n_max
-        taken, j_sub = picks[sub] + offset, j_rows[sub] + offset
-        seen = np.zeros(sub.size * n_max, dtype=bool)
+        offset = np.arange(sub.size)[:, None] * n
+        taken, j_sub = picks[sub] + offset, j + offset
+        seen = np.zeros(sub.size * n, dtype=bool)
         for t in range(size):
             pick = taken[:, t]
             again = seen[pick]

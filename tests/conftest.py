@@ -8,7 +8,8 @@ from hypothesis import settings
 
 from dhtfed import fedagg
 from dhtfed.fedagg import SocialGraph
-from dhtfed.model import LocalDataset, ModelParams
+from dhtfed import model
+from dhtfed.model import ModelParams, NodeData
 from dhtfed.overlay import Overlay, hex_id, random_ids
 from dhtfed.simnet import LinkModel, Simulator
 from dhtfed.tree import TreeConfig, TreeManager
@@ -74,28 +75,63 @@ def build_world(n, fanout=16, seed=42, intercept=True, group="g",
 
 
 def gaussian_data(ids, hidden_dim, seed, n_per_node=40, spread=1.5):
-    """Linearly separable per-node datasets along the first axis."""
-    out = {}
-    rng0 = np.random.default_rng(seed)
+    """Linearly separable per-node datasets along the first axis, stacked
+    as the harness stacks node data."""
+    ids = sorted(ids)
+    x = np.empty((len(ids), n_per_node, hidden_dim))
+    y = np.empty((len(ids), n_per_node), dtype=np.int64)
     axis = np.eye(hidden_dim)[0]
-    for nid in sorted(ids):
+    for i, nid in enumerate(ids):
         rng = np.random.default_rng([seed, nid])
-        y = rng.integers(0, 2, size=n_per_node)
-        x = rng.normal(size=(n_per_node, hidden_dim))
-        x += np.where(y[:, None] == 1, spread, -spread) * axis
-        out[nid] = LocalDataset(x, y)
-    del rng0
+        y[i] = rng.integers(0, 2, size=n_per_node)
+        x[i] = rng.normal(size=(n_per_node, hidden_dim))
+        x[i] += np.where(y[i, :, None] == 1, spread, -spread) * axis
+    return NodeData(ids, x, y)
+
+
+def finetune_datasets(datas, w_start, w_pers, lam, eta_local, steps, batch, keys,
+                      penalty="squared"):
+    """`local_finetune` on a list of datasets, each with its personal head,
+    its batch size (or one for all) and its key: the datasets that share a
+    size and a batch are stacked and fine-tuned in one call, with the seeds
+    of their keys. Returns one (delta, new personal head) per dataset."""
+    if not len(datas) == len(w_pers) == len(keys):
+        raise ValueError("need one personal head and one key per dataset")
+    batches = np.broadcast_to(batch, (len(datas),)).tolist()
+    seeds = model._fold_keys(keys)
+    groups = {}
+    for i, (data, size) in enumerate(zip(datas, batches)):
+        groups.setdefault((len(data), size), []).append(i)
+    out = [None] * len(datas)
+    for (_n, size), group in groups.items():
+        d_w, d_b, p_w, p_b = model.local_finetune(
+            np.stack([datas[i].x for i in group]), np.stack([datas[i].y for i in group]),
+            np.arange(len(group)), w_start, np.stack([w_pers[i].w for i in group]),
+            np.stack([w_pers[i].b for i in group]), lam, eta_local, steps, size,
+            seeds[group], penalty)
+        for k, i in enumerate(group):
+            out[i] = (ModelParams(d_w[k], d_b[k]), ModelParams(p_w[k], p_b[k]))
     return out
+
+
+def draw_rows(n, size, steps, key):
+    """The (steps, size) minibatch rows of one key, drawn alone; None when
+    the batch is the whole dataset."""
+    if size == n:
+        return None
+    return model.draw_minibatches(n, size, steps, model._fold_keys([key]))[0]
 
 
 def inject_deltas(monkeypatch, data, deltas):
     """Make every later round of a session over `data` upload `deltas[leaf]`
-    from each leaf instead of its fine-tuned update. `deltas` is read at
-    each round, so a caller may refill it between rounds."""
-    leaf_of = {id(d): nid for nid, d in data.items()}
+    from each leaf instead of its fine-tuned update, and keep each leaf's
+    personal head. `deltas` is read at each round, so a caller may refill
+    it between rounds."""
 
-    def finetune(datas, _w_start, personals, *_args):
-        return [(deltas[leaf_of[id(d)]], p) for d, p in zip(datas, personals)]
+    def finetune(_x, _y, rows, _w_start, w_per, b_per, *_args):
+        leaves = [deltas[data.ids[r]] for r in rows]
+        return (np.stack([d.w for d in leaves]), np.stack([d.b for d in leaves]),
+                w_per[rows], b_per[rows])
 
     monkeypatch.setattr(fedagg, "local_finetune", finetune)
 

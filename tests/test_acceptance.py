@@ -12,14 +12,13 @@ import numpy as np
 from dhtfed.fedagg import UNWEIGHTED, WEIGHTED, FederatedSession, RoundConfig
 from dhtfed.harness import (MIXED, SINGLE_TOPIC_PER_TREE, ScenarioConfig,
                             run_scenario, summary_rows, write_records)
-from dhtfed.model import (LocalDataset, ModelParams, forward_batch, local_finetune,
-                          pfl_grad, pfl_loss)
+from dhtfed.model import LocalDataset, ModelParams, forward_batch, pfl_grad, pfl_loss
 from dhtfed.overlay import Overlay, random_ids
 from dhtfed.simnet import LinkModel, Simulator
 from dhtfed.tree import TreeConfig, TreeManager
 
-from conftest import (build_world, complete_graph, gaussian_data, inject_deltas,
-                      live_children, round_aggregate)
+from conftest import (build_world, complete_graph, finetune_datasets, gaussian_data,
+                      inject_deltas, live_children, round_aggregate)
 from oracles import (central_difference, closest_id, flat_majority, flat_mean,
                      recursive_average)
 
@@ -156,7 +155,7 @@ def test_criterion_4_root_update_identity():
                                RoundConfig(eta=1.0, lam=0.4, eta_local=0.1, steps=6,
                                            batch=8, seed=3))
     w0 = ModelParams(session.global_params.w.copy(), session.global_params.b.copy())
-    [(delta, _)] = local_finetune([data[leaf]], w0, [ModelParams(w0.w.copy(), w0.b.copy())],
+    [(delta, _)] = finetune_datasets([data[leaf]], w0, [ModelParams(w0.w.copy(), w0.b.copy())],
                                   0.4, 0.1, 6, 8, [(3, 0, leaf)])
     session.centralized_round()
     finetuned = w0 - delta

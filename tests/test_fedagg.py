@@ -4,20 +4,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dhtfed.fedagg import (CENTRALIZED, DECENTRALIZED, UNWEIGHTED, WEIGHTED,
                            AggregateMessage, FederatedSession, ModeSelector,
                            ProtocolError, RoundConfig, SocialGraph,
                            audit_decentralized_privacy, branch_aggregate,
                            mask_members, root_update, write_round_log)
-from dhtfed import fedagg
-from dhtfed.model import ModelParams, forward_batch, forward_heads, local_finetune
-from dhtfed.simnet import AGG_UP
+from dhtfed import fedagg, model
+from dhtfed.model import PENALTIES, ModelParams, forward_batch, forward_heads, local_finetune
+from dhtfed.overlay import Overlay, hex_id
+from dhtfed.simnet import AGG_UP, Simulator
+from dhtfed.tree import TreeConfig, TreeManager
 
-from conftest import (build_world, complete_graph, gaussian_data, inject_deltas,
-                      live_children, round_aggregate)
-from oracles import (branch_aggregate_reference, flat_majority, flat_mean,
+from conftest import (build_world, complete_graph, draw_rows, finetune_datasets,
+                      gaussian_data, inject_deltas, live_children, round_aggregate)
+from oracles import (branch_aggregate_reference, finetune_reference, flat_majority, flat_mean,
                      gossip_reference, loss_reference, reachable_within,
                      recursive_average, tree_tally, vote_reference)
 
@@ -162,7 +164,7 @@ def test_single_leaf_eta_one_recovers_finetuned_weights_exactly():
     w0 = ModelParams(session.global_params.w.copy(), session.global_params.b.copy())
     assert np.array_equal(w0.w, np.zeros((2, H)))
 
-    [(delta, _w_per)] = local_finetune([data[leaf]], w0, [ModelParams(w0.w.copy(), w0.b.copy())],
+    [(delta, _w_per)] = finetune_datasets([data[leaf]], w0, [ModelParams(w0.w.copy(), w0.b.copy())],
                                        0.4, 0.1, 4, 8, [(3, 0, leaf)])
     session.centralized_round()
     expected = w0 - delta  # the leaf's own fine-tuned weights
@@ -183,7 +185,7 @@ def test_star_round_equals_flat_average_oracle():
 
     finetuned = []
     for nid in sorted(data):
-        [(delta, _)] = local_finetune([data[nid]], w0, [ModelParams(w0.w.copy(), w0.b.copy())],
+        [(delta, _)] = finetune_datasets([data[nid]], w0, [ModelParams(w0.w.copy(), w0.b.copy())],
                                       0.5, 0.1, 3, 10, [(7, 0, nid)])
         finetuned.append((w0 - delta).w)
     oracle = flat_mean(finetuned)
@@ -271,7 +273,9 @@ def test_round_loss_is_the_mean_of_the_per_leaf_formula(penalty, monkeypatch):
     loss = fedagg.pfl_loss
     monkeypatch.setattr(fedagg, "pfl_loss", lambda d, *rest: scored.append(d) or loss(d, *rest))
     assert np.float64(session.round_loss()).tobytes() == want.tobytes()
-    assert scored == [data[nid] for nid in leaves]
+    # Each leaf's own rows, in leaf order.
+    assert [(d.x.tobytes(), d.y.tobytes()) for d in scored] == [
+        (data[nid].x.tobytes(), data[nid].y.tobytes()) for nid in leaves]
 
 
 @pytest.mark.parametrize("losses, match", [
@@ -556,10 +560,9 @@ def force_vote(session, nid, label):
 
 def test_strict_majority_wins():
     ids, overlay, sim, trees, gid, root = build_world(4, fanout=3, seed=3)
-    data = gaussian_data(ids, H, seed=10, n_per_node=4)
-    session = FederatedSession(trees, gid, data, H, RoundConfig(seed=1))
-    leaves = session.contributing_leaves()[:3]
-    session.data = {nid: data[nid] for nid in leaves}
+    leaves = trees.leaves(gid)[:3]  # only they hold data, so only they vote
+    session = FederatedSession(trees, gid, gaussian_data(leaves, H, seed=10, n_per_node=4), H,
+                               RoundConfig(seed=1))
     force_vote(session, leaves[0], 1)
     force_vote(session, leaves[1], 1)
     force_vote(session, leaves[2], 0)
@@ -580,10 +583,9 @@ def test_single_leaf_root_outputs_its_prediction():
 
 def test_tie_breaks_on_probability_mass_then_label_zero():
     ids, overlay, sim, trees, gid, root = build_world(3, fanout=2, seed=8)
-    data = gaussian_data(ids, H, seed=12, n_per_node=4)
-    session = FederatedSession(trees, gid, data, H, RoundConfig(seed=1))
-    leaves = session.contributing_leaves()[:2]
-    session.data = {nid: data[nid] for nid in leaves}
+    leaves = trees.leaves(gid)[:2]  # only they hold data, so only they vote
+    session = FederatedSession(trees, gid, gaussian_data(leaves, H, seed=12, n_per_node=4), H,
+                               RoundConfig(seed=1))
     # one confident vote for 1, one lukewarm vote for 0
     session.personal[leaves[0]] = ModelParams(np.zeros((2, H)), np.array([-8.0, 8.0]))
     session.personal[leaves[1]] = ModelParams(np.zeros((2, H)), np.array([0.2, 0.0]))
@@ -703,15 +705,17 @@ def test_vote_matches_the_softmax_reference(nodes, fanout, seed, dropped, points
     (which force ties), large |x|, and n of 0 and 1. When no point ties,
     an exactly zero head never reaches the exact path."""
     ids, overlay, sim, trees, gid, root = build_world(nodes, fanout=fanout, seed=seed)
-    data = gaussian_data(ids, H, seed=seed, n_per_node=2)
-    session = FederatedSession(trees, gid, data, H, RoundConfig(seed=seed))
     rng = np.random.default_rng(seed)
-    leaves = session.contributing_leaves()
+    leaves = trees.leaves(gid)
     keep = max(1, len(leaves) - dropped)
     if paired:
         keep = max(2, keep - keep % 2)  # an even number of voters
-    for nid in rng.permutation(leaves)[keep:]:
-        del session.data[nid]  # still a leaf of the tree, but it does not vote
+    # A dropped leaf holds no data: it is still a leaf of the tree, but it
+    # does not vote.
+    dropped_ids = set(rng.permutation(leaves)[keep:].tolist())
+    data = gaussian_data([nid for nid in ids if nid not in dropped_ids], H, seed=seed,
+                         n_per_node=2)
+    session = FederatedSession(trees, gid, data, H, RoundConfig(seed=seed))
     leaves = session.contributing_leaves()
     x = rng.normal(size=(points, H)) * x_scale
     half = len(leaves) // 2 if paired else 0
@@ -741,13 +745,12 @@ def test_forced_ties_are_broken_by_the_mass_tallied_in_tree_order():
     """Half the voters carry the negated heads of the other half, so every
     point gets equal counts and the tree-ordered mass sum decides."""
     ids, overlay, sim, trees, gid, root = build_world(90, fanout=6, seed=33)
-    data = gaussian_data(ids, H, seed=15, n_per_node=6)
-    session = FederatedSession(trees, gid, data, H, RoundConfig(seed=1))
-    leaves = session.contributing_leaves()
+    leaves = trees.leaves(gid)
     half = len(leaves) // 2
     assert half > fedagg.INFER_CHUNK
-    leaves = leaves[:2 * half]
-    session.data = {nid: data[nid] for nid in leaves}
+    leaves = leaves[:2 * half]  # only they hold data, so only they vote
+    session = FederatedSession(trees, gid, gaussian_data(leaves, H, seed=15, n_per_node=6), H,
+                               RoundConfig(seed=1))
     rng = np.random.default_rng(7)
     for a, b in zip(leaves[:half], leaves[half:]):
         head = ModelParams(rng.normal(size=(2, H)), rng.normal(size=2))
@@ -774,9 +777,9 @@ def test_one_finetune_call_per_round(mode, monkeypatch):
     session = FederatedSession(trees, gid, data, H, RoundConfig(steps=2, batch=4, seed=4))
     calls = []
 
-    def counted(datas, *args, **kwargs):
-        calls.append(len(datas))
-        return local_finetune(datas, *args, **kwargs)
+    def counted(x, y, rows, *args, **kwargs):
+        calls.append(len(rows))
+        return local_finetune(x, y, rows, *args, **kwargs)
 
     monkeypatch.setattr(fedagg, "local_finetune", counted)
     social = complete_graph(session.contributing_leaves())
@@ -788,9 +791,140 @@ def test_one_finetune_call_per_round(mode, monkeypatch):
     assert calls == [len(session.contributing_leaves())] * 3
 
 
+# -- stacked session state ----------------------------------------------------------
+
+def test_personal_heads_read_copies_and_check_every_write():
+    ids, overlay, sim, trees, gid, root = build_world(6, fanout=3, seed=4)
+    data = gaussian_data(ids[1:], H, seed=2, n_per_node=4)  # ids[0] holds no data
+    session = FederatedSession(trees, gid, data, H, RoundConfig(seed=1))
+    nid = data.ids[0]
+    head = ModelParams(np.ones((2, H)), np.array([0.5, -0.5]))
+    session.personal[nid] = head
+    read = session.personal[nid]
+    assert np.array_equal(read.w, head.w) and np.array_equal(read.b, head.b)
+    read.w[0, 0] = 9.0  # a copy: the stacked head stays as written
+    assert np.array_equal(session.personal[nid].w, head.w)
+
+    with pytest.raises(KeyError, match=hex_id(ids[0])):
+        session.personal[ids[0]] = head  # no data, so no head to write
+    with pytest.raises(KeyError, match=hex_id(ids[0])):
+        session.personal[ids[0]]
+    with pytest.raises(ValueError, match="shape"):
+        session.personal[nid] = ModelParams(np.zeros((2, H + 1)), np.zeros(2))
+    with pytest.raises(ValueError, match="shape"):
+        session.personal[nid] = ModelParams(np.zeros((3, H)), np.zeros(3))
+    for field in ("w", "b"):
+        bad = ModelParams(np.zeros((2, H)), np.zeros(2))
+        getattr(bad, field)[0] = np.inf  # made finite, then changed
+        with pytest.raises(ValueError, match="finite"):
+            session.personal[nid] = bad
+    read = session.personal[nid]  # no refused write changed the head
+    assert np.array_equal(read.w, head.w) and np.array_equal(read.b, head.b)
+
+
+def world_of(ids, fanout=16):
+    """One tree over an overlay of exactly these ids; returns (trees, gid)."""
+    overlay = Overlay.build(sorted(ids))
+    trees = TreeManager(overlay, Simulator(seed=1, alive=overlay.is_alive),
+                        TreeConfig(fanout_cap=fanout))
+    gid, root = trees.create_group("seeds")
+    for nid in sorted(ids):
+        if nid != root:
+            trees.join_group(nid, gid)
+    return trees, gid
+
+
+@settings(deadline=None)
+@given(ids=st.lists(st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64, 2**128 - 1)),
+                    min_size=1, max_size=20, unique=True),
+       seed=st.integers(0, 2**70), rnd=st.integers(0, 2**64 + 5), n=st.integers(1, 9),
+       batch=st.integers(1, 9))
+# Ids of one limb and of two, at both ends of each width, in one round.
+@example(ids=[0, 2**64 - 1, 2**64, 2**128 - 1], seed=0, rnd=0, n=6, batch=4)
+@example(ids=[0, 5, 2**64 - 1, 2**64, 2**64 + 1, 2**127, 2**128 - 1], seed=2**64 + 3,
+         rnd=7, n=5, batch=2)
+def test_session_seeds_and_rows_are_those_of_each_leafs_key(ids, seed, rnd, n, batch):
+    """The session folds (seed, round) once and each id's limbs as arrays;
+    every leaf's seed equals `_fold_keys` of its key (seed, round, id), and
+    the rows its round draws equal the key's rows drawn alone, whatever the
+    widths of the other ids in the round."""
+    trees, gid = world_of(ids)
+    data = gaussian_data(ids, H, seed=3, n_per_node=n)
+    session = FederatedSession(trees, gid, data, H,
+                               RoundConfig(steps=2, batch=batch, seed=seed))
+    session.round = rnd
+    keys = [(seed, rnd, nid) for nid in data.ids]
+    assert (session._leaf_seeds(np.arange(len(ids))).tolist()
+            == model._fold_keys(keys).tolist())
+
+    draws = []
+    draw = model.draw_minibatches
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "draw_minibatches",
+                   lambda *args: draws.append((args, draw(*args))) or draws[-1][1])
+        session.centralized_round()
+    [((got_n, got_batch, steps, seeds), rows)] = draws
+    leaves = session.last_leaves
+    assert (got_n, got_batch, steps) == (n, min(batch, n), 2)
+    assert seeds.tolist() == model._fold_keys([(seed, rnd, nid) for nid in leaves]).tolist()
+    for leaf_rows, nid in zip(rows, leaves):
+        alone = draw_rows(n, min(batch, n), 2, (seed, rnd, nid))
+        assert np.array_equal(leaf_rows, np.arange(n)[None].repeat(2, 0) if alone is None
+                              else alone), hex_id(nid)
+
+
+@settings(deadline=None)  # examples from the active profile; CI runs "model-2000"
+@given(seed=st.integers(0, 2**32 - 1), nodes=st.integers(2, 24), n=st.integers(1, 12),
+       batch=st.integers(1, 16), steps=st.integers(2, 5), block=st.integers(1, 4),
+       penalty=st.sampled_from(PENALTIES))
+# A batch of the whole dataset, which draws nothing.
+@example(seed=1, nodes=9, n=5, batch=5, steps=3, block=2, penalty="squared")
+def test_a_session_round_equals_local_finetune_on_its_leaves(seed, nodes, n, batch, steps,
+                                                            block, penalty):
+    """A round's deltas and new personal heads, fine-tuned by row from the
+    session's stacked state in two or more gather blocks, equal
+    `local_finetune` on a list of the same leaves' datasets and heads, and
+    each leaf's step-by-step reference, bit for bit."""
+    ids, overlay, sim, trees, gid, root = build_world(nodes, fanout=4, seed=seed % 997)
+    node_data = gaussian_data(ids, H, seed=seed, n_per_node=n)
+    rng = np.random.default_rng(seed)
+    lam, eta = float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.01, 0.3))
+    session = FederatedSession(trees, gid, node_data, H, RoundConfig(
+        lam=lam, eta_local=eta, steps=steps, batch=batch, penalty=penalty, seed=seed))
+    session.global_params = w_start = ModelParams(rng.normal(size=(2, H)), rng.normal(size=2))
+    for nid in node_data:
+        session.personal[nid] = ModelParams(rng.normal(size=(2, H)), rng.normal(size=2))
+    leaves = session.contributing_leaves()
+    heads = [session.personal[nid] for nid in leaves]
+    size = min(batch, n)
+    block = min(block, steps - 1)  # steps per gather block: two blocks or more
+    results = []
+
+    def spy(*args):
+        results.append(local_finetune(*args))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "GATHER_BYTES", 8 * len(leaves) * size * H * block)
+        mp.setattr(fedagg, "local_finetune", spy)
+        session.centralized_round()
+    [(d_w, d_b, _p_w, _p_b)] = results
+    keys = [(seed, 0, nid) for nid in leaves]
+    want = finetune_datasets([node_data[nid] for nid in leaves], w_start, heads, lam, eta,
+                             steps, size, keys, penalty)
+    for i, (nid, (delta, head)) in enumerate(zip(leaves, want)):
+        ref_delta, ref_head = finetune_reference(
+            node_data[nid], w_start, heads[i], lam, eta, steps,
+            draw_rows(n, size, steps, keys[i]), penalty)
+        new_head = session.personal[nid]
+        for got, a, b in [(d_w[i], delta.w, ref_delta.w), (d_b[i], delta.b, ref_delta.b),
+                          (new_head.w, head.w, ref_head.w), (new_head.b, head.b, ref_head.b)]:
+            assert got.tobytes() == a.tobytes() == b.tobytes(), hex_id(nid)
+
+
 def test_no_live_leaves_rejected():
     ids, overlay, sim, trees, gid, root = build_world(3, fanout=2, seed=9)
-    session = FederatedSession(trees, gid, {}, H, RoundConfig(seed=1))
+    session = FederatedSession(trees, gid, gaussian_data([], H, seed=1), H, RoundConfig(seed=1))
     with pytest.raises(ProtocolError):
         session.ensemble_infer(np.zeros((1, H)))
     with pytest.raises(ProtocolError):

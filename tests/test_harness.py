@@ -148,30 +148,32 @@ def _spec(topic_id, mean0, mean1, cov_scale):
 @settings(deadline=None)  # examples from the active profile; CI runs "model-2000"
 @given(topics=_topics(), points=st.integers(1, 25),
        ids=st.lists(st.integers(0, 2**128 - 1), min_size=1, max_size=12, unique=True),
-       block_rows=st.integers(1, 40), part_rows=st.integers(1, 30),
-       seed=st.integers(0, 2**32 - 1))
-# Shares of 3, 2 and 2 points, one node a block, split into parts of 2 rows;
-# cov_scale 0 beside -0.0 mean components.
+       part_rows=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+# Shares of 3, 2 and 2 points, split into parts of 2 rows; cov_scale 0
+# beside -0.0 mean components.
 @example(topics=[_spec(0, [-0.0, 0.0], [1e-300, -0.0], 0.0),
                  _spec(1, [-0.0, 2.0], [2.0, -0.0], 1.0),
                  _spec(2, [2.0, -1.5], [-0.0, -0.0], 0.0)],
-         points=7, ids=[5, 1, 2**127, 9, 3], block_rows=8, part_rows=2, seed=11)
-# Shares of 1, 0 and 0 points, three nodes a block over seven nodes.
+         points=7, ids=[5, 1, 2**127, 9, 3], part_rows=2, seed=11)
+# Shares of 1, 0 and 0 points, one row a part over seven nodes.
 @example(topics=[_spec(0, [-0.0, 0.0], [2.0, 0.0], 0.0),
                  _spec(1, [0.0, 1e-300], [-1.5, 0.0], 5e-324),
                  _spec(2, [-0.0, -0.0], [0.0, 2.0], 3.0)],
-         points=1, ids=list(range(7)), block_rows=3, part_rows=1, seed=2**32 - 1)
-def test_node_data_does_not_depend_on_block_and_part_sizes(topics, points, ids, block_rows,
-                                                           part_rows, seed):
-    # Blocks and parts of a few rows put more nodes in a run than one block
-    # holds, and split a share, mixed shares included, across parts; with
-    # few points, mixed shares have 1 point, an odd count, or none. The
-    # data must still be the per-topic streams drawn node by node.
+         points=1, ids=list(range(7)), part_rows=1, seed=2**32 - 1)
+# Shares of 1, 1 and 0 points, three nodes a part.
+@example(topics=[_spec(0, [-0.0, 0.0], [2.0, 0.0], 0.0),
+                 _spec(1, [0.0, 1e-300], [-1.5, 0.0], 1.0),
+                 _spec(2, [-0.0, -0.0], [0.0, 2.0], 3.0)],
+         points=2, ids=list(range(7)), part_rows=3, seed=5)
+def test_node_data_does_not_depend_on_part_size(topics, points, ids, part_rows, seed):
+    # Parts of a few rows put several nodes in a part, or split a share,
+    # mixed shares included, across parts; with few points, mixed shares
+    # have 1 point, an odd count, or none. The data must still be the
+    # per-topic streams drawn node by node.
     dim = topics[0].mean0.size
     single = TopicSpec(topics[0].topic_id, topics[0].mean0, topics[0].mean1,
                        topics[0].cov_scale, points)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "BLOCK_BYTES", 8 * dim * block_rows)
         patch.setattr(harness, "PART_BYTES", 8 * dim * part_rows)
         one = generate_topic_data(single, ids, seed)
         mixed = mixed_node_data(topics, ids, seed, points)
@@ -519,15 +521,15 @@ def test_decentralized_scenario_runs_and_is_deterministic():
 @pytest.mark.parametrize("mode", ["centralized", "decentralized"])
 def test_a_scenario_is_freed_when_run_scenario_returns(mode, monkeypatch):
     """No reference cycle keeps a run alive: with the cycle collector off,
-    every session and every dataset it fine-tunes on is freed by reference
-    counting alone once `run_scenario` has returned (rounds and votes
-    included)."""
+    every session, the stacked data it fine-tunes on and its stacked
+    personal heads are freed by reference counting alone once
+    `run_scenario` has returned (rounds and votes included)."""
     refs = []
 
     def session(*args, **kwargs):
         s = FederatedSession(*args, **kwargs)
-        refs.append(weakref.ref(s))
-        refs.extend(weakref.ref(d) for d in s.data.values())
+        refs.extend(weakref.ref(obj) for obj in (s, s.data, s.data.x, s.data.y, s.personal,
+                                                  s.personal.w, s.personal.b))
         return s
 
     monkeypatch.setattr(harness, "FederatedSession", session)
@@ -542,7 +544,7 @@ def test_a_scenario_is_freed_when_run_scenario_returns(mode, monkeypatch):
     finally:
         gc.enable()
     assert len(result.records) == cfg.rounds * cfg.tree_count  # rounds and votes ran
-    assert len(refs) == 2 + cfg.nodes
+    assert len(refs) == 7 * cfg.tree_count
     assert alive == 0
 
 

@@ -8,6 +8,7 @@ from dhtfed.model import (PENALTIES, LocalDataset, ModelParams, deserialize_para
                           local_finetune, param_nbytes, pfl_grad, pfl_loss, serialize_params)
 from dhtfed.harness import TopicSpec, _write_points
 
+from conftest import draw_rows, finetune_datasets
 from oracles import (central_difference, finetune_reference, floyd_reference,
                      loss_reference, points_reference)
 
@@ -213,7 +214,7 @@ def test_zero_step_size_is_a_null_update():
     data = rand_data(rng)
     w = rand_params(rng)
     w_per = rand_params(rng)
-    [(delta, new_per)] = local_finetune([data], w, [w_per], 0.5, 0.0, steps=5, batch=6,
+    [(delta, new_per)] = finetune_datasets([data], w, [w_per], 0.5, 0.0, steps=5, batch=6,
                                         keys=[(0,)])
     assert np.array_equal(delta.w, np.zeros((2, H)))
     assert np.array_equal(delta.b, np.zeros(2))
@@ -226,7 +227,7 @@ def test_single_full_batch_step_equals_analytic_gradient_exactly():
     w = rand_params(rng)
     w_per = rand_params(rng)
     g_cla, _ = pfl_grad(data, w, w_per, 0.3)
-    [(delta, _)] = local_finetune([data], w, [w_per], 0.3, 0.05, steps=1,
+    [(delta, _)] = finetune_datasets([data], w, [w_per], 0.3, 0.05, steps=1,
                                   batch=len(data), keys=[(0,)])
     assert np.array_equal(delta.w, 0.05 * g_cla.w)
     assert np.array_equal(delta.b, 0.05 * g_cla.b)
@@ -240,7 +241,7 @@ def test_training_reduces_loss_on_separable_data():
     data = LocalDataset(x, y)
     w0 = ModelParams.zeros(H)
     before = pfl_loss(data, w0, ModelParams.zeros(H), 0.1)
-    [(delta, w_per)] = local_finetune([data], w0, [ModelParams.zeros(H)], 0.1, 0.2,
+    [(delta, w_per)] = finetune_datasets([data], w0, [ModelParams.zeros(H)], 0.1, 0.2,
                                       steps=200, batch=32, keys=[(1,)])
     after = pfl_loss(data, w0 - delta, w_per, 0.1)
     assert after < before
@@ -272,7 +273,7 @@ def test_finetune_is_deterministic_per_seed():
     w_per = rand_params(rng)
 
     def run(seed):
-        [result] = local_finetune([data], w, [w_per], 0.4, 0.1, steps=20, batch=16,
+        [result] = finetune_datasets([data], w, [w_per], 0.4, 0.1, steps=20, batch=16,
                                   keys=[(seed,)])
         return result
 
@@ -286,35 +287,38 @@ def test_finetune_is_deterministic_per_seed():
 
 def test_finetune_validates_arguments():
     rng = np.random.default_rng(16)
-    data = rand_data(rng, n=4)
+    x, y = rng.normal(size=(2, 4, H)), rng.integers(0, 2, size=(2, 4))
     w = rand_params(rng)
-    head = rand_params(rng)
+    w_per, b_per = rng.normal(size=(2, 2, H)), rng.normal(size=(2, 2))
+    before = [a.copy() for a in (x, y, w_per, b_per)]
 
-    def call(datas=(data,), heads=(head,), steps=1, batch=2, keys=((0,),), **kw):
-        return local_finetune(list(datas), w, list(heads), 0.5, 0.1, steps, batch,
-                              list(keys), **kw)
+    def call(rows=(0, 1), heads=(w_per, b_per), steps=1, batch=2, seeds=None, **kw):
+        rows = np.array(rows, dtype=np.intp)
+        if seeds is None:
+            seeds = model._fold_keys([(i,) for i in range(len(rows))])
+        return local_finetune(x, y, rows, w, *heads, 0.5, 0.1, steps, batch, seeds, **kw)
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="steps"):
         call(steps=0)
-    with pytest.raises(ValueError):
-        call(batch=9)
+    with pytest.raises(ValueError, match="batch"):
+        call(batch=5)
+    with pytest.raises(ValueError, match="batch"):
+        call(batch=0)
     with pytest.raises(ValueError, match="penalty"):
         call(penalty="cubic")
+    with pytest.raises(ValueError, match="one seed per leaf"):
+        call(seeds=model._fold_keys([(0,)]))
+    with pytest.raises(ValueError, match="rows"):  # a row past the last node's
+        call(rows=(0, 2))
+    with pytest.raises(ValueError, match="rows"):
+        call(rows=(-1, 0))
     with pytest.raises(ValueError, match="one personal head"):
-        call(datas=(data, data))
-    with pytest.raises(ValueError, match="one key per leaf"):
-        call(datas=(data, data), heads=(head, head))
-    with pytest.raises(ValueError, match="batch"):  # one leaf's batch too large
-        call(datas=(data, rand_data(rng, n=2)), heads=(head, head),
-             keys=[(0,), (1,)], batch=3)
-    with pytest.raises(ValueError, match="batch"):
-        call(datas=(data, data), heads=(head, head),
-             keys=[(0,), (1,)], batch=[2, 0])
-    with pytest.raises(ValueError, match="non-negative"):
-        call(datas=(data, data), heads=(head, head), keys=[(0,), (3, -1)])
-    with pytest.raises(ValueError, match="non-negative"):  # a 128-bit negative part
-        call(datas=(data, data), heads=(head, head), keys=[(0,), (3, 0, -(2**70))])
-    assert call(datas=(), heads=(), keys=()) == []
+        call(heads=(w_per[:1], b_per[:1]))
+    d_w, d_b, p_w, p_b = call(rows=())
+    assert d_w.shape == p_w.shape == (0, 2, H) and d_b.shape == p_b.shape == (0, 2)
+    call(steps=3)
+    for a, b in zip((x, y, w_per, b_per), before):  # the inputs are left as they are
+        assert np.array_equal(a, b)
 
 
 def _leaf_round(rng, sizes):
@@ -324,7 +328,7 @@ def _leaf_round(rng, sizes):
 
 def rows_of(data, batch, steps, key):
     """The minibatch rows local_finetune draws for one leaf, drawn alone."""
-    return draw_minibatches([len(data)], [batch], steps, [key])[0]
+    return draw_rows(len(data), batch, steps, key)
 
 
 @pytest.mark.parametrize("penalty", ["squared", "norm"])
@@ -339,7 +343,7 @@ def test_finetune_matches_the_params_level_step_rule_bit_for_bit(penalty):
     batches = [min(8, n) for n in sizes]
     starts = [ModelParams(p.w.copy(), p.b.copy()) for p in heads]
     for lam, eta in [(1.3, 0.07), (0.0, 0.2)]:
-        got = local_finetune(datas, w_start, heads, lam, eta, 12, batches,
+        got = finetune_datasets(datas, w_start, heads, lam, eta, 12, batches,
                              [(5, i) for i in range(len(sizes))], penalty)
         for i, (data, head) in enumerate(zip(datas, heads)):
             want_delta, want_per = finetune_reference(
@@ -375,7 +379,7 @@ def test_finetune_across_gather_blocks_matches_the_reference(seed, batch, big, s
     lam, eta = float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.01, 0.3))
     w_start = rand_params(rng, hidden)
     keys = [(seed, i) for i in range(len(sizes))]
-    got = local_finetune(datas, w_start, heads, lam, eta, steps, batches, keys, penalty)
+    got = finetune_datasets(datas, w_start, heads, lam, eta, steps, batches, keys, penalty)
     for i, (delta, w_per) in enumerate(got):
         want_delta, want_per = finetune_reference(
             datas[i], w_start, heads[i], lam, eta, steps,
@@ -393,7 +397,7 @@ def test_norm_penalty_at_the_kink_stacked_with_other_leaves():
     datas, heads = _leaf_round(rng, [12, 12, 12])
     w_start = rand_params(rng)
     heads[1] = ModelParams(w_start.w.copy(), w_start.b.copy())
-    got = local_finetune(datas, w_start, heads, 3.0, 0.1, 1, 12, [(i,) for i in range(3)],
+    got = finetune_datasets(datas, w_start, heads, 3.0, 0.1, 1, 12, [(i,) for i in range(3)],
                          "norm")
     for i in range(3):
         want_delta, want_per = finetune_reference(
@@ -406,7 +410,7 @@ def test_diverging_finetune_raises():
     # Two batch sizes, so two stacked groups run; the diverging leaf, whose
     # features are of order 1e200, sits in the first group or in the second.
     def run(datas, heads):
-        return local_finetune(datas, ModelParams.zeros(H), heads, 0.5, 0.1, steps=4,
+        return finetune_datasets(datas, ModelParams.zeros(H), heads, 0.5, 0.1, steps=4,
                               batch=[12, 6, 12, 6], keys=[(i,) for i in range(4)])
 
     datas, heads = _leaf_round(np.random.default_rng(3), [12, 12, 12, 12])
@@ -470,8 +474,8 @@ def test_negative_entropy_raises_as_seed_sequence_does():
             np.random.default_rng(entropy)
         with pytest.raises(ValueError, match="non-negative"):
             model._fold_keys([(1, 2), entropy])
-        with pytest.raises(ValueError, match="non-negative"):
-            draw_minibatches([5, 5], [2, 2], 1, [(1, 2), entropy])
+        with pytest.raises(ValueError, match="non-negative"):  # as a session's ids
+            model.int_limbs(entropy)
 
 
 # Rows of draw_minibatches for a few keys, as pinned when the draw was
@@ -486,7 +490,7 @@ GOLDEN_ROWS = {
 
 def test_golden_rows():
     for (n, size, steps, key), want in GOLDEN_ROWS.items():
-        [rows] = draw_minibatches([n], [size], steps, [key])
+        [rows] = draw_minibatches(n, size, steps, model._fold_keys([key]))
         assert rows.dtype == np.int64 and rows.tolist() == want, key
 
 
@@ -504,23 +508,19 @@ _key = st.one_of(st.tuples(st.integers(0, 2**64), st.integers(0, 50),
 
 
 @settings(deadline=None)  # examples from the active profile; CI runs "model-2000"
-@given(leaves=st.lists(st.tuples(_leaf, _key), min_size=1, max_size=8),
+@given(leaf=_leaf, keys=st.lists(_key, min_size=1, max_size=8),
        steps=st.integers(1, 6), data=st.data())
-def test_a_leafs_rows_do_not_depend_on_the_other_leaves(leaves, steps, data):
-    """Rows drawn in one call equal each leaf drawn alone, in any order and
-    with any other leaves beside it; every row is sorted, distinct and in
-    range."""
-    ns = [n for (n, _), _ in leaves]
-    sizes = [size for (_, size), _ in leaves]
-    keys = [key for _, key in leaves]
-    together = draw_minibatches(ns, sizes, steps, keys)
-    order = data.draw(st.permutations(range(len(leaves))))
-    shuffled = draw_minibatches([ns[i] for i in order], [sizes[i] for i in order], steps,
-                                [keys[i] for i in order])
+def test_a_leafs_rows_do_not_depend_on_the_other_leaves(leaf, keys, steps, data):
+    """Rows drawn in one call, as a round draws its leaves' rows, equal each
+    leaf drawn alone, in any order and with any other leaves beside it;
+    every row is sorted, distinct and in range."""
+    n, size = leaf
+    together = draw_minibatches(n, size, steps, model._fold_keys(keys))
+    order = data.draw(st.permutations(range(len(keys))))
+    shuffled = draw_minibatches(n, size, steps, model._fold_keys([keys[i] for i in order]))
     for i, rows in enumerate(together):
-        [alone] = draw_minibatches([ns[i]], [sizes[i]], steps, [keys[i]])
-        assert_valid_rows(rows, ns[i], sizes[i], steps)
-        assert np.array_equal(rows, alone), i
+        assert_valid_rows(rows, n, size, steps)
+        assert np.array_equal(rows, draw_rows(n, size, steps, keys[i])), i
         assert np.array_equal(rows, shuffled[order.index(i)]), i
 
 
@@ -528,18 +528,17 @@ def test_a_leafs_rows_do_not_depend_on_the_other_leaves(leaves, steps, data):
 @given(leaf=_leaf, key=_key, steps=st.integers(1, 4))
 def test_rows_are_floyds_sample_of_the_words(leaf, key, steps):
     n, size = leaf
-    [rows] = draw_minibatches([n], [size], steps, [key])
+    rows = draw_rows(n, size, steps, key)
     words = model._words(model._fold_keys([key]), steps, size)[0] >> np.uint64(32)
     assert rows.tolist() == [floyd_reference(n, size, step.tolist()) for step in words]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, 10_000, 10_001, 25_000])
 def test_rows_are_sorted_distinct_and_in_range(n):
-    sizes = sorted({1, n // 2, n - 1, n} - {0})
-    got = draw_minibatches([n] * len(sizes), sizes, 3, [(n, size) for size in sizes])
-    for size, rows in zip(sizes, got):
-        if size == n:
-            assert rows is None  # the whole dataset: no draw
+    for size in sorted({1, n // 2, n - 1, n} - {0}):
+        [rows] = draw_minibatches(n, size, 3, model._fold_keys([(n, size)]))
+        if size == n:  # the whole dataset: no draw
+            assert rows.tolist() == [list(range(n))] * 3
         else:
             assert_valid_rows(rows, n, size, 3)
 
@@ -550,7 +549,7 @@ def test_floyd_sample_frequencies():
     # within 5 standard deviations of its binomial mean (4000 +- 5 * 61.1),
     # and so does every value's (20,000 +- 5 * 115.5).
     steps = 60_000
-    [rows] = draw_minibatches([6], [2], steps, [(2024,)])
+    rows = draw_rows(6, 2, steps, (2024,))
     pairs = np.bincount(rows[:, 0] * 6 + rows[:, 1], minlength=36).reshape(6, 6)
     counts = pairs[np.triu_indices(6, 1)]
     assert abs(counts - steps / 15).max() <= 5 * np.sqrt(steps / 15 * 14 / 15)
@@ -607,10 +606,10 @@ def test_points_match_the_former_formula(n, mean0, mean1, cov_scale, seed):
     mean0, mean1 = np.array(mean0[:dim]), np.array(mean1[:dim])
     assume(not np.array_equal(mean0, mean1))
     spec = TopicSpec(0, mean0, mean1, cov_scale, n)
-    data, = _write_points([(spec, n)], 1, [np.random.default_rng(seed)])
+    x, y = _write_points([(spec, n)], 1, [np.random.default_rng(seed)])
     want_x, want_y = points_reference(spec, n, np.random.default_rng(seed))
-    assert data.x.tobytes() == want_x.tobytes()
-    assert data.y.tobytes() == want_y.tobytes()
+    assert x[0].tobytes() == want_x.tobytes()
+    assert y[0].tobytes() == want_y.tobytes()
 
 
 class _FixedDraws:
@@ -641,9 +640,9 @@ def test_points_match_the_former_formula_on_zero_draws(cov_scale):
     y = [0, 0, 0, 1, 1, 1]
     z = [[-0.0, -0.0, -0.0], [0.0, -1e-300, 0.0], [-0.25, 0.5, -2.0],
          [-0.0, 0.5, -2.0], [-1e-300, -0.0, 0.0], [0.0, -0.5, 0.0]]
-    data, = _write_points([(spec, 6)], 1, [_FixedDraws(y, z)])
+    x, _y = _write_points([(spec, 6)], 1, [_FixedDraws(y, z)])
     want_x, _ = points_reference(spec, 6, _FixedDraws(y, z))
-    assert data.x.tobytes() == want_x.tobytes()
+    assert x[0].tobytes() == want_x.tobytes()
 
 
 # -- serialization -----------------------------------------------------------------------
